@@ -9,7 +9,6 @@ arithmetic is exact; every closed form is backed by an independent
 brute-force oracle (see solnorm.oracle and the `solnorm verify` subcommand).
 """
 
-from ._kernels import backend as kernel_backend
 from .arith import INF, ContinuedFraction, ExtNat, bredon_wood, continued_fraction, ext_gcd
 from .bundle import (
     BundleClass,
@@ -85,7 +84,6 @@ __all__ = [
     "h2_structure",
     "h2_structure_semi",
     "intersection_number",
-    "kernel_backend",
     "mat_act",
     "meg_bundle",
     "meg_semi",

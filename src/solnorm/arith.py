@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _kernels
 from .errors import DomainError
 
 INF = math.inf
@@ -131,4 +130,21 @@ def bredon_wood(p: int, q: int) -> ExtNat:
         return INF
     if p == 0:
         return 0
-    return _kernels.bw_halfsum(p, q)
+    # Half-sum of the b-sequence: it keeps a continued-fraction term when
+    # the previous term was altered or the running sum is odd, and zeroes
+    # it otherwise; the total is always even.
+    P, Q = abs(p), abs(q)
+    total = 0
+    prev_a = prev_b = None
+    while Q:
+        a, r = divmod(P, Q)
+        if prev_a is None or prev_b != prev_a or total % 2 == 1:
+            b = a
+        else:
+            b = 0
+        total += b
+        prev_a, prev_b = a, b
+        P, Q = Q, r
+    if total % 2 != 0:
+        raise AssertionError(f"odd b-sequence sum {total} for ({p}, {q})")
+    return total // 2

@@ -25,6 +25,7 @@ from .arith import INF, ExtNat, is_finite
 from .curve_complex import IDENTITY, GL2Matrix, ParityClass, geodesic, mat_act
 from .errors import DomainError
 from .reports import (
+    DEFAULT_CERTIFICATE_CAP,
     EMPTY_SURFACE,
     KLEIN_BOTTLE,
     TORUS,
@@ -41,8 +42,6 @@ from .tree_action import (
     translation_length_orbit,
     translation_lengths,
 )
-
-DEFAULT_CERTIFICATE_CAP = 10000
 
 DERIVED_IDENTIFICATION = "derived identification"
 

@@ -15,7 +15,6 @@ import sys
 
 from .arith import bredon_wood, extnat_json, fmt_extnat
 from .bundle import (
-    DEFAULT_CERTIFICATE_CAP,
     classify_geometry,
     h2_structure,
     meg_bundle,
@@ -35,7 +34,7 @@ from .curve_complex import (
 )
 from .errors import DomainError, ParseError
 from .oracle import run_checks
-from .reports import NormReport
+from .reports import DEFAULT_CERTIFICATE_CAP, NormReport
 from .semibundle import h2_structure_semi, meg_semi, mog_semi, norm_multiset_semi, norm_table_semi
 from .tree_action import translation_lengths
 
@@ -218,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--matrix", required=True, help='row-major "a,c;b,d"')
         p.add_argument("--json", action="store_true")
         p.add_argument("--certificate-cap", type=int, default=DEFAULT_CERTIFICATE_CAP,
-                       help="elide geodesic certificates longer than this (default 10000)")
+                       help="elide geodesic certificates longer than this (default %(default)s)")
 
     p = sub.add_parser("census", help="CSV summary for a file of matrices")
     p.add_argument("--in", dest="in_path", required=True)

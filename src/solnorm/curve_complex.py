@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -55,17 +56,30 @@ class Slope:
         return f"{self.p}/{self.q}"
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_int(cell: str, message: str) -> int:
+    """An ASCII integer entry, surrounding whitespace allowed.  Anything
+    else int() would take (other scripts' digits, underscores) raises
+    ParseError(message)."""
+    cell = cell.strip()
+    if not _INTEGER.fullmatch(cell):
+        raise ParseError(message)
+    try:
+        return int(cell)
+    except ValueError as err:  # only the int-digit limit is left to fail
+        raise ParseError(f"integer entry over Python's int-digit limit: {err}") from None
+
+
 def parse_slope(text: str) -> Slope:
     """Parse "p/q".  Malformed text raises ParseError; a non-coprime pair
     raises DomainError rather than being silently reduced."""
     parts = text.strip().split("/")
     if len(parts) != 2:
         raise ParseError(f"expected 'p/q', got {text!r}")
-    try:
-        p, q = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"expected 'p/q' with integer entries, got {text!r}") from None
-    return Slope.of(p, q)
+    message = f"expected 'p/q' with integer entries, got {text!r}"
+    return Slope.of(_parse_int(parts[0], message), _parse_int(parts[1], message))
 
 
 class ParityClass(enum.Enum):
@@ -170,10 +184,7 @@ def parse_matrix(text: str) -> GL2Matrix:
         if len(cells) != 2:
             raise ParseError(f"expected two entries per row, got {row!r}")
         for cell in cells:
-            try:
-                entries.append(int(cell))
-            except ValueError:
-                raise ParseError(f"expected integer entry, got {cell!r}") from None
+            entries.append(_parse_int(cell, f"expected integer entry, got {cell!r}"))
     a, c, b, d = entries
     det = a * d - b * c
     if det not in (1, -1):

@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the closed-form machinery it is checking:
 distances are re-derived by breadth-first search over explicitly enumerated
-neighbors, conjugacy is decided by scanning every unimodular matrix in a box,
+neighbors, conjugacy is decided by scanning the unimodular matrices in a box,
 and random matrices come from a seeded generator so every run is
 reproducible.  The same checks back both the pytest suite and the
 ``solnorm verify`` subcommand.
@@ -14,8 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from . import _kernels
-from .arith import INF, bredon_wood, is_finite
+from .arith import INF, bredon_wood, ext_gcd, is_finite
 from .bundle import (
     GeometryClass,
     classify_geometry,
@@ -89,27 +88,115 @@ def random_slope(rng: random.Random, bound: int, parity: ParityClass | None = No
         return Slope.of(p, q)
 
 
+def _t_interval(base: int, step: int, bound: int) -> tuple[int, int] | None:
+    """Integer t with -bound <= base + t*step <= bound, or None if empty."""
+    if step == 0:
+        return (0, 0) if -bound <= base <= bound else None
+    lo, hi = -bound - base, bound - base
+    if step < 0:
+        lo, hi, step = -hi, -lo, -step
+    tmin = -((-lo) // step)
+    tmax = hi // step
+    if tmin > tmax:
+        return None
+    return tmin, tmax
+
+
+def _second_rows(w: int, x: int, bound: int):
+    """Rows (y, z) in [-bound, bound] with w*z - x*y = +-1, for coprime (w, x).
+
+    They form the families (y0 + t*w, z0 + t*x) with w*z0 - x*y0 = eps,
+    walked for eps = 1 and then eps = -1, each in increasing t.
+    """
+    _, alpha, beta = ext_gcd(w, x)  # alpha*w + beta*x == 1
+    for eps in (1, -1):
+        z0, y0 = alpha * eps, -beta * eps  # w*z0 - x*y0 == eps
+        rz = _t_interval(z0, x, bound)
+        ry = _t_interval(y0, w, bound)
+        if rz is None or ry is None:
+            continue
+        if x == 0:
+            tmin, tmax = ry
+        elif w == 0:
+            tmin, tmax = rz
+        else:
+            tmin, tmax = max(rz[0], ry[0]), min(rz[1], ry[1])
+        for t in range(tmin, tmax + 1):
+            yield y0 + t * w, z0 + t * x
+
+
+def iter_unimodular(bound: int):
+    """All integer matrices (w, x; y, z) with |det| = 1 and entries in [-bound, bound].
+
+    Rows are enumerated as coprime pairs (w, x); the second row then runs
+    over the solution family of w*z - x*y = +-1.  Each matrix appears once.
+    This is the reference order of the conjugator scans below.
+    """
+    for w in range(-bound, bound + 1):
+        for x in range(-bound, bound + 1):
+            if math.gcd(w, x) == 1:
+                for y, z in _second_rows(w, x, bound):
+                    yield w, x, y, z
+
+
+def _conjugated(A: GL2Matrix, w: int, x: int, y: int, z: int) -> tuple[int, int, int, int]:
+    """Entries of P*A*P^-1 in row-major order, P = (w, x; y, z)."""
+    eps = w * z - x * y  # +-1, and P^-1 = eps * (z, -x; -y, w)
+    r00 = w * A.a + x * A.b
+    r01 = w * A.c + x * A.d
+    r10 = y * A.a + z * A.b
+    r11 = y * A.c + z * A.d
+    return (
+        eps * (r00 * z - r01 * y),
+        eps * (r01 * w - r00 * x),
+        eps * (r10 * z - r11 * y),
+        eps * (r11 * w - r10 * x),
+    )
+
+
+def _scan(A: GL2Matrix, b00: int, b01: int, bound: int, accept) -> GL2Matrix | None:
+    """First P in iter_unimodular order with accept(P A P^-1), among the P
+    whose conjugate has first row (b00, b01).
+
+    P A P^-1 = B makes the first row of P A = B P read
+    (w, x) A - b00 (w, x) = b01 (y, z).  When b01 != 0 that fixes the one
+    second row a first row can take; when b01 == 0 it is a linear test on
+    (w, x), and rows that fail it are skipped before any second row is
+    walked.  Every candidate still gets the full comparison.
+    """
+    if bound < 1:
+        raise DomainError("conjugator bound must be >= 1")
+    for w in range(-bound, bound + 1):
+        for x in range(-bound, bound + 1):
+            u = w * (A.a - b00) + x * A.b
+            v = w * A.c + x * (A.d - b00)
+            if b01:
+                if u % b01 or v % b01:
+                    continue
+                y, z = u // b01, v // b01
+                if abs(y) > bound or abs(z) > bound or w * z - x * y not in (1, -1):
+                    continue
+                rows = ((y, z),)
+            elif u or v or math.gcd(w, x) != 1:
+                continue
+            else:
+                rows = _second_rows(w, x, bound)
+            for y, z in rows:
+                if accept(_conjugated(A, w, x, y, z)):
+                    return GL2Matrix(w, x, y, z)
+    return None
+
+
 def brute_conjugate(A: GL2Matrix, B: GL2Matrix, bound: int) -> GL2Matrix | None:
     """A matrix P with entries in [-bound, bound] and P A P^-1 = B, if one
     exists in the box; None is inconclusive, not a disproof."""
-    if bound < 1:
-        raise DomainError("conjugator bound must be >= 1")
-    hit = _kernels.scan_conjugate_to(A.a, A.c, A.b, A.d, B.a, B.c, B.b, B.d, bound)
-    if hit is None:
-        return None
-    w, x, y, z = hit
-    return GL2Matrix(w, x, y, z)
+    target = (B.a, B.c, B.b, B.d)
+    return _scan(A, B.a, B.c, bound, lambda m: m == target)
 
 
 def brute_conjugate_to_meg_form(A: GL2Matrix, bound: int) -> GL2Matrix | None:
     """A bounded P with P A P^-1 of the form (-1, 0; n, -1), if any."""
-    if bound < 1:
-        raise DomainError("conjugator bound must be >= 1")
-    hit = _kernels.scan_meg_form(A.a, A.c, A.b, A.d, bound)
-    if hit is None:
-        return None
-    w, x, y, z = hit
-    return GL2Matrix(w, x, y, z)
+    return _scan(A, -1, 0, bound, lambda m: m[0] == -1 and m[1] == 0 and m[3] == -1)
 
 
 def check_four_point(slopes: tuple[Slope, Slope, Slope, Slope]) -> bool:

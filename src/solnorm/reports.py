@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 from .curve_complex import Slope
 
+DEFAULT_CERTIFICATE_CAP = 10000
+
 KIND_EMPTY = "empty"
 KIND_TORUS_FIBER = "torus fiber"
 KIND_TORUS = "torus"

@@ -22,6 +22,7 @@ from .arith import INF, ExtNat, bredon_wood
 from .curve_complex import GL2Matrix, Slope, geodesic
 from .errors import DomainError
 from .reports import (
+    DEFAULT_CERTIFICATE_CAP,
     EMPTY_SURFACE,
     KLEIN_BOTTLE,
     NormReport,
@@ -30,8 +31,6 @@ from .reports import (
     pi_surface_elided,
     sum_of,
 )
-
-DEFAULT_CERTIFICATE_CAP = 10000
 
 
 @dataclass(frozen=True)

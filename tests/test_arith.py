@@ -116,7 +116,7 @@ class TestBredonWood:
                 assert bredon_wood(p, pow(q, -1, p)) == n
 
     def test_big_integer_inputs(self):
-        # routed to the pure kernel; exactness must survive past 64 bits
+        # exactness must survive past 64 bits
         p = 2 * 3 ** 50
         q = 3 ** 50 + 2  # gcd 1
         assert math.gcd(p, q) == 1

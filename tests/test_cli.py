@@ -40,6 +40,18 @@ class TestSimpleCommands:
         code, out, _ = run(capsys, "act", "--matrix", "1,0;2,1", "1/0")
         assert code == 0 and out == "1/2\n"
 
+    def test_leading_minus_arguments(self, capsys):
+        # argparse reads "-1,0;..." and "-1/2" as options; the documented
+        # forms are --matrix=... and a "--" before the slopes
+        code, out, _ = run(capsys, "bundle", "--matrix=-1,0;2,-1")
+        assert code == 0 and out.startswith("matrix: -1,0;2,-1\n")
+        code, out, _ = run(capsys, "dist", "--", "-1/2", "3/2")
+        assert code == 0 and out == "2\n"
+        for argv in (("bundle", "--matrix", "-1,0;2,-1"), ("dist", "-1/2", "3/2")):
+            with pytest.raises(SystemExit) as info:
+                main(list(argv))
+            assert info.value.code == 2
+
     def test_export_graph(self, capsys):
         code, out, _ = run(capsys, "export-graph", "--center", "0/1", "--radius", "0", "--bound", "5")
         assert code == 0 and out == 'graph {\n  "0/1";\n}\n'
@@ -61,6 +73,18 @@ class TestExitCodes:
     def test_parse_error_is_two(self, capsys):
         code, _, err = run(capsys, "dist", "nonsense", "0/1")
         assert code == 2 and "nonsense" in err
+        for argv in (
+            ("dist", "\u0661/\u0662", "0/1"),
+            ("dist", "1_0/3", "0/1"),
+            ("bundle", "--matrix", "1,0;\u0662,1"),
+            ("semibundle", "--matrix", "1,0;1_0,1"),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and "expected" in err, argv
+        # an entry past Python's int-digit limit is named as such
+        for argv in (("bundle", "--matrix", "1,0;" + "2" * 5000 + ",1"), ("dist", "1/" + "3" * 5000, "0/1")):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and "int-digit limit" in err
 
     def test_geodesic_parity_mismatch_is_one(self, capsys):
         code, _, err = run(capsys, "geodesic", "0/1", "1/0")

@@ -48,9 +48,10 @@ class TestSlope:
         assert parse_slope("1/0") == Slope(1, 0)
         assert parse_slope(" -2/3 ") == Slope(-2, 3)
         assert parse_slope("2/-3") == Slope(-2, 3)
+        assert parse_slope("+2/ 3") == Slope(2, 3)
 
     def test_parse_rejects_garbage(self):
-        for text in ("", "1", "1/2/3", "a/b"):
+        for text in ("", "1", "1/2/3", "a/b", "\u0661/\u0662", "1_0/3", "0x1/2", "1/" + "3" * 5000):
             with pytest.raises(ParseError):
                 parse_slope(text)
 
@@ -71,13 +72,15 @@ class TestMatrix:
         A = parse_matrix("1,0;2,1")
         assert (A.a, A.c, A.b, A.d) == (1, 0, 2, 1)
         assert A.to_text() == "1,0;2,1"
+        assert parse_matrix(" 1 , 0 ; -2 ,1 ") == GL2Matrix(1, 0, -2, 1)
 
     def test_determinant_rejected(self):
         with pytest.raises(DomainError, match="determinant 2"):
             parse_matrix("2,0;0,1")
 
     def test_parse_rejects_garbage(self):
-        for text in ("1,0,2,1", "1;2", "x,0;0,1"):
+        for text in ("1,0,2,1", "1;2", "x,0;0,1", "\u0661,0;0,1", "1,0;1_0,1", "1,0;2,1.0",
+                     "1,0;" + "2" * 5000 + ",1"):
             with pytest.raises(ParseError):
                 parse_matrix(text)
 

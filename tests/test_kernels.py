@@ -1,19 +1,30 @@
-"""Compiled kernels against the pure-Python reference implementations."""
+"""The two hot loops against plain references: the filtered conjugator scans
+against a walk over every unimodular matrix in the box, and the
+Bredon-Wood half-sum on inputs far past 64 bits."""
 
 import math
-import random
 
-import pytest
+from solnorm import oracle
+from solnorm.arith import bredon_wood
+from solnorm.curve_complex import GL2Matrix
 
-from solnorm import _fallback, _kernels
+SMALL = [GL2Matrix(*m) for m in oracle.iter_unimodular(4)]  # the 360 with entries <= 4
+SHEARS = [GL2Matrix(1, 1, 0, 1), GL2Matrix(1, 0, -1, 1), GL2Matrix(0, 1, 1, 0), GL2Matrix(2, 1, 1, 1)]
+TARGETS = [GL2Matrix(1, 0, 2, 1), GL2Matrix(-1, 0, 3, -1), GL2Matrix(0, -1, 1, 0), GL2Matrix(1, 2, 0, 1)]
 
-speedups = pytest.importorskip("solnorm._speedups") if _kernels.BACKEND == "compiled" else None
-needs_ext = pytest.mark.skipif(speedups is None, reason="compiled extension not built")
+
+def first_hit(A, accept, bound):
+    """The first P of iter_unimodular(bound) with accept(P A P^-1)."""
+    for w, x, y, z in oracle.iter_unimodular(bound):
+        P = GL2Matrix(w, x, y, z)
+        if accept(P @ A @ P.inverse()):
+            return P
+    return None
 
 
-def test_fallback_unimodular_enumeration_is_complete():
+def test_unimodular_enumeration_is_complete():
     bound = 3
-    enumerated = set(_fallback.iter_unimodular(bound))
+    enumerated = set(oracle.iter_unimodular(bound))
     brute = {
         (w, x, y, z)
         for w in range(-bound, bound + 1)
@@ -23,56 +34,43 @@ def test_fallback_unimodular_enumeration_is_complete():
         if w * z - x * y in (1, -1)
     }
     assert enumerated == brute
-    assert len(enumerated) == len(list(_fallback.iter_unimodular(bound)))
+    assert len(enumerated) == len(list(oracle.iter_unimodular(bound)))
 
 
-@needs_ext
-def test_bw_halfsum_agrees_on_grid():
-    for p in range(2, 300, 2):
-        for q in range(1, 120):
-            if math.gcd(p, q) != 1:
-                continue
-            assert speedups.bw_halfsum(p, q) == _fallback.bw_halfsum(p, q)
-            assert speedups.bw_halfsum(-p, -q) == _fallback.bw_halfsum(p, q)
+def test_meg_scan_returns_the_first_hit():
+    def meg_form(M):
+        return (M.a, M.c, M.d) == (-1, 0, -1)
+
+    assert len(SMALL) == 360
+    hits = 0
+    for bound, matrices in ((1, SMALL), (3, SMALL), (6, SMALL[::4])):
+        for A in matrices:
+            expected = first_hit(A, meg_form, bound)
+            assert oracle.brute_conjugate_to_meg_form(A, bound) == expected, (A, bound)
+            hits += expected is not None
+    assert hits > 0
 
 
-@needs_ext
-def test_bw_halfsum_agrees_on_randoms():
-    rng = random.Random(42)
-    for _ in range(2000):
-        p = 2 * rng.randint(1, 10**9)
-        q = rng.randint(1, 10**9)
-        g = math.gcd(p, q)
-        p, q = p // g, q // g
-        if p % 2 != 0 or p == 0:
-            continue
-        assert speedups.bw_halfsum(p, q) == _fallback.bw_halfsum(p, q)
+def test_conjugate_scan_returns_the_first_hit():
+    # targets with B01 = 0 (a filter on the first row) and B01 != 0 (one
+    # forced second row), conjugate to A or not
+    hits = misses = 0
+    for bound, matrices in ((1, SMALL[::2]), (2, SMALL[::5])):
+        for A in matrices:
+            for B in [A, *(Q @ A @ Q.inverse() for Q in SHEARS), *TARGETS]:
+                expected = first_hit(A, lambda M: M == B, bound)
+                assert oracle.brute_conjugate(A, B, bound) == expected, (A, B, bound)
+                hits += expected is not None
+                misses += expected is None
+    assert hits and misses
 
 
-@needs_ext
-def test_scans_agree():
-    rng = random.Random(99)
-    cases = []
-    for _ in range(40):
-        entries = [rng.randint(-4, 4) for _ in range(4)]
-        a, c, b, d = entries
-        if a * d - b * c not in (1, -1):
-            continue
-        cases.append((a, c, b, d))
-    cases.extend([(1, 0, 2, 1), (-1, 0, 3, -1), (0, 1, 1, 0), (2, 1, 1, 1)])
-    for a, c, b, d in cases:
-        fast = speedups.scan_meg_form(a, c, b, d, 4)
-        slow = _fallback.scan_meg_form(a, c, b, d, 4)
-        assert (fast is None) == (slow is None)
-        for a2, c2, b2, d2 in cases[:8]:
-            fast = speedups.scan_conjugate_to(a, c, b, d, a2, c2, b2, d2, 3)
-            slow = _fallback.scan_conjugate_to(a, c, b, d, a2, c2, b2, d2, 3)
-            assert (fast is None) == (slow is None)
-
-
-def test_dispatcher_routes_big_inputs_to_pure():
-    # over the 64-bit window the dispatcher must still give exact answers
-    p = 2 * 7**80
-    q = 7**80 + 2
-    assert math.gcd(p, q) == 1
-    assert _kernels.bw_halfsum(p, q) == _fallback.bw_halfsum(p, q)
+def test_bredon_wood_big_inputs_parity_and_lens():
+    half = 7**80
+    p = 2 * half
+    for q in (half + 2, 3**150 + 4, 1):
+        assert math.gcd(p, q) == 1
+        n = bredon_wood(p, q)
+        assert n % 2 == (p // 2) % 2
+        assert bredon_wood(p, q + p) == n
+        assert bredon_wood(p, -q) == n
