@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -29,6 +30,7 @@ from .curve_complex import (
     export_dot,
     geodesic,
     mat_act,
+    parse_int,
     parse_matrix,
     parse_slope,
 )
@@ -64,9 +66,10 @@ def bundle_document(A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP
 
 
 def semibundle_document(A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP) -> dict:
+    matrix = A.to_text()  # before the F[b/a] label, so an over-long entry is named
     structure = h2_structure_semi(A)
     return {
-        "matrix": A.to_text(),
+        "matrix": matrix,
         "kind": "semibundle",
         "det": A.det(),
         "trace": A.trace(),
@@ -118,9 +121,10 @@ def render_bundle(A: GL2Matrix, certificate_cap: int) -> str:
 
 
 def render_semibundle(A: GL2Matrix, certificate_cap: int) -> str:
+    matrix = A.to_text()  # before the F[b/a] label, so an over-long entry is named
     structure = h2_structure_semi(A)
     lines = [
-        f"matrix: {A.to_text()}",
+        f"matrix: {matrix}",
         "kind: semibundle",
         f"det: {A.det()}",
         f"trace: {A.trace()}",
@@ -188,7 +192,18 @@ def run_census(in_path: str, out_path: str) -> int:
     return len(rows)
 
 
+def _integer(text: str) -> int:
+    """argparse type for integer arguments: the ASCII rule of slopes and matrices."""
+    try:
+        return parse_int(text, f"expected an integer, got {text!r}")
+    except ParseError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused: building it
+    costs about as much as a small report."""
     parser = argparse.ArgumentParser(
         prog="solnorm",
         description="Z2-Thurston norms and non-orientable genus bounds for "
@@ -197,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bw", help="Bredon-Wood invariant N(p, q)")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
+    p.add_argument("p", type=_integer)
+    p.add_argument("q", type=_integer)
 
     p = sub.add_parser("dist", help="distance between two slopes in the curve complex")
     p.add_argument("slope1")
@@ -216,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"full norm report for a torus {name}")
         p.add_argument("--matrix", required=True, help='row-major "a,c;b,d"')
         p.add_argument("--json", action="store_true")
-        p.add_argument("--certificate-cap", type=int, default=DEFAULT_CERTIFICATE_CAP,
+        p.add_argument("--certificate-cap", type=_integer, default=DEFAULT_CERTIFICATE_CAP,
                        help="elide geodesic certificates longer than this (default %(default)s)")
 
     p = sub.add_parser("census", help="CSV summary for a file of matrices")
@@ -225,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-graph", help="DOT text for a ball in the curve complex")
     p.add_argument("--center", required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--radius", type=_integer, required=True)
+    p.add_argument("--bound", type=_integer, required=True)
 
     p = sub.add_parser("verify", help="run the brute-force verification suites")
     p.add_argument("--level", choices=("quick", "full"), default="quick")

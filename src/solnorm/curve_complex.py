@@ -59,7 +59,7 @@ class Slope:
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def _parse_int(cell: str, message: str) -> int:
+def parse_int(cell: str, message: str) -> int:
     """An ASCII integer entry, surrounding whitespace allowed.  Anything
     else int() would take (other scripts' digits, underscores) raises
     ParseError(message)."""
@@ -79,7 +79,7 @@ def parse_slope(text: str) -> Slope:
     if len(parts) != 2:
         raise ParseError(f"expected 'p/q', got {text!r}")
     message = f"expected 'p/q' with integer entries, got {text!r}"
-    return Slope.of(_parse_int(parts[0], message), _parse_int(parts[1], message))
+    return Slope.of(parse_int(parts[0], message), parse_int(parts[1], message))
 
 
 class ParityClass(enum.Enum):
@@ -164,7 +164,10 @@ class GL2Matrix:
         return (self.a % 2, self.c % 2, self.b % 2, self.d % 2)
 
     def to_text(self) -> str:
-        return f"{self.a},{self.c};{self.b},{self.d}"
+        try:
+            return f"{self.a},{self.c};{self.b},{self.d}"
+        except ValueError as err:  # int-to-str refuses entries over the digit limit
+            raise DomainError(f"matrix entry over Python's int-digit limit: {err}") from None
 
     def __str__(self) -> str:
         return self.to_text()
@@ -184,7 +187,7 @@ def parse_matrix(text: str) -> GL2Matrix:
         if len(cells) != 2:
             raise ParseError(f"expected two entries per row, got {row!r}")
         for cell in cells:
-            entries.append(_parse_int(cell, f"expected integer entry, got {cell!r}"))
+            entries.append(parse_int(cell, f"expected integer entry, got {cell!r}"))
     a, c, b, d = entries
     det = a * d - b * c
     if det not in (1, -1):
@@ -272,45 +275,48 @@ def distance_bfs(s1: Slope, s2: Slope, bound: int) -> ExtNat | str:
 
 
 def geodesic(s1: Slope, s2: Slope) -> list[Slope]:
-    """The unique tree path from s1 to s2.
+    """The unique tree path from s1 to s2, read off in one pass.
 
-    Each step enumerates the neighbor family of the current vertex by the
-    parameter t (smallest |t| first) and moves to the unique neighbor whose
-    distance to s2 drops by one; the search window is doubled on exhaustion.
+    The frame G = [[y, p], [-x, q]] from ext_gcd (the one distance uses)
+    has det 1 and sends 0/1 to s1 = p/q, so the walk works on the target
+    T = G^-1(s2), whose numerator is even.  The neighbors of 0/1 are the
+    slopes 2s/n with n odd and s = +-1, and the branch at 2s/n holds the
+    slopes strictly between 1/((n+1)/2) and 1/((n-1)/2), times s.  So the
+    step toward T = s*|P|/Q (Q > 0) goes to the one odd n within 1 of
+    2Q/|P|.  It applies H = [[1, 2s], [s(n-1)/2, n]], which has det 1 and
+    sends 0/1 to 2s/n: G <- G*H, T <- H^-1(T), and G(0/1) is the next
+    vertex.  Each step is a bounded number of big-integer operations, so a
+    path costs O(#continued-fraction terms + path length) of them, whatever
+    the size of the partial quotients.
+
+    The walk makes distance(s1, s2) steps, then checks that it ended at s2
+    and that every step has intersection number 2: in a tree, those facts
+    make the path the geodesic.
     """
     dist = distance(s1, s2)
     if dist == INF:
         raise DomainError(f"infinite distance: {s1} and {s2} lie in different parity classes")
+    _, x, y = ext_gcd(s1.p, s1.q)
+    ga, gc, gb, gd = y, s1.p, -x, s1.q
+    tp, tq = s1.q * s2.p - s1.p * s2.q, x * s2.p + y * s2.q
     path = [s1]
-    cur = s1
-    remaining = dist
-    while remaining:
-        cur = _step_toward(cur, s2, remaining - 1)
-        path.append(cur)
-        remaining -= 1
+    for _ in range(dist):
+        if tq < 0:
+            tp, tq = -tp, -tq
+        s = 1 if tp > 0 else -1
+        n = tq // (abs(tp) // 2)
+        n += 1 - n % 2  # the odd n within 1 of 2Q/|P|
+        m = s * (n - 1) // 2
+        ga, gc, gb, gd = ga + gc * m, 2 * s * ga + gc * n, gb + gd * m, 2 * s * gb + gd * n
+        tp, tq = n * tp - 2 * s * tq, tq - m * tp
+        path.append(Slope.of(gc, gd))
+    if (
+        len(path) != dist + 1
+        or path[-1] != s2
+        or any(intersection_number(u, v) != 2 for u, v in zip(path, path[1:]))
+    ):
+        raise AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
     return path
-
-
-def _step_toward(cur: Slope, target: Slope, want: int) -> Slope:
-    g, x, y = ext_gcd(cur.p, cur.q)
-    p0, q0 = -2 * y, 2 * x
-    window = 2 * max(1, abs(cur.p), abs(cur.q), abs(target.p), abs(target.q))
-    while True:
-        for t in _spiral(window):
-            cp, cq = p0 + t * cur.p, q0 + t * cur.q
-            if math.gcd(cp, cq) != 1:
-                continue
-            cand = Slope.of(cp, cq)
-            if distance(cand, target) == want:
-                return cand
-        window *= 2
-
-
-def _spiral(limit: int):
-    yield 0
-    for t in range(1, limit + 1):
-        yield t
-        yield -t
 
 
 def export_dot(center: Slope, radius: int, bound: int) -> str:

@@ -2,10 +2,10 @@
 
 Everything here deliberately avoids the closed-form machinery it is checking:
 distances are re-derived by breadth-first search over explicitly enumerated
-neighbors, conjugacy is decided by scanning the unimodular matrices in a box,
-and random matrices come from a seeded generator so every run is
-reproducible.  The same checks back both the pytest suite and the
-``solnorm verify`` subcommand.
+neighbors, geodesics by a step-by-step neighbor search, conjugacy is decided
+by scanning the unimodular matrices in a box, and random matrices come from
+a seeded generator so every run is reproducible.  The same checks back both
+the pytest suite and the ``solnorm verify`` subcommand.
 """
 
 from __future__ import annotations
@@ -197,6 +197,50 @@ def brute_conjugate(A: GL2Matrix, B: GL2Matrix, bound: int) -> GL2Matrix | None:
 def brute_conjugate_to_meg_form(A: GL2Matrix, bound: int) -> GL2Matrix | None:
     """A bounded P with P A P^-1 of the form (-1, 0; n, -1), if any."""
     return _scan(A, -1, 0, bound, lambda m: m[0] == -1 and m[1] == 0 and m[3] == -1)
+
+
+def geodesic_by_search(s1: Slope, s2: Slope) -> list[Slope]:
+    """The tree path from s1 to s2 by neighbor search: the reference for
+    curve_complex.geodesic.
+
+    Each step enumerates the neighbor family of the current vertex by the
+    parameter t (smallest |t| first) and moves to the unique neighbor whose
+    distance to s2 drops by one; the search window is doubled on exhaustion.
+    Its cost grows with the partial quotients, so keep it to small slopes.
+    """
+    dist = distance(s1, s2)
+    if dist == INF:
+        raise DomainError(f"infinite distance: {s1} and {s2} lie in different parity classes")
+    path = [s1]
+    cur = s1
+    remaining = dist
+    while remaining:
+        cur = _step_toward(cur, s2, remaining - 1)
+        path.append(cur)
+        remaining -= 1
+    return path
+
+
+def _step_toward(cur: Slope, target: Slope, want: int) -> Slope:
+    g, x, y = ext_gcd(cur.p, cur.q)
+    p0, q0 = -2 * y, 2 * x
+    window = 2 * max(1, abs(cur.p), abs(cur.q), abs(target.p), abs(target.q))
+    while True:
+        for t in _spiral(window):
+            cp, cq = p0 + t * cur.p, q0 + t * cur.q
+            if math.gcd(cp, cq) != 1:
+                continue
+            cand = Slope.of(cp, cq)
+            if distance(cand, target) == want:
+                return cand
+        window *= 2
+
+
+def _spiral(limit: int):
+    yield 0
+    for t in range(1, limit + 1):
+        yield t
+        yield -t
 
 
 def check_four_point(slopes: tuple[Slope, Slope, Slope, Slope]) -> bool:
@@ -479,8 +523,9 @@ def check_conjugacy_criterion(
 
 
 def check_geodesics(samples: int, coeff_bound: int, seed: int) -> CheckResult:
-    """Geodesic soundness: right endpoints, length = distance, and successive
-    intersection numbers all equal to 2."""
+    """Geodesic soundness: right endpoints, length = distance, successive
+    intersection numbers all equal to 2, and the same vertices as the
+    neighbor search."""
     rng = random.Random(seed)
     failures: list[str] = []
     for _ in range(samples):
@@ -494,6 +539,8 @@ def check_geodesics(samples: int, coeff_bound: int, seed: int) -> CheckResult:
             failures.append(f"{s1}->{s2}: length {len(path) - 1} != {distance(s1, s2)}")
         if any(intersection_number(path[i], path[i + 1]) != 2 for i in range(len(path) - 1)):
             failures.append(f"{s1}->{s2}: non-edge step")
+        if path != geodesic_by_search(s1, s2):
+            failures.append(f"{s1}->{s2}: path differs from the neighbor search")
     return CheckResult(
         "geodesic soundness",
         not failures,

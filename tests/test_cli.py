@@ -5,8 +5,16 @@ import json
 
 import pytest
 
-from solnorm.cli import bundle_document, main, semibundle_document, to_canonical_json
-from solnorm.curve_complex import parse_matrix
+from solnorm.cli import (
+    bundle_document,
+    main,
+    render_bundle,
+    render_semibundle,
+    semibundle_document,
+    to_canonical_json,
+)
+from solnorm.curve_complex import GL2Matrix, parse_matrix
+from solnorm.errors import DomainError
 
 
 def run(capsys, *argv):
@@ -85,6 +93,18 @@ class TestExitCodes:
         for argv in (("bundle", "--matrix", "1,0;" + "2" * 5000 + ",1"), ("dist", "1/" + "3" * 5000, "0/1")):
             code, _, err = run(capsys, *argv)
             assert code == 2 and "int-digit limit" in err
+        # integer arguments follow the same ASCII rule, through argparse
+        for argv in (
+            ("bw", "\u0668", "1_1"),
+            ("bw", "8", "\u0663"),
+            ("bundle", "--matrix=1,0;2,1", "--certificate-cap", "1_0"),
+            ("export-graph", "--center", "0/1", "--radius", "\u0661", "--bound", "5"),
+            ("export-graph", "--center", "0/1", "--radius", "1", "--bound", "5_0"),
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(list(argv))
+            assert info.value.code == 2, argv
+            assert "expected an integer" in capsys.readouterr().err
 
     def test_geodesic_parity_mismatch_is_one(self, capsys):
         code, _, err = run(capsys, "geodesic", "0/1", "1/0")
@@ -126,6 +146,20 @@ class TestReports:
                 assert parsed["kind"] == kind
                 again = to_canonical_json(build(parse_matrix(parsed["matrix"])))
                 assert first.encode() == again.encode()
+
+    def test_semibundle_with_large_partial_quotient(self, capsys):
+        code, out, _ = run(capsys, "semibundle", "--matrix=200001,100000;2,1")
+        assert code == 0
+        assert out.count("norm 1") == 4 and out.count("certificate: 1/0 -> 200001/2") == 4
+
+    def test_entry_over_digit_limit_is_a_domain_error(self):
+        A = GL2Matrix(1, 0, 2 * 10**4400, 1)
+        for render in (bundle_document, semibundle_document):
+            with pytest.raises(DomainError, match="int-digit limit"):
+                render(A)
+        for render in (render_bundle, render_semibundle):
+            with pytest.raises(DomainError, match="int-digit limit"):
+                render(A, 10)
 
     def test_certificate_cap_flag(self, capsys):
         code, out, _ = run(capsys, "bundle", "--matrix", "1,0;30,1", "--certificate-cap", "3", "--json")

@@ -236,6 +236,21 @@ class TestBfsAndGeodesic:
         moved = geodesic(mat_act(A, s1), mat_act(A, s2))
         assert moved == [mat_act(A, v) for v in geodesic(s1, s2)]
 
+    def test_geodesic_huge_partial_quotient(self):
+        # one edge whose neighbor parameter is about 1e12
+        target = Slope(2, 2 * 10**12 + 1)
+        assert geodesic(Slope(0, 1), target) == [Slope(0, 1), target]
+
+    def test_geodesic_between_3000_bit_slopes(self):
+        W = parse_matrix("5,2;2,1")
+        s1 = mat_act(W.power(1200), Slope(0, 1))
+        s2 = mat_act(W.power(-1200), Slope(0, 1))
+        assert min(s1.q.bit_length(), s2.q.bit_length()) >= 3000
+        path = geodesic(s1, s2)
+        assert path[0] == s1 and path[-1] == s2
+        assert len(path) - 1 == distance(s1, s2) >= 1000
+        assert all(intersection_number(u, v) == 2 for u, v in zip(path, path[1:]))
+
 
 DOT_LINE = re.compile(r'^(graph \{|\}|  "-?\d+/\d+";|  "-?\d+/\d+" -- "-?\d+/\d+";)$')
 

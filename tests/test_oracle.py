@@ -1,9 +1,9 @@
 """The brute-force oracles themselves: generators, conjugator search,
-four-point condition."""
+four-point condition, geodesic search."""
 
 import pytest
 
-from solnorm import Slope, parse_matrix
+from solnorm import Slope, geodesic, parity_of, parse_matrix
 from solnorm.curve_complex import IDENTITY
 from solnorm.errors import DomainError
 from solnorm.oracle import (
@@ -11,6 +11,7 @@ from solnorm.oracle import (
     brute_conjugate,
     brute_conjugate_to_meg_form,
     check_four_point,
+    geodesic_by_search,
     iter_trace_minus_two,
     random_glz,
     slopes_within,
@@ -107,3 +108,11 @@ def test_slopes_within():
         assert abs(s.p) <= 3 and abs(s.q) <= 3
     # canonical coprime count for the 3-box, frozen: 1/0, then q = 1, 2, 3
     assert len(slopes) == 1 + 7 + 4 + 4
+
+
+def test_geodesic_matches_search_on_grid():
+    slopes = slopes_within(12)
+    for s1 in slopes:
+        for s2 in slopes:
+            if parity_of(s1) is parity_of(s2):
+                assert geodesic(s1, s2) == geodesic_by_search(s1, s2), (s1, s2)
