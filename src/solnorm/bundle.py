@@ -19,10 +19,11 @@ F[1/1] through the intersection pairing rather than by a stated equation.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 from .arith import INF, ExtNat, is_finite
-from .curve_complex import IDENTITY, GL2Matrix, ParityClass, geodesic, mat_act
+from .curve_complex import GL2Matrix, ParityClass, geodesic, mat_act
 from .errors import DomainError
 from .reports import (
     DEFAULT_CERTIFICATE_CAP,
@@ -78,9 +79,9 @@ class H2Structure:
         return 2 * len(self.valid_jk)
 
 
-def h2_structure(A: GL2Matrix) -> H2Structure:
-    """The five-case table keyed on A mod 2."""
-    perm = parity_permutation(A)
+def _h2_case(M: GL2Matrix) -> H2Structure:
+    """The H2 case of every matrix congruent to M mod 2."""
+    perm = parity_permutation(M)
     fixed = [cls for cls in ParityClass if perm[cls] is cls]
     if len(fixed) == 3:
         return H2Structure(
@@ -97,8 +98,31 @@ def h2_structure(A: GL2Matrix) -> H2Structure:
             generators=("tau", f"F[{cls.label}]"),
         )
     # a 3-cycle fixes nothing; a transposition always fixes exactly one class
-    assert not fixed
+    if fixed:
+        raise AssertionError(f"{M} mod 2 fixes {len(fixed)} parity classes")
     return H2Structure(case_label="3-cycle", valid_jk=frozenset({(0, 0)}), generators=("tau",))
+
+
+# The six invertible matrices mod 2, as 0/1 matrices of det +-1, each with
+# its case.  H2Structure is frozen, so every caller can share these.
+_H2_BY_MOD2 = {
+    bits: _h2_case(GL2Matrix(*bits))
+    for bits in itertools.product((0, 1), repeat=4)
+    if (bits[0] * bits[3] - bits[1] * bits[2]) % 2
+}
+
+
+def h2_structure(A: GL2Matrix) -> H2Structure:
+    """The five-case table keyed on A mod 2."""
+    return _H2_BY_MOD2[A.mod2()]
+
+
+def _finite_norm(A: GL2Matrix, parity: ParityClass, length: ExtNat) -> int:
+    """The translation length on the tree of a class that A mod 2 fixes,
+    which is finite."""
+    if not is_finite(length):
+        raise AssertionError(f"infinite translation length of {A} on fixed class {parity.label}")
+    return int(length)
 
 
 def z2_norm_bundle(A: GL2Matrix, cls: BundleClass) -> int:
@@ -113,21 +137,21 @@ def z2_norm_bundle(A: GL2Matrix, cls: BundleClass) -> int:
     parity = cls.parity()
     if parity is None:
         return 0
-    length = translation_length_closed(A, parity)
-    assert is_finite(length)
-    return int(length)
+    return _finite_norm(A, parity, translation_length_closed(A, parity))
 
 
-def _realizer(A: GL2Matrix, parity: ParityClass, cap: int) -> SurfaceDescription:
-    """Surface realizing F[j/k]: an invariant-curve torus or Klein bottle for
-    a rotation, else a non-orientable surface along the witness geodesic."""
-    length = translation_length_closed(A, parity)
-    assert is_finite(length)
+def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> SurfaceDescription:
+    """Surface realizing F[j/k], whose norm is length: an invariant-curve
+    torus or Klein bottle for a rotation, else a non-orientable surface
+    along the witness geodesic."""
     if length > max(cap, 0):
         # skip the witness search entirely; only the genus is reported
-        return pi_surface_elided(int(length) + 2)
+        return pi_surface_elided(length + 2)
     data = translation_length_orbit(A, parity)
-    assert data.witness is not None and data.length == length
+    if data.witness is None or data.length != length:
+        raise AssertionError(
+            f"orbit of {A} on {parity.label} gives length {data.length}, closed form {length}"
+        )
     if length == 0:
         w = data.witness
         image = (A.a * w.p + A.c * w.q, A.b * w.p + A.d * w.q)
@@ -135,20 +159,19 @@ def _realizer(A: GL2Matrix, parity: ParityClass, cap: int) -> SurfaceDescription
     return pi_surface(geodesic(data.witness, mat_act(A, data.witness)))
 
 
-def norm_table_bundle(
-    A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP
+def _norm_table(
+    A: GL2Matrix, structure: H2Structure, lengths: dict[ParityClass, ExtNat], cap: int
 ) -> list[NormReport]:
-    """One entry per element of H_2, in (t, j, k) order."""
-    structure = h2_structure(A)
+    norms = {(0, 0): 0}
     realizers = {}
     for j, k in sorted(structure.valid_jk - {(0, 0)}):
-        realizers[(j, k)] = _realizer(A, ParityClass.from_bits(j, k), certificate_cap)
+        parity = ParityClass.from_bits(j, k)
+        norms[(j, k)] = _finite_norm(A, parity, lengths[parity])
+        realizers[(j, k)] = _realizer(A, parity, norms[(j, k)], cap)
     table = []
     derived = structure.identification is not None
     for t in (0, 1):
         for j, k in sorted(structure.valid_jk):
-            cls = BundleClass(t, j, k)
-            norm = z2_norm_bundle(A, cls)
             if (j, k) == (0, 0):
                 surface = TORUS_FIBER if t else EMPTY_SURFACE
             elif t:
@@ -157,31 +180,44 @@ def norm_table_bundle(
                 surface = realizers[(j, k)]
             note = DERIVED_IDENTIFICATION if derived and (j, k) == (1, 1) else None
             table.append(
-                NormReport(coords={"t": t, "j": j, "k": k}, norm=norm, realizer=surface, note=note)
+                NormReport(
+                    coords={"t": t, "j": j, "k": k}, norm=norms[(j, k)], realizer=surface, note=note
+                )
             )
     return table
 
 
-def norm_multiset_bundle(A: GL2Matrix) -> list[int]:
-    """Sorted norms of all elements of H_2, without building realizers."""
-    structure = h2_structure(A)
+def norm_table_bundle(
+    A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP
+) -> list[NormReport]:
+    """One entry per element of H_2, in (t, j, k) order."""
+    return _norm_table(A, h2_structure(A), translation_lengths(A), certificate_cap)
+
+
+def _norm_multiset(structure: H2Structure, lengths: dict[ParityClass, ExtNat]) -> list[int]:
     norms = []
     for j, k in structure.valid_jk:
-        if (j, k) == (0, 0):
-            value = 0
-        else:
-            value = int(translation_length_closed(A, ParityClass.from_bits(j, k)))
+        value = 0 if (j, k) == (0, 0) else int(lengths[ParityClass.from_bits(j, k)])
         norms.extend((value, value))  # the class and its tau-translate
     return sorted(norms)
+
+
+def norm_multiset_bundle(A: GL2Matrix) -> list[int]:
+    """Sorted norms of all elements of H_2, without building realizers."""
+    return _norm_multiset(h2_structure(A), translation_lengths(A))
+
+
+def _mog(lengths: dict[ParityClass, ExtNat]) -> ExtNat:
+    odd = [l for l in lengths.values() if is_finite(l) and l % 2 == 1]
+    if not odd:
+        return INF
+    return 2 + min(odd)
 
 
 def mog_bundle(A: GL2Matrix) -> ExtNat:
     """Minimum odd genus of an embeddable non-orientable closed surface:
     2 + the smallest odd translation length, or infinity if none is odd."""
-    odd = [l for l in translation_lengths(A).values() if is_finite(l) and l % 2 == 1]
-    if not odd:
-        return INF
-    return 2 + min(odd)
+    return _mog(translation_lengths(A))
 
 
 def meg_bundle(A: GL2Matrix) -> int:
@@ -202,10 +238,25 @@ class GeometryClass(enum.Enum):
 
 
 def order(A: GL2Matrix) -> ExtNat:
-    """Multiplicative order; finite orders in GL(2, Z) are 1, 2, 3, 4, 6."""
-    for k in (1, 2, 3, 4, 6):
-        if A.power(k) == IDENTITY:
-            return k
+    """Multiplicative order, read off (det, trace) with no matrix products.
+
+    By Cayley-Hamilton A^2 = t*A - det*I.  For det -1 that gives A^2 = I
+    when t = 0, and otherwise real eigenvalues other than +-1, so infinite
+    order.  For det 1: t = 0, -1, 1 give A^2 = -I, A^3 = I, A^3 = -I (orders
+    4, 3, 6); at |t| = 2, (A - (t/2)I)^2 = 0, so A has finite order only
+    when it is +-I; and |t| >= 3 gives real eigenvalues off the unit circle.
+    """
+    t = A.trace()
+    if A.det() == -1:
+        return 2 if t == 0 else INF
+    if t == 0:
+        return 4
+    if t == -1:
+        return 3
+    if t == 1:
+        return 6
+    if abs(t) == 2 and A.b == 0 and A.c == 0:
+        return 1 if t == 2 else 2
     return INF
 
 

@@ -15,14 +15,7 @@ import json
 import sys
 
 from .arith import bredon_wood, extnat_json, fmt_extnat
-from .bundle import (
-    classify_geometry,
-    h2_structure,
-    meg_bundle,
-    mog_bundle,
-    norm_multiset_bundle,
-    norm_table_bundle,
-)
+from .bundle import _mog, _norm_multiset, _norm_table, classify_geometry, h2_structure, meg_bundle
 from .curve_complex import (
     GL2Matrix,
     ParityClass,
@@ -37,7 +30,14 @@ from .curve_complex import (
 from .errors import DomainError, ParseError
 from .oracle import run_checks
 from .reports import DEFAULT_CERTIFICATE_CAP, NormReport
-from .semibundle import h2_structure_semi, meg_semi, mog_semi, norm_multiset_semi, norm_table_semi
+from .semibundle import (
+    _f_norm,
+    _mog_semi,
+    _norm_multiset_semi,
+    _norm_table_semi,
+    h2_structure_semi,
+    meg_semi,
+)
 from .tree_action import translation_lengths
 
 
@@ -56,8 +56,10 @@ def bundle_document(A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP
             "generators": list(structure.generators),
         },
         "translation_lengths": {cls.label: extnat_json(lengths[cls]) for cls in ParityClass},
-        "norm_table": [entry.to_json() for entry in norm_table_bundle(A, certificate_cap)],
-        "mog": extnat_json(mog_bundle(A)),
+        "norm_table": [
+            entry.to_json() for entry in _norm_table(A, structure, lengths, certificate_cap)
+        ],
+        "mog": extnat_json(_mog(lengths)),
         "meg": meg_bundle(A),
     }
     if structure.identification:
@@ -68,14 +70,15 @@ def bundle_document(A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP
 def semibundle_document(A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP) -> dict:
     matrix = A.to_text()  # before the F[b/a] label, so an over-long entry is named
     structure = h2_structure_semi(A)
+    norm = _f_norm(A)
     return {
         "matrix": matrix,
         "kind": "semibundle",
         "det": A.det(),
         "trace": A.trace(),
         "h2": {"order": structure.order, "generators": list(structure.generators)},
-        "norm_table": [entry.to_json() for entry in norm_table_semi(A, certificate_cap)],
-        "mog": extnat_json(mog_semi(A)),
+        "norm_table": [entry.to_json() for entry in _norm_table_semi(A, norm, certificate_cap)],
+        "mog": extnat_json(_mog_semi(A, norm)),
         "meg": meg_semi(A),
     }
 
@@ -113,8 +116,8 @@ def render_bundle(A: GL2Matrix, certificate_cap: int) -> str:
         "translation lengths: "
         + " ".join(f"l[{cls.label}]={fmt_extnat(lengths[cls])}" for cls in ParityClass),
         "norm table:",
-        *_norm_lines(norm_table_bundle(A, certificate_cap), ("t", "j", "k")),
-        f"mog: {fmt_extnat(mog_bundle(A))}",
+        *_norm_lines(_norm_table(A, structure, lengths, certificate_cap), ("t", "j", "k")),
+        f"mog: {fmt_extnat(_mog(lengths))}",
         f"meg: {meg_bundle(A)}",
     ]
     return "\n".join(lines) + "\n"
@@ -123,6 +126,7 @@ def render_bundle(A: GL2Matrix, certificate_cap: int) -> str:
 def render_semibundle(A: GL2Matrix, certificate_cap: int) -> str:
     matrix = A.to_text()  # before the F[b/a] label, so an over-long entry is named
     structure = h2_structure_semi(A)
+    norm = _f_norm(A)
     lines = [
         f"matrix: {matrix}",
         "kind: semibundle",
@@ -130,8 +134,8 @@ def render_semibundle(A: GL2Matrix, certificate_cap: int) -> str:
         f"trace: {A.trace()}",
         f"h2: order {structure.order}; generators: {', '.join(structure.generators)}",
         "norm table:",
-        *_norm_lines(norm_table_semi(A, certificate_cap), ("e1", "e2", "phi")),
-        f"mog: {fmt_extnat(mog_semi(A))}",
+        *_norm_lines(_norm_table_semi(A, norm, certificate_cap), ("e1", "e2", "phi")),
+        f"mog: {fmt_extnat(_mog_semi(A, norm))}",
         f"meg: {meg_semi(A)}",
     ]
     return "\n".join(lines) + "\n"
@@ -142,15 +146,18 @@ CENSUS_COLUMNS = ["matrix", "kind", "det", "trace", "geometry", "h2_order", "nor
 
 def census_row(kind: str, A: GL2Matrix) -> dict:
     if kind == "bundle":
-        norms = norm_multiset_bundle(A)
+        structure = h2_structure(A)
+        lengths = translation_lengths(A)
+        norms = _norm_multiset(structure, lengths)
         geometry = classify_geometry(A).value
-        h2_order = h2_structure(A).order
-        mog, meg = mog_bundle(A), meg_bundle(A)
+        h2_order = structure.order
+        mog, meg = _mog(lengths), meg_bundle(A)
     else:
-        norms = norm_multiset_semi(A)
+        norm = _f_norm(A)
+        norms = _norm_multiset_semi(norm)
         geometry = ""
         h2_order = h2_structure_semi(A).order
-        mog, meg = mog_semi(A), meg_semi(A)
+        mog, meg = _mog_semi(A, norm), meg_semi(A)
     return {
         "matrix": A.to_text(),
         "kind": kind,

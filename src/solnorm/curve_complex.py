@@ -43,13 +43,18 @@ class Slope:
 
     @classmethod
     def of(cls, p: int, q: int) -> "Slope":
-        """Canonicalize the sign of a coprime pair; rejects non-coprime input."""
+        """Canonicalize the sign of a coprime pair; rejects non-coprime input.
+
+        The coprimality check is the one in __post_init__; after the sign
+        flip it is the only check that can fail, and its error names the
+        pair as given."""
         if p == 0 and q == 0:
             raise DomainError("0/0 is not a slope")
-        if math.gcd(p, q) != 1:
-            raise DomainError(f"slope {p}/{q} is not reduced")
         if q < 0 or (q == 0 and p < 0):
-            p, q = -p, -q
+            try:
+                return cls(-p, -q)
+            except DomainError:
+                raise DomainError(f"slope {p}/{q} is not reduced") from None
         return cls(p, q)
 
     def __str__(self) -> str:

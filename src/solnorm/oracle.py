@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the closed-form machinery it is checking:
 distances are re-derived by breadth-first search over explicitly enumerated
-neighbors, geodesics by a step-by-step neighbor search, conjugacy is decided
+neighbors, geodesics by a step-by-step neighbor search, orders by matrix
+powers, the mod-2 permutation by acting on slopes, conjugacy is decided
 by scanning the unimodular matrices in a box, and random matrices come from
 a seeded generator so every run is reproducible.  The same checks back both
 the pytest suite and the ``solnorm verify`` subcommand.
@@ -14,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .arith import INF, bredon_wood, ext_gcd, is_finite
+from .arith import INF, ExtNat, bredon_wood, ext_gcd, is_finite
 from .bundle import (
     GeometryClass,
     classify_geometry,
@@ -197,6 +198,25 @@ def brute_conjugate(A: GL2Matrix, B: GL2Matrix, bound: int) -> GL2Matrix | None:
 def brute_conjugate_to_meg_form(A: GL2Matrix, bound: int) -> GL2Matrix | None:
     """A bounded P with P A P^-1 of the form (-1, 0; n, -1), if any."""
     return _scan(A, -1, 0, bound, lambda m: m[0] == -1 and m[1] == 0 and m[3] == -1)
+
+
+def order_by_powers(A: GL2Matrix) -> ExtNat:
+    """Multiplicative order by matrix powers: the reference for bundle.order.
+    Finite orders in GL(2, Z) are 1, 2, 3, 4, 6."""
+    for k in (1, 2, 3, 4, 6):
+        if A.power(k) == IDENTITY:
+            return k
+    return INF
+
+
+def parity_permutation_by_action(A: GL2Matrix) -> dict[ParityClass, ParityClass]:
+    """The permutation of the parity classes read off the images of their
+    base vertices: the reference for tree_action.parity_permutation."""
+    perm = {}
+    for cls in ParityClass:
+        image = mat_act(A, cls.base_vertex)
+        perm[cls] = parity_of(image)
+    return perm
 
 
 def geodesic_by_search(s1: Slope, s2: Slope) -> list[Slope]:
@@ -395,13 +415,16 @@ def check_closed_vs_orbit(n_matrices: int, max_word: int, alt_vertices: int, see
 
 
 def check_periodic_table() -> CheckResult:
-    """The seven periodic conjugacy classes: self-classification, meg, mog."""
+    """The seven periodic conjugacy classes: self-classification, order
+    against matrix powers, meg, mog."""
     meg_two = {"A2", "A3", "A4"}
     mog_three = {"A3", "A6"}
     failures: list[str] = []
     for name, A in PERIODIC_REPRESENTATIVES.items():
         if periodic_class(A) != name:
             failures.append(f"{name} classified as {periodic_class(A)}")
+        if order(A) != order_by_powers(A):
+            failures.append(f"order({name}) = {order(A)}, powers give {order_by_powers(A)}")
         expect_meg = 2 if name in meg_two else 4
         if meg_bundle(A) != expect_meg:
             failures.append(f"meg({name}) = {meg_bundle(A)}, expected {expect_meg}")
@@ -550,7 +573,8 @@ def check_geodesics(samples: int, coeff_bound: int, seed: int) -> CheckResult:
 
 
 def check_invariance(matrix_pairs: int, slope_tuples: int, seed: int) -> CheckResult:
-    """Conjugation and inverse invariance of the norm data, isometry of the
+    """Conjugation and inverse invariance of the norm data, the closed-form
+    order and mod-2 permutation against their references, isometry of the
     action, and the four-point condition."""
     rng = random.Random(seed)
     failures: list[str] = []
@@ -565,6 +589,11 @@ def check_invariance(matrix_pairs: int, slope_tuples: int, seed: int) -> CheckRe
                 failures.append(f"{label} mog/meg differs for {A}")
             if classify_geometry(A) is not classify_geometry(other) or order(A) != order(other):
                 failures.append(f"{label} geometry/order differs for {A}")
+        for M in (A, P, conj):
+            if order(M) != order_by_powers(M):
+                failures.append(f"order({M}) = {order(M)}, powers give {order_by_powers(M)}")
+            if parity_permutation(M) != parity_permutation_by_action(M):
+                failures.append(f"mod-2 permutation of {M} differs from its action")
         # semi-bundle data sees only the first column, so conjugation can
         # change it; inversion cannot (d = +-1/a mod b, a lens equivalence)
         inv = A.inverse()

@@ -66,43 +66,46 @@ def _validate(A: GL2Matrix, cls: SemiBundleClass) -> None:
         )
 
 
+def _f_norm(A: GL2Matrix) -> int | None:
+    """N(b, a), the norm of every class containing F[b/a]; None when b is
+    odd and there is no such class."""
+    if A.b % 2 == 1:
+        return None
+    if A.b == 0:
+        # b = 0 forces the first column to be (+-1, 0); the realizer is a
+        # Klein bottle, so the norm vanishes without evaluating N(0, +-1).
+        if A.a not in (1, -1):
+            raise AssertionError(f"b = 0 but a = {A.a} in {A}")
+        return 0
+    norm = bredon_wood(A.b, A.a)
+    if norm == INF:  # b even and coprime to a, so a is odd
+        raise AssertionError(f"N({A.b}, {A.a}) is infinite for {A}")
+    return int(norm)
+
+
 def z2_norm_semi(A: GL2Matrix, cls: SemiBundleClass) -> int:
     """0 unless the class contains F[b/a] with b a nonzero even integer, in
     which case the norm is N(b, a).  The K-coordinates never matter."""
     _validate(A, cls)
-    if cls.phi == 0 or A.b == 0:
-        # b = 0 forces the first column to be (+-1, 0); the realizer is a
-        # Klein bottle, so the norm vanishes without evaluating N(0, +-1).
-        if A.b == 0:
-            assert A.a in (1, -1)
-        return 0
-    norm = bredon_wood(A.b, A.a)
-    assert norm != INF  # b even and coprime to a, so a is odd
-    return int(norm)
+    return _f_norm(A) if cls.phi else 0
 
 
-def _f_realizer(A: GL2Matrix, cap: int) -> SurfaceDescription:
+def _f_realizer(A: GL2Matrix, norm: int, cap: int) -> SurfaceDescription:
     """The surface generating the third summand: a Klein bottle when b = 0,
     else two Moebius bands joined along a geodesic from 1/0 to a/b."""
     if A.b == 0:
         return KLEIN_BOTTLE
-    norm = int(bredon_wood(A.b, A.a))
     if norm > max(cap, 0):
         return pi_surface_elided(norm + 2)
     return pi_surface(geodesic(Slope(1, 0), Slope.of(A.a, A.b)))
 
 
-def norm_table_semi(
-    A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP
-) -> list[NormReport]:
-    """One entry per element of H_2, in (e1, e2, phi) order."""
-    b_even = A.b % 2 == 0
-    f_surface = _f_realizer(A, certificate_cap) if b_even else None
+def _norm_table_semi(A: GL2Matrix, norm: int | None, cap: int) -> list[NormReport]:
+    f_surface = None if norm is None else _f_realizer(A, norm, cap)
     table = []
     for e1 in (0, 1):
         for e2 in (0, 1):
-            for phi in (0, 1) if b_even else (0,):
-                cls = SemiBundleClass(e1, e2, phi)
+            for phi in (0,) if norm is None else (0, 1):
                 pieces = []
                 if e1:
                     pieces.append(KLEIN_BOTTLE)
@@ -119,27 +122,40 @@ def norm_table_semi(
                 table.append(
                     NormReport(
                         coords={"e1": e1, "e2": e2, "phi": phi},
-                        norm=z2_norm_semi(A, cls),
+                        norm=norm if phi else 0,
                         realizer=surface,
                     )
                 )
-    table.sort(key=lambda entry: (entry.coords["e1"], entry.coords["e2"], entry.coords["phi"]))
     return table
+
+
+def norm_table_semi(
+    A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP
+) -> list[NormReport]:
+    """One entry per element of H_2, in (e1, e2, phi) order."""
+    return _norm_table_semi(A, _f_norm(A), certificate_cap)
+
+
+def _norm_multiset_semi(norm: int | None) -> list[int]:
+    if norm is None:
+        return [0, 0, 0, 0]
+    return [0, 0, 0, 0, norm, norm, norm, norm]  # norm >= 0
 
 
 def norm_multiset_semi(A: GL2Matrix) -> list[int]:
     """Sorted norms of all elements of H_2, without building realizers."""
-    if A.b % 2 == 1:
-        return [0, 0, 0, 0]
-    value = 0 if A.b == 0 else int(bredon_wood(A.b, A.a))
-    return sorted([0, 0, 0, 0, value, value, value, value])
+    return _norm_multiset_semi(_f_norm(A))
+
+
+def _mog_semi(A: GL2Matrix, norm: int | None) -> ExtNat:
+    if A.b % 4 != 2:
+        return INF
+    return norm + 2
 
 
 def mog_semi(A: GL2Matrix) -> ExtNat:
     """N(b, a) + 2 when b = 2 mod 4, else infinity."""
-    if A.b % 4 != 2:
-        return INF
-    return int(bredon_wood(A.b, A.a)) + 2
+    return _mog_semi(A, _f_norm(A))
 
 
 def meg_semi(A: GL2Matrix) -> int:

@@ -46,12 +46,13 @@ class TranslationData:
 
 
 def parity_permutation(A: GL2Matrix) -> dict[ParityClass, ParityClass]:
-    """The permutation of {1/0, 0/1, 1/1} induced by A mod 2."""
-    perm = {}
-    for cls in ParityClass:
-        image = mat_act(A, cls.base_vertex)
-        perm[cls] = parity_of(image)
-    return perm
+    """The permutation of {1/0, 0/1, 1/1} induced by A mod 2: the class
+    j/k goes to the parity of (a*j + c*k, b*j + d*k)."""
+    a, c, b, d = A.mod2()
+    return {
+        cls: ParityClass(((a * cls.j + c * cls.k) % 2, (b * cls.j + d * cls.k) % 2))
+        for cls in ParityClass
+    }
 
 
 def fixes_class(A: GL2Matrix, cls: ParityClass) -> bool:

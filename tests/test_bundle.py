@@ -1,6 +1,7 @@
 """Torus bundles: H2 structure, norms, realizers, mog/meg, geometry."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from solnorm import (
     INF,
@@ -18,10 +19,17 @@ from solnorm import (
     z2_norm_bundle,
 )
 from solnorm.bundle import PERIODIC_REPRESENTATIVES
-from solnorm.curve_complex import GL2Matrix, IDENTITY, Slope
+from solnorm.curve_complex import GL2Matrix, IDENTITY, ParityClass, Slope
 from solnorm.errors import DomainError
-from solnorm.oracle import RandomMatrixSpec, random_glz
+from solnorm.oracle import (
+    RandomMatrixSpec,
+    iter_unimodular,
+    order_by_powers,
+    parity_permutation_by_action,
+    random_glz,
+)
 from solnorm.reports import KIND_KLEIN_BOTTLE, KIND_PI, KIND_SUM, KIND_TORUS, KIND_TORUS_FIBER
+from solnorm.tree_action import fixes_class, parity_permutation
 
 
 class TestH2Structure:
@@ -191,6 +199,54 @@ class TestGeometry:
             for j in range(20):
                 P = random_glz(RandomMatrixSpec(seed=100 * i + j, word_length=j % 9))
                 assert periodic_class(P @ A @ P.inverse()) == name
+
+
+class TestClosedFormsAgainstReferences:
+    """order, the mod-2 permutation, fixes_class and the H2 table against
+    matrix powers and the action on base vertices."""
+
+    def test_every_matrix_with_entries_up_to_four(self):
+        count = 0
+        for w, x, y, z in iter_unimodular(4):
+            A = GL2Matrix(w, x, y, z)
+            assert order(A) == order_by_powers(A), A
+            perm = parity_permutation(A)
+            assert perm == parity_permutation_by_action(A), A
+            fixed = {cls for cls in ParityClass if perm[cls] is cls}
+            assert {cls for cls in ParityClass if fixes_class(A, cls)} == fixed, A
+            assert h2_structure(A).valid_jk == {(0, 0)} | {cls.value for cls in fixed}, A
+            count += 1
+        assert count == 360
+
+    def test_large_entries(self):
+        a = 2**100 + 1
+        cases = []
+        for n in (2, 3, 10**6, 10**30, -(10**30), 2 * 10**30 + 1):
+            # trace +-2 but not +-I: infinite order however large n is
+            cases += [(GL2Matrix(1, 0, n, 1), INF), (GL2Matrix(-1, 0, n, -1), INF),
+                      (GL2Matrix(1, n, 0, 1), INF)]
+        cases += [
+            (GL2Matrix(a, 1 + a, 1 - a, -a), 2),  # det -1, trace 0, 100-bit entries
+            (GL2Matrix(a, 1 - a * a, 1, -a), 2),
+            (GL2Matrix(a, -1 - a * a, 1, -a), 4),  # det 1, trace 0
+            (GL2Matrix(a, a * (-1 - a) - 1, 1, -1 - a), 3),  # det 1, trace -1
+            (GL2Matrix(a, a * (1 - a) - 1, 1, 1 - a), 6),  # det 1, trace 1
+            (GL2Matrix(a, a * (2 - a) - 1, 1, 2 - a), INF),  # det 1, trace 2
+            (GL2Matrix(a, a * (3 - a) + 1, 1, 3 - a), INF),  # det -1, trace 3
+        ]
+        for A, expected in cases:
+            assert order(A) == order_by_powers(A) == expected, A
+
+    @given(
+        st.builds(RandomMatrixSpec, st.integers(0, 2**48), st.integers(0, 30)).map(random_glz),
+        st.integers(0, 80),
+        st.sampled_from([None, *PERIODIC_REPRESENTATIVES.values()]),
+    )
+    def test_order_matches_powers(self, P, k, periodic):
+        # powers of random words reach a few hundred bits; conjugates of the
+        # periodic representatives keep a finite order
+        A = P.power(k) if periodic is None else P @ periodic @ P.inverse()
+        assert order(A) == order_by_powers(A)
 
 
 def test_norm_multiset_matches_table():

@@ -27,6 +27,22 @@ from solnorm import (
 from solnorm.curve_complex import IDENTITY
 from solnorm.errors import DomainError, ParseError
 
+
+def _shear_word(exponents: list[int], flip: bool) -> GL2Matrix:
+    """Product of shears (1,0;n,1) and (1,n;0,1) taken alternately, then the
+    flip (1,0;0,-1) when asked: a det +-1 matrix with entries as large as
+    the exponents make them."""
+    A = IDENTITY
+    for i, n in enumerate(exponents):
+        A = A @ (GL2Matrix(1, n, 0, 1) if i % 2 else GL2Matrix(1, 0, n, 1))
+    return A @ GL2Matrix(1, 0, 0, -1) if flip else A
+
+
+# entries up to about 4 * 300 bits
+unimodular = st.builds(
+    _shear_word, st.lists(st.integers(-(2**300), 2**300), max_size=4), st.booleans()
+)
+
 coprime_pairs = st.tuples(st.integers(-200, 200), st.integers(-200, 200)).filter(
     lambda pq: pq != (0, 0) and math.gcd(*pq) == 1
 )
@@ -43,6 +59,9 @@ class TestSlope:
             Slope.of(4, 2)
         with pytest.raises(DomainError):
             Slope.of(0, 0)
+        # the pair is named as given, before the sign is canonicalized
+        with pytest.raises(DomainError, match=r"^slope -2/-4 is not reduced$"):
+            Slope.of(-2, -4)
 
     def test_parse(self):
         assert parse_slope("1/0") == Slope(1, 0)
@@ -58,6 +77,8 @@ class TestSlope:
     def test_parse_rejects_non_coprime(self):
         with pytest.raises(DomainError):
             parse_slope("4/2")
+        with pytest.raises(DomainError, match=r"^slope 4/-2 is not reduced$"):
+            parse_slope("4/-2")
 
     @given(coprime_pairs)
     def test_normalization_idempotent(self, pq):
@@ -73,6 +94,10 @@ class TestMatrix:
         assert (A.a, A.c, A.b, A.d) == (1, 0, 2, 1)
         assert A.to_text() == "1,0;2,1"
         assert parse_matrix(" 1 , 0 ; -2 ,1 ") == GL2Matrix(1, 0, -2, 1)
+
+    @given(unimodular)
+    def test_parse_inverts_to_text(self, A):
+        assert parse_matrix(A.to_text()) == A
 
     def test_determinant_rejected(self):
         with pytest.raises(DomainError, match="determinant 2"):

@@ -1,0 +1,137 @@
+"""Golden bytes: census CSV and bundle/semibundle reports of a fixed matrix set.
+
+The fixtures under tests/golden/ hold the exact output of a recorded
+version of the program.  Any change to a census row, a text report or a
+JSON report shows up here as a byte difference.
+
+To record them again (only when an output change is intended):
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+from solnorm.bundle import PERIODIC_REPRESENTATIVES
+from solnorm.cli import main
+from solnorm.oracle import random_matrix
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CENSUS_INPUT = GOLDEN / "census_input.txt"
+CENSUS_CSV = GOLDEN / "census.csv"
+REPORTS = GOLDEN / "reports.txt"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# (kind, matrix, certificate cap or None); each is reported as text and as JSON
+REPORT_CASES = [
+    ("bundle", "2,1;1,1", None),  # Sol, 3-cycle mod 2
+    ("bundle", "5,2;2,1", None),  # Sol, identity mod 2
+    ("bundle", "1,0;6,1", None),  # Nil shear
+    ("bundle", "-1,0;4,-1", None),  # Nil, meg 2
+    ("bundle", "0,-1;1,0", None),  # periodic A6
+    ("bundle", "1,0;0,1", None),  # identity
+    ("bundle", "1,0;1,-1", None),  # periodic A4, det -1
+    ("bundle", "89,144;144,233", 3),  # Sol, certificates elided
+    ("bundle", "41,29;58,41", 3),  # Sol, one class, certificate elided
+    ("semibundle", "3,1;2,1", None),  # b = 2 mod 4
+    ("semibundle", "1,0;4,1", None),  # b = 0 mod 4
+    ("semibundle", "2,1;1,1", None),  # b odd
+    ("semibundle", "1,5;0,1", None),  # b = 0
+    ("semibundle", "200001,100000;2,1", None),  # large partial quotient
+]
+
+
+def census_input() -> str:
+    """About 200 census lines: seeded random words, the periodic
+    representatives, Nil shears, det -1 matrices and semibundles with b
+    zero, odd, 0 mod 4 and 2 mod 4."""
+    rng = random.Random(2026)
+    lines = ["# golden census input"]
+    lines += [f"bundle {random_matrix(rng, 40).to_text()}" for _ in range(100)]
+    lines += [f"bundle {A.to_text()}" for A in PERIODIC_REPRESENTATIVES.values()]
+    big = 10**30
+    for n in (1, 2, 3, 4, 6, 10, 14, 2 * big + 2, 4 * big):
+        lines += [f"bundle 1,0;{n},1", f"bundle -1,0;{n},-1", f"bundle 1,{n};0,1"]
+    for text in ("1,0;0,-1", "0,1;1,0", "1,0;2,-1", "3,-4;2,-3", "2,1;3,1", "3,5;5,8",
+                 "1,1;0,-1", "-1,0;5,1"):
+        lines.append(f"bundle {text}")
+    for a in (2**100 + 1, 2**100 + 2, -(3**63)):  # det -1, trace 0, 100-bit entries
+        lines.append(f"bundle {a},{1 + a};{1 - a},{-a}")
+    for text in ("1,0;0,1", "-1,0;0,-1", "1,7;0,1", "-1,4;0,1",  # b = 0
+                 "2,1;1,1", "1,1;1,2", "4,1;3,1",  # b odd
+                 "1,0;4,1", "3,1;8,3", "5,1;4,1", "1,0;12,1",  # b = 0 mod 4
+                 "1,0;2,1", "3,1;2,1", "5,2;2,1", "7,1;6,1", "200001,100000;2,1"):  # b = 2 mod 4
+        lines.append(f"semibundle {text}")
+    lines += [f"semibundle {random_matrix(rng, 40).to_text()}" for _ in range(50)]
+    return "\n".join(lines) + "\n"
+
+
+def report_argv(kind: str, matrix: str, cap: int | None, as_json: bool) -> list[str]:
+    argv = [kind, f"--matrix={matrix}"]
+    if as_json:
+        argv.append("--json")
+    if cap is not None:
+        argv.append(f"--certificate-cap={cap}")
+    return argv
+
+
+def reports_transcript() -> str:
+    """Every report case as text and JSON: the command, its stdout, its exit code."""
+    blocks = []
+    for kind, matrix, cap in REPORT_CASES:
+        for as_json in (False, True):
+            argv = report_argv(kind, matrix, cap, as_json)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            blocks.append(f"$ solnorm {' '.join(argv)}\n{out.getvalue()}[exit {code}]\n")
+    return "".join(blocks)
+
+
+def test_census_input_is_stable():
+    assert CENSUS_INPUT.read_text(encoding="utf-8") == census_input()
+
+
+def test_census_csv_bytes(tmp_path):
+    out = tmp_path / "census.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["census", "--in", str(CENSUS_INPUT), "--out", str(out)]) == 0
+    assert out.read_bytes() == CENSUS_CSV.read_bytes()
+
+
+def test_report_bytes():
+    assert reports_transcript().encode("utf-8") == REPORTS.read_bytes()
+
+
+def test_census_under_python_optimize(tmp_path):
+    # the invariants are explicit raises, so python -O runs the same checks
+    # and must produce the same bytes
+    out = tmp_path / "census.csv"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "solnorm.cli", "census", "--in", str(CENSUS_INPUT),
+         "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == CENSUS_CSV.read_bytes()
+
+
+def record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    CENSUS_INPUT.write_text(census_input(), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["census", "--in", str(CENSUS_INPUT), "--out", str(CENSUS_CSV)]) == 0
+    REPORTS.write_bytes(reports_transcript().encode("utf-8"))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    record()
