@@ -9,7 +9,7 @@ arithmetic is exact; every closed form is backed by an independent
 brute-force oracle (see solnorm.oracle and the `solnorm verify` subcommand).
 """
 
-from .arith import INF, ContinuedFraction, ExtNat, bredon_wood, continued_fraction, ext_gcd
+from .arith import INF, ExtNat, bredon_wood, ext_gcd
 from .bundle import (
     BundleClass,
     GeometryClass,
@@ -62,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionType",
     "BundleClass",
-    "ContinuedFraction",
     "DomainError",
     "ExtNat",
     "GL2Matrix",
@@ -75,7 +74,6 @@ __all__ = [
     "TranslationData",
     "bredon_wood",
     "classify_geometry",
-    "continued_fraction",
     "distance",
     "distance_bfs",
     "export_dot",

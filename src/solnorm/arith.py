@@ -1,5 +1,5 @@
-"""Exact integer primitives: extended gcd, canonical continued fractions,
-and the Bredon-Wood invariant N(p, q).
+"""Exact integer primitives: extended gcd and the Bredon-Wood invariant
+N(p, q).
 
 N(p, q) is the minimal genus of a non-orientable closed surface embeddable
 in the lens space L(p, q) (Bredon & Wood, 1969).  It is infinite when p is
@@ -17,8 +17,6 @@ possibly-infinite values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError
 
@@ -60,58 +58,6 @@ def ext_gcd(p: int, q: int) -> tuple[int, int, int]:
     if g < 0:
         g, x, y = -g, -x, -y
     return g, x, y
-
-
-@dataclass(frozen=True)
-class ContinuedFraction:
-    """Canonical continued fraction [a0, a1, ..., an] of a rational P/Q >= 0.
-
-    Canonical means a0 >= 0, intermediate terms >= 1 and the last term >= 2,
-    except for single-term expansions [a0].  With that normalization every
-    nonnegative rational has exactly one expansion.
-    """
-
-    terms: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        terms = self.terms
-        if not terms:
-            raise DomainError("empty continued fraction")
-        if terms[0] < 0:
-            raise DomainError(f"leading term must be >= 0, got {terms[0]}")
-        if any(t < 1 for t in terms[1:-1]):
-            raise DomainError(f"intermediate terms must be >= 1: {terms}")
-        if len(terms) > 1 and terms[-1] < 2:
-            raise DomainError(f"last term must be >= 2: {terms}")
-
-    def value(self) -> Fraction:
-        """Evaluate the fraction tower exactly."""
-        acc = Fraction(self.terms[-1])
-        for a in reversed(self.terms[:-1]):
-            acc = a + 1 / acc
-        return acc
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-def continued_fraction(P: int, Q: int) -> ContinuedFraction:
-    """Canonical continued fraction of P/Q for P >= 0, Q >= 1, gcd(P, Q) = 1.
-
-    The plain Euclidean quotient sequence is already canonical: remainders
-    strictly decrease, so a final quotient of 1 can only occur in the
-    single-term case P/1.
-    """
-    if P < 0 or Q < 1:
-        raise DomainError(f"need P >= 0 and Q >= 1, got {P}/{Q}")
-    if math.gcd(P, Q) != 1:
-        raise DomainError(f"{P}/{Q} is not in lowest terms")
-    terms = []
-    while Q:
-        a, r = divmod(P, Q)
-        terms.append(a)
-        P, Q = Q, r
-    return ContinuedFraction(tuple(terms))
 
 
 def bredon_wood(p: int, q: int) -> ExtNat:

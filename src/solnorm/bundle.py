@@ -32,6 +32,7 @@ from .reports import (
     TORUS,
     TORUS_FIBER,
     NormReport,
+    Summary,
     SurfaceDescription,
     pi_surface,
     pi_surface_elided,
@@ -39,7 +40,6 @@ from .reports import (
 )
 from .tree_action import (
     parity_permutation,
-    translation_length_closed,
     translation_length_orbit,
     translation_lengths,
 )
@@ -117,27 +117,17 @@ def h2_structure(A: GL2Matrix) -> H2Structure:
     return _H2_BY_MOD2[A.mod2()]
 
 
-def _finite_norm(A: GL2Matrix, parity: ParityClass, length: ExtNat) -> int:
-    """The translation length on the tree of a class that A mod 2 fixes,
-    which is finite."""
-    if not is_finite(length):
-        raise AssertionError(f"infinite translation length of {A} on fixed class {parity.label}")
-    return int(length)
-
-
 def z2_norm_bundle(A: GL2Matrix, cls: BundleClass) -> int:
     """Z2-Thurston norm of the class: 0 for 0 and tau, else the translation
     length on the tree of (j, k), which is finite on every valid class."""
-    structure = h2_structure(A)
-    if (cls.j, cls.k) not in structure.valid_jk:
-        valid = sorted(structure.valid_jk)
+    s = summary(A)
+    if (cls.j, cls.k) not in s.h2.valid_jk:
+        valid = sorted(s.h2.valid_jk)
         raise DomainError(
             f"class (j, k) = {(cls.j, cls.k)} does not exist in H2 for {A}; valid: {valid}"
         )
     parity = cls.parity()
-    if parity is None:
-        return 0
-    return _finite_norm(A, parity, translation_length_closed(A, parity))
+    return 0 if parity is None else int(s.lengths[parity])
 
 
 def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> SurfaceDescription:
@@ -159,19 +149,41 @@ def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> Surfa
     return pi_surface(geodesic(data.witness, mat_act(A, data.witness)))
 
 
-def _norm_table(
-    A: GL2Matrix, structure: H2Structure, lengths: dict[ParityClass, ExtNat], cap: int
-) -> list[NormReport]:
+def summary(A: GL2Matrix) -> Summary:
+    """Every invariant a report or census row states about the bundle, from
+    (det, trace), A mod 2 and the three translation lengths."""
+    structure = h2_structure(A)
+    lengths = translation_lengths(A)
+    norms = [0, 0]  # the zero class and tau
+    for j, k in structure.valid_jk - {(0, 0)}:
+        parity = ParityClass.from_bits(j, k)
+        if not is_finite(lengths[parity]):
+            raise AssertionError(
+                f"infinite translation length of {A} on fixed class {parity.label}"
+            )
+        norms += (int(lengths[parity]),) * 2  # the class and its tau-translate
+    # mog: 2 + the smallest odd translation length, or infinity if none is odd
+    odd = [l for l in lengths.values() if is_finite(l) and l % 2 == 1]
+    return Summary(
+        kind="bundle", det=A.det(), trace=A.trace(), h2=structure, norms=tuple(sorted(norms)),
+        mog=2 + min(odd) if odd else INF, meg=meg_bundle(A),
+        geometry=classify_geometry(A).value, lengths=lengths,
+    )
+
+
+def norm_table(A: GL2Matrix, s: Summary, cap: int) -> list[NormReport]:
+    """The norm table of summary s of A, with realizers; certificates longer
+    than cap are elided."""
     norms = {(0, 0): 0}
     realizers = {}
-    for j, k in sorted(structure.valid_jk - {(0, 0)}):
+    for j, k in sorted(s.h2.valid_jk - {(0, 0)}):
         parity = ParityClass.from_bits(j, k)
-        norms[(j, k)] = _finite_norm(A, parity, lengths[parity])
+        norms[(j, k)] = int(s.lengths[parity])  # finite: summary checked it
         realizers[(j, k)] = _realizer(A, parity, norms[(j, k)], cap)
     table = []
-    derived = structure.identification is not None
+    derived = s.h2.identification is not None
     for t in (0, 1):
-        for j, k in sorted(structure.valid_jk):
+        for j, k in sorted(s.h2.valid_jk):
             if (j, k) == (0, 0):
                 surface = TORUS_FIBER if t else EMPTY_SURFACE
             elif t:
@@ -191,33 +203,18 @@ def norm_table_bundle(
     A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP
 ) -> list[NormReport]:
     """One entry per element of H_2, in (t, j, k) order."""
-    return _norm_table(A, h2_structure(A), translation_lengths(A), certificate_cap)
-
-
-def _norm_multiset(structure: H2Structure, lengths: dict[ParityClass, ExtNat]) -> list[int]:
-    norms = []
-    for j, k in structure.valid_jk:
-        value = 0 if (j, k) == (0, 0) else int(lengths[ParityClass.from_bits(j, k)])
-        norms.extend((value, value))  # the class and its tau-translate
-    return sorted(norms)
+    return norm_table(A, summary(A), certificate_cap)
 
 
 def norm_multiset_bundle(A: GL2Matrix) -> list[int]:
     """Sorted norms of all elements of H_2, without building realizers."""
-    return _norm_multiset(h2_structure(A), translation_lengths(A))
-
-
-def _mog(lengths: dict[ParityClass, ExtNat]) -> ExtNat:
-    odd = [l for l in lengths.values() if is_finite(l) and l % 2 == 1]
-    if not odd:
-        return INF
-    return 2 + min(odd)
+    return list(summary(A).norms)
 
 
 def mog_bundle(A: GL2Matrix) -> ExtNat:
     """Minimum odd genus of an embeddable non-orientable closed surface:
     2 + the smallest odd translation length, or infinity if none is odd."""
-    return _mog(translation_lengths(A))
+    return summary(A).mog
 
 
 def meg_bundle(A: GL2Matrix) -> int:

@@ -3,7 +3,8 @@
 Subcommands: bw, dist, geodesic, act, bundle, semibundle, census,
 export-graph, verify.  Infinity renders as the literal string "inf" in both
 text and JSON.  Exit codes: 0 success, 1 domain error (non-coprime slope,
-determinant not +-1, ...), 2 parse error, 3 verification failure.
+determinant not +-1, ...), 2 parse error, 3 verification failure, 4 census
+input or output file error (missing, unwritable, not UTF-8).
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 
+from . import bundle, semibundle
 from .arith import bredon_wood, extnat_json, fmt_extnat
-from .bundle import _mog, _norm_multiset, _norm_table, classify_geometry, h2_structure, meg_bundle
 from .curve_complex import (
     GL2Matrix,
     ParityClass,
@@ -30,67 +32,41 @@ from .curve_complex import (
 from .errors import DomainError, ParseError
 from .oracle import run_checks
 from .reports import DEFAULT_CERTIFICATE_CAP, NormReport
-from .semibundle import (
-    _f_norm,
-    _mog_semi,
-    _norm_multiset_semi,
-    _norm_table_semi,
-    h2_structure_semi,
-    meg_semi,
-)
-from .tree_action import translation_lengths
+
+# The module of each kind, with its summary and norm_table.
+KINDS = {"bundle": bundle, "semibundle": semibundle}
 
 
-def bundle_document(A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP) -> dict:
-    structure = h2_structure(A)
-    lengths = translation_lengths(A)
-    doc = {
-        "matrix": A.to_text(),
-        "kind": "bundle",
-        "det": A.det(),
-        "trace": A.trace(),
-        "geometry": classify_geometry(A).value,
-        "h2": {
-            "case": structure.case_label,
-            "order": structure.order,
-            "generators": list(structure.generators),
-        },
-        "translation_lengths": {cls.label: extnat_json(lengths[cls]) for cls in ParityClass},
-        "norm_table": [
-            entry.to_json() for entry in _norm_table(A, structure, lengths, certificate_cap)
-        ],
-        "mog": extnat_json(_mog(lengths)),
-        "meg": meg_bundle(A),
-    }
-    if structure.identification:
-        doc["h2"]["identification"] = structure.identification
+def _report(kind: str, A: GL2Matrix, cap: int) -> tuple[dict, list[NormReport]]:
+    """The report's fields other than the norm table, as JSON values, and
+    the norm table.  The fields that only bundles have (geometry, the H2
+    case and identification, the translation lengths) are set here alone."""
+    matrix = A.to_text()  # before the F[b/a] label, so an over-long entry is named
+    module = KINDS[kind]
+    s = module.summary(A)
+    h2 = {"order": s.h2.order, "generators": list(s.h2.generators)}
+    doc = {"matrix": matrix, "kind": s.kind, "det": s.det, "trace": s.trace, "h2": h2}
+    if s.kind == "bundle":
+        doc["geometry"] = s.geometry
+        h2["case"] = s.h2.case_label
+        if s.h2.identification:
+            h2["identification"] = s.h2.identification
+        doc["translation_lengths"] = {cls.label: extnat_json(s.lengths[cls]) for cls in ParityClass}
+    doc["mog"], doc["meg"] = extnat_json(s.mog), s.meg
+    return doc, module.norm_table(A, s, cap)
+
+
+def document(kind: str, A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP) -> dict:
+    """The JSON report."""
+    doc, table = _report(kind, A, certificate_cap)
+    doc["norm_table"] = [entry.to_json() for entry in table]
     return doc
 
 
-def semibundle_document(A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP) -> dict:
-    matrix = A.to_text()  # before the F[b/a] label, so an over-long entry is named
-    structure = h2_structure_semi(A)
-    norm = _f_norm(A)
-    return {
-        "matrix": matrix,
-        "kind": "semibundle",
-        "det": A.det(),
-        "trace": A.trace(),
-        "h2": {"order": structure.order, "generators": list(structure.generators)},
-        "norm_table": [entry.to_json() for entry in _norm_table_semi(A, norm, certificate_cap)],
-        "mog": extnat_json(_mog_semi(A, norm)),
-        "meg": meg_semi(A),
-    }
-
-
-def to_canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _norm_lines(table: list[NormReport], coord_names: tuple[str, ...]) -> list[str]:
+def _norm_lines(table: list[NormReport]) -> list[str]:
     lines = []
     for entry in table:
-        coords = ", ".join(f"{name}={entry.coords[name]}" for name in coord_names)
+        coords = ", ".join(f"{name}={value}" for name, value in entry.coords.items())
         line = f"  ({coords})  norm {entry.norm}  {entry.realizer.describe()}"
         certificate = entry.realizer.certificate_text()
         if certificate:
@@ -101,74 +77,53 @@ def _norm_lines(table: list[NormReport], coord_names: tuple[str, ...]) -> list[s
     return lines
 
 
-def render_bundle(A: GL2Matrix, certificate_cap: int) -> str:
-    structure = h2_structure(A)
-    lengths = translation_lengths(A)
-    lines = [
-        f"matrix: {A.to_text()}",
-        "kind: bundle",
-        f"det: {A.det()}",
-        f"trace: {A.trace()}",
-        f"geometry: {classify_geometry(A).value}",
-        f"h2: order {structure.order} ({structure.case_label} mod 2); "
-        f"generators: {', '.join(structure.generators)}"
-        + (f"; identification: {structure.identification}" if structure.identification else ""),
-        "translation lengths: "
-        + " ".join(f"l[{cls.label}]={fmt_extnat(lengths[cls])}" for cls in ParityClass),
-        "norm table:",
-        *_norm_lines(_norm_table(A, structure, lengths, certificate_cap), ("t", "j", "k")),
-        f"mog: {fmt_extnat(_mog(lengths))}",
-        f"meg: {meg_bundle(A)}",
-    ]
+def render(kind: str, A: GL2Matrix, certificate_cap: int) -> str:
+    """The text report, rendered from the same fields as the JSON one."""
+    doc, table = _report(kind, A, certificate_cap)
+    h2 = doc["h2"]
+    case = f" ({h2['case']} mod 2)" if "case" in h2 else ""
+    identification = f"; identification: {h2['identification']}" if "identification" in h2 else ""
+    keys = ("matrix", "kind", "det", "trace", "geometry")
+    lines = [f"{key}: {doc[key]}" for key in keys if key in doc]
+    generators = ", ".join(h2["generators"])
+    lines.append(f"h2: order {h2['order']}{case}; generators: {generators}{identification}")
+    if "translation_lengths" in doc:
+        lengths = doc["translation_lengths"].items()
+        lines.append("translation lengths: " + " ".join(f"l[{label}]={n}" for label, n in lengths))
+    lines += ["norm table:", *_norm_lines(table), f"mog: {doc['mog']}", f"meg: {doc['meg']}"]
     return "\n".join(lines) + "\n"
+
+
+def bundle_document(A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP) -> dict:
+    return document("bundle", A, certificate_cap)
+
+
+def semibundle_document(A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP) -> dict:
+    return document("semibundle", A, certificate_cap)
+
+
+def render_bundle(A: GL2Matrix, certificate_cap: int) -> str:
+    return render("bundle", A, certificate_cap)
 
 
 def render_semibundle(A: GL2Matrix, certificate_cap: int) -> str:
-    matrix = A.to_text()  # before the F[b/a] label, so an over-long entry is named
-    structure = h2_structure_semi(A)
-    norm = _f_norm(A)
-    lines = [
-        f"matrix: {matrix}",
-        "kind: semibundle",
-        f"det: {A.det()}",
-        f"trace: {A.trace()}",
-        f"h2: order {structure.order}; generators: {', '.join(structure.generators)}",
-        "norm table:",
-        *_norm_lines(_norm_table_semi(A, norm, certificate_cap), ("e1", "e2", "phi")),
-        f"mog: {fmt_extnat(_mog_semi(A, norm))}",
-        f"meg: {meg_semi(A)}",
-    ]
-    return "\n".join(lines) + "\n"
+    return render("semibundle", A, certificate_cap)
+
+
+def to_canonical_json(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 CENSUS_COLUMNS = ["matrix", "kind", "det", "trace", "geometry", "h2_order", "norms", "mog", "meg"]
 
 
-def census_row(kind: str, A: GL2Matrix) -> dict:
-    if kind == "bundle":
-        structure = h2_structure(A)
-        lengths = translation_lengths(A)
-        norms = _norm_multiset(structure, lengths)
-        geometry = classify_geometry(A).value
-        h2_order = structure.order
-        mog, meg = _mog(lengths), meg_bundle(A)
-    else:
-        norm = _f_norm(A)
-        norms = _norm_multiset_semi(norm)
-        geometry = ""
-        h2_order = h2_structure_semi(A).order
-        mog, meg = _mog_semi(A, norm), meg_semi(A)
-    return {
-        "matrix": A.to_text(),
-        "kind": kind,
-        "det": A.det(),
-        "trace": A.trace(),
-        "geometry": geometry,
-        "h2_order": h2_order,
-        "norms": "|".join(str(n) for n in norms),
-        "mog": fmt_extnat(mog),
-        "meg": meg,
-    }
+def census_row(kind: str, A: GL2Matrix) -> list:
+    """The CSV row, in CENSUS_COLUMNS order.  It builds no realizers."""
+    matrix = A.to_text()
+    s = KINDS[kind].summary(A)
+    norms = "|".join(map(str, s.norms))
+    geometry = s.geometry or ""
+    return [matrix, s.kind, s.det, s.trace, geometry, s.h2.order, norms, fmt_extnat(s.mog), s.meg]
 
 
 def parse_census_line(line: str, lineno: int) -> tuple[str, GL2Matrix] | None:
@@ -186,17 +141,27 @@ def parse_census_line(line: str, lineno: int) -> tuple[str, GL2Matrix] | None:
 
 
 def run_census(in_path: str, out_path: str) -> int:
-    rows = []
-    with open(in_path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            parsed = parse_census_line(line, lineno)
-            if parsed is not None:
-                rows.append(census_row(*parsed))
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=CENSUS_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    return len(rows)
+    """Write one row per input line as it is computed, to a temporary file
+    beside out_path that replaces it only once every line has parsed; on
+    any failure the temporary file is removed and out_path is untouched."""
+    count = 0
+    temp_path = f"{out_path}.{os.getpid()}.tmp"
+    with open(in_path, encoding="utf-8") as source:
+        sink = open(temp_path, "x", encoding="utf-8", newline="")
+        try:
+            with sink:
+                writer = csv.writer(sink, lineterminator="\n")
+                writer.writerow(CENSUS_COLUMNS)
+                for lineno, line in enumerate(source, start=1):
+                    parsed = parse_census_line(line, lineno)
+                    if parsed is not None:
+                        writer.writerow(census_row(*parsed))
+                        count += 1
+            os.replace(temp_path, out_path)
+        except BaseException:
+            os.remove(temp_path)
+            raise
+    return count
 
 
 def _integer(text: str) -> int:
@@ -205,6 +170,14 @@ def _integer(text: str) -> int:
         return parse_int(text, f"expected an integer, got {text!r}")
     except ParseError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def _count(text: str) -> int:
+    """argparse type for caps, radii and bounds: a non-negative integer."""
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
 
 
 @functools.cache
@@ -238,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"full norm report for a torus {name}")
         p.add_argument("--matrix", required=True, help='row-major "a,c;b,d"')
         p.add_argument("--json", action="store_true")
-        p.add_argument("--certificate-cap", type=_integer, default=DEFAULT_CERTIFICATE_CAP,
+        p.add_argument("--certificate-cap", type=_count, default=DEFAULT_CERTIFICATE_CAP,
                        help="elide geodesic certificates longer than this (default %(default)s)")
 
     p = sub.add_parser("census", help="CSV summary for a file of matrices")
@@ -247,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-graph", help="DOT text for a ball in the curve complex")
     p.add_argument("--center", required=True)
-    p.add_argument("--radius", type=_integer, required=True)
-    p.add_argument("--bound", type=_integer, required=True)
+    p.add_argument("--radius", type=_count, required=True)
+    p.add_argument("--bound", type=_count, required=True)
 
     p = sub.add_parser("verify", help="run the brute-force verification suites")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
@@ -292,7 +265,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         else:
             sys.stdout.write(render_semibundle(A, args.certificate_cap))
     elif args.command == "census":
-        count = run_census(args.in_path, args.out_path)
+        try:
+            count = run_census(args.in_path, args.out_path)
+        except OSError as err:
+            print(f"solnorm: census: {err}", file=sys.stderr)
+            return 4
+        except UnicodeDecodeError as err:
+            print(f"solnorm: census: {args.in_path} is not UTF-8 text: {err}", file=sys.stderr)
+            return 4
         print(f"wrote {count} rows to {args.out_path}")
     elif args.command == "export-graph":
         sys.stdout.write(export_dot(parse_slope(args.center), args.radius, args.bound))

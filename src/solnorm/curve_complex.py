@@ -130,10 +130,9 @@ class GL2Matrix:
     d: int
 
     def __post_init__(self) -> None:
-        if self.det() not in (1, -1):
-            raise DomainError(f"matrix {self.to_text()} has determinant {self.det()}, need +-1")
-        # unimodularity makes each column a coprime pair
-        assert math.gcd(self.a, self.b) == 1 and math.gcd(self.c, self.d) == 1
+        det = self.det()
+        if det not in (1, -1):
+            raise DomainError(f"matrix {self.to_text()} has determinant {det}, need +-1")
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
@@ -193,11 +192,7 @@ def parse_matrix(text: str) -> GL2Matrix:
             raise ParseError(f"expected two entries per row, got {row!r}")
         for cell in cells:
             entries.append(parse_int(cell, f"expected integer entry, got {cell!r}"))
-    a, c, b, d = entries
-    det = a * d - b * c
-    if det not in (1, -1):
-        raise DomainError(f"matrix {text!r} has determinant {det}, need +-1")
-    return GL2Matrix(a, c, b, d)
+    return GL2Matrix(*entries)  # GL2Matrix rejects a determinant other than +-1
 
 
 def intersection_number(s1: Slope, s2: Slope) -> int:

@@ -1,4 +1,10 @@
-"""Realizing-surface descriptions and per-class norm reports.
+"""Per-matrix summary records, realizing-surface descriptions and per-class
+norm reports.
+
+A Summary holds everything a report or census row states about one matrix
+apart from the norm table; bundle.summary and semibundle.summary are the
+only places those invariants are computed, and text, JSON and CSV are all
+rendered from it.
 
 A norm table entry pairs a homology class with its norm and a combinatorial
 description of a surface realizing it.  Non-orientable realizers of positive
@@ -11,8 +17,14 @@ reports but the genus is still recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-from .curve_complex import Slope
+from .arith import ExtNat
+from .curve_complex import ParityClass, Slope
+
+if TYPE_CHECKING:
+    from .bundle import H2Structure
+    from .semibundle import SemiBundleH2
 
 DEFAULT_CERTIFICATE_CAP = 10000
 
@@ -22,6 +34,24 @@ KIND_TORUS = "torus"
 KIND_KLEIN_BOTTLE = "Klein bottle"
 KIND_PI = "Pi_g"
 KIND_SUM = "sum"
+
+
+class Summary(NamedTuple):
+    """The invariants of one bundle or semi-bundle.  h2 is the kind's H2
+    structure and norms the sorted norm multiset of H_2.  Bundles also fill
+    geometry and the translation length of each parity class; semi-bundles
+    fill f_norm, N(b, a), which stays None when b is odd."""
+
+    kind: str
+    det: int
+    trace: int
+    h2: H2Structure | SemiBundleH2
+    norms: tuple[int, ...]
+    mog: ExtNat
+    meg: int
+    geometry: str | None = None
+    lengths: dict[ParityClass, ExtNat] | None = None
+    f_norm: int | None = None
 
 
 @dataclass(frozen=True)

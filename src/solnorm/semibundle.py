@@ -26,6 +26,7 @@ from .reports import (
     EMPTY_SURFACE,
     KLEIN_BOTTLE,
     NormReport,
+    Summary,
     SurfaceDescription,
     pi_surface,
     pi_surface_elided,
@@ -66,28 +67,11 @@ def _validate(A: GL2Matrix, cls: SemiBundleClass) -> None:
         )
 
 
-def _f_norm(A: GL2Matrix) -> int | None:
-    """N(b, a), the norm of every class containing F[b/a]; None when b is
-    odd and there is no such class."""
-    if A.b % 2 == 1:
-        return None
-    if A.b == 0:
-        # b = 0 forces the first column to be (+-1, 0); the realizer is a
-        # Klein bottle, so the norm vanishes without evaluating N(0, +-1).
-        if A.a not in (1, -1):
-            raise AssertionError(f"b = 0 but a = {A.a} in {A}")
-        return 0
-    norm = bredon_wood(A.b, A.a)
-    if norm == INF:  # b even and coprime to a, so a is odd
-        raise AssertionError(f"N({A.b}, {A.a}) is infinite for {A}")
-    return int(norm)
-
-
 def z2_norm_semi(A: GL2Matrix, cls: SemiBundleClass) -> int:
     """0 unless the class contains F[b/a] with b a nonzero even integer, in
     which case the norm is N(b, a).  The K-coordinates never matter."""
     _validate(A, cls)
-    return _f_norm(A) if cls.phi else 0
+    return summary(A).f_norm if cls.phi else 0
 
 
 def _f_realizer(A: GL2Matrix, norm: int, cap: int) -> SurfaceDescription:
@@ -100,7 +84,25 @@ def _f_realizer(A: GL2Matrix, norm: int, cap: int) -> SurfaceDescription:
     return pi_surface(geodesic(Slope(1, 0), Slope.of(A.a, A.b)))
 
 
-def _norm_table_semi(A: GL2Matrix, norm: int | None, cap: int) -> list[NormReport]:
+def summary(A: GL2Matrix) -> Summary:
+    """Every invariant a report or census row states about the semi-bundle,
+    from A mod 2 and N(b, a), the norm of every class containing F[b/a]."""
+    norm = None  # b odd: there is no class F[b/a]
+    if A.b % 2 == 0:
+        norm = bredon_wood(A.b, A.a)  # N(0, +-1) = 0
+        if norm == INF:  # b even and coprime to a, so a is odd
+            raise AssertionError(f"N({A.b}, {A.a}) is infinite for {A}")
+    norms = (0,) * 4 if norm is None else (0,) * 4 + (norm,) * 4  # sorted, as norm >= 0
+    return Summary(
+        kind="semibundle", det=A.det(), trace=A.trace(), h2=h2_structure_semi(A), norms=norms,
+        mog=norm + 2 if A.b % 4 == 2 else INF, meg=meg_semi(A), f_norm=norm,
+    )
+
+
+def norm_table(A: GL2Matrix, s: Summary, cap: int) -> list[NormReport]:
+    """The norm table of summary s of A, with realizers; certificates longer
+    than cap are elided."""
+    norm = s.f_norm
     f_surface = None if norm is None else _f_realizer(A, norm, cap)
     table = []
     for e1 in (0, 1):
@@ -133,29 +135,17 @@ def norm_table_semi(
     A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP
 ) -> list[NormReport]:
     """One entry per element of H_2, in (e1, e2, phi) order."""
-    return _norm_table_semi(A, _f_norm(A), certificate_cap)
-
-
-def _norm_multiset_semi(norm: int | None) -> list[int]:
-    if norm is None:
-        return [0, 0, 0, 0]
-    return [0, 0, 0, 0, norm, norm, norm, norm]  # norm >= 0
+    return norm_table(A, summary(A), certificate_cap)
 
 
 def norm_multiset_semi(A: GL2Matrix) -> list[int]:
     """Sorted norms of all elements of H_2, without building realizers."""
-    return _norm_multiset_semi(_f_norm(A))
-
-
-def _mog_semi(A: GL2Matrix, norm: int | None) -> ExtNat:
-    if A.b % 4 != 2:
-        return INF
-    return norm + 2
+    return list(summary(A).norms)
 
 
 def mog_semi(A: GL2Matrix) -> ExtNat:
     """N(b, a) + 2 when b = 2 mod 4, else infinity."""
-    return _mog_semi(A, _f_norm(A))
+    return summary(A).mog
 
 
 def meg_semi(A: GL2Matrix) -> int:

@@ -1,12 +1,11 @@
-"""Integer primitives: extended gcd, continued fractions, Bredon-Wood N."""
+"""Integer primitives: extended gcd, Bredon-Wood N."""
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from solnorm import INF, bredon_wood, continued_fraction, ext_gcd
+from solnorm import INF, bredon_wood, ext_gcd
 from solnorm.arith import extnat_json, fmt_extnat
 from solnorm.errors import DomainError
 
@@ -31,43 +30,6 @@ class TestExtGcd:
         g, x, y = ext_gcd(p, q)
         assert g == math.gcd(p, q) > 0
         assert p * x + q * y == g
-
-
-class TestContinuedFraction:
-    def test_zero(self):
-        assert continued_fraction(0, 1).terms == (0,)
-
-    def test_examples(self):
-        assert continued_fraction(8, 3).terms == (2, 1, 2)
-        assert continued_fraction(2, 3).terms == (0, 1, 2)
-
-    def test_integer_input(self):
-        assert continued_fraction(5, 1).terms == (5,)
-        assert continued_fraction(1, 1).terms == (1,)
-
-    def test_non_coprime_rejected(self):
-        with pytest.raises(DomainError):
-            continued_fraction(4, 2)
-
-    def test_bad_signs_rejected(self):
-        with pytest.raises(DomainError):
-            continued_fraction(-1, 2)
-        with pytest.raises(DomainError):
-            continued_fraction(1, 0)
-
-    @given(st.integers(0, 10**6), st.integers(1, 10**6))
-    def test_canonical_and_exact(self, P, Q):
-        g = math.gcd(P, Q)
-        P, Q = P // g, Q // g
-        cf = continued_fraction(P, Q)
-        terms = cf.terms
-        # canonical shape
-        assert terms[0] >= 0
-        assert all(t >= 1 for t in terms[1:-1])
-        if len(terms) > 1:
-            assert terms[-1] >= 2
-        # the tower reproduces the input exactly
-        assert cf.value() == Fraction(P, Q)
 
 
 class TestBredonWood:

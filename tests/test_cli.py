@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from solnorm import bundle, semibundle
 from solnorm.cli import (
     bundle_document,
+    census_row,
     main,
     render_bundle,
     render_semibundle,
@@ -100,6 +102,10 @@ class TestExitCodes:
             ("bundle", "--matrix=1,0;2,1", "--certificate-cap", "1_0"),
             ("export-graph", "--center", "0/1", "--radius", "\u0661", "--bound", "5"),
             ("export-graph", "--center", "0/1", "--radius", "1", "--bound", "5_0"),
+            # caps, radii and bounds are counts
+            ("bundle", "--matrix=1,0;2,1", "--certificate-cap=-5"),
+            ("export-graph", "--center", "0/1", "--radius", "-3", "--bound", "5"),
+            ("export-graph", "--center", "0/1", "--radius", "1", "--bound", "-1"),
         ):
             with pytest.raises(SystemExit) as info:
                 main(list(argv))
@@ -195,11 +201,49 @@ class TestCensus:
         assert rows[2]["geometry"] == "Euclidean-periodic"
         assert rows[2]["mog"] == "3"
 
+    def test_census_builds_no_realizers(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("census built a realizer")
+
+        monkeypatch.setattr(bundle, "_realizer", refuse)
+        monkeypatch.setattr(semibundle, "_f_realizer", refuse)
+        assert census_row("bundle", parse_matrix("5,2;2,1"))[6] == "0|0|1|1|1|1|2|2"
+        assert census_row("semibundle", parse_matrix("3,1;2,1"))[6] == "0|0|0|0|1|1|1|1"
+
     def test_census_bad_line(self, tmp_path, capsys):
         infile = tmp_path / "bad.txt"
         infile.write_text("wibble 1,0;2,1\n")
         code, _, err = run(capsys, "census", "--in", str(infile), "--out", str(tmp_path / "o.csv"))
         assert code == 2 and "line 1" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
+
+    def test_census_bad_line_keeps_existing_output(self, tmp_path, capsys):
+        # rows before the bad line are written to a temporary file, which is
+        # removed; the previous output stays as it was
+        infile = tmp_path / "bad.txt"
+        infile.write_text("bundle 1,0;2,1\nsemibundle 0,1;1,0\nbundle 2,0;0,1\n")
+        outfile = tmp_path / "census.csv"
+        outfile.write_bytes(b"previous output\n")
+        code, _, err = run(capsys, "census", "--in", str(infile), "--out", str(outfile))
+        assert code == 1 and "determinant 2" in err
+        assert outfile.read_bytes() == b"previous output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "census.csv"]
+
+    def test_census_file_errors_are_four(self, tmp_path, capsys):
+        good = tmp_path / "good.txt"
+        good.write_text("bundle 1,0;2,1\n")
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("# caf\u00e9\nbundle 1,0;2,1\n".encode("latin-1"))
+        out = str(tmp_path / "out.csv")
+        for in_path, out_path, needle in (
+            (str(tmp_path / "missing.txt"), out, "missing.txt"),
+            (str(good), str(tmp_path / "no-such-dir" / "out.csv"), "no-such-dir"),
+            (str(latin1), out, "not UTF-8"),
+        ):
+            code, out_text, err = run(capsys, "census", "--in", in_path, "--out", out_path)
+            assert code == 4 and out_text == "", in_path
+            assert err.startswith("solnorm: census: ") and err.count("\n") == 1 and needle in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["good.txt", "latin1.txt"]
 
 
 def test_verify_quick_passes(capsys):

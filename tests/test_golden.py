@@ -123,6 +123,21 @@ def test_census_under_python_optimize(tmp_path):
     assert out.read_bytes() == CENSUS_CSV.read_bytes()
 
 
+def test_reports_under_python_optimize():
+    # one bundle and one semibundle case, each as text and JSON, must match
+    # its recorded block with the asserts that python -O drops gone
+    transcript = REPORTS.read_text(encoding="utf-8")
+    for kind, matrix, cap in (REPORT_CASES[1], REPORT_CASES[9]):
+        for as_json in (False, True):
+            argv = report_argv(kind, matrix, cap, as_json)
+            proc = subprocess.run(
+                [sys.executable, "-O", "-m", "solnorm.cli", *argv], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+            )
+            block = f"$ solnorm {' '.join(argv)}\n{proc.stdout}[exit {proc.returncode}]\n"
+            assert block in transcript, (argv, proc.stderr)
+
+
 def record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     CENSUS_INPUT.write_text(census_input(), encoding="utf-8")
