@@ -131,22 +131,36 @@ def z2_norm_bundle(A: GL2Matrix, cls: BundleClass) -> int:
 
 
 def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> SurfaceDescription:
-    """Surface realizing F[j/k], whose norm is length: an invariant-curve
-    torus or Klein bottle for a rotation, else a non-orientable surface
-    along the witness geodesic."""
+    """Surface realizing F[j/k], whose norm is l = length: a non-orientable
+    surface of genus l + 2 built along the certificate, or for l = 0 a torus
+    or Klein bottle as A keeps or reverses the one slope of the certificate.
+
+    The certificate is the slice of l + 1 vertices that starts (d - l)/2
+    steps into the geodesic, of length d, from the class's base vertex v to
+    A(v): the path from a vertex w on the axis, the flipped edge or the
+    fixed set of A to A(w)."""
     if length > max(cap, 0):
-        # skip the witness search entirely; only the genus is reported
+        # skip the walk entirely; only the genus is reported
         return pi_surface_elided(length + 2)
     data = translation_length_orbit(A, parity)
-    if data.witness is None or data.length != length:
+    if data.length != length:
         raise AssertionError(
             f"orbit of {A} on {parity.label} gives length {data.length}, closed form {length}"
         )
+    v = parity.base_vertex
+    path = geodesic(v, mat_act(A, v))
+    start = (len(path) - 1 - length) // 2
+    certificate = path[start : start + length + 1]
+    # a slice of a checked geodesic from w to A(w) proves d(w, A(w)) = l
+    if len(certificate) != length + 1 or certificate[-1] != mat_act(A, certificate[0]):
+        raise AssertionError(
+            f"certificate of {A} on {parity.label} does not run from a vertex to its image"
+        )
     if length == 0:
-        w = data.witness
+        w = certificate[0]
         image = (A.a * w.p + A.c * w.q, A.b * w.p + A.d * w.q)
         return TORUS if image == (w.p, w.q) else KLEIN_BOTTLE
-    return pi_surface(geodesic(data.witness, mat_act(A, data.witness)))
+    return pi_surface(certificate)
 
 
 def summary(A: GL2Matrix) -> Summary:

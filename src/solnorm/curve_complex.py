@@ -214,6 +214,24 @@ def distance(s1: Slope, s2: Slope) -> ExtNat:
     return bredon_wood(s1.p * s2.q - s1.q * s2.p, s2.p * x + s2.q * y)
 
 
+def _family_range(terms, bound: int) -> range:
+    """The integers t with -bound <= base + t*step <= bound for every
+    (base, step) in terms, at least one step nonzero.  A zero step puts no
+    limit on t, so its base alone must lie in the box."""
+    lows, highs = [], []
+    for base, step in terms:
+        if step == 0:
+            if abs(base) > bound:
+                return range(0)
+            continue
+        lo, hi = -bound - base, bound - base
+        if step < 0:
+            lo, hi, step = -hi, -lo, -step
+        lows.append(-((-lo) // step))
+        highs.append(hi // step)
+    return range(max(lows), min(highs) + 1)
+
+
 def neighbors_bounded(s: Slope, bound: int) -> list[Slope]:
     """All slopes u with intersection_number(s, u) = 2 and |u.p|, |u.q| <= bound.
 
@@ -226,20 +244,8 @@ def neighbors_bounded(s: Slope, bound: int) -> list[Slope]:
         return []
     g, x, y = ext_gcd(s.p, s.q)
     p0, q0 = -2 * y, 2 * x  # s.p * q0 - p0 * s.q == 2
-    ranges = []
-    for base, step in ((p0, s.p), (q0, s.q)):
-        if step == 0:
-            if abs(base) > bound:
-                return []
-            continue
-        lo, hi = -bound - base, bound - base
-        if step < 0:
-            lo, hi, step = -hi, -lo, -step
-        ranges.append((-((-lo) // step), hi // step))
-    tmin = max(r[0] for r in ranges)
-    tmax = min(r[1] for r in ranges)
     found = []
-    for t in range(tmin, tmax + 1):
+    for t in _family_range(((p0, s.p), (q0, s.q)), bound):
         cp, cq = p0 + t * s.p, q0 + t * s.q
         if math.gcd(cp, cq) == 1:
             found.append(Slope.of(cp, cq))
@@ -279,26 +285,27 @@ def geodesic(s1: Slope, s2: Slope) -> list[Slope]:
 
     The frame G = [[y, p], [-x, q]] from ext_gcd (the one distance uses)
     has det 1 and sends 0/1 to s1 = p/q, so the walk works on the target
-    T = G^-1(s2), whose numerator is even.  The neighbors of 0/1 are the
-    slopes 2s/n with n odd and s = +-1, and the branch at 2s/n holds the
-    slopes strictly between 1/((n+1)/2) and 1/((n-1)/2), times s.  So the
-    step toward T = s*|P|/Q (Q > 0) goes to the one odd n within 1 of
-    2Q/|P|.  It applies H = [[1, 2s], [s(n-1)/2, n]], which has det 1 and
-    sends 0/1 to 2s/n: G <- G*H, T <- H^-1(T), and G(0/1) is the next
-    vertex.  Each step is a bounded number of big-integer operations, so a
-    path costs O(#continued-fraction terms + path length) of them, whatever
-    the size of the partial quotients.
+    T = G^-1(s2): distance(s1, s2) = N(T), finite only when the numerator
+    of T is even.  The neighbors of 0/1 are the slopes 2s/n with n odd and
+    s = +-1, and the branch at 2s/n holds the slopes strictly between
+    1/((n+1)/2) and 1/((n-1)/2), times s.  So the step toward T = s*|P|/Q
+    (Q > 0) goes to the one odd n within 1 of 2Q/|P|.  It applies
+    H = [[1, 2s], [s(n-1)/2, n]], which has det 1 and sends 0/1 to 2s/n:
+    G <- G*H, T <- H^-1(T), and G(0/1) is the next vertex.  Each step is a
+    bounded number of big-integer operations, so a path costs
+    O(#continued-fraction terms + path length) of them, whatever the size
+    of the partial quotients.
 
-    The walk makes distance(s1, s2) steps, then checks that it ended at s2
-    and that every step has intersection number 2: in a tree, those facts
+    The walk makes N(T) steps, then checks that it ended at s2 and that
+    every step has intersection number 2: in a tree, those facts
     make the path the geodesic.
     """
-    dist = distance(s1, s2)
-    if dist == INF:
-        raise DomainError(f"infinite distance: {s1} and {s2} lie in different parity classes")
     _, x, y = ext_gcd(s1.p, s1.q)
     ga, gc, gb, gd = y, s1.p, -x, s1.q
     tp, tq = s1.q * s2.p - s1.p * s2.q, x * s2.p + y * s2.q
+    dist = bredon_wood(tp, tq)  # distance(s1, s2): N ignores the sign of tp
+    if dist == INF:
+        raise DomainError(f"infinite distance: {s1} and {s2} lie in different parity classes")
     path = [s1]
     for _ in range(dist):
         if tq < 0:

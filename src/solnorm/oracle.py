@@ -32,6 +32,7 @@ from .curve_complex import (
     IDENTITY,
     ParityClass,
     Slope,
+    _family_range,
     distance,
     geodesic,
     intersection_number,
@@ -57,25 +58,17 @@ GENERATORS = (
 )
 
 
-@dataclass(frozen=True)
-class RandomMatrixSpec:
-    """Deterministic recipe for a random word in the fixed generator set."""
-
-    seed: int
-    word_length: int
-
-
-def random_glz(spec: RandomMatrixSpec) -> GL2Matrix:
-    """Product of word_length generators chosen by a seeded RNG."""
-    rng = random.Random(spec.seed)
+def random_glz(seed: int, word_length: int) -> GL2Matrix:
+    """Product of word_length generators chosen by an RNG seeded with seed."""
+    rng = random.Random(seed)
     result = IDENTITY
-    for _ in range(spec.word_length):
+    for _ in range(word_length):
         result = result @ rng.choice(GENERATORS)
     return result
 
 
 def random_matrix(rng: random.Random, max_word: int) -> GL2Matrix:
-    return random_glz(RandomMatrixSpec(seed=rng.getrandbits(48), word_length=rng.randint(0, max_word)))
+    return random_glz(rng.getrandbits(48), rng.randint(0, max_word))
 
 
 def random_slope(rng: random.Random, bound: int, parity: ParityClass | None = None) -> Slope:
@@ -89,20 +82,6 @@ def random_slope(rng: random.Random, bound: int, parity: ParityClass | None = No
         return Slope.of(p, q)
 
 
-def _t_interval(base: int, step: int, bound: int) -> tuple[int, int] | None:
-    """Integer t with -bound <= base + t*step <= bound, or None if empty."""
-    if step == 0:
-        return (0, 0) if -bound <= base <= bound else None
-    lo, hi = -bound - base, bound - base
-    if step < 0:
-        lo, hi, step = -hi, -lo, -step
-    tmin = -((-lo) // step)
-    tmax = hi // step
-    if tmin > tmax:
-        return None
-    return tmin, tmax
-
-
 def _second_rows(w: int, x: int, bound: int):
     """Rows (y, z) in [-bound, bound] with w*z - x*y = +-1, for coprime (w, x).
 
@@ -112,17 +91,7 @@ def _second_rows(w: int, x: int, bound: int):
     _, alpha, beta = ext_gcd(w, x)  # alpha*w + beta*x == 1
     for eps in (1, -1):
         z0, y0 = alpha * eps, -beta * eps  # w*z0 - x*y0 == eps
-        rz = _t_interval(z0, x, bound)
-        ry = _t_interval(y0, w, bound)
-        if rz is None or ry is None:
-            continue
-        if x == 0:
-            tmin, tmax = ry
-        elif w == 0:
-            tmin, tmax = rz
-        else:
-            tmin, tmax = max(rz[0], ry[0]), min(rz[1], ry[1])
-        for t in range(tmin, tmax + 1):
+        for t in _family_range(((z0, x), (y0, w)), bound):
             yield y0 + t * w, z0 + t * x
 
 
@@ -390,10 +359,10 @@ def check_closed_vs_orbit(n_matrices: int, max_word: int, alt_vertices: int, see
     failures: list[str] = []
     comparisons = 0
     for i in range(n_matrices):
-        A = random_glz(RandomMatrixSpec(seed=seed + i, word_length=i % (max_word + 1)))
+        A = random_glz(seed + i, i % (max_word + 1))
         for cls in ParityClass:
             closed = translation_length_closed(A, cls)
-            data = translation_length_orbit(A, cls, compute_witness=False)
+            data = translation_length_orbit(A, cls)
             comparisons += 1
             if closed != data.length:
                 failures.append(f"{A} on {cls.label}: closed {closed} != orbit {data.length}")
@@ -402,7 +371,7 @@ def check_closed_vs_orbit(n_matrices: int, max_word: int, alt_vertices: int, see
                 continue
             for _ in range(alt_vertices):
                 v = random_slope(rng, 30, parity=cls)
-                alt = translation_length_orbit(A, cls, v, compute_witness=False)
+                alt = translation_length_orbit(A, cls, v)
                 comparisons += 1
                 if alt.length != closed:
                     failures.append(f"{A} on {cls.label} at {v}: orbit {alt.length} != {closed}")
@@ -463,7 +432,7 @@ def check_semibundle(samples: int, seed: int) -> CheckResult:
     for odd or zero b, odd norm N(b, a) and mog = N(b, a) + 2 for b = 2 mod 4."""
     failures: list[str] = []
     for i in range(samples):
-        A = random_glz(RandomMatrixSpec(seed=seed + i, word_length=i % 13))
+        A = random_glz(seed + i, i % 13)
         if meg_semi(A) != 2:
             failures.append(f"meg({A}) != 2")
         norms = norm_multiset_semi(A)
@@ -627,7 +596,7 @@ def check_h2_kernel(samples: int, seed: int) -> CheckResult:
     k = a*k + b*j, j = c*k + d*j."""
     failures: list[str] = []
     for i in range(samples):
-        A = random_glz(RandomMatrixSpec(seed=seed + i, word_length=i % 11))
+        A = random_glz(seed + i, i % 11)
         expected = {
             (j, k)
             for j in (0, 1)

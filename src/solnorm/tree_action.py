@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass
 
 from .arith import INF, ExtNat, bredon_wood
-from .curve_complex import GL2Matrix, ParityClass, Slope, distance, geodesic, mat_act, parity_of
+from .curve_complex import GL2Matrix, ParityClass, Slope, distance, mat_act, parity_of
 from .errors import DomainError
 
 
@@ -35,7 +35,6 @@ class TranslationData:
     parity: ParityClass
     length: ExtNat
     action: ActionType
-    witness: Slope | None  # a vertex with d(v, A(v)) == length, when finite
 
     def __post_init__(self) -> None:
         assert (self.length == INF) == (self.action is ActionType.NOT_FIXED)
@@ -60,20 +59,18 @@ def fixes_class(A: GL2Matrix, cls: ParityClass) -> bool:
 
 
 def translation_length_orbit(
-    A: GL2Matrix, cls: ParityClass, v: Slope | None = None, compute_witness: bool = True
+    A: GL2Matrix, cls: ParityClass, v: Slope | None = None
 ) -> TranslationData:
-    """Translation length on the tree of cls, from the orbit of one vertex.
+    """Translation length and action type on the tree of cls, from the
+    orbit of one vertex.
 
     Any base vertex gives the same length: for a translation,
     d(v, A^2(v)) - d(v, A(v)) telescopes along the projection of v to the
     axis; for a rotation it is 0; and when A^2(v) = v the length is the
-    parity of d(v, A(v)).  The witness is read off the geodesic from v to
-    A(v): the vertex (d - l)/2 steps in lies on the axis (translation), on
-    the flipped edge (inversion), or at the fixed point (rotation); pass
-    compute_witness=False to skip that geodesic when only the length matters.
+    parity of d(v, A(v)).
     """
     if not fixes_class(A, cls):
-        return TranslationData(cls, INF, ActionType.NOT_FIXED, None)
+        return TranslationData(cls, INF, ActionType.NOT_FIXED)
     if v is None:
         v = cls.base_vertex
     elif parity_of(v) is not cls:
@@ -88,14 +85,7 @@ def translation_length_orbit(
         length, action = 1, ActionType.INVERSION
     else:
         length, action = 0, ActionType.ROTATION
-    if not compute_witness:
-        return TranslationData(cls, length, action, None)
-    if d1 == length:
-        witness = v
-    else:
-        witness = geodesic(v, fv)[(d1 - length) // 2]
-    assert distance(witness, mat_act(A, witness)) == length
-    return TranslationData(cls, length, action, witness)
+    return TranslationData(cls, length, action)
 
 
 def translation_length_closed(A: GL2Matrix, cls: ParityClass) -> ExtNat:

@@ -18,17 +18,32 @@ from solnorm import (
     periodic_class,
     z2_norm_bundle,
 )
+from solnorm import bundle
 from solnorm.bundle import PERIODIC_REPRESENTATIVES
-from solnorm.curve_complex import GL2Matrix, IDENTITY, ParityClass, Slope
+from solnorm.curve_complex import (
+    GL2Matrix,
+    IDENTITY,
+    ParityClass,
+    Slope,
+    geodesic,
+    intersection_number,
+    mat_act,
+)
 from solnorm.errors import DomainError
 from solnorm.oracle import (
-    RandomMatrixSpec,
     iter_unimodular,
     order_by_powers,
     parity_permutation_by_action,
     random_glz,
 )
-from solnorm.reports import KIND_KLEIN_BOTTLE, KIND_PI, KIND_SUM, KIND_TORUS, KIND_TORUS_FIBER
+from solnorm.reports import (
+    DEFAULT_CERTIFICATE_CAP,
+    KIND_KLEIN_BOTTLE,
+    KIND_PI,
+    KIND_SUM,
+    KIND_TORUS,
+    KIND_TORUS_FIBER,
+)
 from solnorm.tree_action import fixes_class, parity_permutation
 
 
@@ -106,6 +121,19 @@ class TestNormTable:
         table = norm_table_bundle(IDENTITY)
         assert len(table) == 8
         assert all(entry.norm == 0 for entry in table)
+        # every base vertex is fixed with its orientation
+        by_coords = {tuple(e.coords.values()): e for e in table}
+        for j, k in ((0, 1), (1, 0), (1, 1)):
+            assert by_coords[(0, j, k)].realizer.kind == KIND_TORUS
+
+    def test_rotation_realizes_torus(self):
+        # the swap fixes its base vertex 1/1; 2,1;-1,0 fixes -1/1, one step
+        # into the geodesic from 1/1 to its image -3/1
+        for text in ("0,1;1,0", "2,1;-1,0"):
+            table = norm_table_bundle(parse_matrix(text))
+            by_coords = {tuple(e.coords.values()): e for e in table}
+            assert by_coords[(0, 1, 1)].norm == 0
+            assert by_coords[(0, 1, 1)].realizer.kind == KIND_TORUS
 
     def test_klein_bottle_realizer(self):
         # rows (1,0) and (0,-1) fix 0/1 with a sign flip
@@ -128,17 +156,29 @@ class TestNormTable:
                 assert entry.realizer.norm_contribution() == entry.norm
 
     def test_certificates_are_edge_paths(self):
-        from solnorm import intersection_number
-
-        for text in ("1,0;2,1", "1,0;6,1", "3,2;4,3"):
-            for entry in norm_table_bundle(parse_matrix(text)):
+        # each certificate is a path of norm-many edges from a vertex w to
+        # A(w), so it proves d(w, A(w)) = norm
+        seen = 0
+        for text in ("1,0;2,1", "1,0;6,1", "3,2;4,3", "2,1;-1,0", "4,1;-1,0", "-1,0;4,1"):
+            A = parse_matrix(text)
+            for entry in norm_table_bundle(A):
                 cert = entry.realizer.certificate
                 if cert is None and entry.realizer.pieces:
                     cert = entry.realizer.pieces[0].certificate
                 if cert:
+                    seen += 1
                     assert len(cert) - 1 == entry.norm
                     for u, v in zip(cert, cert[1:]):
                         assert intersection_number(u, v) == 2
+                    assert cert[-1] == mat_act(A, cert[0])
+        assert seen == 18
+
+    def test_realizer_rejects_a_certificate_off_the_orbit(self, monkeypatch):
+        # a walk that returns its path backwards puts the slice off the orbit
+        A = parse_matrix("4,1;-1,0")
+        monkeypatch.setattr(bundle, "geodesic", lambda s1, s2: geodesic(s1, s2)[::-1])
+        with pytest.raises(AssertionError, match="does not run from a vertex to its image"):
+            bundle._realizer(A, ParityClass.ONE_ONE, 1, DEFAULT_CERTIFICATE_CAP)
 
 
 class TestMogMeg:
@@ -154,14 +194,14 @@ class TestMogMeg:
 
     def test_mog_finite_is_odd(self):
         for i in range(200):
-            A = random_glz(RandomMatrixSpec(seed=300 + i, word_length=i % 12))
+            A = random_glz(300 + i, i % 12)
             value = mog_bundle(A)
             if value != INF:
                 assert value % 2 == 1
 
     def test_norm_symmetry_under_tau(self):
         for i in range(100):
-            A = random_glz(RandomMatrixSpec(seed=400 + i, word_length=i % 12))
+            A = random_glz(400 + i, i % 12)
             for entry_t0 in norm_table_bundle(A, certificate_cap=0):
                 t, j, k = entry_t0.coords["t"], entry_t0.coords["j"], entry_t0.coords["k"]
                 if t == 0:
@@ -197,7 +237,7 @@ class TestGeometry:
     def test_periodic_class_conjugation_invariant(self):
         for i, (name, A) in enumerate(PERIODIC_REPRESENTATIVES.items()):
             for j in range(20):
-                P = random_glz(RandomMatrixSpec(seed=100 * i + j, word_length=j % 9))
+                P = random_glz(100 * i + j, j % 9)
                 assert periodic_class(P @ A @ P.inverse()) == name
 
 
@@ -238,7 +278,7 @@ class TestClosedFormsAgainstReferences:
             assert order(A) == order_by_powers(A) == expected, A
 
     @given(
-        st.builds(RandomMatrixSpec, st.integers(0, 2**48), st.integers(0, 30)).map(random_glz),
+        st.builds(random_glz, st.integers(0, 2**48), st.integers(0, 30)),
         st.integers(0, 80),
         st.sampled_from([None, *PERIODIC_REPRESENTATIVES.values()]),
     )

@@ -40,6 +40,10 @@ REPORT_CASES = [
     ("bundle", "1,0;1,-1", None),  # periodic A4, det -1
     ("bundle", "89,144;144,233", 3),  # Sol, certificates elided
     ("bundle", "41,29;58,41", 3),  # Sol, one class, certificate elided
+    # base vertex 1/1 off the axis: each certificate is a strict middle slice
+    ("bundle", "2,1;-1,0", None),  # rotation on 1/1, torus at -1/1
+    ("bundle", "4,1;-1,0", None),  # -1/1 -> -3/1, with d(1/1, A(1/1)) = 3
+    ("bundle", "-1,0;4,1", None),  # inversion, -1/1 -> -1/3
     ("semibundle", "3,1;2,1", None),  # b = 2 mod 4
     ("semibundle", "1,0;4,1", None),  # b = 0 mod 4
     ("semibundle", "2,1;1,1", None),  # b odd
@@ -124,10 +128,13 @@ def test_census_under_python_optimize(tmp_path):
 
 
 def test_reports_under_python_optimize():
-    # one bundle and one semibundle case, each as text and JSON, must match
-    # its recorded block with the asserts that python -O drops gone
+    # two bundle cases (one with an off-axis certificate) and one semibundle
+    # case, each as text and JSON, must match its recorded block with the
+    # asserts that python -O drops gone
     transcript = REPORTS.read_text(encoding="utf-8")
-    for kind, matrix, cap in (REPORT_CASES[1], REPORT_CASES[9]):
+    cases = [case for case in REPORT_CASES if case[1] in ("5,2;2,1", "4,1;-1,0", "3,1;2,1")]
+    assert len(cases) == 3
+    for kind, matrix, cap in cases:
         for as_json in (False, True):
             argv = report_argv(kind, matrix, cap, as_json)
             proc = subprocess.run(

@@ -7,7 +7,6 @@ from solnorm import Slope, geodesic, parity_of, parse_matrix
 from solnorm.curve_complex import IDENTITY
 from solnorm.errors import DomainError
 from solnorm.oracle import (
-    RandomMatrixSpec,
     brute_conjugate,
     brute_conjugate_to_meg_form,
     check_four_point,
@@ -20,15 +19,14 @@ from solnorm.oracle import (
 
 class TestRandomMatrices:
     def test_word_zero_is_identity(self):
-        assert random_glz(RandomMatrixSpec(seed=1, word_length=0)) == IDENTITY
+        assert random_glz(1, 0) == IDENTITY
 
     def test_deterministic(self):
-        spec = RandomMatrixSpec(seed=12345, word_length=5)
-        assert random_glz(spec) == random_glz(spec)
+        assert random_glz(12345, 5) == random_glz(12345, 5)
 
     def test_all_unimodular(self):
         for i in range(1000):
-            A = random_glz(RandomMatrixSpec(seed=i, word_length=8))
+            A = random_glz(i, 8)
             assert A.det() in (1, -1)
 
 
