@@ -94,22 +94,6 @@ def render(kind: str, A: GL2Matrix, certificate_cap: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def bundle_document(A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP) -> dict:
-    return document("bundle", A, certificate_cap)
-
-
-def semibundle_document(A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP) -> dict:
-    return document("semibundle", A, certificate_cap)
-
-
-def render_bundle(A: GL2Matrix, certificate_cap: int) -> str:
-    return render("bundle", A, certificate_cap)
-
-
-def render_semibundle(A: GL2Matrix, certificate_cap: int) -> str:
-    return render("semibundle", A, certificate_cap)
-
-
 def to_canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -133,7 +117,7 @@ def parse_census_line(line: str, lineno: int) -> tuple[str, GL2Matrix] | None:
     if not stripped or stripped.startswith("#"):
         return None
     parts = stripped.split()
-    if len(parts) != 2 or parts[0] not in ("bundle", "semibundle"):
+    if len(parts) != 2 or parts[0] not in KINDS:
         raise ParseError(
             f"line {lineno}: expected 'bundle a,c;b,d' or 'semibundle a,c;b,d', got {stripped!r}"
         )
@@ -207,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help='row-major "a,c;b,d"')
     p.add_argument("slope")
 
-    for name in ("bundle", "semibundle"):
+    for name in KINDS:
         p = sub.add_parser(name, help=f"full norm report for a torus {name}")
         p.add_argument("--matrix", required=True, help='row-major "a,c;b,d"')
         p.add_argument("--json", action="store_true")
@@ -252,18 +236,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(" -> ".join(str(s) for s in path))
     elif args.command == "act":
         print(mat_act(parse_matrix(args.matrix), parse_slope(args.slope)))
-    elif args.command == "bundle":
+    elif args.command in KINDS:
         A = parse_matrix(args.matrix)
         if args.json:
-            sys.stdout.write(to_canonical_json(bundle_document(A, args.certificate_cap)))
+            sys.stdout.write(to_canonical_json(document(args.command, A, args.certificate_cap)))
         else:
-            sys.stdout.write(render_bundle(A, args.certificate_cap))
-    elif args.command == "semibundle":
-        A = parse_matrix(args.matrix)
-        if args.json:
-            sys.stdout.write(to_canonical_json(semibundle_document(A, args.certificate_cap)))
-        else:
-            sys.stdout.write(render_semibundle(A, args.certificate_cap))
+            sys.stdout.write(render(args.command, A, args.certificate_cap))
     elif args.command == "census":
         try:
             count = run_census(args.in_path, args.out_path)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from collections import deque
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .arith import INF, ExtNat, bredon_wood, ext_gcd
@@ -253,6 +253,28 @@ def neighbors_bounded(s: Slope, bound: int) -> list[Slope]:
     return found
 
 
+def breadth_first(
+    center: Slope, neighbors: Callable[[Slope], list[Slope]]
+) -> Iterator[tuple[Slope, int]]:
+    """Every vertex reachable from center, with its distance to center, as
+    (vertex, level) in the order breadth-first search discovers them.
+    neighbors(v) lists the vertices adjacent to v; it is called once per
+    vertex, after the caller has read every vertex of v's level."""
+    yield center, 0
+    seen = {center}
+    frontier, level = [center], 0
+    while frontier:
+        level += 1
+        nxt = []
+        for v in frontier:
+            for u in neighbors(v):
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+                    yield u, level
+        frontier = nxt
+
+
 def distance_bfs(s1: Slope, s2: Slope, bound: int) -> ExtNat | str:
     """Breadth-first search over the subgraph with coefficients <= bound.
 
@@ -264,19 +286,9 @@ def distance_bfs(s1: Slope, s2: Slope, bound: int) -> ExtNat | str:
     """
     if parity_of(s1) != parity_of(s2):
         return INF
-    if s1 == s2:
-        return 0
-    seen = {s1: 0}
-    queue = deque([s1])
-    while queue:
-        cur = queue.popleft()
-        level = seen[cur] + 1
-        for nxt in neighbors_bounded(cur, bound):
-            if nxt == s2:
-                return level
-            if nxt not in seen:
-                seen[nxt] = level
-                queue.append(nxt)
+    for v, level in breadth_first(s1, lambda u: neighbors_bounded(u, bound)):
+        if v == s2:
+            return level
     return "unknown"
 
 
@@ -329,16 +341,11 @@ def geodesic(s1: Slope, s2: Slope) -> list[Slope]:
 def export_dot(center: Slope, radius: int, bound: int) -> str:
     """DOT text for the ball of the given radius around center, restricted to
     coefficients <= bound.  Undirected edges are written once with "--"."""
-    ball = {center: 0}
-    frontier = [center]
-    for level in range(1, radius + 1):
-        nxt = []
-        for v in frontier:
-            for u in neighbors_bounded(v, bound):
-                if u not in ball:
-                    ball[u] = level
-                    nxt.append(u)
-        frontier = nxt
+    ball = set()
+    for v, level in breadth_first(center, lambda u: neighbors_bounded(u, bound)):
+        if level > radius:
+            break
+        ball.add(v)
     nodes = sorted(ball)
     edges = set()
     for v in nodes:

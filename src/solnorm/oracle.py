@@ -33,6 +33,7 @@ from .curve_complex import (
     ParityClass,
     Slope,
     _family_range,
+    breadth_first,
     distance,
     geodesic,
     intersection_number,
@@ -100,7 +101,7 @@ def iter_unimodular(bound: int):
 
     Rows are enumerated as coprime pairs (w, x); the second row then runs
     over the solution family of w*z - x*y = +-1.  Each matrix appears once.
-    This is the reference order of the conjugator scans below.
+    This is the reference order of the conjugator scan below.
     """
     for w in range(-bound, bound + 1):
         for x in range(-bound, bound + 1):
@@ -124,49 +125,25 @@ def _conjugated(A: GL2Matrix, w: int, x: int, y: int, z: int) -> tuple[int, int,
     )
 
 
-def _scan(A: GL2Matrix, b00: int, b01: int, bound: int, accept) -> GL2Matrix | None:
-    """First P in iter_unimodular order with accept(P A P^-1), among the P
-    whose conjugate has first row (b00, b01).
+def brute_conjugate_to_meg_form(A: GL2Matrix, bound: int) -> GL2Matrix | None:
+    """The first P in iter_unimodular order with P A P^-1 of the form
+    (-1, 0; n, -1), if any; None is inconclusive, not a disproof.
 
-    P A P^-1 = B makes the first row of P A = B P read
-    (w, x) A - b00 (w, x) = b01 (y, z).  When b01 != 0 that fixes the one
-    second row a first row can take; when b01 == 0 it is a linear test on
-    (w, x), and rows that fail it are skipped before any second row is
-    walked.  Every candidate still gets the full comparison.
+    For such a conjugate the first row of P A = B P reads (w, x)(A + I) = 0,
+    a linear test on (w, x): rows that fail it are skipped before any second
+    row is walked.  Every candidate still gets the full comparison.
     """
     if bound < 1:
         raise DomainError("conjugator bound must be >= 1")
     for w in range(-bound, bound + 1):
         for x in range(-bound, bound + 1):
-            u = w * (A.a - b00) + x * A.b
-            v = w * A.c + x * (A.d - b00)
-            if b01:
-                if u % b01 or v % b01:
-                    continue
-                y, z = u // b01, v // b01
-                if abs(y) > bound or abs(z) > bound or w * z - x * y not in (1, -1):
-                    continue
-                rows = ((y, z),)
-            elif u or v or math.gcd(w, x) != 1:
+            if w * (A.a + 1) + x * A.b or w * A.c + x * (A.d + 1) or math.gcd(w, x) != 1:
                 continue
-            else:
-                rows = _second_rows(w, x, bound)
-            for y, z in rows:
-                if accept(_conjugated(A, w, x, y, z)):
+            for y, z in _second_rows(w, x, bound):
+                m = _conjugated(A, w, x, y, z)
+                if m[0] == -1 and m[1] == 0 and m[3] == -1:
                     return GL2Matrix(w, x, y, z)
     return None
-
-
-def brute_conjugate(A: GL2Matrix, B: GL2Matrix, bound: int) -> GL2Matrix | None:
-    """A matrix P with entries in [-bound, bound] and P A P^-1 = B, if one
-    exists in the box; None is inconclusive, not a disproof."""
-    target = (B.a, B.c, B.b, B.d)
-    return _scan(A, B.a, B.c, bound, lambda m: m == target)
-
-
-def brute_conjugate_to_meg_form(A: GL2Matrix, bound: int) -> GL2Matrix | None:
-    """A bounded P with P A P^-1 of the form (-1, 0; n, -1), if any."""
-    return _scan(A, -1, 0, bound, lambda m: m[0] == -1 and m[1] == 0 and m[3] == -1)
 
 
 def order_by_powers(A: GL2Matrix) -> ExtNat:
@@ -280,21 +257,11 @@ class CheckResult:
 def check_grid_agreement(bound: int) -> CheckResult:
     """Formula distance vs breadth-first search, all same-parity pairs in the box."""
     slopes = slopes_within(bound)
-    adjacency = {s: [u for u in neighbors_bounded(s, bound)] for s in slopes}
+    adjacency = {s: neighbors_bounded(s, bound) for s in slopes}
     pairs = 0
     failures: list[str] = []
     for source in slopes:
-        level = {source: 0}
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in adjacency[v]:
-                    if u not in level:
-                        level[u] = level[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        for target, bfs_dist in level.items():
+        for target, bfs_dist in breadth_first(source, adjacency.__getitem__):
             pairs += 1
             if distance(source, target) != bfs_dist:
                 failures.append(f"d({source},{target}) formula {distance(source, target)} != bfs {bfs_dist}")

@@ -68,7 +68,8 @@ class SurfaceDescription:
         if self.kind == KIND_SUM:
             return sum(piece.norm_contribution() for piece in self.pieces)
         if self.kind == KIND_PI:
-            assert self.genus is not None
+            if self.genus is None:
+                raise AssertionError(f"{KIND_PI} surface without a genus")
             return max(0, self.genus - 2)
         return 0
 
@@ -135,4 +136,8 @@ KLEIN_BOTTLE = SurfaceDescription(KIND_KLEIN_BOTTLE, genus=2)
 
 
 def sum_of(*pieces: SurfaceDescription) -> SurfaceDescription:
-    return SurfaceDescription(KIND_SUM, pieces=tuple(pieces))
+    """The disjoint union: the empty surface for no pieces, the piece itself
+    for one."""
+    if len(pieces) < 2:
+        return pieces[0] if pieces else EMPTY_SURFACE
+    return SurfaceDescription(KIND_SUM, pieces=pieces)

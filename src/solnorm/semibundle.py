@@ -23,7 +23,6 @@ from .curve_complex import GL2Matrix, Slope, geodesic
 from .errors import DomainError
 from .reports import (
     DEFAULT_CERTIFICATE_CAP,
-    EMPTY_SURFACE,
     KLEIN_BOTTLE,
     NormReport,
     Summary,
@@ -108,19 +107,7 @@ def norm_table(A: GL2Matrix, s: Summary, cap: int) -> list[NormReport]:
     for e1 in (0, 1):
         for e2 in (0, 1):
             for phi in (0,) if norm is None else (0, 1):
-                pieces = []
-                if e1:
-                    pieces.append(KLEIN_BOTTLE)
-                if e2:
-                    pieces.append(KLEIN_BOTTLE)
-                if phi:
-                    pieces.append(f_surface)
-                if not pieces:
-                    surface = EMPTY_SURFACE
-                elif len(pieces) == 1:
-                    surface = pieces[0]
-                else:
-                    surface = sum_of(*pieces)
+                surface = sum_of(*([KLEIN_BOTTLE] * (e1 + e2) + ([f_surface] if phi else [])))
                 table.append(
                     NormReport(
                         coords={"e1": e1, "e2": e2, "phi": phi},

@@ -9,8 +9,9 @@ along an axis.  The translation length
 
 is computed two independent ways: from the orbit of a single base vertex
 (l = d(v, A^2(v)) - d(v, A(v)) when A^2(v) != v, else the parity of
-d(v, A(v))), and from closed forms in the matrix entries.  Their agreement
-is part of the test suite.
+d(v, A(v))), and from one closed form in the matrix entries, the same
+difference evaluated on the integers of the class's base vertex j/k for all
+three trees.  Their agreement is part of the test suite.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .arith import INF, ExtNat, bredon_wood
+from .arith import INF, ExtNat, bredon_wood, ext_gcd
 from .curve_complex import GL2Matrix, ParityClass, Slope, distance, mat_act, parity_of
 from .errors import DomainError
 
@@ -37,11 +38,15 @@ class TranslationData:
     action: ActionType
 
     def __post_init__(self) -> None:
-        assert (self.length == INF) == (self.action is ActionType.NOT_FIXED)
-        if self.action is ActionType.ROTATION:
-            assert self.length == 0
-        if self.action is ActionType.INVERSION:
-            assert self.length == 1
+        # explicit raises, so the checks also run under python -O
+        if (self.length == INF) != (self.action is ActionType.NOT_FIXED):
+            raise AssertionError(
+                f"{self.parity.label}: length {self.length} with action {self.action.value}"
+            )
+        if self.action is ActionType.ROTATION and self.length != 0:
+            raise AssertionError(f"{self.parity.label}: rotation with length {self.length}")
+        if self.action is ActionType.INVERSION and self.length != 1:
+            raise AssertionError(f"{self.parity.label}: inversion with length {self.length}")
 
 
 def parity_permutation(A: GL2Matrix) -> dict[ParityClass, ParityClass]:
@@ -88,35 +93,28 @@ def translation_length_orbit(
     return TranslationData(cls, length, action)
 
 
+# Each class's base vertex j/k with the ext_gcd cofactors (x, y),
+# j*x + k*y = 1, that distance uses: d(j/k, p/q) = N(j*q - k*p, p*x + q*y).
+_BASE_FRAMES = {cls: (cls.j, cls.k, *ext_gcd(cls.j, cls.k)[1:]) for cls in ParityClass}
+
+
 def translation_length_closed(A: GL2Matrix, cls: ParityClass) -> ExtNat:
     """Closed-form translation length on the tree of cls.
 
-    Evaluates d(v, A^2(v)) - d(v, A(v)) symbolically at the base vertex of
-    the class; when A^2 returns the base vertex to itself (the image pair is
-    proportional to it), the length is the parity of half the displacement
-    coefficient.  Infinite when A mod 2 moves the class.
+    Evaluates d(v, A^2(v)) - d(v, A(v)) on the integers of the base vertex
+    v = j/k, by the formula distance uses; when A^2 returns v to itself the
+    length is the parity of d(v, A(v)) = N(u1, ...), which is u1/2 mod 2.
+    Infinite when A mod 2 moves the class.
     """
-    a, c, b, d = A.a, A.c, A.b, A.d
-    if cls is ParityClass.ONE_ZERO:
-        if a % 2 == 1 and b % 2 == 0:
-            u = b * (a + d)
-            if u == 0:
-                return (b // 2) % 2
-            return bredon_wood(u, a * a + b * c) - bredon_wood(b, a)
+    j, k, x, y = _BASE_FRAMES[cls]
+    p1, q1 = A.a * j + A.c * k, A.b * j + A.d * k
+    if (p1 % 2, q1 % 2) != (j, k):
         return INF
-    if cls is ParityClass.ZERO_ONE:
-        if c % 2 == 0 and d % 2 == 1:
-            u = c * (a + d)
-            if u == 0:
-                return (c // 2) % 2
-            return bredon_wood(u, b * c + d * d) - bredon_wood(c, d)
-        return INF
-    if (a + c) % 2 == 1 and (b + d) % 2 == 1:
-        u = (b - a) * (a + c) + (d - c) * (b + d)
-        if u == 0:
-            return ((b + d - a - c) // 2) % 2
-        return bredon_wood(u, a * (a + c) + c * (b + d)) - bredon_wood(b + d - a - c, a + c)
-    return INF
+    p2, q2 = A.a * p1 + A.c * q1, A.b * p1 + A.d * q1
+    u1, u2 = j * q1 - k * p1, j * q2 - k * p2
+    if u2 == 0:
+        return (u1 // 2) % 2
+    return bredon_wood(u2, p2 * x + q2 * y) - bredon_wood(u1, p1 * x + q1 * y)
 
 
 def translation_lengths(A: GL2Matrix) -> dict[ParityClass, ExtNat]:

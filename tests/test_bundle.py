@@ -44,7 +44,12 @@ from solnorm.reports import (
     KIND_TORUS,
     KIND_TORUS_FIBER,
 )
-from solnorm.tree_action import fixes_class, parity_permutation
+from solnorm.tree_action import (
+    fixes_class,
+    parity_permutation,
+    translation_length_orbit,
+    translation_lengths,
+)
 
 
 class TestH2Structure:
@@ -242,8 +247,9 @@ class TestGeometry:
 
 
 class TestClosedFormsAgainstReferences:
-    """order, the mod-2 permutation, fixes_class and the H2 table against
-    matrix powers and the action on base vertices."""
+    """order, the mod-2 permutation, fixes_class, the H2 table and the
+    translation lengths against matrix powers, the action on base vertices
+    and the orbit of the base vertex."""
 
     def test_every_matrix_with_entries_up_to_four(self):
         count = 0
@@ -255,6 +261,9 @@ class TestClosedFormsAgainstReferences:
             fixed = {cls for cls in ParityClass if perm[cls] is cls}
             assert {cls for cls in ParityClass if fixes_class(A, cls)} == fixed, A
             assert h2_structure(A).valid_jk == {(0, 0)} | {cls.value for cls in fixed}, A
+            lengths = translation_lengths(A)
+            for cls in ParityClass:
+                assert lengths[cls] == translation_length_orbit(A, cls).length, (A, cls)
             count += 1
         assert count == 360
 
@@ -276,6 +285,9 @@ class TestClosedFormsAgainstReferences:
         ]
         for A, expected in cases:
             assert order(A) == order_by_powers(A) == expected, A
+            lengths = translation_lengths(A)
+            for cls in ParityClass:
+                assert lengths[cls] == translation_length_orbit(A, cls).length, (A, cls)
 
     @given(
         st.builds(random_glz, st.integers(0, 2**48), st.integers(0, 30)),

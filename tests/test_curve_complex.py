@@ -239,6 +239,10 @@ class TestBfsAndGeodesic:
     def test_unknown_on_tight_bound(self):
         assert distance_bfs(Slope(0, 1), Slope(8, 3), 3) == "unknown"
 
+    def test_same_slope(self):
+        s = Slope(5, 3)
+        assert distance_bfs(s, s, 1) == 0
+
     def test_trivial_geodesic(self):
         assert geodesic(Slope(5, 2), Slope(5, 2)) == [Slope(5, 2)]
 
@@ -290,6 +294,10 @@ class TestDotExport:
         assert '"0/1" -- "2/1";' in text
         assert '"-2/3" -- "0/1";' in text
         assert text.count("--") == 4
+
+    def test_radius_past_the_bounded_component(self):
+        # within |p|, |q| <= 2 the component of 0/1 is -2/1 -- 0/1 -- 2/1
+        assert export_dot(Slope(0, 1), 50, 2) == export_dot(Slope(0, 1), 2, 2)
 
     def test_shape_is_valid_dot(self):
         text = export_dot(Slope(1, 0), 2, 8)

@@ -1,8 +1,9 @@
-"""Golden bytes: census CSV and bundle/semibundle reports of a fixed matrix set.
+"""Golden bytes: census CSV and bundle/semibundle reports of a fixed matrix
+set, and the DOT text of a few balls in the curve complex.
 
 The fixtures under tests/golden/ hold the exact output of a recorded
-version of the program.  Any change to a census row, a text report or a
-JSON report shows up here as a byte difference.
+version of the program.  Any change to a census row, a text report, a
+JSON report or an exported graph shows up here as a byte difference.
 
 To record them again (only when an output change is intended):
 
@@ -27,6 +28,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CENSUS_INPUT = GOLDEN / "census_input.txt"
 CENSUS_CSV = GOLDEN / "census.csv"
 REPORTS = GOLDEN / "reports.txt"
+GRAPHS = GOLDEN / "export_graph.txt"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # (kind, matrix, certificate cap or None); each is reported as text and as JSON
@@ -49,6 +51,17 @@ REPORT_CASES = [
     ("semibundle", "2,1;1,1", None),  # b odd
     ("semibundle", "1,5;0,1", None),  # b = 0
     ("semibundle", "200001,100000;2,1", None),  # large partial quotient
+]
+
+# (center, radius, bound) of export-graph
+GRAPH_CASES = [
+    ("0/1", 0, 5),  # the center alone
+    ("0/1", 2, 5),
+    ("1/0", 3, 8),
+    ("1/1", 2, 6),
+    ("3/5", 2, 9),  # off the axes
+    ("-7/2", 2, 4),  # center outside the bound
+    ("0/1", 50, 2),  # radius past the bounded component
 ]
 
 
@@ -86,17 +99,31 @@ def report_argv(kind: str, matrix: str, cap: int | None, as_json: bool) -> list[
     return argv
 
 
-def reports_transcript() -> str:
-    """Every report case as text and JSON: the command, its stdout, its exit code."""
+def transcript(argvs) -> str:
+    """Each command, its stdout and its exit code."""
     blocks = []
-    for kind, matrix, cap in REPORT_CASES:
-        for as_json in (False, True):
-            argv = report_argv(kind, matrix, cap, as_json)
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(argv)
-            blocks.append(f"$ solnorm {' '.join(argv)}\n{out.getvalue()}[exit {code}]\n")
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        blocks.append(f"$ solnorm {' '.join(argv)}\n{out.getvalue()}[exit {code}]\n")
     return "".join(blocks)
+
+
+def reports_transcript() -> str:
+    """Every report case as text and JSON."""
+    return transcript(
+        report_argv(kind, matrix, cap, as_json)
+        for kind, matrix, cap in REPORT_CASES
+        for as_json in (False, True)
+    )
+
+
+def graphs_transcript() -> str:
+    return transcript(
+        ["export-graph", f"--center={center}", f"--radius={radius}", f"--bound={bound}"]
+        for center, radius, bound in GRAPH_CASES
+    )
 
 
 def test_census_input_is_stable():
@@ -112,6 +139,10 @@ def test_census_csv_bytes(tmp_path):
 
 def test_report_bytes():
     assert reports_transcript().encode("utf-8") == REPORTS.read_bytes()
+
+
+def test_export_graph_bytes():
+    assert graphs_transcript().encode("utf-8") == GRAPHS.read_bytes()
 
 
 def test_census_under_python_optimize(tmp_path):
@@ -151,6 +182,7 @@ def record() -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["census", "--in", str(CENSUS_INPUT), "--out", str(CENSUS_CSV)]) == 0
     REPORTS.write_bytes(reports_transcript().encode("utf-8"))
+    GRAPHS.write_bytes(graphs_transcript().encode("utf-8"))
 
 
 if __name__ == "__main__":

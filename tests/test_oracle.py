@@ -7,7 +7,6 @@ from solnorm import Slope, geodesic, parity_of, parse_matrix
 from solnorm.curve_complex import IDENTITY
 from solnorm.errors import DomainError
 from solnorm.oracle import (
-    brute_conjugate,
     brute_conjugate_to_meg_form,
     check_four_point,
     geodesic_by_search,
@@ -31,27 +30,9 @@ class TestRandomMatrices:
 
 
 class TestBruteConjugate:
-    def test_self_conjugation(self):
-        A = parse_matrix("2,1;1,1")
-        P = brute_conjugate(A, A, 2)
-        assert P is not None
-        assert P @ A @ P.inverse() == A
-
-    def test_sign_flip_example(self):
-        A = parse_matrix("-1,0;3,-1")
-        B = parse_matrix("-1,0;-3,-1")
-        P = brute_conjugate(A, B, 3)
-        assert P is not None
-        assert P @ A @ P.inverse() == B
-
-    def test_trace_mismatch_gives_none(self):
-        A = parse_matrix("0,1;1,0")  # trace 0
-        B = parse_matrix("1,1;0,1")  # trace 2
-        assert brute_conjugate(A, B, 4) is None
-
     def test_bad_bound(self):
         with pytest.raises(DomainError):
-            brute_conjugate(IDENTITY, IDENTITY, 0)
+            brute_conjugate_to_meg_form(IDENTITY, 0)
 
     def test_meg_form_search(self):
         found = brute_conjugate_to_meg_form(parse_matrix("-1,0;7,-1"), 2)

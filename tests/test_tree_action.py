@@ -1,6 +1,10 @@
 """Tree actions: the parity permutation, orbit vs closed-form lengths."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +79,36 @@ class TestOrbitMethod:
     def test_wrong_base_vertex_rejected(self):
         with pytest.raises(DomainError):
             translation_length_orbit(IDENTITY, P10, Slope(0, 1))
+
+
+def test_invariants_hold_under_python_optimize():
+    # python -O drops plain asserts; each of these must still raise
+    broken = [
+        "TranslationData(ParityClass.ONE_ZERO, 2, ActionType.ROTATION)",
+        "TranslationData(ParityClass.ZERO_ONE, 3, ActionType.INVERSION)",
+        "TranslationData(ParityClass.ONE_ONE, INF, ActionType.TRANSLATION)",
+        "SurfaceDescription(KIND_PI).norm_contribution()",
+    ]
+    script = "\n".join([
+        "from solnorm.arith import INF",
+        "from solnorm.reports import KIND_PI, SurfaceDescription",
+        "from solnorm.tree_action import ActionType, ParityClass, TranslationData",
+        "for statement in %r:" % broken,
+        "    try:",
+        "        eval(statement)",
+        "    except AssertionError as err:",
+        "        print(err)",
+        "    else:",
+        "        print('accepted:', statement)",
+    ])
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(broken) and not any(line.startswith("accepted") for line in lines), lines
 
 
 class TestClosedForm:
