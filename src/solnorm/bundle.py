@@ -27,7 +27,6 @@ from .curve_complex import GL2Matrix, ParityClass, geodesic, mat_act
 from .errors import DomainError
 from .reports import (
     DEFAULT_CERTIFICATE_CAP,
-    EMPTY_SURFACE,
     KLEIN_BOTTLE,
     TORUS,
     TORUS_FIBER,
@@ -64,7 +63,7 @@ class BundleClass:
     def parity(self) -> ParityClass | None:
         if (self.j, self.k) == (0, 0):
             return None
-        return ParityClass.from_bits(self.j, self.k)
+        return ParityClass((self.j, self.k))
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,7 @@ def summary(A: GL2Matrix) -> Summary:
     lengths = translation_lengths(A)
     norms = [0, 0]  # the zero class and tau
     for j, k in structure.valid_jk - {(0, 0)}:
-        parity = ParityClass.from_bits(j, k)
+        parity = ParityClass((j, k))
         if not is_finite(lengths[parity]):
             raise AssertionError(
                 f"infinite translation length of {A} on fixed class {parity.label}"
@@ -189,21 +188,16 @@ def norm_table(A: GL2Matrix, s: Summary, cap: int) -> list[NormReport]:
     """The norm table of summary s of A, with realizers; certificates longer
     than cap are elided."""
     norms = {(0, 0): 0}
-    realizers = {}
+    class_realizer = {(0, 0): []}  # the zero class needs no surface
     for j, k in sorted(s.h2.valid_jk - {(0, 0)}):
-        parity = ParityClass.from_bits(j, k)
+        parity = ParityClass((j, k))
         norms[(j, k)] = int(s.lengths[parity])  # finite: summary checked it
-        realizers[(j, k)] = _realizer(A, parity, norms[(j, k)], cap)
+        class_realizer[(j, k)] = [_realizer(A, parity, norms[(j, k)], cap)]
     table = []
     derived = s.h2.identification is not None
     for t in (0, 1):
         for j, k in sorted(s.h2.valid_jk):
-            if (j, k) == (0, 0):
-                surface = TORUS_FIBER if t else EMPTY_SURFACE
-            elif t:
-                surface = sum_of(realizers[(j, k)], TORUS_FIBER)
-            else:
-                surface = realizers[(j, k)]
+            surface = sum_of(*class_realizer[(j, k)] + [TORUS_FIBER] * t)
             note = DERIVED_IDENTIFICATION if derived and (j, k) == (1, 1) else None
             table.append(
                 NormReport(

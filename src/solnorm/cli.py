@@ -21,6 +21,7 @@ from .arith import bredon_wood, extnat_json, fmt_extnat
 from .curve_complex import (
     GL2Matrix,
     ParityClass,
+    decimal,
     distance,
     export_dot,
     geodesic,
@@ -44,6 +45,7 @@ def _report(kind: str, A: GL2Matrix, cap: int) -> tuple[dict, list[NormReport]]:
     matrix = A.to_text()  # before the F[b/a] label, so an over-long entry is named
     module = KINDS[kind]
     s = module.summary(A)
+    decimal(s.trace, "trace")  # text and JSON print the int itself, so check it here
     h2 = {"order": s.h2.order, "generators": list(s.h2.generators)}
     doc = {"matrix": matrix, "kind": s.kind, "det": s.det, "trace": s.trace, "h2": h2}
     if s.kind == "bundle":
@@ -107,7 +109,8 @@ def census_row(kind: str, A: GL2Matrix) -> list:
     s = KINDS[kind].summary(A)
     norms = "|".join(map(str, s.norms))
     geometry = s.geometry or ""
-    return [matrix, s.kind, s.det, s.trace, geometry, s.h2.order, norms, fmt_extnat(s.mog), s.meg]
+    trace = decimal(s.trace, "trace")
+    return [matrix, s.kind, s.det, trace, geometry, s.h2.order, norms, fmt_extnat(s.mog), s.meg]
 
 
 def parse_census_line(line: str, lineno: int) -> tuple[str, GL2Matrix] | None:
@@ -258,7 +261,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         results = run_checks(args.level)
         for result in results:
             print(result.line())
-            for failure in result.failures:
+            for failure in result.failures[:10]:  # ten lines per check at most
                 print(f"      {failure}")
         failed = sum(1 for r in results if not r.passed)
         print(f"{len(results) - failed}/{len(results)} checks passed ({args.level} level)")

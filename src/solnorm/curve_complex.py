@@ -58,7 +58,7 @@ class Slope:
         return cls(p, q)
 
     def __str__(self) -> str:
-        return f"{self.p}/{self.q}"
+        return f"{decimal(self.p, 'slope entry')}/{decimal(self.q, 'slope entry')}"
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -75,6 +75,15 @@ def parse_int(cell: str, message: str) -> int:
         return int(cell)
     except ValueError as err:  # only the int-digit limit is left to fail
         raise ParseError(f"integer entry over Python's int-digit limit: {err}") from None
+
+
+def decimal(n: int, what: str) -> str:
+    """str(n) for program output.  A number over Python's int-digit limit
+    raises DomainError naming what it is."""
+    try:
+        return str(n)
+    except ValueError as err:  # int-to-str refuses numbers over the digit limit
+        raise DomainError(f"{what} over Python's int-digit limit: {err}") from None
 
 
 def parse_slope(text: str) -> Slope:
@@ -110,10 +119,6 @@ class ParityClass(enum.Enum):
     @property
     def label(self) -> str:
         return f"{self.j}/{self.k}"
-
-    @classmethod
-    def from_bits(cls, j: int, k: int) -> "ParityClass":
-        return cls((j, k))
 
 
 def parity_of(s: Slope) -> ParityClass:
@@ -168,10 +173,10 @@ class GL2Matrix:
         return (self.a % 2, self.c % 2, self.b % 2, self.d % 2)
 
     def to_text(self) -> str:
-        try:
-            return f"{self.a},{self.c};{self.b},{self.d}"
-        except ValueError as err:  # int-to-str refuses entries over the digit limit
-            raise DomainError(f"matrix entry over Python's int-digit limit: {err}") from None
+        what = "matrix entry"
+        a, c = decimal(self.a, what), decimal(self.c, what)
+        b, d = decimal(self.b, what), decimal(self.d, what)
+        return f"{a},{c};{b},{d}"
 
     def __str__(self) -> str:
         return self.to_text()
@@ -255,12 +260,13 @@ def neighbors_bounded(s: Slope, bound: int) -> list[Slope]:
 
 def breadth_first(
     center: Slope, neighbors: Callable[[Slope], list[Slope]]
-) -> Iterator[tuple[Slope, int]]:
-    """Every vertex reachable from center, with its distance to center, as
-    (vertex, level) in the order breadth-first search discovers them.
-    neighbors(v) lists the vertices adjacent to v; it is called once per
-    vertex, after the caller has read every vertex of v's level."""
-    yield center, 0
+) -> Iterator[tuple[Slope, int, Slope | None]]:
+    """Every vertex reachable from center, with its distance to center and
+    the vertex it was discovered from (None for center), as (vertex, level,
+    parent) in the order breadth-first search discovers them.  neighbors(v)
+    lists the vertices adjacent to v; it is called once per vertex, after
+    the caller has read every vertex of v's level."""
+    yield center, 0, None
     seen = {center}
     frontier, level = [center], 0
     while frontier:
@@ -271,7 +277,7 @@ def breadth_first(
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
-                    yield u, level
+                    yield u, level, v
         frontier = nxt
 
 
@@ -286,7 +292,7 @@ def distance_bfs(s1: Slope, s2: Slope, bound: int) -> ExtNat | str:
     """
     if parity_of(s1) != parity_of(s2):
         return INF
-    for v, level in breadth_first(s1, lambda u: neighbors_bounded(u, bound)):
+    for v, level, _ in breadth_first(s1, lambda u: neighbors_bounded(u, bound)):
         if v == s2:
             return level
     return "unknown"
@@ -340,22 +346,19 @@ def geodesic(s1: Slope, s2: Slope) -> list[Slope]:
 
 def export_dot(center: Slope, radius: int, bound: int) -> str:
     """DOT text for the ball of the given radius around center, restricted to
-    coefficients <= bound.  Undirected edges are written once with "--"."""
-    ball = set()
-    for v, level in breadth_first(center, lambda u: neighbors_bounded(u, bound)):
+    coefficients <= bound.  Undirected edges are written once with "--".
+
+    The bounded subgraph is a subforest of a tree, so the ball's edges are
+    exactly the edges along which breadth-first search discovers it."""
+    nodes, edges = [], []
+    for v, level, parent in breadth_first(center, lambda u: neighbors_bounded(u, bound)):
         if level > radius:
             break
-        ball.add(v)
-    nodes = sorted(ball)
-    edges = set()
-    for v in nodes:
-        for u in neighbors_bounded(v, bound):
-            if u in ball:
-                edges.add((min(v, u), max(v, u)))
+        nodes.append(v)
+        if parent is not None:
+            edges.append((min(v, parent), max(v, parent)))
     lines = ["graph {"]
-    for v in nodes:
-        lines.append(f'  "{v}";')
-    for v, u in sorted(edges):
-        lines.append(f'  "{v}" -- "{u}";')
+    lines += [f'  "{v}";' for v in sorted(nodes)]
+    lines += [f'  "{v}" -- "{u}";' for v, u in sorted(edges)]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arith import INF, ExtNat, bredon_wood, ext_gcd, is_finite
 from .bundle import (
@@ -245,9 +245,12 @@ def slopes_within(bound: int) -> list[Slope]:
 @dataclass
 class CheckResult:
     name: str
-    passed: bool
     detail: str
-    failures: list[str] = field(default_factory=list)
+    failures: list[str]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -261,15 +264,14 @@ def check_grid_agreement(bound: int) -> CheckResult:
     pairs = 0
     failures: list[str] = []
     for source in slopes:
-        for target, bfs_dist in breadth_first(source, adjacency.__getitem__):
+        for target, bfs_dist, _ in breadth_first(source, adjacency.__getitem__):
             pairs += 1
             if distance(source, target) != bfs_dist:
                 failures.append(f"d({source},{target}) formula {distance(source, target)} != bfs {bfs_dist}")
     return CheckResult(
         "grid agreement",
-        not failures,
         f"{pairs} BFS-reachable pairs within |p|,|q| <= {bound}, {len(failures)} mismatches",
-        failures[:10],
+        failures,
     )
 
 
@@ -291,9 +293,8 @@ def check_bw_parity(max_p: int, per_p: int, seed: int) -> CheckResult:
                 failures.append(f"N({p},{q}) = {value}")
     return CheckResult(
         "Bredon-Wood parity",
-        not failures,
         f"{checked} pairs with |p| <= {max_p}, {len(failures)} parity violations",
-        failures[:10],
+        failures,
     )
 
 
@@ -313,9 +314,8 @@ def check_lens_invariance(max_p: int) -> CheckResult:
                     failures.append(f"N({p},{q}) = {base} but a lens-equivalent q gave {other}")
     return CheckResult(
         "lens invariance",
-        not failures,
         f"{checked} (p, q) with even p <= {max_p}, {len(failures)} violations",
-        failures[:10],
+        failures,
     )
 
 
@@ -344,9 +344,8 @@ def check_closed_vs_orbit(n_matrices: int, max_word: int, alt_vertices: int, see
                     failures.append(f"{A} on {cls.label} at {v}: orbit {alt.length} != {closed}")
     return CheckResult(
         "closed form vs orbit",
-        not failures,
         f"{comparisons} comparisons over {n_matrices} matrices, {len(failures)} mismatches",
-        failures[:10],
+        failures,
     )
 
 
@@ -369,9 +368,7 @@ def check_periodic_table() -> CheckResult:
             failures.append(f"mog({name}) = {mog_bundle(A)}, expected {expect_mog}")
         if classify_geometry(A) is not GeometryClass.EUCLIDEAN_PERIODIC:
             failures.append(f"{name} not classified periodic")
-    return CheckResult(
-        "periodic table", not failures, f"7 classes checked, {len(failures)} errors", failures
-    )
+    return CheckResult("periodic table", f"7 classes checked, {len(failures)} errors", failures)
 
 
 def check_nil_family(max_n: int) -> CheckResult:
@@ -389,9 +386,7 @@ def check_nil_family(max_n: int) -> CheckResult:
         for A in (plus, minus):
             if mog_bundle(A) != expect_mog:
                 failures.append(f"mog({A}) = {mog_bundle(A)}, expected {expect_mog}")
-    return CheckResult(
-        "Nil family", not failures, f"n = 1..{max_n}, {len(failures)} errors", failures[:10]
-    )
+    return CheckResult("Nil family", f"n = 1..{max_n}, {len(failures)} errors", failures)
 
 
 def check_semibundle(samples: int, seed: int) -> CheckResult:
@@ -423,8 +418,7 @@ def check_semibundle(samples: int, seed: int) -> CheckResult:
             if mog_semi(A) != INF:
                 failures.append(f"mog({A}) = {mog_semi(A)} != inf")
     return CheckResult(
-        "semi-bundle theorems", not failures, f"{samples} gluings, {len(failures)} errors",
-        failures[:10],
+        "semi-bundle theorems", f"{samples} gluings, {len(failures)} errors", failures
     )
 
 
@@ -474,10 +468,9 @@ def check_conjugacy_criterion(
             failures.append(f"trace {A.trace()} matrix {A} reached the form via {P}")
     return CheckResult(
         "conjugacy criterion",
-        not failures,
         f"{positives} trace -2 matrices (entries <= {entry_bound}) conjugated, "
         f"{tested} other-trace matrices never reached the form; {len(failures)} errors",
-        failures[:10],
+        failures,
     )
 
 
@@ -502,9 +495,8 @@ def check_geodesics(samples: int, coeff_bound: int, seed: int) -> CheckResult:
             failures.append(f"{s1}->{s2}: path differs from the neighbor search")
     return CheckResult(
         "geodesic soundness",
-        not failures,
         f"{samples} same-parity pairs with |p|,|q| <= {coeff_bound}, {len(failures)} errors",
-        failures[:10],
+        failures,
     )
 
 
@@ -552,9 +544,8 @@ def check_invariance(matrix_pairs: int, slope_tuples: int, seed: int) -> CheckRe
             failures.append(f"{A} changes intersection number on ({u}, {v})")
     return CheckResult(
         "invariance suite",
-        not failures,
         f"{matrix_pairs} matrix pairs and {slope_tuples} slope tuples, {len(failures)} errors",
-        failures[:10],
+        failures,
     )
 
 
@@ -572,10 +563,7 @@ def check_h2_kernel(samples: int, seed: int) -> CheckResult:
         }
         if h2_structure(A).valid_jk != expected:
             failures.append(f"{A}: table {sorted(h2_structure(A).valid_jk)} != kernel {sorted(expected)}")
-    return CheckResult(
-        "H2 kernel cross-check", not failures, f"{samples} matrices, {len(failures)} errors",
-        failures[:10],
-    )
+    return CheckResult("H2 kernel cross-check", f"{samples} matrices, {len(failures)} errors", failures)
 
 
 QUICK_CHECKS = [

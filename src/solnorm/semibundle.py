@@ -59,17 +59,13 @@ def h2_structure_semi(A: GL2Matrix) -> SemiBundleH2:
     return SemiBundleH2(order=8, generators=("K1", "K2", f"F[{A.b}/{A.a}]"))
 
 
-def _validate(A: GL2Matrix, cls: SemiBundleClass) -> None:
+def z2_norm_semi(A: GL2Matrix, cls: SemiBundleClass) -> int:
+    """0 unless the class contains F[b/a] with b a nonzero even integer, in
+    which case the norm is N(b, a).  The K-coordinates never matter."""
     if cls.phi == 1 and A.b % 2 == 1:
         raise DomainError(
             f"class phi = 1 does not exist for {A}: b = {A.b} is odd, H2 has order 4"
         )
-
-
-def z2_norm_semi(A: GL2Matrix, cls: SemiBundleClass) -> int:
-    """0 unless the class contains F[b/a] with b a nonzero even integer, in
-    which case the norm is N(b, a).  The K-coordinates never matter."""
-    _validate(A, cls)
     return summary(A).f_norm if cls.phi else 0
 
 

@@ -5,10 +5,15 @@ import json
 
 import pytest
 
-from solnorm import bundle, semibundle
+from solnorm import bundle, oracle, semibundle
 from solnorm.cli import census_row, document, main, render, to_canonical_json
-from solnorm.curve_complex import GL2Matrix, parse_matrix
+from solnorm.curve_complex import GL2Matrix, Slope, mat_act, parse_matrix
 from solnorm.errors import DomainError
+
+# det 1 with 4,300-digit entries, the most the parser takes; the trace 2n
+# has 4,301 digits
+_N = 10**4300 - 2
+OVER_LIMIT_TRACE = f"{_N},{_N + 1};{_N - 1},{_N}"
 
 
 def run(capsys, *argv):
@@ -104,6 +109,24 @@ class TestExitCodes:
             assert info.value.code == 2, argv
             assert "expected an integer" in capsys.readouterr().err
 
+    def test_output_over_digit_limit_is_one(self, capsys, tmp_path):
+        # the input parses, but a number the command would print does not fit
+        def refused(*argv):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "", argv
+            assert err.startswith("solnorm: ") and err.count("\n") == 1, argv
+            assert "int-digit limit" in err, argv
+
+        for kind in ("bundle", "semibundle"):
+            refused(kind, f"--matrix={OVER_LIMIT_TRACE}")
+            refused(kind, f"--matrix={OVER_LIMIT_TRACE}", "--json")
+            infile = tmp_path / "in.txt"
+            infile.write_text(f"bundle 1,0;2,1\n{kind} {OVER_LIMIT_TRACE}\n")
+            refused("census", "--in", str(infile), "--out", str(tmp_path / "out.csv"))
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt"]
+        C = GL2Matrix(5, 2, 2, 1).power(5000)
+        refused("act", f"--matrix={C}", f"{C.a}/{C.b}")
+
     def test_geodesic_parity_mismatch_is_one(self, capsys):
         code, _, err = run(capsys, "geodesic", "0/1", "1/0")
         assert code == 1 and "infinite distance" in err
@@ -157,6 +180,17 @@ class TestReports:
                 document(kind, A)
             with pytest.raises(DomainError, match="int-digit limit"):
                 render(kind, A, 10)
+        # entries within the limit, trace 2n one digit over it
+        B = parse_matrix(OVER_LIMIT_TRACE)
+        for kind in ("bundle", "semibundle"):
+            for build in (lambda: document(kind, B), lambda: render(kind, B, 10),
+                          lambda: census_row(kind, B)):
+                with pytest.raises(DomainError, match="trace over Python's int-digit limit"):
+                    build()
+        # a slope image over the limit
+        C = GL2Matrix(5, 2, 2, 1).power(5000)
+        with pytest.raises(DomainError, match="slope entry over Python's int-digit limit"):
+            str(mat_act(C, Slope(C.a, C.b)))
 
     def test_certificate_cap_flag(self, capsys):
         code, out, _ = run(capsys, "bundle", "--matrix", "1,0;30,1", "--certificate-cap", "3", "--json")
@@ -241,3 +275,13 @@ def test_verify_quick_passes(capsys):
     code, out, _ = run(capsys, "verify", "--level", "quick")
     assert code == 0
     assert "11/11 checks passed" in out
+
+
+def test_verify_prints_ten_failures_per_check(capsys, monkeypatch):
+    failures = [f"case {i} failed" for i in range(12)]
+    stub = oracle.CheckResult("stub", "12 errors", failures)
+    monkeypatch.setattr(oracle, "QUICK_CHECKS", [lambda: stub])
+    code, out, _ = run(capsys, "verify", "--level", "quick")
+    assert code == 3
+    lines = ["FAIL  stub: 12 errors", *(f"      case {i} failed" for i in range(10))]
+    assert out == "\n".join(lines + ["0/1 checks passed (quick level)"]) + "\n"

@@ -24,7 +24,7 @@ from solnorm import (
     parse_matrix,
     parse_slope,
 )
-from solnorm.curve_complex import IDENTITY
+from solnorm.curve_complex import IDENTITY, breadth_first
 from solnorm.errors import DomainError, ParseError
 
 
@@ -285,6 +285,29 @@ DOT_LINE = re.compile(r'^(graph \{|\}|  "-?\d+/\d+";|  "-?\d+/\d+" -- "-?\d+/\d+
 
 
 class TestDotExport:
+    @staticmethod
+    def two_pass_dot(center: Slope, radius: int, bound: int) -> str:
+        """The ball from breadth_first, then every neighbors_bounded pair
+        inside it as an edge."""
+        ball = set()
+        for v, level, _ in breadth_first(center, lambda u: neighbors_bounded(u, bound)):
+            if level > radius:
+                break
+            ball.add(v)
+        edges = {
+            (min(v, u), max(v, u)) for v in ball for u in neighbors_bounded(v, bound) if u in ball
+        }
+        lines = ["graph {", *(f'  "{v}";' for v in sorted(ball))]
+        lines += [f'  "{v}" -- "{u}";' for v, u in sorted(edges)]
+        return "\n".join(lines + ["}"]) + "\n"
+
+    def test_matches_the_two_pass_definition(self):
+        for center in ("0/1", "1/0", "1/1", "3/2", "-5/7"):
+            for radius in (*range(9), 50):
+                for bound in range(16):
+                    args = (parse_slope(center), radius, bound)
+                    assert export_dot(*args) == self.two_pass_dot(*args), args
+
     def test_radius_zero(self):
         text = export_dot(Slope(0, 1), 0, 5)
         assert text == 'graph {\n  "0/1";\n}\n'

@@ -1,9 +1,11 @@
 """Golden bytes: census CSV and bundle/semibundle reports of a fixed matrix
-set, and the DOT text of a few balls in the curve complex.
+set, the DOT text of a few balls in the curve complex, and the output of
+`verify --level quick`.
 
 The fixtures under tests/golden/ hold the exact output of a recorded
 version of the program.  Any change to a census row, a text report, a
-JSON report or an exported graph shows up here as a byte difference.
+JSON report, an exported graph or a verify line shows up here as a byte
+difference.
 
 To record them again (only when an output change is intended):
 
@@ -12,6 +14,7 @@ To record them again (only when an output change is intended):
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import os
@@ -29,6 +32,7 @@ CENSUS_INPUT = GOLDEN / "census_input.txt"
 CENSUS_CSV = GOLDEN / "census.csv"
 REPORTS = GOLDEN / "reports.txt"
 GRAPHS = GOLDEN / "export_graph.txt"
+VERIFY_QUICK = GOLDEN / "verify_quick.txt"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # (kind, matrix, certificate cap or None); each is reported as text and as JSON
@@ -126,6 +130,10 @@ def graphs_transcript() -> str:
     )
 
 
+def verify_transcript() -> str:
+    return transcript([["verify", "--level", "quick"]])
+
+
 def test_census_input_is_stable():
     assert CENSUS_INPUT.read_text(encoding="utf-8") == census_input()
 
@@ -145,6 +153,10 @@ def test_export_graph_bytes():
     assert graphs_transcript().encode("utf-8") == GRAPHS.read_bytes()
 
 
+def test_verify_quick_bytes():
+    assert verify_transcript().encode("utf-8") == VERIFY_QUICK.read_bytes()
+
+
 def test_census_under_python_optimize(tmp_path):
     # the invariants are explicit raises, so python -O runs the same checks
     # and must produce the same bytes
@@ -156,6 +168,18 @@ def test_census_under_python_optimize(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == CENSUS_CSV.read_bytes()
+
+
+def test_no_assert_statements_in_src():
+    # python -O drops assert statements, so an invariant written as one
+    # would go unchecked; the program raises explicitly instead
+    found = []
+    for path in sorted((SRC / "solnorm").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
+        ]
+    assert not found
 
 
 def test_reports_under_python_optimize():
@@ -183,6 +207,7 @@ def record() -> None:
         assert main(["census", "--in", str(CENSUS_INPUT), "--out", str(CENSUS_CSV)]) == 0
     REPORTS.write_bytes(reports_transcript().encode("utf-8"))
     GRAPHS.write_bytes(graphs_transcript().encode("utf-8"))
+    VERIFY_QUICK.write_bytes(verify_transcript().encode("utf-8"))
 
 
 if __name__ == "__main__":
