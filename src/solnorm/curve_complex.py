@@ -57,8 +57,20 @@ class Slope:
                 raise DomainError(f"slope {p}/{q} is not reduced") from None
         return cls(p, q)
 
+    @classmethod
+    def _trusted(cls, p: int, q: int) -> "Slope":
+        """The slope p/q for a caller that has proved the pair reduced and
+        canonical: sets the fields without the gcd of __post_init__."""
+        s = object.__new__(cls)
+        fields = s.__dict__
+        fields["p"], fields["q"] = p, q
+        return s
+
     def __str__(self) -> str:
-        return f"{decimal(self.p, 'slope entry')}/{decimal(self.q, 'slope entry')}"
+        try:
+            return f"{self.p}/{self.q}"
+        except ValueError as err:  # int-to-str refuses numbers over the digit limit
+            raise _over_digit_limit("slope entry", err) from None
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -77,13 +89,19 @@ def parse_int(cell: str, message: str) -> int:
         raise ParseError(f"integer entry over Python's int-digit limit: {err}") from None
 
 
+def _over_digit_limit(what: str, err: ValueError) -> DomainError:
+    """The error for output that int-to-str refused: err is its ValueError
+    and what names the number."""
+    return DomainError(f"{what} over Python's int-digit limit: {err}")
+
+
 def decimal(n: int, what: str) -> str:
     """str(n) for program output.  A number over Python's int-digit limit
     raises DomainError naming what it is."""
     try:
         return str(n)
     except ValueError as err:  # int-to-str refuses numbers over the digit limit
-        raise DomainError(f"{what} over Python's int-digit limit: {err}") from None
+        raise _over_digit_limit(what, err) from None
 
 
 def parse_slope(text: str) -> Slope:
@@ -173,10 +191,10 @@ class GL2Matrix:
         return (self.a % 2, self.c % 2, self.b % 2, self.d % 2)
 
     def to_text(self) -> str:
-        what = "matrix entry"
-        a, c = decimal(self.a, what), decimal(self.c, what)
-        b, d = decimal(self.b, what), decimal(self.d, what)
-        return f"{a},{c};{b},{d}"
+        try:
+            return f"{self.a},{self.c};{self.b},{self.d}"
+        except ValueError as err:  # int-to-str refuses numbers over the digit limit
+            raise _over_digit_limit("matrix entry", err) from None
 
     def __str__(self) -> str:
         return self.to_text()
@@ -298,34 +316,24 @@ def distance_bfs(s1: Slope, s2: Slope, bound: int) -> ExtNat | str:
     return "unknown"
 
 
-def geodesic(s1: Slope, s2: Slope) -> list[Slope]:
-    """The unique tree path from s1 to s2, read off in one pass.
+def _walk(
+    ga: int, gc: int, gb: int, gd: int, tp: int, tq: int, steps: int
+) -> Iterator[tuple[int, int]]:
+    """At most steps moves of the frame G = [[ga, gc], [gb, gd]] toward the
+    target T = tp/tq, yielding G(0/1) = (gc, gd) after each, with either
+    sign.  The walk stops early at T = 0/1, where it has arrived.
 
-    The frame G = [[y, p], [-x, q]] from ext_gcd (the one distance uses)
-    has det 1 and sends 0/1 to s1 = p/q, so the walk works on the target
-    T = G^-1(s2): distance(s1, s2) = N(T), finite only when the numerator
-    of T is even.  The neighbors of 0/1 are the slopes 2s/n with n odd and
-    s = +-1, and the branch at 2s/n holds the slopes strictly between
-    1/((n+1)/2) and 1/((n-1)/2), times s.  So the step toward T = s*|P|/Q
-    (Q > 0) goes to the one odd n within 1 of 2Q/|P|.  It applies
-    H = [[1, 2s], [s(n-1)/2, n]], which has det 1 and sends 0/1 to 2s/n:
-    G <- G*H, T <- H^-1(T), and G(0/1) is the next vertex.  Each step is a
-    bounded number of big-integer operations, so a path costs
-    O(#continued-fraction terms + path length) of them, whatever the size
-    of the partial quotients.
-
-    The walk makes N(T) steps, then checks that it ended at s2 and that
-    every step has intersection number 2: in a tree, those facts
-    make the path the geodesic.
-    """
-    _, x, y = ext_gcd(s1.p, s1.q)
-    ga, gc, gb, gd = y, s1.p, -x, s1.q
-    tp, tq = s1.q * s2.p - s1.p * s2.q, x * s2.p + y * s2.q
-    dist = bredon_wood(tp, tq)  # distance(s1, s2): N ignores the sign of tp
-    if dist == INF:
-        raise DomainError(f"infinite distance: {s1} and {s2} lie in different parity classes")
-    path = [s1]
-    for _ in range(dist):
+    The neighbors of 0/1 are the slopes 2s/n with n odd and s = +-1, and
+    the branch at 2s/n holds the slopes strictly between 1/((n+1)/2) and
+    1/((n-1)/2), times s.  So the step toward T = s*|P|/Q (Q > 0) goes to
+    the one odd n within 1 of 2Q/|P|.  It applies H = [[1, 2s], [s(n-1)/2,
+    n]], which has det 1 and sends 0/1 to 2s/n: G <- G*H, T <- H^-1(T).
+    Each step is a bounded number of big-integer operations, so a walk
+    costs O(#continued-fraction terms + path length) of them, whatever the
+    size of the partial quotients."""
+    for _ in range(steps):
+        if not tp:
+            return
         if tq < 0:
             tp, tq = -tp, -tq
         s = 1 if tp > 0 else -1
@@ -334,12 +342,41 @@ def geodesic(s1: Slope, s2: Slope) -> list[Slope]:
         m = s * (n - 1) // 2
         ga, gc, gb, gd = ga + gc * m, 2 * s * ga + gc * n, gb + gd * m, 2 * s * gb + gd * n
         tp, tq = n * tp - 2 * s * tq, tq - m * tp
-        path.append(Slope.of(gc, gd))
-    if (
-        len(path) != dist + 1
-        or path[-1] != s2
-        or any(intersection_number(u, v) != 2 for u, v in zip(path, path[1:]))
-    ):
+        yield gc, gd
+
+
+def geodesic(s1: Slope, s2: Slope) -> list[Slope]:
+    """The unique tree path from s1 to s2, read off in one pass.
+
+    The frame G = [[y, p], [-x, q]] from ext_gcd (the one distance uses)
+    has det 1 and sends 0/1 to s1 = p/q, so _walk works on the target
+    T = G^-1(s2): distance(s1, s2) = N(T), finite only when the numerator
+    of T is even.
+
+    Each vertex the walk proposes is checked as it is built: it must have
+    intersection number 2 with the previous vertex and the parity of s1.
+    The first makes its gcd divide 2, the second makes one entry odd, so
+    the pair is reduced and becomes a Slope without another gcd.  At the
+    end the path must have N(T) edges and end at s2: in a tree, those
+    facts make it the geodesic.
+    """
+    _, x, y = ext_gcd(s1.p, s1.q)
+    tp, tq = s1.q * s2.p - s1.p * s2.q, x * s2.p + y * s2.q
+    dist = bredon_wood(tp, tq)  # distance(s1, s2): N ignores the sign of tp
+    if dist == INF:
+        raise DomainError(f"infinite distance: {s1} and {s2} lie in different parity classes")
+    pp, pq = s1.p, s1.q
+    parity = (pp & 1, pq & 1)
+    trusted = Slope._trusted
+    path = [s1]
+    for cp, cq in _walk(y, pp, -x, pq, tp, tq, dist):
+        if cq < 0 or (cq == 0 and cp < 0):
+            cp, cq = -cp, -cq
+        if abs(pp * cq - cp * pq) != 2 or (cp & 1, cq & 1) != parity:
+            raise AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
+        path.append(trusted(cp, cq))
+        pp, pq = cp, cq
+    if len(path) != dist + 1 or path[-1] != s2:
         raise AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
     return path
 

@@ -17,6 +17,7 @@ reports but the genus is still recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import ExtNat
@@ -73,6 +74,12 @@ class SurfaceDescription:
             return max(0, self.genus - 2)
         return 0
 
+    @cached_property
+    def slope_texts(self) -> tuple[str, ...]:
+        """The certificate's slopes as text, rendered once however many rows
+        show them."""
+        return tuple(map(str, self.certificate))
+
     def describe(self) -> str:
         if self.kind == KIND_SUM:
             return " + ".join(piece.describe() for piece in self.pieces)
@@ -88,7 +95,7 @@ class SurfaceDescription:
             if desc.certificate_elided:
                 texts.append("(elided)")
             elif desc.certificate:
-                texts.append(" -> ".join(str(s) for s in desc.certificate))
+                texts.append(" -> ".join(desc.slope_texts))
         return "; ".join(texts) if texts else None
 
     def to_json(self) -> dict:
@@ -98,7 +105,7 @@ class SurfaceDescription:
         if self.certificate_elided:
             doc["certificate"] = "elided"
         elif self.certificate is not None:
-            doc["certificate"] = [str(s) for s in self.certificate]
+            doc["certificate"] = list(self.slope_texts)
         if self.pieces:
             doc["pieces"] = [piece.to_json() for piece in self.pieces]
         return doc

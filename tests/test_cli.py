@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from solnorm import bundle, oracle, semibundle
+from solnorm import bredon_wood, bundle, oracle, semibundle
 from solnorm.cli import census_row, document, main, render, to_canonical_json
 from solnorm.curve_complex import GL2Matrix, Slope, mat_act, parse_matrix
 from solnorm.errors import DomainError
@@ -127,6 +127,48 @@ class TestExitCodes:
         C = GL2Matrix(5, 2, 2, 1).power(5000)
         refused("act", f"--matrix={C}", f"{C.a}/{C.b}")
 
+    # (argv, exit code): each subcommand with each failure class that reaches
+    # it.  Integer arguments (bw's, caps, radii, bounds) are argparse's to
+    # refuse, with its usage text; test_parse_error_is_two covers those.
+    FAILURES = [
+        (("bw", "4", "2"), 1),
+        (("dist", "nonsense", "0/1"), 2),
+        (("dist", "4/2", "0/1"), 1),
+        (("geodesic", "0/1", "4/3/2"), 2),
+        (("geodesic", "0/1", "1/0"), 1),
+        (("geodesic", "6/4", "0/1"), 1),
+        (("act", "--matrix=1,0;x,1", "1/0"), 2),
+        (("act", "--matrix=1,0;2,1", "1/x"), 2),
+        (("act", "--matrix=2,0;0,1", "1/0"), 1),
+        (("bundle", "--matrix=1,0;2"), 2),
+        (("bundle", "--matrix=2,0;0,1", "--json"), 1),
+        (("semibundle", "--matrix=1,0,2,1", "--json"), 2),
+        (("semibundle", "--matrix=3,0;0,3"), 1),
+        (("census", "--in", "{tmp}/parse.txt", "--out", "{tmp}/out.csv"), 2),
+        (("census", "--in", "{tmp}/domain.txt", "--out", "{tmp}/out.csv"), 1),
+        (("census", "--in", "{tmp}/missing.txt", "--out", "{tmp}/out.csv"), 4),
+        (("census", "--in", "{tmp}/parse.txt", "--out", "{tmp}/no-such-dir/out.csv"), 4),
+        (("census", "--in", "{tmp}/latin1.txt", "--out", "{tmp}/out.csv"), 4),
+        (("export-graph", "--center", "0/", "--radius", "1", "--bound", "5"), 2),
+        (("export-graph", "--center", "4/2", "--radius", "1", "--bound", "5"), 1),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, expected", FAILURES, ids=[f"{a[0]}-{code}-{i}" for i, (a, code) in enumerate(FAILURES)]
+    )
+    def test_failure_contract(self, capsys, tmp_path, argv, expected):
+        inputs = {
+            "parse.txt": b"wibble 1,0;2,1\n",
+            "domain.txt": b"bundle 1,0;2,1\nbundle 2,0;0,1\n",
+            "latin1.txt": "# caf\u00e9\nbundle 1,0;2,1\n".encode("latin-1"),
+        }
+        for name, data in inputs.items():
+            (tmp_path / name).write_bytes(data)
+        code, out, err = run(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
+        assert code == expected and out == ""
+        assert err.startswith("solnorm: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)  # nothing written
+
     def test_geodesic_parity_mismatch_is_one(self, capsys):
         code, _, err = run(capsys, "geodesic", "0/1", "1/0")
         assert code == 1 and "infinite distance" in err
@@ -191,6 +233,31 @@ class TestReports:
         C = GL2Matrix(5, 2, 2, 1).power(5000)
         with pytest.raises(DomainError, match="slope entry over Python's int-digit limit"):
             str(mat_act(C, Slope(C.a, C.b)))
+
+    def test_each_certificate_is_rendered_once(self, monkeypatch):
+        calls = 0
+        plain = Slope.__str__
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            return plain(self)
+
+        monkeypatch.setattr(Slope, "__str__", counting)
+        # (kind, matrix, slopes rendered): the semi-bundle's one certificate,
+        # of N(2k, 1) edges, sits in four rows; a bundle's in two (t = 0, 1)
+        cases = [
+            ("semibundle", GL2Matrix(1, 0, 2 * k, 1), bredon_wood(2 * k, 1) + 1) for k in (3, 50)
+        ]
+        cases += [
+            ("bundle", parse_matrix("41,29;58,41"), 5 + 1),  # l[1/0] = 5, the one fixed class
+            ("bundle", GL2Matrix(5, 2, 2, 1).power(3), (3 + 1) + (3 + 1) + (6 + 1)),
+        ]
+        for kind, A, expected in cases:
+            for build in (lambda: document(kind, A), lambda: render(kind, A, 10000)):
+                calls = 0
+                build()
+                assert calls == expected, (kind, A)
 
     def test_certificate_cap_flag(self, capsys):
         code, out, _ = run(capsys, "bundle", "--matrix", "1,0;30,1", "--certificate-cap", "3", "--json")

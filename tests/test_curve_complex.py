@@ -4,7 +4,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from solnorm import (
     INF,
@@ -24,6 +24,7 @@ from solnorm import (
     parse_matrix,
     parse_slope,
 )
+from solnorm import curve_complex
 from solnorm.curve_complex import IDENTITY, breadth_first
 from solnorm.errors import DomainError, ParseError
 
@@ -46,6 +47,11 @@ unimodular = st.builds(
 coprime_pairs = st.tuples(st.integers(-200, 200), st.integers(-200, 200)).filter(
     lambda pq: pq != (0, 0) and math.gcd(*pq) == 1
 )
+
+# slopes at finite distance from 0/1, at most about 100 steps away
+even_slopes = coprime_pairs.filter(lambda pq: pq[0] % 2 == 0).map(lambda pq: Slope.of(*pq))
+
+W = GL2Matrix(5, 2, 2, 1)
 
 
 class TestSlope:
@@ -271,7 +277,6 @@ class TestBfsAndGeodesic:
         assert geodesic(Slope(0, 1), target) == [Slope(0, 1), target]
 
     def test_geodesic_between_3000_bit_slopes(self):
-        W = parse_matrix("5,2;2,1")
         s1 = mat_act(W.power(1200), Slope(0, 1))
         s2 = mat_act(W.power(-1200), Slope(0, 1))
         assert min(s1.q.bit_length(), s2.q.bit_length()) >= 3000
@@ -279,6 +284,46 @@ class TestBfsAndGeodesic:
         assert path[0] == s1 and path[-1] == s2
         assert len(path) - 1 == distance(s1, s2) >= 1000
         assert all(intersection_number(u, v) == 2 for u, v in zip(path, path[1:]))
+
+    @given(unimodular, even_slopes)
+    @example(W.power(1200), mat_act(W.power(-2400), Slope(0, 1)))  # about 3,000-bit vertices
+    def test_walk_vertices_are_reduced_slopes(self, A, t):
+        # the walk builds its vertices without __post_init__; each must be
+        # the slope the checked constructor would have made
+        s1, s2 = mat_act(A, Slope(0, 1)), mat_act(A, t)
+        for v in geodesic(s1, s2):
+            assert Slope.of(v.p, v.q) == v and math.gcd(v.p, v.q) == 1
+            assert hash(v) == hash(Slope(v.p, v.q))
+
+    @pytest.mark.parametrize("extra", [-1, 1, 2])
+    def test_walk_of_the_wrong_length_raises(self, monkeypatch, extra):
+        # the walk stops where T = 0/1, so a longer one cannot reach N(T) + 1 vertices
+        monkeypatch.setattr(curve_complex, "bredon_wood", lambda p, q: bredon_wood(p, q) + extra)
+        with pytest.raises(AssertionError, match="left the tree path"):
+            geodesic(Slope(1, 0), Slope(1, 8))
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [(2, 2), (4, 3)],  # intersection numbers 2, but 2/2 is not a slope
+            [(2, 3), (4, 3)],  # reduced, right parity, but 2/3 and 4/3 meet 6 times
+            [(2, 1), (4, 3), (2, 1)],  # one step too many
+            [(2, 1)],  # stops short of 4/3
+            [(2, 1), (-4, 3)],  # ends at the wrong vertex
+        ],
+    )
+    def test_forged_walks_are_refused(self, monkeypatch, vertices):
+        # geodesic checks every vertex _walk proposes; d(0/1, 4/3) = 2
+        monkeypatch.setattr(curve_complex, "_walk", lambda *args: iter(vertices))
+        with pytest.raises(AssertionError, match="left the tree path"):
+            geodesic(Slope(0, 1), Slope(4, 3))
+
+    def test_walk_signs_are_canonicalized(self, monkeypatch):
+        walk = [(-2, -1), (4, 3)]
+        monkeypatch.setattr(curve_complex, "_walk", lambda *args: iter(walk))
+        assert geodesic(Slope(0, 1), Slope(4, 3)) == [Slope(0, 1), Slope(2, 1), Slope(4, 3)]
+        walk = [(-1, 0)]
+        assert geodesic(Slope(1, 2), Slope(1, 0)) == [Slope(1, 2), Slope(1, 0)]
 
 
 DOT_LINE = re.compile(r'^(graph \{|\}|  "-?\d+/\d+";|  "-?\d+/\d+" -- "-?\d+/\d+";)$')
