@@ -37,11 +37,7 @@ from .reports import (
     pi_surface_elided,
     sum_of,
 )
-from .tree_action import (
-    parity_permutation,
-    translation_length_orbit,
-    translation_lengths,
-)
+from .tree_action import parity_permutation, translation_lengths
 
 DERIVED_IDENTIFICATION = "derived identification"
 
@@ -137,23 +133,45 @@ def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> Surfa
     The certificate is the slice of l + 1 vertices that starts (d - l)/2
     steps into the geodesic, of length d, from the class's base vertex v to
     A(v): the path from a vertex w on the axis, the flipped edge or the
-    fixed set of A to A(w)."""
+    fixed set of A to A(w).  It proves itself minimal, so l is checked
+    without a second computation of the length:
+
+    - The slice of a checked geodesic that runs from w to A(w) proves
+      d(w, A(w)) = l, an upper bound on the translation length.
+    - For l >= 2, A(certificate[1]) != certificate[-2] means that the path
+      w -> A(w) -> A^2(w) does not backtrack at A(w).  In a tree it is then
+      the geodesic, so d(w, A^2(w)) = 2l > 0, and A is a translation of
+      length d(w, A^2(w)) - d(w, A(w)) = l (Serre, Trees, I.6.4;
+      Culler-Morgan, Proc. LMS 55 (1987), section 1).
+    - For l = 1 the distance is odd, so A fixes no vertex: in a tree an
+      automorphism that fixes a vertex moves every vertex an even distance.
+    - For l = 0 there is nothing to prove.
+
+    A length that is 2k too large puts w k steps off the axis, where the
+    path backtracks or d - l is negative; one that is too small ends the
+    slice before A(w)."""
     if length > max(cap, 0):
         # skip the walk entirely; only the genus is reported
         return pi_surface_elided(length + 2)
-    data = translation_length_orbit(A, parity)
-    if data.length != length:
-        raise AssertionError(
-            f"orbit of {A} on {parity.label} gives length {data.length}, closed form {length}"
-        )
     v = parity.base_vertex
     path = geodesic(v, mat_act(A, v))
-    start = (len(path) - 1 - length) // 2
+    excess = len(path) - 1 - length  # d(v, A(v)) - l: twice the distance from v to w
+    if length < 0 or excess < 0 or excess % 2:
+        raise AssertionError(
+            f"closed form gives length {length} for {A} on {parity.label}, "
+            f"but the base vertex moves {len(path) - 1}"
+        )
+    start = excess // 2
     certificate = path[start : start + length + 1]
     # a slice of a checked geodesic from w to A(w) proves d(w, A(w)) = l
     if len(certificate) != length + 1 or certificate[-1] != mat_act(A, certificate[0]):
         raise AssertionError(
             f"certificate of {A} on {parity.label} does not run from a vertex to its image"
+        )
+    if length >= 2 and mat_act(A, certificate[1]) == certificate[-2]:
+        raise AssertionError(
+            f"certificate of {A} on {parity.label} starts at a vertex not on the axis: "
+            "A of its second vertex is its last but one"
         )
     if length == 0:
         w = certificate[0]

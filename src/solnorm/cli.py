@@ -12,19 +12,19 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import bundle, semibundle
 from .arith import bredon_wood, extnat_json, fmt_extnat
 from .curve_complex import (
     GL2Matrix,
     ParityClass,
-    decimal,
     distance,
     export_dot,
     geodesic,
+    int_text,
     mat_act,
     parse_int,
     parse_matrix,
@@ -45,7 +45,7 @@ def _report(kind: str, A: GL2Matrix, cap: int) -> tuple[dict, list[NormReport]]:
     matrix = A.to_text()  # before the F[b/a] label, so an over-long entry is named
     module = KINDS[kind]
     s = module.summary(A)
-    decimal(s.trace, "trace")  # text and JSON print the int itself, so check it here
+    int_text(s.trace, "trace")  # text and JSON print the int itself, so check it here
     h2 = {"order": s.h2.order, "generators": list(s.h2.generators)}
     doc = {"matrix": matrix, "kind": s.kind, "det": s.det, "trace": s.trace, "h2": h2}
     if s.kind == "bundle":
@@ -97,7 +97,50 @@ def render(kind: str, A: GL2Matrix, certificate_cap: int) -> str:
 
 
 def to_canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The bytes of json.dumps(doc, sort_keys=True, indent=2) + "\n", written
+    directly for the closed report schema: dicts with str keys, ints, strs,
+    and lists, where a list that starts with a str holds only strs.  Types
+    are matched exactly, so a bool is not taken for an int; any other value
+    raises TypeError."""
+    parts: list[str] = []
+    _write_json(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(value, newline: str, parts: list[str]) -> None:
+    """Append the text of value to parts; newline is the line break and
+    indent of the line value starts on."""
+    kind = type(value)
+    if kind is str:
+        parts.append(_quote(value))
+    elif kind is int:
+        parts.append(repr(value))
+    elif (kind is dict or kind is list) and not value:
+        parts.append("{}" if kind is dict else "[]")
+    elif kind is dict:
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"JSON object key {key!r} is not a str")
+            parts += (separator, _quote(key), ": ")
+            _write_json(value[key], inner, parts)
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif kind is list:
+        inner = newline + "  "
+        if type(value[0]) is str:  # a certificate, in one join; _quote refuses a non-str
+            parts += ("[", inner, ("," + inner).join(map(_quote, value)), newline, "]")
+            return
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _write_json(item, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"{kind.__name__} is not in the report schema")
 
 
 CENSUS_COLUMNS = ["matrix", "kind", "det", "trace", "geometry", "h2_order", "norms", "mog", "meg"]
@@ -109,7 +152,7 @@ def census_row(kind: str, A: GL2Matrix) -> list:
     s = KINDS[kind].summary(A)
     norms = "|".join(map(str, s.norms))
     geometry = s.geometry or ""
-    trace = decimal(s.trace, "trace")
+    trace = int_text(s.trace, "trace")
     return [matrix, s.kind, s.det, trace, geometry, s.h2.order, norms, fmt_extnat(s.mog), s.meg]
 
 

@@ -95,7 +95,7 @@ def _over_digit_limit(what: str, err: ValueError) -> DomainError:
     return DomainError(f"{what} over Python's int-digit limit: {err}")
 
 
-def decimal(n: int, what: str) -> str:
+def int_text(n: int, what: str) -> str:
     """str(n) for program output.  A number over Python's int-digit limit
     raises DomainError naming what it is."""
     try:

@@ -7,11 +7,15 @@ along an axis.  The translation length
 
     l = min over vertices v of d(v, A(v))
 
-is computed two independent ways: from the orbit of a single base vertex
-(l = d(v, A^2(v)) - d(v, A(v)) when A^2(v) != v, else the parity of
-d(v, A(v))), and from one closed form in the matrix entries, the same
-difference evaluated on the integers of the class's base vertex j/k for all
-three trees.  Their agreement is part of the test suite.
+has one closed form in the matrix entries, translation_length_closed: the
+difference d(v, A^2(v)) - d(v, A(v)) evaluated on the integers of the
+class's base vertex j/k, for all three trees.  It is the only length the
+reports and the census compute; each bundle certificate then proves its own
+length minimal (bundle._realizer).  translation_length_orbit computes the
+same length from the orbit of a single base vertex (l = d(v, A^2(v)) -
+d(v, A(v)) when A^2(v) != v, else the parity of d(v, A(v))), with its action
+type.  It runs on no report path: it is the independent reference that the
+oracle and the tests compare the closed form with.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from solnorm import (
 )
 from solnorm import bundle
 from solnorm.bundle import PERIODIC_REPRESENTATIVES
+from solnorm.cli import document
 from solnorm.curve_complex import (
     GL2Matrix,
     IDENTITY,
@@ -184,6 +185,32 @@ class TestNormTable:
         monkeypatch.setattr(bundle, "geodesic", lambda s1, s2: geodesic(s1, s2)[::-1])
         with pytest.raises(AssertionError, match="does not run from a vertex to its image"):
             bundle._realizer(A, ParityClass.ONE_ONE, 1, DEFAULT_CERTIFICATE_CAP)
+
+    # (matrix, shift of every finite closed-form length, the check that
+    # catches it).  The base vertex 1/1 of 4,1;-1,0 and 8,1;-1,0 is off the
+    # axis (d(v, A v) = l + 2); those of 1,0;2,1 are on it.
+    @pytest.mark.parametrize(
+        "text, shift, message",
+        [
+            ("4,1;-1,0", 2, "not on the axis"),
+            ("4,1;-1,0", -2, "closed form gives length -1"),
+            ("8,1;-1,0", 2, "not on the axis"),
+            ("8,1;-1,0", -2, "does not run from a vertex to its image"),
+            ("1,0;2,1", 2, "closed form gives length 2 .* but the base vertex moves 0"),
+            ("1,0;2,1", -2, "closed form gives length -2"),
+        ],
+    )
+    def test_report_rejects_a_closed_form_off_by_two(self, monkeypatch, text, shift, message):
+        # the certificate proves l itself, so a wrong closed form raises
+        # while the report is built, not only in the golden bytes
+        closed = bundle.translation_lengths
+
+        def shifted(A):
+            return {cls: l if l == INF else l + shift for cls, l in closed(A).items()}
+
+        monkeypatch.setattr(bundle, "translation_lengths", shifted)
+        with pytest.raises(AssertionError, match=message):
+            document("bundle", parse_matrix(text))
 
 
 class TestMogMeg:

@@ -4,6 +4,7 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solnorm import bredon_wood, bundle, oracle, semibundle
 from solnorm.cli import census_row, document, main, render, to_canonical_json
@@ -265,6 +266,53 @@ class TestReports:
         doc = json.loads(out)
         pis = [e for e in doc["norm_table"] if e["realizer"].get("certificate") == "elided"]
         assert pis
+
+
+# Documents of the report schema, nested as reports are: dicts with str keys,
+# str and int leaves ("inf" among them, ints of up to 400 digits), lists of
+# strings and lists of dicts.  The strings take every code point, lone
+# surrogates included, and the characters JSON escapes.
+_TEXT = st.text(
+    st.one_of(
+        st.characters(blacklist_categories=()),
+        st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "é"]),
+    ),
+    max_size=8,
+)
+_LEAF = st.one_of(
+    _TEXT,
+    st.just("inf"),
+    st.integers(),
+    st.integers(10**300, 10**400),
+    st.integers(-(10**400), -(10**300)),
+)
+_STRINGS = st.lists(_TEXT, max_size=4)
+
+
+def _objects(values, max_size):
+    return st.lists(st.tuples(_TEXT, values), max_size=max_size).map(dict)
+
+
+_INNER = _objects(st.one_of(_LEAF, _STRINGS), 4)  # a class, a piece
+_ENTRY = _objects(st.one_of(_LEAF, _STRINGS, _INNER, st.lists(_INNER, max_size=3)), 4)
+_DOCUMENTS = _objects(st.one_of(_LEAF, _STRINGS, _INNER, st.lists(_ENTRY, max_size=3)), 6)
+
+
+class TestCanonicalJson:
+    """to_canonical_json writes the bytes of json.dumps(doc, sort_keys=True,
+    indent=2) + "\n" for every document of the report schema."""
+
+    @settings(max_examples=75, deadline=None)
+    @given(_DOCUMENTS)
+    def test_matches_json_dumps(self, doc):
+        assert to_canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [1.5, True, False, None, ("a", "b"), {1: "a"}, {"a": {2: 3}}])
+    def test_values_outside_the_schema_raise(self, value):
+        with pytest.raises(TypeError):
+            to_canonical_json({"norm_table": [{"class": value}]})
+        with pytest.raises(TypeError):
+            to_canonical_json({"certificate": ["1/0", value]})
 
 
 class TestCensus:
