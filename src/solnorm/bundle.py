@@ -19,7 +19,6 @@ F[1/1] through the intersection pairing rather than by a stated equation.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 from .arith import INF, ExtNat, is_finite
@@ -37,7 +36,7 @@ from .reports import (
     pi_surface_elided,
     sum_of,
 )
-from .tree_action import parity_permutation, translation_lengths
+from .tree_action import MOD2_PERMUTATIONS, translation_lengths
 
 DERIVED_IDENTIFICATION = "derived identification"
 
@@ -74,9 +73,11 @@ class H2Structure:
         return 2 * len(self.valid_jk)
 
 
-def _h2_case(M: GL2Matrix) -> H2Structure:
-    """The H2 case of every matrix congruent to M mod 2."""
-    perm = parity_permutation(M)
+def _h2_case(
+    bits: tuple[int, int, int, int], perm: dict[ParityClass, ParityClass]
+) -> H2Structure:
+    """The H2 case of every matrix congruent to bits mod 2, which permutes
+    the parity classes by perm."""
     fixed = [cls for cls in ParityClass if perm[cls] is cls]
     if len(fixed) == 3:
         return H2Structure(
@@ -94,17 +95,14 @@ def _h2_case(M: GL2Matrix) -> H2Structure:
         )
     # a 3-cycle fixes nothing; a transposition always fixes exactly one class
     if fixed:
-        raise AssertionError(f"{M} mod 2 fixes {len(fixed)} parity classes")
+        raise AssertionError(f"{GL2Matrix(*bits)} mod 2 fixes {len(fixed)} parity classes")
     return H2Structure(case_label="3-cycle", valid_jk=frozenset({(0, 0)}), generators=("tau",))
 
 
-# The six invertible matrices mod 2, as 0/1 matrices of det +-1, each with
-# its case.  H2Structure is frozen, so every caller can share these.
-_H2_BY_MOD2 = {
-    bits: _h2_case(GL2Matrix(*bits))
-    for bits in itertools.product((0, 1), repeat=4)
-    if (bits[0] * bits[3] - bits[1] * bits[2]) % 2
-}
+# The case of each of the six invertible matrices mod 2, read off its
+# permutation of the parity classes.  H2Structure is frozen, so every
+# caller can share these.
+_H2_BY_MOD2 = {bits: _h2_case(bits, perm) for bits, perm in MOD2_PERMUTATIONS.items()}
 
 
 def h2_structure(A: GL2Matrix) -> H2Structure:

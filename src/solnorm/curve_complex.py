@@ -23,31 +23,39 @@ import math
 import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import INF, ExtNat, bredon_wood, ext_gcd
 from .errors import DomainError, ParseError
 
 
-@dataclass(frozen=True, order=True)
-class Slope:
-    """A reduced fraction p/q in canonical form: q > 0, or (p, q) = (1, 0)."""
-
+class _SlopeFields(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self) -> None:
-        if math.gcd(self.p, self.q) != 1:
-            raise DomainError(f"slope {self.p}/{self.q} is not reduced")
-        if self.q < 0 or (self.q == 0 and self.p != 1):
-            raise DomainError(f"slope {self.p}/{self.q} is not in canonical form")
+
+class Slope(_SlopeFields):
+    """A reduced fraction p/q in canonical form: q > 0, or (p, q) = (1, 0).
+
+    A slope is the tuple (p, q): it equals its plain pair, and hashing,
+    equality and the (p, q) lexicographic order are those of tuples."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int) -> "Slope":
+        if math.gcd(p, q) != 1:
+            raise DomainError(f"slope {p}/{q} is not reduced")
+        if q < 0 or (q == 0 and p != 1):
+            raise DomainError(f"slope {p}/{q} is not in canonical form")
+        return tuple.__new__(cls, (p, q))
 
     @classmethod
     def of(cls, p: int, q: int) -> "Slope":
         """Canonicalize the sign of a coprime pair; rejects non-coprime input.
 
-        The coprimality check is the one in __post_init__; after the sign
-        flip it is the only check that can fail, and its error names the
-        pair as given."""
+        The coprimality check is the one in __new__; after the sign flip it
+        is the only check that can fail, and its error names the pair as
+        given."""
         if p == 0 and q == 0:
             raise DomainError("0/0 is not a slope")
         if q < 0 or (q == 0 and p < 0):
@@ -60,11 +68,8 @@ class Slope:
     @classmethod
     def _trusted(cls, p: int, q: int) -> "Slope":
         """The slope p/q for a caller that has proved the pair reduced and
-        canonical: sets the fields without the gcd of __post_init__."""
-        s = object.__new__(cls)
-        fields = s.__dict__
-        fields["p"], fields["q"] = p, q
-        return s
+        canonical: builds the tuple without the checks of __new__."""
+        return tuple.__new__(cls, (p, q))
 
     def __str__(self) -> str:
         try:
@@ -115,32 +120,30 @@ def parse_slope(text: str) -> Slope:
 
 
 class ParityClass(enum.Enum):
-    """The parity (p mod 2, q mod 2) of a slope; labels the three trees."""
+    """The parity (p mod 2, q mod 2) of a slope; labels the three trees.
+
+    Each member holds j, k, its label "j/k" and its base vertex, the
+    representative slope j/k used as the default orbit base point.  Members
+    are singletons that compare by identity, so they hash by identity too."""
 
     ONE_ZERO = (1, 0)
     ZERO_ONE = (0, 1)
     ONE_ONE = (1, 1)
 
-    @property
-    def j(self) -> int:
-        return self.value[0]
+    def __init__(self, j: int, k: int) -> None:
+        self.j = j
+        self.k = k
+        self.label = f"{j}/{k}"
+        self.base_vertex = Slope(j, k)
 
-    @property
-    def k(self) -> int:
-        return self.value[1]
+    __hash__ = object.__hash__
 
-    @property
-    def base_vertex(self) -> Slope:
-        """The representative slope j/k, used as the default orbit base point."""
-        return Slope(self.j, self.k)
 
-    @property
-    def label(self) -> str:
-        return f"{self.j}/{self.k}"
+_PARITY_BY_BITS = {cls.value: cls for cls in ParityClass}
 
 
 def parity_of(s: Slope) -> ParityClass:
-    return ParityClass((s.p % 2, s.q % 2))
+    return _PARITY_BY_BITS[s.p % 2, s.q % 2]
 
 
 @dataclass(frozen=True)

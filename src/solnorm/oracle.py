@@ -266,8 +266,9 @@ def check_grid_agreement(bound: int) -> CheckResult:
     for source in slopes:
         for target, bfs_dist, _ in breadth_first(source, adjacency.__getitem__):
             pairs += 1
-            if distance(source, target) != bfs_dist:
-                failures.append(f"d({source},{target}) formula {distance(source, target)} != bfs {bfs_dist}")
+            formula = distance(source, target)
+            if formula != bfs_dist:
+                failures.append(f"d({source},{target}) formula {formula} != bfs {bfs_dist}")
     return CheckResult(
         "grid agreement",
         f"{pairs} BFS-reachable pairs within |p|,|q| <= {bound}, {len(failures)} mismatches",

@@ -21,6 +21,7 @@ oracle and the tests compare the closed form with.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 from .arith import INF, ExtNat, bredon_wood, ext_gcd
@@ -53,18 +54,27 @@ class TranslationData:
             raise AssertionError(f"{self.parity.label}: inversion with length {self.length}")
 
 
-def parity_permutation(A: GL2Matrix) -> dict[ParityClass, ParityClass]:
-    """The permutation of {1/0, 0/1, 1/1} induced by A mod 2: the class
-    j/k goes to the parity of (a*j + c*k, b*j + d*k)."""
-    a, c, b, d = A.mod2()
-    return {
+# The permutation of {1/0, 0/1, 1/1} induced by each of the six invertible
+# matrices mod 2, keyed as A.mod2() keys them: the 0/1 matrices (a, c, b, d)
+# of odd determinant.  The class j/k goes to the parity of (a*j + c*k,
+# b*j + d*k).  Callers read the table and never change it.
+MOD2_PERMUTATIONS = {
+    (a, c, b, d): {
         cls: ParityClass(((a * cls.j + c * cls.k) % 2, (b * cls.j + d * cls.k) % 2))
         for cls in ParityClass
     }
+    for a, c, b, d in itertools.product((0, 1), repeat=4)
+    if (a * d - b * c) % 2
+}
+
+
+def parity_permutation(A: GL2Matrix) -> dict[ParityClass, ParityClass]:
+    """The permutation of {1/0, 0/1, 1/1} induced by A mod 2, as a new dict."""
+    return dict(MOD2_PERMUTATIONS[A.mod2()])
 
 
 def fixes_class(A: GL2Matrix, cls: ParityClass) -> bool:
-    return parity_permutation(A)[cls] is cls
+    return MOD2_PERMUTATIONS[A.mod2()][cls] is cls
 
 
 def translation_length_orbit(

@@ -24,7 +24,7 @@ from solnorm import (
     parse_matrix,
     parse_slope,
 )
-from solnorm import curve_complex
+from solnorm import curve_complex, oracle
 from solnorm.curve_complex import IDENTITY, breadth_first
 from solnorm.errors import DomainError, ParseError
 
@@ -85,6 +85,58 @@ class TestSlope:
             parse_slope("4/2")
         with pytest.raises(DomainError, match=r"^slope 4/-2 is not reduced$"):
             parse_slope("4/-2")
+
+    def test_constructor_rejects_with_the_messages_of_of(self):
+        # Slope(p, q) itself checks, not only Slope.of
+        for (p, q), message in [
+            ((4, 2), r"^slope 4/2 is not reduced$"),
+            ((0, 0), r"^slope 0/0 is not reduced$"),
+            ((2, -3), r"^slope 2/-3 is not in canonical form$"),
+            ((-1, 0), r"^slope -1/0 is not in canonical form$"),
+        ]:
+            with pytest.raises(DomainError, match=message):
+                Slope(p, q)
+
+    def test_trusted_is_the_checked_slope(self):
+        pairs = [(1, 0), (0, 1), (-7, 4), (3, 5), (10**40 + 1, 10**40)]
+        checked = [Slope(p, q) for p, q in pairs]
+        trusted = [Slope._trusted(p, q) for p, q in pairs]
+        assert trusted == checked
+        assert [hash(s) for s in trusted] == [hash(s) for s in checked]
+        assert sorted(trusted) == sorted(checked) == sorted(pairs)
+        assert all(type(s) is Slope for s in trusted)
+
+    def test_a_slope_is_its_pair(self):
+        s = Slope(-2, 3)
+        assert (s.p, s.q) == (-2, 3)
+        assert s == (-2, 3) and hash(s) == hash((-2, 3))
+        assert Slope(1, 0) > Slope(0, 1) > Slope(-1, 2)
+
+    def test_repr(self):
+        assert repr(Slope(1, 2)) == "Slope(p=1, q=2)"
+        assert str(Slope(1, 2)) == "1/2"
+
+    def test_repr_in_verify_failure_lines(self, monkeypatch):
+        monkeypatch.setattr(oracle, "check_four_point", lambda quad: False)
+        failures = oracle.check_invariance(0, 1, seed=106).failures
+        assert len(failures) == 1
+        slope = r"Slope\(p=-?\d+, q=\d+\)"
+        assert re.fullmatch(rf"four-point fails on \({slope}(, {slope}){{3}}\)", failures[0])
+
+    def test_fields_are_read_only(self):
+        s = Slope(1, 2)
+        with pytest.raises(AttributeError):
+            s.p = 3
+        with pytest.raises(AttributeError):
+            s.extra = 0
+        assert s == Slope(1, 2)
+
+    def test_hash_and_equality_are_the_tuple_slots(self):
+        # a Python-level __hash__/__eq__ costs a call per set or dict lookup
+        # in the breadth-first walks
+        assert Slope.__hash__ is tuple.__hash__
+        assert Slope.__eq__ is tuple.__eq__
+        assert Slope.__lt__ is tuple.__lt__
 
     @given(coprime_pairs)
     def test_normalization_idempotent(self, pq):

@@ -16,6 +16,7 @@ from solnorm import (
     Slope,
     distance,
     mat_act,
+    parity_of,
     parity_permutation,
     parse_matrix,
     translation_length_closed,
@@ -23,7 +24,8 @@ from solnorm import (
 )
 from solnorm.curve_complex import IDENTITY
 from solnorm.errors import DomainError
-from solnorm.oracle import random_glz, random_slope
+from solnorm.oracle import parity_permutation_by_action, random_glz, random_slope
+from solnorm.tree_action import MOD2_PERMUTATIONS
 
 P10 = ParityClass.ONE_ZERO
 P01 = ParityClass.ZERO_ONE
@@ -46,6 +48,31 @@ class TestParityPermutation:
         assert perm[P10] is not P10
         assert perm[perm[perm[P10]]] is P10
         assert len({perm[c] for c in ParityClass}) == 3
+
+    def test_returns_a_fresh_dict(self):
+        perm = parity_permutation(IDENTITY)
+        perm[P10] = P01
+        assert parity_permutation(IDENTITY)[P10] is P10
+
+    def test_table_covers_the_invertible_matrices_mod_two(self):
+        assert set(MOD2_PERMUTATIONS) == {
+            (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 0), (0, 1, 1, 1),
+        }
+        for bits, perm in MOD2_PERMUTATIONS.items():
+            assert perm == parity_permutation_by_action(GL2Matrix(*bits)), bits
+
+    def test_members_hold_their_fields(self):
+        for cls in ParityClass:
+            j, k = cls.value
+            assert (cls.j, cls.k) == (j, k)
+            assert cls.label == f"{j}/{k}"
+            assert cls.base_vertex == Slope(j, k)
+            assert parity_of(cls.base_vertex) is cls
+        for a in ParityClass:
+            for b in ParityClass:
+                assert (a == b) == (a is b)
+                if a == b:
+                    assert hash(a) == hash(b) == hash(ParityClass(b.value))
 
 
 class TestOrbitMethod:
