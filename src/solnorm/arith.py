@@ -78,18 +78,20 @@ def bredon_wood(p: int, q: int) -> ExtNat:
         return 0
     # Half-sum of the b-sequence: it keeps a continued-fraction term when
     # the previous term was altered or the running sum is odd, and zeroes
-    # it otherwise; the total is always even.
+    # it otherwise; the total is always even.  Only the first quotient can
+    # be 0, and the first is always kept, so "altered" is "zeroed": the
+    # flag starts true so that the first term is kept.
     P, Q = abs(p), abs(q)
     total = 0
-    prev_a = prev_b = None
+    zeroed = True
     while Q:
-        a, r = divmod(P, Q)
-        if prev_a is None or prev_b != prev_a or total % 2 == 1:
-            b = a
+        if zeroed or total & 1:
+            a, r = divmod(P, Q)
+            total += a
+            zeroed = False
         else:
-            b = 0
-        total += b
-        prev_a, prev_b = a, b
+            r = P % Q
+            zeroed = True
         P, Q = Q, r
     if total % 2 != 0:
         raise AssertionError(f"odd b-sequence sum {total} for ({p}, {q})")

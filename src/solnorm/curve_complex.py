@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -230,14 +230,24 @@ def mat_act(A: GL2Matrix, s: Slope) -> Slope:
     return Slope.of(A.a * s.p + A.c * s.q, A.b * s.p + A.d * s.q)
 
 
-def distance(s1: Slope, s2: Slope) -> ExtNat:
-    """Distance in the curve complex; infinite between different parity classes.
+def distances_from(s1: Slope, targets: Iterable[Slope]) -> list[ExtNat]:
+    """The distances from s1 to each slope of targets, in order; infinite
+    to a slope of another parity class.
 
-    Moving s1 to 0/1 by a unimodular matrix built from ext_gcd reduces the
-    question to N of the image of s2.
+    The frame that moves s1 to 0/1, a unimodular matrix built from the
+    ext_gcd cofactors x, y of s1, is computed once for all targets: the
+    distance to t = p/q is N of the image of t, N(p1*q - q1*p, p*x + q*y)
+    for s1 = p1/q1.
     """
-    g, x, y = ext_gcd(s1.p, s1.q)  # g == 1 for a reduced slope
-    return bredon_wood(s1.p * s2.q - s1.q * s2.p, s2.p * x + s2.q * y)
+    p1, q1 = s1
+    _, x, y = ext_gcd(p1, q1)  # gcd 1 for a reduced slope
+    return [bredon_wood(p1 * q - q1 * p, p * x + q * y) for p, q in targets]
+
+
+def distance(s1: Slope, s2: Slope) -> ExtNat:
+    """Distance in the curve complex; infinite between different parity
+    classes.  It is distances_from with one target."""
+    return distances_from(s1, (s2,))[0]
 
 
 def _family_range(terms, bound: int) -> range:

@@ -4,13 +4,20 @@ Everything here deliberately avoids the closed-form machinery it is checking:
 distances are re-derived by breadth-first search over explicitly enumerated
 neighbors, geodesics by a step-by-step neighbor search, orders by matrix
 powers, the mod-2 permutation by acting on slopes, conjugacy is decided
-by scanning the unimodular matrices in a box, and random matrices come from
+by searching the unimodular matrices in a box, and random matrices come from
 a seeded generator so every run is reproducible.  The same checks back both
 the pytest suite and the ``solnorm verify`` subcommand.
+
+Each piece of oracle work is done once: the conjugator search solves the
+linear equation its first row must satisfy instead of testing every row,
+the grid check takes all formula distances from one BFS source in one
+distances_from call, and the invariance checks build one summary per
+distinct matrix and compare its fields.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -22,9 +29,9 @@ from .bundle import (
     h2_structure,
     meg_bundle,
     mog_bundle,
-    norm_multiset_bundle,
     order,
     periodic_class,
+    summary,
     PERIODIC_REPRESENTATIVES,
 )
 from .curve_complex import (
@@ -35,6 +42,7 @@ from .curve_complex import (
     _family_range,
     breadth_first,
     distance,
+    distances_from,
     geodesic,
     intersection_number,
     mat_act,
@@ -42,7 +50,7 @@ from .curve_complex import (
     parity_of,
 )
 from .errors import DomainError
-from .semibundle import meg_semi, mog_semi, norm_multiset_semi
+from .semibundle import summary as semi_summary
 from .tree_action import (
     parity_permutation,
     translation_length_closed,
@@ -73,14 +81,17 @@ def random_matrix(rng: random.Random, max_word: int) -> GL2Matrix:
 
 
 def random_slope(rng: random.Random, bound: int, parity: ParityClass | None = None) -> Slope:
+    """A uniform coprime pair with entries in [-bound, bound], of the given
+    parity if any, as a slope.  Each entry is rng.randrange(-bound, bound + 1),
+    the draw rng.randint(-bound, bound) makes, so the stream is randint's."""
+    lo, hi = -bound, bound + 1
     while True:
-        p = rng.randint(-bound, bound)
-        q = rng.randint(-bound, bound)
-        if (p, q) == (0, 0) or math.gcd(p, q) != 1:
-            continue
+        p = rng.randrange(lo, hi)
+        q = rng.randrange(lo, hi)
         if parity is not None and (p % 2, q % 2) != (parity.j, parity.k):
             continue
-        return Slope.of(p, q)
+        if math.gcd(p, q) == 1:  # gcd(0, 0) = 0 rejects 0/0 too
+            return Slope.of(p, q)
 
 
 def _second_rows(w: int, x: int, bound: int):
@@ -129,15 +140,28 @@ def brute_conjugate_to_meg_form(A: GL2Matrix, bound: int) -> GL2Matrix | None:
     """The first P in iter_unimodular order with P A P^-1 of the form
     (-1, 0; n, -1), if any; None is inconclusive, not a disproof.
 
-    For such a conjugate the first row of P A = B P reads (w, x)(A + I) = 0,
-    a linear test on (w, x): rows that fail it are skipped before any second
-    row is walked.  Every candidate still gets the full comparison.
+    For such a conjugate the first row of P A = B P reads (w, x)(A + I) = 0:
+    w(a + 1) + x b = 0 and w c + x(d + 1) = 0.  For each w the first
+    equation is solved rather than tested row by row: when b != 0 its one
+    solution is x = -w(a + 1)/b, kept if it is an integer in the box; when
+    b = 0 every x solves it if w(a + 1) = 0 and none does otherwise.  The
+    rows (w, x) that remain are the ones a test of every row would pass, in
+    the same order; each then meets the second equation and the gcd before
+    its second rows are walked, and every candidate gets the full
+    comparison.
     """
     if bound < 1:
         raise DomainError("conjugator bound must be >= 1")
-    for w in range(-bound, bound + 1):
-        for x in range(-bound, bound + 1):
-            if w * (A.a + 1) + x * A.b or w * A.c + x * (A.d + 1) or math.gcd(w, x) != 1:
+    a1, b, c, d1 = A.a + 1, A.b, A.c, A.d + 1
+    box = range(-bound, bound + 1)
+    for w in box:
+        if b:
+            x, rem = divmod(-w * a1, b)
+            rows = () if rem or abs(x) > bound else (x,)
+        else:
+            rows = () if w * a1 else box
+        for x in rows:
+            if w * c + x * d1 or math.gcd(w, x) != 1:
                 continue
             for y, z in _second_rows(w, x, bound):
                 m = _conjugated(A, w, x, y, z)
@@ -148,10 +172,14 @@ def brute_conjugate_to_meg_form(A: GL2Matrix, bound: int) -> GL2Matrix | None:
 
 def order_by_powers(A: GL2Matrix) -> ExtNat:
     """Multiplicative order by matrix powers: the reference for bundle.order.
-    Finite orders in GL(2, Z) are 1, 2, 3, 4, 6."""
-    for k in (1, 2, 3, 4, 6):
-        if A.power(k) == IDENTITY:
+    Finite orders in GL(2, Z) are 1, 2, 3, 4, 6; the powers A, A^2, ..., A^6
+    come from one running product, and A^5 is not tested."""
+    power = A
+    for k in range(1, 7):
+        if k != 5 and power == IDENTITY:
             return k
+        if k < 6:
+            power = power @ A
     return INF
 
 
@@ -258,15 +286,18 @@ class CheckResult:
 
 
 def check_grid_agreement(bound: int) -> CheckResult:
-    """Formula distance vs breadth-first search, all same-parity pairs in the box."""
+    """Formula distance vs breadth-first search, all same-parity pairs in the
+    box: the formula distances from each source come from one
+    distances_from call, the function distance itself is built on."""
     slopes = slopes_within(bound)
     adjacency = {s: neighbors_bounded(s, bound) for s in slopes}
     pairs = 0
     failures: list[str] = []
     for source in slopes:
-        for target, bfs_dist, _ in breadth_first(source, adjacency.__getitem__):
-            pairs += 1
-            formula = distance(source, target)
+        reached = list(breadth_first(source, adjacency.__getitem__))
+        pairs += len(reached)
+        formulas = distances_from(source, [target for target, _, _ in reached])
+        for (target, bfs_dist, _), formula in zip(reached, formulas):
             if formula != bfs_dist:
                 failures.append(f"d({source},{target}) formula {formula} != bfs {bfs_dist}")
     return CheckResult(
@@ -394,11 +425,13 @@ def check_semibundle(samples: int, seed: int) -> CheckResult:
     """Semi-bundle theorems on random gluings: meg always 2, all norms zero
     for odd or zero b, odd norm N(b, a) and mog = N(b, a) + 2 for b = 2 mod 4."""
     failures: list[str] = []
+    summary_of = functools.cache(semi_summary)  # one summary per distinct matrix
     for i in range(samples):
         A = random_glz(seed + i, i % 13)
-        if meg_semi(A) != 2:
+        s = summary_of(A)
+        if s.meg != 2:
             failures.append(f"meg({A}) != 2")
-        norms = norm_multiset_semi(A)
+        norms = list(s.norms)
         if A.b % 2 == 1 or A.b == 0:
             if any(norms):
                 failures.append(f"{A}: b = {A.b} but norms {norms}")
@@ -411,13 +444,13 @@ def check_semibundle(samples: int, seed: int) -> CheckResult:
         if A.b % 4 == 2:
             if value % 2 != 1:
                 failures.append(f"{A}: N({A.b},{A.a}) = {value} not odd")
-            if mog_semi(A) != value + 2:
-                failures.append(f"mog({A}) = {mog_semi(A)} != {value + 2}")
+            if s.mog != value + 2:
+                failures.append(f"mog({A}) = {s.mog} != {value + 2}")
         else:
             if value % 2 != 0:
                 failures.append(f"{A}: N({A.b},{A.a}) = {value} not even")
-            if mog_semi(A) != INF:
-                failures.append(f"mog({A}) = {mog_semi(A)} != inf")
+            if s.mog != INF:
+                failures.append(f"mog({A}) = {s.mog} != inf")
     return CheckResult(
         "semi-bundle theorems", f"{samples} gluings, {len(failures)} errors", failures
     )
@@ -507,16 +540,21 @@ def check_invariance(matrix_pairs: int, slope_tuples: int, seed: int) -> CheckRe
     action, and the four-point condition."""
     rng = random.Random(seed)
     failures: list[str] = []
+    # one summary per distinct matrix: A, its conjugate and its inverse often coincide
+    summary_of, semi_summary_of = functools.cache(summary), functools.cache(semi_summary)
     for _ in range(matrix_pairs):
         A = random_matrix(rng, 10)
         P = random_matrix(rng, 8)
         conj = P @ A @ P.inverse()
-        for other, label in ((conj, "conjugate"), (A.inverse(), "inverse")):
-            if norm_multiset_bundle(A) != norm_multiset_bundle(other):
+        inv = A.inverse()
+        base = summary_of(A)
+        for other, label in ((conj, "conjugate"), (inv, "inverse")):
+            s = summary_of(other)
+            if base.norms != s.norms:
                 failures.append(f"{label} norm multiset differs for {A}")
-            if mog_bundle(A) != mog_bundle(other) or meg_bundle(A) != meg_bundle(other):
+            if base.mog != s.mog or base.meg != s.meg:
                 failures.append(f"{label} mog/meg differs for {A}")
-            if classify_geometry(A) is not classify_geometry(other) or order(A) != order(other):
+            if base.geometry != s.geometry or order(A) != order(other):
                 failures.append(f"{label} geometry/order differs for {A}")
         for M in (A, P, conj):
             if order(M) != order_by_powers(M):
@@ -525,8 +563,8 @@ def check_invariance(matrix_pairs: int, slope_tuples: int, seed: int) -> CheckRe
                 failures.append(f"mod-2 permutation of {M} differs from its action")
         # semi-bundle data sees only the first column, so conjugation can
         # change it; inversion cannot (d = +-1/a mod b, a lens equivalence)
-        inv = A.inverse()
-        if norm_multiset_semi(A) != norm_multiset_semi(inv) or mog_semi(A) != mog_semi(inv):
+        semi, semi_inv = semi_summary_of(A), semi_summary_of(inv)
+        if semi.norms != semi_inv.norms or semi.mog != semi_inv.mog:
             failures.append(f"inverse semi data differs for {A}")
         perm = parity_permutation(P)
         for cls in ParityClass:

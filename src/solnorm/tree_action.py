@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 
 from .arith import INF, ExtNat, bredon_wood, ext_gcd
-from .curve_complex import GL2Matrix, ParityClass, Slope, distance, mat_act, parity_of
+from .curve_complex import GL2Matrix, ParityClass, Slope, distances_from, mat_act, parity_of
 from .errors import DomainError
 
 
@@ -96,9 +96,9 @@ def translation_length_orbit(
         raise DomainError(f"base vertex {v} is not in parity class {cls.label}")
     fv = mat_act(A, v)
     ffv = mat_act(A, fv)
-    d1 = distance(v, fv)
+    d1, d2 = distances_from(v, (fv, ffv))
     if ffv != v:
-        length = distance(v, ffv) - d1
+        length = d2 - d1
         action = ActionType.TRANSLATION if length > 0 else ActionType.ROTATION
     elif d1 % 2 == 1:
         length, action = 1, ActionType.INVERSION

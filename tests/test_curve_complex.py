@@ -243,6 +243,15 @@ class TestDistance:
         for u, v in pairs:
             assert distance(mat_act(A, u), mat_act(A, v)) == distance(u, v)
 
+    def test_distances_from_one_source(self):
+        slopes = oracle.slopes_within(6)
+        for source in slopes[::3]:
+            same = [t for t in slopes if parity_of(t) is parity_of(source)]
+            # geodesic builds its own frame, so its length checks the shared one
+            assert curve_complex.distances_from(source, same) == [len(geodesic(source, t)) - 1 for t in same]
+            assert curve_complex.distances_from(source, iter(slopes)) == [distance(source, t) for t in slopes]
+        assert curve_complex.distances_from(Slope(1, 0), ()) == []
+
     def test_triangle_inequality_sample(self):
         slopes = [Slope.of(p, q) for p in range(-9, 10) for q in range(0, 10)
                   if (p, q) != (0, 0) and math.gcd(p, q) == 1 and (q > 0 or p == 1)]

@@ -1,9 +1,13 @@
 """The brute-force oracles themselves: generators, conjugator search,
-four-point condition, geodesic search."""
+four-point condition, geodesic search, and the work the checks do."""
+
+import math
+import random
 
 import pytest
 
-from solnorm import Slope, geodesic, parity_of, parse_matrix
+from solnorm import INF, ParityClass, Slope, bundle, geodesic, oracle, parity_of, parse_matrix, semibundle
+from solnorm.bundle import PERIODIC_REPRESENTATIVES
 from solnorm.curve_complex import IDENTITY
 from solnorm.errors import DomainError
 from solnorm.oracle import (
@@ -11,7 +15,9 @@ from solnorm.oracle import (
     check_four_point,
     geodesic_by_search,
     iter_trace_minus_two,
+    order_by_powers,
     random_glz,
+    random_slope,
     slopes_within,
 )
 
@@ -27,6 +33,82 @@ class TestRandomMatrices:
         for i in range(1000):
             A = random_glz(i, 8)
             assert A.det() in (1, -1)
+
+
+def random_slope_by_randint(rng, bound, parity=None):
+    """random_slope as it was written with rng.randint: the stream reference."""
+    while True:
+        p = rng.randint(-bound, bound)
+        q = rng.randint(-bound, bound)
+        if (p, q) == (0, 0) or math.gcd(p, q) != 1:
+            continue
+        if parity is not None and (p % 2, q % 2) != (parity.j, parity.k):
+            continue
+        return Slope.of(p, q)
+
+
+def test_random_slope_keeps_the_randint_stream():
+    for seed in (0, 7, 106, 2026):
+        for bound in (1, 3, 25, 40):
+            for parity in (None, *ParityClass):
+                new, old = random.Random(seed), random.Random(seed)
+                drawn = [random_slope(new, bound, parity) for _ in range(40)]
+                assert drawn == [random_slope_by_randint(old, bound, parity) for _ in range(40)]
+                assert new.getstate() == old.getstate(), (seed, bound, parity)
+                if parity is not None:
+                    assert all(parity_of(s) is parity for s in drawn)
+
+
+def test_order_by_powers_matches_power():
+    def reference(A):
+        return next((k for k in (1, 2, 3, 4, 6) if A.power(k) == IDENTITY), INF)
+
+    rng = random.Random(1302)
+    words = [oracle.random_matrix(rng, 12) for _ in range(300)]
+    periodic = list(PERIODIC_REPRESENTATIVES.values())
+    for A in periodic + [P @ A @ P.inverse() for A in periodic for P in words[:20]] + words:
+        assert order_by_powers(A) == reference(A), A
+    assert {order_by_powers(A) for A in periodic} == {1, 2, 3, 4, 6}
+
+
+def count_summaries(monkeypatch, module, name_in_oracle):
+    """Route every call of module.summary, the one oracle binds included,
+    through a recorder; returns the list of matrices summarized."""
+    seen = []
+    plain = module.summary
+
+    def recording(A):
+        seen.append(A)
+        return plain(A)
+
+    monkeypatch.setattr(module, "summary", recording)
+    monkeypatch.setattr(oracle, name_in_oracle, recording)
+    return seen
+
+
+def test_invariance_check_builds_one_summary_per_matrix(monkeypatch):
+    bundles = count_summaries(monkeypatch, bundle, "summary")
+    semis = count_summaries(monkeypatch, semibundle, "semi_summary")
+    pairs, seed = 20, 1303
+    assert oracle.check_invariance(pairs, 0, seed=seed).passed
+    rng = random.Random(seed)  # the check's own draws: with no slope tuples, two per pair
+    triples = []
+    for _ in range(pairs):
+        A, P = oracle.random_matrix(rng, 10), oracle.random_matrix(rng, 8)
+        triples.append((A, P @ A @ P.inverse(), A.inverse()))
+    distinct = {M for triple in triples for M in triple}
+    assert len(distinct) < 3 * pairs  # the seed has coinciding matrices
+    assert sorted(bundles, key=str) == sorted(distinct, key=str)
+    assert sorted(semis, key=str) == sorted({M for A, _, inv in triples for M in (A, inv)}, key=str)
+
+
+def test_semibundle_check_builds_one_summary_per_matrix(monkeypatch):
+    semis = count_summaries(monkeypatch, semibundle, "semi_summary")
+    samples, seed = 60, 1304
+    assert oracle.check_semibundle(samples, seed=seed).passed
+    gluings = [random_glz(seed + i, i % 13) for i in range(samples)]
+    assert len(set(gluings)) < samples  # the empty word recurs every 13 samples
+    assert sorted(semis, key=str) == sorted(set(gluings), key=str)
 
 
 class TestBruteConjugate:
