@@ -22,7 +22,14 @@ import enum
 from dataclasses import dataclass
 
 from .arith import INF, ExtNat, is_finite
-from .curve_complex import GL2Matrix, ParityClass, geodesic, mat_act
+from .curve_complex import (
+    GL2Matrix,
+    PARITY_BY_BITS,
+    PARITY_CLASSES,
+    ParityClass,
+    geodesic,
+    mat_act,
+)
 from .errors import DomainError
 from .reports import (
     DEFAULT_CERTIFICATE_CAP,
@@ -56,16 +63,19 @@ class BundleClass:
             raise DomainError(f"class coordinates must be bits: {(self.t, self.j, self.k)}")
 
     def parity(self) -> ParityClass | None:
-        if (self.j, self.k) == (0, 0):
-            return None
-        return ParityClass((self.j, self.k))
+        """The parity class (j, k) names; None for (0, 0), which names none."""
+        return PARITY_BY_BITS.get((self.j, self.k))
 
 
 @dataclass(frozen=True)
 class H2Structure:
+    """One case of the table: valid_jk holds (0, 0) and the (j, k) of each
+    class A mod 2 fixes, and classes those fixed classes in (j, k) order."""
+
     case_label: str
     valid_jk: frozenset[tuple[int, int]]
     generators: tuple[str, ...]
+    classes: tuple[ParityClass, ...]
     identification: str | None = None
 
     @property
@@ -78,25 +88,20 @@ def _h2_case(
 ) -> H2Structure:
     """The H2 case of every matrix congruent to bits mod 2, which permutes
     the parity classes by perm."""
-    fixed = [cls for cls in ParityClass if perm[cls] is cls]
+    fixed = [cls for cls in PARITY_CLASSES if perm[cls] is cls]
+    identification = None
     if len(fixed) == 3:
-        return H2Structure(
-            case_label="identity",
-            valid_jk=frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}),
-            generators=("tau", "F[0/1]", "F[1/0]"),
-            identification="F[1/1] = F[0/1] + F[1/0]",
-        )
-    if len(fixed) == 1:
-        cls = fixed[0]
-        return H2Structure(
-            case_label=f"fixes {cls.label}",
-            valid_jk=frozenset({(0, 0), (cls.j, cls.k)}),
-            generators=("tau", f"F[{cls.label}]"),
-        )
-    # a 3-cycle fixes nothing; a transposition always fixes exactly one class
-    if fixed:
+        case_label, generators = "identity", ("tau", "F[0/1]", "F[1/0]")
+        identification = "F[1/1] = F[0/1] + F[1/0]"
+    elif len(fixed) == 1:
+        case_label, generators = f"fixes {fixed[0].label}", ("tau", f"F[{fixed[0].label}]")
+    elif not fixed:
+        case_label, generators = "3-cycle", ("tau",)
+    else:  # a transposition always fixes exactly one class
         raise AssertionError(f"{GL2Matrix(*bits)} mod 2 fixes {len(fixed)} parity classes")
-    return H2Structure(case_label="3-cycle", valid_jk=frozenset({(0, 0)}), generators=("tau",))
+    classes = tuple(sorted(fixed, key=lambda cls: (cls.j, cls.k)))
+    valid_jk = frozenset([(0, 0)] + [(cls.j, cls.k) for cls in classes])
+    return H2Structure(case_label, valid_jk, generators, classes, identification)
 
 
 # The case of each of the six invertible matrices mod 2, read off its
@@ -184,13 +189,13 @@ def summary(A: GL2Matrix) -> Summary:
     structure = h2_structure(A)
     lengths = translation_lengths(A)
     norms = [0, 0]  # the zero class and tau
-    for j, k in structure.valid_jk - {(0, 0)}:
-        parity = ParityClass((j, k))
-        if not is_finite(lengths[parity]):
+    for parity in structure.classes:
+        length = lengths[parity]
+        if not is_finite(length):
             raise AssertionError(
                 f"infinite translation length of {A} on fixed class {parity.label}"
             )
-        norms += (int(lengths[parity]),) * 2  # the class and its tau-translate
+        norms += (int(length),) * 2  # the class and its tau-translate
     # mog: 2 + the smallest odd translation length, or infinity if none is odd
     odd = [l for l in lengths.values() if is_finite(l) and l % 2 == 1]
     return Summary(
@@ -205,10 +210,10 @@ def norm_table(A: GL2Matrix, s: Summary, cap: int) -> list[NormReport]:
     than cap are elided."""
     norms = {(0, 0): 0}
     class_realizer = {(0, 0): []}  # the zero class needs no surface
-    for j, k in sorted(s.h2.valid_jk - {(0, 0)}):
-        parity = ParityClass((j, k))
-        norms[(j, k)] = int(s.lengths[parity])  # finite: summary checked it
-        class_realizer[(j, k)] = [_realizer(A, parity, norms[(j, k)], cap)]
+    for parity in s.h2.classes:
+        jk = (parity.j, parity.k)
+        norms[jk] = int(s.lengths[parity])  # finite: summary checked it
+        class_realizer[jk] = [_realizer(A, parity, norms[jk], cap)]
     table = []
     derived = s.h2.identification is not None
     for t in (0, 1):

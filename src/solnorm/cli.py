@@ -20,7 +20,7 @@ from . import bundle, semibundle
 from .arith import bredon_wood, extnat_json, fmt_extnat
 from .curve_complex import (
     GL2Matrix,
-    ParityClass,
+    PARITY_CLASSES,
     distance,
     export_dot,
     geodesic,
@@ -53,7 +53,8 @@ def _report(kind: str, A: GL2Matrix, cap: int) -> tuple[dict, list[NormReport]]:
         h2["case"] = s.h2.case_label
         if s.h2.identification:
             h2["identification"] = s.h2.identification
-        doc["translation_lengths"] = {cls.label: extnat_json(s.lengths[cls]) for cls in ParityClass}
+        lengths = {cls.label: extnat_json(s.lengths[cls]) for cls in PARITY_CLASSES}
+        doc["translation_lengths"] = lengths
     doc["mog"], doc["meg"] = extnat_json(s.mog), s.meg
     return doc, module.norm_table(A, s, cap)
 

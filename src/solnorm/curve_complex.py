@@ -91,7 +91,12 @@ def parse_int(cell: str, message: str) -> int:
     try:
         return int(cell)
     except ValueError as err:  # only the int-digit limit is left to fail
-        raise ParseError(f"integer entry over Python's int-digit limit: {err}") from None
+        raise _entry_over_digit_limit(err) from None
+
+
+def _entry_over_digit_limit(err: ValueError) -> ParseError:
+    """The error for an input entry that int() refused: err is its ValueError."""
+    return ParseError(f"integer entry over Python's int-digit limit: {err}")
 
 
 def _over_digit_limit(what: str, err: ValueError) -> DomainError:
@@ -124,7 +129,12 @@ class ParityClass(enum.Enum):
 
     Each member holds j, k, its label "j/k" and its base vertex, the
     representative slope j/k used as the default orbit base point.  Members
-    are singletons that compare by identity, so they hash by identity too."""
+    are singletons that compare by identity, so they hash by identity too.
+
+    Code that runs per matrix or per slope iterates the tuple PARITY_CLASSES
+    and looks a class up in PARITY_BY_BITS: iterating the enum or calling
+    ParityClass((j, k)) goes through the enum machinery, several times the
+    cost of a tuple or a dict."""
 
     ONE_ZERO = (1, 0)
     ZERO_ONE = (0, 1)
@@ -139,11 +149,13 @@ class ParityClass(enum.Enum):
     __hash__ = object.__hash__
 
 
-_PARITY_BY_BITS = {cls.value: cls for cls in ParityClass}
+# The members in definition order, and each member keyed by its (j, k).
+PARITY_CLASSES = tuple(ParityClass)
+PARITY_BY_BITS = {cls.value: cls for cls in PARITY_CLASSES}
 
 
 def parity_of(s: Slope) -> ParityClass:
-    return _PARITY_BY_BITS[s.p % 2, s.q % 2]
+    return PARITY_BY_BITS[s.p % 2, s.q % 2]
 
 
 @dataclass(frozen=True)
@@ -206,8 +218,34 @@ class GL2Matrix:
 IDENTITY = GL2Matrix(1, 0, 0, 1)
 
 
+# The grammar of parse_matrix's cell-by-cell parse in one pattern: four
+# parse_int cells separated by ",", ";" and ",".  \s matches exactly the
+# characters str.strip removes.
+_CELL = rf"\s*({_INTEGER.pattern})\s*"
+_MATRIX = re.compile(f"{_CELL},{_CELL};{_CELL},{_CELL}")
+
+
 def parse_matrix(text: str) -> GL2Matrix:
-    """Parse the row-major "a,c;b,d" format."""
+    """Parse the row-major "a,c;b,d" format.
+
+    Well-formed text fullmatches one compiled pattern and its four groups
+    go to int().  Text the pattern refuses is parsed again cell by cell,
+    row split on ";" and cell split on ",", and that parse raises the
+    ParseError naming the first thing wrong; the two accept the same text."""
+    match = _MATRIX.fullmatch(text)
+    if match is None:
+        return _parse_matrix_cells(text)
+    try:
+        a, c, b, d = map(int, match.groups())
+    except ValueError as err:  # only the int-digit limit is left to fail
+        raise _entry_over_digit_limit(err) from None
+    # outside the try: the determinant's DomainError is a ValueError too
+    return GL2Matrix(a, c, b, d)
+
+
+def _parse_matrix_cells(text: str) -> GL2Matrix:
+    """parse_matrix one cell at a time, with an error message for each way
+    the text can be malformed."""
     rows = text.strip().split(";")
     if len(rows) != 2:
         raise ParseError(f"expected 'a,c;b,d', got {text!r}")
@@ -331,10 +369,10 @@ def distance_bfs(s1: Slope, s2: Slope, bound: int) -> ExtNat | str:
 
 def _walk(
     ga: int, gc: int, gb: int, gd: int, tp: int, tq: int, steps: int
-) -> Iterator[tuple[int, int]]:
+) -> list[tuple[int, int]]:
     """At most steps moves of the frame G = [[ga, gc], [gb, gd]] toward the
-    target T = tp/tq, yielding G(0/1) = (gc, gd) after each, with either
-    sign.  The walk stops early at T = 0/1, where it has arrived.
+    target T = tp/tq, as the list of G(0/1) = (gc, gd) after each, with
+    either sign.  The walk stops early at T = 0/1, where it has arrived.
 
     The neighbors of 0/1 are the slopes 2s/n with n odd and s = +-1, and
     the branch at 2s/n holds the slopes strictly between 1/((n+1)/2) and
@@ -344,9 +382,10 @@ def _walk(
     Each step is a bounded number of big-integer operations, so a walk
     costs O(#continued-fraction terms + path length) of them, whatever the
     size of the partial quotients."""
+    pairs = []
     for _ in range(steps):
         if not tp:
-            return
+            break
         if tq < 0:
             tp, tq = -tp, -tq
         s = 1 if tp > 0 else -1
@@ -355,7 +394,8 @@ def _walk(
         m = s * (n - 1) // 2
         ga, gc, gb, gd = ga + gc * m, 2 * s * ga + gc * n, gb + gd * m, 2 * s * gb + gd * n
         tp, tq = n * tp - 2 * s * tq, tq - m * tp
-        yield gc, gd
+        pairs.append((gc, gd))
+    return pairs
 
 
 def geodesic(s1: Slope, s2: Slope) -> list[Slope]:
@@ -366,28 +406,29 @@ def geodesic(s1: Slope, s2: Slope) -> list[Slope]:
     T = G^-1(s2): distance(s1, s2) = N(T), finite only when the numerator
     of T is even.
 
-    Each vertex the walk proposes is checked as it is built: it must have
-    intersection number 2 with the previous vertex and the parity of s1.
-    The first makes its gcd divide 2, the second makes one entry odd, so
-    the pair is reduced and becomes a Slope without another gcd.  At the
-    end the path must have N(T) edges and end at s2: in a tree, those
-    facts make it the geodesic.
+    One loop over the list _walk returns checks each vertex and builds it:
+    it must have intersection number 2 with the previous vertex and the
+    parity of s1.  The first makes its gcd divide 2, the second makes one
+    entry odd, so the pair is reduced and becomes a Slope without another
+    gcd (the body of Slope._trusted, inlined).  At the end the path must
+    have N(T) edges and end at s2: in a tree, those facts make it the
+    geodesic.
     """
     _, x, y = ext_gcd(s1.p, s1.q)
     tp, tq = s1.q * s2.p - s1.p * s2.q, x * s2.p + y * s2.q
     dist = bredon_wood(tp, tq)  # distance(s1, s2): N ignores the sign of tp
     if dist == INF:
         raise DomainError(f"infinite distance: {s1} and {s2} lie in different parity classes")
-    pp, pq = s1.p, s1.q
+    pp, pq = s1
     parity = (pp & 1, pq & 1)
-    trusted = Slope._trusted
+    new = tuple.__new__
     path = [s1]
     for cp, cq in _walk(y, pp, -x, pq, tp, tq, dist):
         if cq < 0 or (cq == 0 and cp < 0):
             cp, cq = -cp, -cq
         if abs(pp * cq - cp * pq) != 2 or (cp & 1, cq & 1) != parity:
             raise AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
-        path.append(trusted(cp, cq))
+        path.append(new(Slope, (cp, cq)))
         pp, pq = cp, cq
     if len(path) != dist + 1 or path[-1] != s2:
         raise AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")

@@ -37,6 +37,7 @@ from .bundle import (
 from .curve_complex import (
     GL2Matrix,
     IDENTITY,
+    PARITY_CLASSES,
     ParityClass,
     Slope,
     _family_range,
@@ -187,7 +188,7 @@ def parity_permutation_by_action(A: GL2Matrix) -> dict[ParityClass, ParityClass]
     """The permutation of the parity classes read off the images of their
     base vertices: the reference for tree_action.parity_permutation."""
     perm = {}
-    for cls in ParityClass:
+    for cls in PARITY_CLASSES:
         image = mat_act(A, cls.base_vertex)
         perm[cls] = parity_of(image)
     return perm
@@ -359,7 +360,7 @@ def check_closed_vs_orbit(n_matrices: int, max_word: int, alt_vertices: int, see
     comparisons = 0
     for i in range(n_matrices):
         A = random_glz(seed + i, i % (max_word + 1))
-        for cls in ParityClass:
+        for cls in PARITY_CLASSES:
             closed = translation_length_closed(A, cls)
             data = translation_length_orbit(A, cls)
             comparisons += 1
@@ -515,7 +516,7 @@ def check_geodesics(samples: int, coeff_bound: int, seed: int) -> CheckResult:
     rng = random.Random(seed)
     failures: list[str] = []
     for _ in range(samples):
-        cls = rng.choice(list(ParityClass))
+        cls = rng.choice(PARITY_CLASSES)
         s1 = random_slope(rng, coeff_bound, parity=cls)
         s2 = random_slope(rng, coeff_bound, parity=cls)
         path = geodesic(s1, s2)
@@ -567,11 +568,11 @@ def check_invariance(matrix_pairs: int, slope_tuples: int, seed: int) -> CheckRe
         if semi.norms != semi_inv.norms or semi.mog != semi_inv.mog:
             failures.append(f"inverse semi data differs for {A}")
         perm = parity_permutation(P)
-        for cls in ParityClass:
+        for cls in PARITY_CLASSES:
             if translation_length_closed(A, cls) != translation_length_closed(conj, perm[cls]):
                 failures.append(f"conjugation does not permute lengths for {A} on {cls.label}")
     for _ in range(slope_tuples):
-        cls = rng.choice(list(ParityClass))
+        cls = rng.choice(PARITY_CLASSES)
         quad = tuple(random_slope(rng, 25, parity=cls) for _ in range(4))
         if not check_four_point(quad):
             failures.append(f"four-point fails on {quad}")

@@ -80,6 +80,12 @@ class SurfaceDescription:
         show them."""
         return tuple(map(str, self.certificate))
 
+    @cached_property
+    def certificate_line(self) -> str:
+        """The certificate as the text report's "p/q -> ... -> p/q", joined
+        once however many rows show it."""
+        return " -> ".join(self.slope_texts)
+
     def describe(self) -> str:
         if self.kind == KIND_SUM:
             return " + ".join(piece.describe() for piece in self.pieces)
@@ -95,7 +101,7 @@ class SurfaceDescription:
             if desc.certificate_elided:
                 texts.append("(elided)")
             elif desc.certificate:
-                texts.append(" -> ".join(desc.slope_texts))
+                texts.append(desc.certificate_line)
         return "; ".join(texts) if texts else None
 
     def to_json(self) -> dict:

@@ -25,7 +25,16 @@ import itertools
 from dataclasses import dataclass
 
 from .arith import INF, ExtNat, bredon_wood, ext_gcd
-from .curve_complex import GL2Matrix, ParityClass, Slope, distances_from, mat_act, parity_of
+from .curve_complex import (
+    GL2Matrix,
+    PARITY_BY_BITS,
+    PARITY_CLASSES,
+    ParityClass,
+    Slope,
+    distances_from,
+    mat_act,
+    parity_of,
+)
 from .errors import DomainError
 
 
@@ -60,8 +69,8 @@ class TranslationData:
 # b*j + d*k).  Callers read the table and never change it.
 MOD2_PERMUTATIONS = {
     (a, c, b, d): {
-        cls: ParityClass(((a * cls.j + c * cls.k) % 2, (b * cls.j + d * cls.k) % 2))
-        for cls in ParityClass
+        cls: PARITY_BY_BITS[(a * cls.j + c * cls.k) % 2, (b * cls.j + d * cls.k) % 2]
+        for cls in PARITY_CLASSES
     }
     for a, c, b, d in itertools.product((0, 1), repeat=4)
     if (a * d - b * c) % 2
@@ -109,7 +118,7 @@ def translation_length_orbit(
 
 # Each class's base vertex j/k with the ext_gcd cofactors (x, y),
 # j*x + k*y = 1, that distance uses: d(j/k, p/q) = N(j*q - k*p, p*x + q*y).
-_BASE_FRAMES = {cls: (cls.j, cls.k, *ext_gcd(cls.j, cls.k)[1:]) for cls in ParityClass}
+_BASE_FRAMES = {cls: (cls.j, cls.k, *ext_gcd(cls.j, cls.k)[1:]) for cls in PARITY_CLASSES}
 
 
 def translation_length_closed(A: GL2Matrix, cls: ParityClass) -> ExtNat:
@@ -133,4 +142,4 @@ def translation_length_closed(A: GL2Matrix, cls: ParityClass) -> ExtNat:
 
 def translation_lengths(A: GL2Matrix) -> dict[ParityClass, ExtNat]:
     """Closed-form lengths for all three parity classes."""
-    return {cls: translation_length_closed(A, cls) for cls in ParityClass}
+    return {cls: translation_length_closed(A, cls) for cls in PARITY_CLASSES}

@@ -46,6 +46,7 @@ from solnorm.reports import (
     KIND_TORUS_FIBER,
 )
 from solnorm.tree_action import (
+    MOD2_PERMUTATIONS,
     fixes_class,
     parity_permutation,
     translation_length_orbit,
@@ -70,6 +71,17 @@ class TestH2Structure:
         structure = h2_structure(parse_matrix("0,1;1,0"))
         assert structure.valid_jk == {(0, 0), (1, 1)}
         assert structure.order == 4
+
+    def test_each_case_lists_its_fixed_classes(self):
+        # classes holds the fixed classes in the order of sorted(valid_jk),
+        # and the mod-2 permutation fixes each of them
+        assert len(MOD2_PERMUTATIONS) == 6
+        for bits, perm in MOD2_PERMUTATIONS.items():
+            structure = h2_structure(GL2Matrix(*bits))
+            jks = sorted(structure.valid_jk - {(0, 0)})
+            assert structure.classes == tuple(ParityClass(jk) for jk in jks), bits
+            assert all(perm[cls] is cls for cls in structure.classes), bits
+            assert len(structure.classes) == sum(perm[cls] is cls for cls in ParityClass), bits
 
     def test_all_six_mod2_types(self):
         cases = {

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -25,7 +26,7 @@ from solnorm import (
     parse_slope,
 )
 from solnorm import curve_complex, oracle
-from solnorm.curve_complex import IDENTITY, breadth_first
+from solnorm.curve_complex import IDENTITY, PARITY_BY_BITS, PARITY_CLASSES, breadth_first
 from solnorm.errors import DomainError, ParseError
 
 
@@ -52,6 +53,61 @@ coprime_pairs = st.tuples(st.integers(-200, 200), st.integers(-200, 200)).filter
 even_slopes = coprime_pairs.filter(lambda pq: pq[0] % 2 == 0).map(lambda pq: Slope.of(*pq))
 
 W = GL2Matrix(5, 2, 2, 1)
+
+_ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def split_loop_parse(text: str) -> GL2Matrix:
+    """parse_matrix as it was before its one-pattern fast path: split on
+    ";" and ",", then strip and check each cell."""
+    rows = text.strip().split(";")
+    if len(rows) != 2:
+        raise ParseError(f"expected 'a,c;b,d', got {text!r}")
+    entries = []
+    for row in rows:
+        cells = row.split(",")
+        if len(cells) != 2:
+            raise ParseError(f"expected two entries per row, got {row!r}")
+        for cell in cells:
+            message = f"expected integer entry, got {cell!r}"
+            cell = cell.strip()
+            if not _ASCII_INTEGER.fullmatch(cell):
+                raise ParseError(message)
+            try:
+                entries.append(int(cell))
+            except ValueError as err:
+                raise ParseError(f"integer entry over Python's int-digit limit: {err}") from None
+    return GL2Matrix(*entries)
+
+
+def outcome(parse, text):
+    """The matrix parse returns, or the class and message of what it raises."""
+    try:
+        return parse(text)
+    except (ParseError, DomainError) as err:
+        return type(err), str(err)
+
+
+# Digits, the separators and signs, ASCII and other whitespace (NBSP, em
+# space), a non-ASCII digit and the underscore int() accepts, and integers
+# just over the int-digit limit.
+_OVER_LIMIT = sys.get_int_max_str_digits() + 1
+_PIECES = st.sampled_from(list("0123456789+-,; \t\u00a0\u2003\u0668_")) | st.sampled_from(
+    ["9" * _OVER_LIMIT, "1" + "0" * _OVER_LIMIT, "-" + "7" * _OVER_LIMIT]
+)
+_SPACE = st.text(alphabet=" \t\u00a0\u2003", max_size=2)
+_BODY = st.text(alphabet="0123456789", min_size=1, max_size=3) | st.lists(_PIECES, max_size=3).map(
+    "".join
+)
+_CELL = st.tuples(_SPACE, st.sampled_from(["", "+", "-", "+-"]), _BODY, _SPACE).map("".join)
+# free text; four cells in the format; four cells with drawn separators
+matrix_texts = (
+    st.lists(_PIECES, max_size=12).map("".join)
+    | st.tuples(_CELL, _CELL, _CELL, _CELL).map(lambda c: f"{c[0]},{c[1]};{c[2]},{c[3]}")
+    | st.tuples(
+        _CELL, st.sampled_from(",;"), _CELL, st.sampled_from(";,"), _CELL, st.sampled_from(",;"), _CELL
+    ).map("".join)
+)
 
 
 class TestSlope:
@@ -167,6 +223,19 @@ class TestMatrix:
             with pytest.raises(ParseError):
                 parse_matrix(text)
 
+    @given(matrix_texts)
+    @example("1,0;0,1")
+    @example(" +1 ,\t-0; 0 ,1\u2003")
+    @example("2,1;1,1")  # determinant 1
+    @example("2,0;0,1")  # DomainError, not a ParseError
+    @example("1,0;\u0668,1")
+    @example("1,0;1_0,1")
+    @example("1,0;0,1" + "\u00a0")
+    @example("1,0;0," + "9" * _OVER_LIMIT)
+    @example("9" * _OVER_LIMIT + ",0;x,1")  # the malformed cell comes later
+    def test_parse_agrees_with_the_split_loop(self, text):
+        assert outcome(parse_matrix, text) == outcome(split_loop_parse, text)
+
     def test_inverse_and_product(self):
         A = parse_matrix("2,1;1,1")
         assert A @ A.inverse() == IDENTITY
@@ -204,6 +273,11 @@ class TestIntersectionAndAction:
         assert parity_of(Slope(2, 1)) is ParityClass.ZERO_ONE
         assert parity_of(Slope(1, 0)) is ParityClass.ONE_ZERO
         assert parity_of(Slope(3, 5)) is ParityClass.ONE_ONE
+
+    def test_parity_tables(self):
+        # the tables hold the enum's members, in its order
+        assert PARITY_CLASSES == tuple(ParityClass)
+        assert PARITY_BY_BITS == {cls.value: cls for cls in ParityClass}
 
     @given(coprime_pairs, coprime_pairs)
     def test_action_preserves_intersection(self, pq1, pq2):
@@ -293,6 +367,16 @@ class TestNeighbors:
             assert sorted(got) == sorted(brute)
 
 
+# Walks _walk could be forged to return from 0/1 toward 4/3, d(0/1, 4/3) = 2.
+FORGED_WALKS = [
+    [(2, 2), (4, 3)],  # intersection numbers 2, but 2/2 is not a slope
+    [(2, 3), (4, 3)],  # reduced, right parity, but 2/3 and 4/3 meet 6 times
+    [(2, 1), (4, 3), (2, 1)],  # one step too many
+    [(2, 1)],  # stops short of 4/3
+    [(2, 1), (-4, 3)],  # ends at the wrong vertex
+]
+
+
 class TestBfsAndGeodesic:
     def test_direct_edge(self):
         assert distance_bfs(Slope(0, 1), Slope(2, 1), 5) == 1
@@ -356,6 +440,20 @@ class TestBfsAndGeodesic:
             assert Slope.of(v.p, v.q) == v and math.gcd(v.p, v.q) == 1
             assert hash(v) == hash(Slope(v.p, v.q))
 
+    @given(unimodular, even_slopes)
+    @example(IDENTITY, Slope(0, 1))  # no step to take
+    @example(W.power(300), mat_act(W.power(-600), Slope(0, 1)))
+    def test_walk_returns_the_path_and_stops_at_the_target(self, A, t):
+        # _walk gets five steps more than the distance and must stop after
+        # exactly d, one pair per vertex past s1, in path order
+        s1, s2 = mat_act(A, Slope(0, 1)), mat_act(A, t)
+        _, x, y = ext_gcd(s1.p, s1.q)
+        tp, tq = s1.q * s2.p - s1.p * s2.q, x * s2.p + y * s2.q
+        d = bredon_wood(tp, tq)
+        pairs = curve_complex._walk(y, s1.p, -x, s1.q, tp, tq, d + 5)
+        assert type(pairs) is list and len(pairs) == d == distance(s1, s2)
+        assert [Slope.of(p, q) for p, q in pairs] == geodesic(s1, s2)[1:]
+
     @pytest.mark.parametrize("extra", [-1, 1, 2])
     def test_walk_of_the_wrong_length_raises(self, monkeypatch, extra):
         # the walk stops where T = 0/1, so a longer one cannot reach N(T) + 1 vertices
@@ -363,19 +461,17 @@ class TestBfsAndGeodesic:
         with pytest.raises(AssertionError, match="left the tree path"):
             geodesic(Slope(1, 0), Slope(1, 8))
 
-    @pytest.mark.parametrize(
-        "vertices",
-        [
-            [(2, 2), (4, 3)],  # intersection numbers 2, but 2/2 is not a slope
-            [(2, 3), (4, 3)],  # reduced, right parity, but 2/3 and 4/3 meet 6 times
-            [(2, 1), (4, 3), (2, 1)],  # one step too many
-            [(2, 1)],  # stops short of 4/3
-            [(2, 1), (-4, 3)],  # ends at the wrong vertex
-        ],
-    )
+    @pytest.mark.parametrize("vertices", FORGED_WALKS)
     def test_forged_walks_are_refused(self, monkeypatch, vertices):
         # geodesic checks every vertex _walk proposes; d(0/1, 4/3) = 2
         monkeypatch.setattr(curve_complex, "_walk", lambda *args: iter(vertices))
+        with pytest.raises(AssertionError, match="left the tree path"):
+            geodesic(Slope(0, 1), Slope(4, 3))
+
+    @pytest.mark.parametrize("vertices", FORGED_WALKS)
+    def test_forged_walk_lists_are_refused(self, monkeypatch, vertices):
+        # the same walks returned as lists, as _walk returns them
+        monkeypatch.setattr(curve_complex, "_walk", lambda *args: list(vertices))
         with pytest.raises(AssertionError, match="left the tree path"):
             geodesic(Slope(0, 1), Slope(4, 3))
 

@@ -182,6 +182,42 @@ def test_no_assert_statements_in_src():
     assert not found
 
 
+def test_no_parity_enum_machinery_in_function_bodies():
+    # iterating ParityClass or calling ParityClass(...) goes through the enum
+    # machinery; code that runs per matrix or per slope reads PARITY_CLASSES
+    # and PARITY_BY_BITS instead, and only module-level tables may do either
+    def is_enum(node):
+        return isinstance(node, ast.Name) and node.id == "ParityClass"
+
+    def uses_enum(node):
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            return is_enum(node.iter)  # for cls in ParityClass
+        if isinstance(node, ast.Starred):
+            return is_enum(node.value)  # *ParityClass
+        if isinstance(node, ast.Compare):
+            return any(is_enum(right) for right in node.comparators)  # x in ParityClass
+        if isinstance(node, ast.Call):  # ParityClass(bits), list(ParityClass), ...
+            type_test = isinstance(node.func, ast.Name) and node.func.id in ("isinstance", "issubclass")
+            return is_enum(node.func) or not type_test and any(map(is_enum, node.args))
+        return False
+
+    found = []
+    for path in sorted((SRC / "solnorm").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = function.body
+            elif isinstance(function, ast.Lambda):
+                body = [function.body]
+            else:
+                continue
+            found += [
+                f"{path.name}:{getattr(function, 'name', 'lambda')}"
+                for stmt in body for node in ast.walk(stmt) if uses_enum(node)
+            ]
+    assert not found
+
+
 def test_reports_under_python_optimize():
     # two bundle cases (one with an off-axis certificate) and one semibundle
     # case, each as text and JSON, must match its recorded block with the

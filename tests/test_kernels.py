@@ -16,11 +16,19 @@ SMALL = [GL2Matrix(*m) for m in oracle.iter_unimodular(4)]  # the 360 with entri
 
 
 def first_hit(A, accept, bound):
-    """The first P of iter_unimodular(bound) with accept(P A P^-1)."""
+    """The first P = (w, x; y, z) of iter_unimodular(bound) with accept(M),
+    where M = P A P^-1 as the tuple (a, c, b, d), on plain integers."""
+    a, c, b, d = A.a, A.c, A.b, A.d
     for w, x, y, z in oracle.iter_unimodular(bound):
-        P = GL2Matrix(w, x, y, z)
-        if accept(P @ A @ P.inverse()):
-            return P
+        e = w * z - x * y  # +-1, so P^-1 = e * (z, -x; -y, w)
+        M = (
+            e * (z * (w * a + x * b) - y * (w * c + x * d)),
+            e * (w * (w * c + x * d) - x * (w * a + x * b)),
+            e * (z * (y * a + z * b) - y * (y * c + z * d)),
+            e * (w * (y * c + z * d) - x * (y * a + z * b)),
+        )
+        if accept(M):
+            return GL2Matrix(w, x, y, z)
     return None
 
 
@@ -40,7 +48,8 @@ def test_unimodular_enumeration_is_complete():
 
 
 def meg_form(M):
-    return (M.a, M.c, M.d) == (-1, 0, -1)
+    a, c, _, d = M
+    return a == -1 and c == 0 and d == -1
 
 
 def test_meg_scan_returns_the_first_hit():
