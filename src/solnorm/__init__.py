@@ -7,6 +7,12 @@ genus of embeddable non-orientable closed surfaces, and geodesic
 certificates in the intersection-number-2 curve complex of the torus.  All
 arithmetic is exact; every closed form is backed by an independent
 brute-force oracle (see solnorm.oracle and the `solnorm verify` subcommand).
+
+Each kind has one report API.  bundle.summary(A) and semibundle.summary(A)
+give every invariant a report states: the H2 case, the sorted norms, mog,
+meg and, for bundles, the geometry and the translation lengths.
+norm_table(A, summary(A), cap) in the same module adds the realizing
+surfaces.  z2_norm_bundle and z2_norm_semi give the norm of one class.
 """
 
 from .arith import INF, ExtNat, bredon_wood, ext_gcd
@@ -16,9 +22,6 @@ from .bundle import (
     classify_geometry,
     h2_structure,
     meg_bundle,
-    mog_bundle,
-    norm_multiset_bundle,
-    norm_table_bundle,
     order,
     periodic_class,
     z2_norm_bundle,
@@ -41,11 +44,6 @@ from .curve_complex import (
 from .errors import DomainError, ParseError
 from .semibundle import (
     SemiBundleClass,
-    h2_structure_semi,
-    meg_semi,
-    mog_semi,
-    norm_multiset_semi,
-    norm_table_semi,
     z2_norm_semi,
 )
 from .tree_action import (
@@ -80,18 +78,10 @@ __all__ = [
     "ext_gcd",
     "geodesic",
     "h2_structure",
-    "h2_structure_semi",
     "intersection_number",
     "mat_act",
     "meg_bundle",
-    "meg_semi",
-    "mog_bundle",
-    "mog_semi",
     "neighbors_bounded",
-    "norm_multiset_bundle",
-    "norm_multiset_semi",
-    "norm_table_bundle",
-    "norm_table_semi",
     "order",
     "parity_of",
     "parity_permutation",

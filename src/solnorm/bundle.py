@@ -32,7 +32,6 @@ from .curve_complex import (
 )
 from .errors import DomainError
 from .reports import (
-    DEFAULT_CERTIFICATE_CAP,
     KLEIN_BOTTLE,
     TORUS,
     TORUS_FIBER,
@@ -125,7 +124,7 @@ def z2_norm_bundle(A: GL2Matrix, cls: BundleClass) -> int:
             f"class (j, k) = {(cls.j, cls.k)} does not exist in H2 for {A}; valid: {valid}"
         )
     parity = cls.parity()
-    return 0 if parity is None else int(s.lengths[parity])
+    return 0 if parity is None else s.lengths[parity]
 
 
 def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> SurfaceDescription:
@@ -195,7 +194,7 @@ def summary(A: GL2Matrix) -> Summary:
             raise AssertionError(
                 f"infinite translation length of {A} on fixed class {parity.label}"
             )
-        norms += (int(length),) * 2  # the class and its tau-translate
+        norms += (length,) * 2  # the class and its tau-translate
     # mog: 2 + the smallest odd translation length, or infinity if none is odd
     odd = [l for l in lengths.values() if is_finite(l) and l % 2 == 1]
     return Summary(
@@ -212,7 +211,7 @@ def norm_table(A: GL2Matrix, s: Summary, cap: int) -> list[NormReport]:
     class_realizer = {(0, 0): []}  # the zero class needs no surface
     for parity in s.h2.classes:
         jk = (parity.j, parity.k)
-        norms[jk] = int(s.lengths[parity])  # finite: summary checked it
+        norms[jk] = s.lengths[parity]  # finite: summary checked it
         class_realizer[jk] = [_realizer(A, parity, norms[jk], cap)]
     table = []
     derived = s.h2.identification is not None
@@ -226,24 +225,6 @@ def norm_table(A: GL2Matrix, s: Summary, cap: int) -> list[NormReport]:
                 )
             )
     return table
-
-
-def norm_table_bundle(
-    A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP
-) -> list[NormReport]:
-    """One entry per element of H_2, in (t, j, k) order."""
-    return norm_table(A, summary(A), certificate_cap)
-
-
-def norm_multiset_bundle(A: GL2Matrix) -> list[int]:
-    """Sorted norms of all elements of H_2, without building realizers."""
-    return list(summary(A).norms)
-
-
-def mog_bundle(A: GL2Matrix) -> ExtNat:
-    """Minimum odd genus of an embeddable non-orientable closed surface:
-    2 + the smallest odd translation length, or infinity if none is odd."""
-    return summary(A).mog
 
 
 def meg_bundle(A: GL2Matrix) -> int:

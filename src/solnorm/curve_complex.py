@@ -65,12 +65,6 @@ class Slope(_SlopeFields):
                 raise DomainError(f"slope {p}/{q} is not reduced") from None
         return cls(p, q)
 
-    @classmethod
-    def _trusted(cls, p: int, q: int) -> "Slope":
-        """The slope p/q for a caller that has proved the pair reduced and
-        canonical: builds the tuple without the checks of __new__."""
-        return tuple.__new__(cls, (p, q))
-
     def __str__(self) -> str:
         try:
             return f"{self.p}/{self.q}"
@@ -409,9 +403,9 @@ def geodesic(s1: Slope, s2: Slope) -> list[Slope]:
     One loop over the list _walk returns checks each vertex and builds it:
     it must have intersection number 2 with the previous vertex and the
     parity of s1.  The first makes its gcd divide 2, the second makes one
-    entry odd, so the pair is reduced and becomes a Slope without another
-    gcd (the body of Slope._trusted, inlined).  At the end the path must
-    have N(T) edges and end at s2: in a tree, those facts make it the
+    entry odd, so the pair is reduced and becomes a Slope through
+    tuple.__new__, without the gcd of Slope.__new__.  At the end the path
+    must have N(T) edges and end at s2: in a tree, those facts make it the
     geodesic.
     """
     _, x, y = ext_gcd(s1.p, s1.q)

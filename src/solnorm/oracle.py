@@ -27,8 +27,6 @@ from .bundle import (
     GeometryClass,
     classify_geometry,
     h2_structure,
-    meg_bundle,
-    mog_bundle,
     order,
     periodic_class,
     summary,
@@ -393,12 +391,13 @@ def check_periodic_table() -> CheckResult:
             failures.append(f"{name} classified as {periodic_class(A)}")
         if order(A) != order_by_powers(A):
             failures.append(f"order({name}) = {order(A)}, powers give {order_by_powers(A)}")
+        s = summary(A)
         expect_meg = 2 if name in meg_two else 4
-        if meg_bundle(A) != expect_meg:
-            failures.append(f"meg({name}) = {meg_bundle(A)}, expected {expect_meg}")
+        if s.meg != expect_meg:
+            failures.append(f"meg({name}) = {s.meg}, expected {expect_meg}")
         expect_mog = 3 if name in mog_three else INF
-        if mog_bundle(A) != expect_mog:
-            failures.append(f"mog({name}) = {mog_bundle(A)}, expected {expect_mog}")
+        if s.mog != expect_mog:
+            failures.append(f"mog({name}) = {s.mog}, expected {expect_mog}")
         if classify_geometry(A) is not GeometryClass.EUCLIDEAN_PERIODIC:
             failures.append(f"{name} not classified periodic")
     return CheckResult("periodic table", f"7 classes checked, {len(failures)} errors", failures)
@@ -410,15 +409,12 @@ def check_nil_family(max_n: int) -> CheckResult:
     failures: list[str] = []
     for n in range(1, max_n + 1):
         expect_mog = n // 2 + 2 if n % 4 == 2 else INF
-        plus = GL2Matrix(1, 0, n, 1)
-        minus = GL2Matrix(-1, 0, n, -1)
-        if meg_bundle(plus) != 4:
-            failures.append(f"meg(1,0;{n},1) = {meg_bundle(plus)}")
-        if meg_bundle(minus) != 2:
-            failures.append(f"meg(-1,0;{n},-1) = {meg_bundle(minus)}")
-        for A in (plus, minus):
-            if mog_bundle(A) != expect_mog:
-                failures.append(f"mog({A}) = {mog_bundle(A)}, expected {expect_mog}")
+        for A, expect_meg in ((GL2Matrix(1, 0, n, 1), 4), (GL2Matrix(-1, 0, n, -1), 2)):
+            s = summary(A)
+            if s.meg != expect_meg:
+                failures.append(f"meg({A}) = {s.meg}")
+            if s.mog != expect_mog:
+                failures.append(f"mog({A}) = {s.mog}, expected {expect_mog}")
     return CheckResult("Nil family", f"n = 1..{max_n}, {len(failures)} errors", failures)
 
 

@@ -9,20 +9,20 @@ such a class is realized by two Moebius bands whose boundaries are joined
 through the thickened torus along a geodesic from 1/0 to a/b (the image of
 the second I-bundle's boundary fiber), a path of exactly N(b, a) edges.
 
-The minimum even genus is always 2 (the Klein bottles); the minimum odd
-genus is N(b, a) + 2 when b = 2 mod 4 -- the only case where N(b, a) is
-odd -- and infinite otherwise.
+The minimum even genus is always 2: each half contains an embedded Klein
+bottle.  The minimum odd genus is N(b, a) + 2 when b = 2 mod 4 -- the only
+case where N(b, a) is odd -- and infinite otherwise.  summary(A) states
+all of these, and norm_table(A, summary(A), cap) adds the realizers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import INF, ExtNat, bredon_wood
+from .arith import INF, bredon_wood
 from .curve_complex import GL2Matrix, Slope, geodesic
 from .errors import DomainError
 from .reports import (
-    DEFAULT_CERTIFICATE_CAP,
     KLEIN_BOTTLE,
     NormReport,
     Summary,
@@ -52,13 +52,6 @@ class SemiBundleH2:
     generators: tuple[str, ...]
 
 
-def h2_structure_semi(A: GL2Matrix) -> SemiBundleH2:
-    """Order 4 (generators K1, K2) for odd b; order 8 (plus F[b/a]) for even b."""
-    if A.b % 2 == 1:
-        return SemiBundleH2(order=4, generators=("K1", "K2"))
-    return SemiBundleH2(order=8, generators=("K1", "K2", f"F[{A.b}/{A.a}]"))
-
-
 def z2_norm_semi(A: GL2Matrix, cls: SemiBundleClass) -> int:
     """0 unless the class contains F[b/a] with b a nonzero even integer, in
     which case the norm is N(b, a).  The K-coordinates never matter."""
@@ -81,16 +74,22 @@ def _f_realizer(A: GL2Matrix, norm: int, cap: int) -> SurfaceDescription:
 
 def summary(A: GL2Matrix) -> Summary:
     """Every invariant a report or census row states about the semi-bundle,
-    from A mod 2 and N(b, a), the norm of every class containing F[b/a]."""
-    norm = None  # b odd: there is no class F[b/a]
-    if A.b % 2 == 0:
+    from A mod 2 and N(b, a), the norm of every class containing F[b/a]:
+    H2 of order 4 (generators K1, K2) for odd b, of order 8 (plus F[b/a])
+    for even b."""
+    if A.b % 2 == 1:  # there is no class F[b/a]
+        norm = None
+        h2 = SemiBundleH2(order=4, generators=("K1", "K2"))
+        norms = (0,) * 4
+    else:
         norm = bredon_wood(A.b, A.a)  # N(0, +-1) = 0
         if norm == INF:  # b even and coprime to a, so a is odd
             raise AssertionError(f"N({A.b}, {A.a}) is infinite for {A}")
-    norms = (0,) * 4 if norm is None else (0,) * 4 + (norm,) * 4  # sorted, as norm >= 0
+        h2 = SemiBundleH2(order=8, generators=("K1", "K2", f"F[{A.b}/{A.a}]"))
+        norms = (0,) * 4 + (norm,) * 4  # sorted, as norm >= 0
     return Summary(
-        kind="semibundle", det=A.det(), trace=A.trace(), h2=h2_structure_semi(A), norms=norms,
-        mog=norm + 2 if A.b % 4 == 2 else INF, meg=meg_semi(A), f_norm=norm,
+        kind="semibundle", det=A.det(), trace=A.trace(), h2=h2, norms=norms,
+        mog=norm + 2 if A.b % 4 == 2 else INF, meg=2, f_norm=norm,
     )
 
 
@@ -112,25 +111,3 @@ def norm_table(A: GL2Matrix, s: Summary, cap: int) -> list[NormReport]:
                     )
                 )
     return table
-
-
-def norm_table_semi(
-    A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP
-) -> list[NormReport]:
-    """One entry per element of H_2, in (e1, e2, phi) order."""
-    return norm_table(A, summary(A), certificate_cap)
-
-
-def norm_multiset_semi(A: GL2Matrix) -> list[int]:
-    """Sorted norms of all elements of H_2, without building realizers."""
-    return list(summary(A).norms)
-
-
-def mog_semi(A: GL2Matrix) -> ExtNat:
-    """N(b, a) + 2 when b = 2 mod 4, else infinity."""
-    return summary(A).mog
-
-
-def meg_semi(A: GL2Matrix) -> int:
-    """Always 2: each half contains an embedded Klein bottle."""
-    return 2

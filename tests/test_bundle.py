@@ -10,9 +10,6 @@ from solnorm import (
     classify_geometry,
     h2_structure,
     meg_bundle,
-    mog_bundle,
-    norm_multiset_bundle,
-    norm_table_bundle,
     order,
     parse_matrix,
     periodic_class,
@@ -114,14 +111,16 @@ class TestNorm:
 
 class TestNormTable:
     def test_three_cycle_table(self):
-        table = norm_table_bundle(parse_matrix("1,1;1,0"))
+        A = parse_matrix("1,1;1,0")
+        table = bundle.norm_table(A, bundle.summary(A), DEFAULT_CERTIFICATE_CAP)
         assert len(table) == 2
         assert [entry.norm for entry in table] == [0, 0]
         kinds = [entry.realizer.kind for entry in table]
         assert kinds == ["empty", KIND_TORUS_FIBER]
 
     def test_shear_two_table(self):
-        table = norm_table_bundle(parse_matrix("1,0;2,1"))
+        A = parse_matrix("1,0;2,1")
+        table = bundle.norm_table(A, bundle.summary(A), DEFAULT_CERTIFICATE_CAP)
         assert len(table) == 8
         assert sorted(entry.norm for entry in table) == [0, 0, 0, 0, 1, 1, 1, 1]
         by_coords = {tuple(e.coords.values()): e for e in table}
@@ -136,7 +135,7 @@ class TestNormTable:
         assert by_coords[(0, 0, 1)].note is None
 
     def test_identity_table(self):
-        table = norm_table_bundle(IDENTITY)
+        table = bundle.norm_table(IDENTITY, bundle.summary(IDENTITY), DEFAULT_CERTIFICATE_CAP)
         assert len(table) == 8
         assert all(entry.norm == 0 for entry in table)
         # every base vertex is fixed with its orientation
@@ -148,20 +147,23 @@ class TestNormTable:
         # the swap fixes its base vertex 1/1; 2,1;-1,0 fixes -1/1, one step
         # into the geodesic from 1/1 to its image -3/1
         for text in ("0,1;1,0", "2,1;-1,0"):
-            table = norm_table_bundle(parse_matrix(text))
+            A = parse_matrix(text)
+            table = bundle.norm_table(A, bundle.summary(A), DEFAULT_CERTIFICATE_CAP)
             by_coords = {tuple(e.coords.values()): e for e in table}
             assert by_coords[(0, 1, 1)].norm == 0
             assert by_coords[(0, 1, 1)].realizer.kind == KIND_TORUS
 
     def test_klein_bottle_realizer(self):
         # rows (1,0) and (0,-1) fix 0/1 with a sign flip
-        table = norm_table_bundle(parse_matrix("1,0;0,-1"))
+        A = parse_matrix("1,0;0,-1")
+        table = bundle.norm_table(A, bundle.summary(A), DEFAULT_CERTIFICATE_CAP)
         by_coords = {tuple(e.coords.values()): e for e in table}
         assert by_coords[(0, 0, 1)].realizer.kind == KIND_KLEIN_BOTTLE
         assert by_coords[(0, 1, 0)].realizer.kind == KIND_TORUS
 
     def test_certificate_elision(self):
-        table = norm_table_bundle(parse_matrix("1,0;30,1"), certificate_cap=3)
+        A = parse_matrix("1,0;30,1")
+        table = bundle.norm_table(A, bundle.summary(A), 3)
         by_coords = {tuple(e.coords.values()): e for e in table}
         pi = by_coords[(0, 1, 0)].realizer
         assert pi.genus == 15 + 2
@@ -170,7 +172,8 @@ class TestNormTable:
 
     def test_realizer_norm_matches(self):
         for text in ("1,0;2,1", "1,0;6,1", "3,2;4,3", "0,-1;1,0", "1,0;0,-1"):
-            for entry in norm_table_bundle(parse_matrix(text)):
+            A = parse_matrix(text)
+            for entry in bundle.norm_table(A, bundle.summary(A), DEFAULT_CERTIFICATE_CAP):
                 assert entry.realizer.norm_contribution() == entry.norm
 
     def test_certificates_are_edge_paths(self):
@@ -179,7 +182,7 @@ class TestNormTable:
         seen = 0
         for text in ("1,0;2,1", "1,0;6,1", "3,2;4,3", "2,1;-1,0", "4,1;-1,0", "-1,0;4,1"):
             A = parse_matrix(text)
-            for entry in norm_table_bundle(A):
+            for entry in bundle.norm_table(A, bundle.summary(A), DEFAULT_CERTIFICATE_CAP):
                 cert = entry.realizer.certificate
                 if cert is None and entry.realizer.pieces:
                     cert = entry.realizer.pieces[0].certificate
@@ -227,9 +230,9 @@ class TestNormTable:
 
 class TestMogMeg:
     def test_mog_examples(self):
-        assert mog_bundle(parse_matrix("1,0;2,1")) == 3
-        assert mog_bundle(parse_matrix("1,0;4,1")) == INF
-        assert mog_bundle(parse_matrix("1,0;0,-1")) == 3
+        assert bundle.summary(parse_matrix("1,0;2,1")).mog == 3
+        assert bundle.summary(parse_matrix("1,0;4,1")).mog == INF
+        assert bundle.summary(parse_matrix("1,0;0,-1")).mog == 3
 
     def test_meg_examples(self):
         assert meg_bundle(parse_matrix("0,1;1,0")) == 2  # orientation-reversing
@@ -239,14 +242,14 @@ class TestMogMeg:
     def test_mog_finite_is_odd(self):
         for i in range(200):
             A = random_glz(300 + i, i % 12)
-            value = mog_bundle(A)
+            value = bundle.summary(A).mog
             if value != INF:
                 assert value % 2 == 1
 
     def test_norm_symmetry_under_tau(self):
         for i in range(100):
             A = random_glz(400 + i, i % 12)
-            for entry_t0 in norm_table_bundle(A, certificate_cap=0):
+            for entry_t0 in bundle.norm_table(A, bundle.summary(A), 0):
                 t, j, k = entry_t0.coords["t"], entry_t0.coords["j"], entry_t0.coords["k"]
                 if t == 0:
                     assert entry_t0.norm == z2_norm_bundle(A, BundleClass(1, j, k))
@@ -343,4 +346,6 @@ class TestClosedFormsAgainstReferences:
 def test_norm_multiset_matches_table():
     for text in ("1,0;2,1", "1,1;1,0", "0,1;1,0", "3,2;4,3", "1,0;0,-1"):
         A = parse_matrix(text)
-        assert norm_multiset_bundle(A) == sorted(e.norm for e in norm_table_bundle(A))
+        s = bundle.summary(A)
+        table = bundle.norm_table(A, s, DEFAULT_CERTIFICATE_CAP)
+        assert list(s.norms) == sorted(e.norm for e in table)

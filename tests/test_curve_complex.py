@@ -153,15 +153,6 @@ class TestSlope:
             with pytest.raises(DomainError, match=message):
                 Slope(p, q)
 
-    def test_trusted_is_the_checked_slope(self):
-        pairs = [(1, 0), (0, 1), (-7, 4), (3, 5), (10**40 + 1, 10**40)]
-        checked = [Slope(p, q) for p, q in pairs]
-        trusted = [Slope._trusted(p, q) for p, q in pairs]
-        assert trusted == checked
-        assert [hash(s) for s in trusted] == [hash(s) for s in checked]
-        assert sorted(trusted) == sorted(checked) == sorted(pairs)
-        assert all(type(s) is Slope for s in trusted)
-
     def test_a_slope_is_its_pair(self):
         s = Slope(-2, 3)
         assert (s.p, s.q) == (-2, 3)
@@ -433,10 +424,11 @@ class TestBfsAndGeodesic:
     @given(unimodular, even_slopes)
     @example(W.power(1200), mat_act(W.power(-2400), Slope(0, 1)))  # about 3,000-bit vertices
     def test_walk_vertices_are_reduced_slopes(self, A, t):
-        # the walk builds its vertices without __post_init__; each must be
-        # the slope the checked constructor would have made
+        # the walk builds its vertices without the checks of Slope.__new__;
+        # each must be the slope the checked constructor would have made
         s1, s2 = mat_act(A, Slope(0, 1)), mat_act(A, t)
         for v in geodesic(s1, s2):
+            assert type(v) is Slope
             assert Slope.of(v.p, v.q) == v and math.gcd(v.p, v.q) == 1
             assert hash(v) == hash(Slope(v.p, v.q))
 

@@ -8,33 +8,29 @@ from solnorm import (
     INF,
     SemiBundleClass,
     bredon_wood,
-    h2_structure_semi,
     intersection_number,
-    meg_semi,
-    mog_semi,
-    norm_multiset_semi,
-    norm_table_semi,
     parse_matrix,
     z2_norm_semi,
 )
+from solnorm import semibundle
 from solnorm.curve_complex import IDENTITY, Slope
 from solnorm.errors import DomainError
-from solnorm.reports import KIND_KLEIN_BOTTLE, KIND_PI, KIND_SUM
+from solnorm.reports import DEFAULT_CERTIFICATE_CAP, KIND_KLEIN_BOTTLE, KIND_PI, KIND_SUM
 
 
 class TestH2:
     def test_odd_b(self):
-        structure = h2_structure_semi(parse_matrix("0,1;1,0"))
+        structure = semibundle.summary(parse_matrix("0,1;1,0")).h2
         assert structure.order == 4
         assert structure.generators == ("K1", "K2")
 
     def test_even_b(self):
-        structure = h2_structure_semi(parse_matrix("1,0;2,1"))
+        structure = semibundle.summary(parse_matrix("1,0;2,1")).h2
         assert structure.order == 8
         assert structure.generators == ("K1", "K2", "F[2/1]")
 
     def test_b_zero(self):
-        assert h2_structure_semi(IDENTITY).order == 8
+        assert semibundle.summary(IDENTITY).h2.order == 8
 
 
 class TestNorm:
@@ -63,14 +59,16 @@ class TestNorm:
 
 class TestTable:
     def test_identity_table(self):
-        table = norm_table_semi(IDENTITY)
+        s = semibundle.summary(IDENTITY)
+        table = semibundle.norm_table(IDENTITY, s, DEFAULT_CERTIFICATE_CAP)
         assert len(table) == 8
         assert all(entry.norm == 0 for entry in table)
         by_coords = {tuple(e.coords.values()): e for e in table}
         assert by_coords[(0, 0, 1)].realizer.kind == KIND_KLEIN_BOTTLE
 
     def test_shear_two_table(self):
-        table = norm_table_semi(parse_matrix("1,0;2,1"))
+        A = parse_matrix("1,0;2,1")
+        table = semibundle.norm_table(A, semibundle.summary(A), DEFAULT_CERTIFICATE_CAP)
         by_coords = {tuple(e.coords.values()): e for e in table}
         pi = by_coords[(0, 0, 1)].realizer
         assert pi.kind == KIND_PI and pi.genus == 3
@@ -81,13 +79,14 @@ class TestTable:
         assert [p.kind for p in both.pieces] == [KIND_KLEIN_BOTTLE, KIND_KLEIN_BOTTLE, KIND_PI]
 
     def test_odd_b_table(self):
-        table = norm_table_semi(parse_matrix("0,1;1,0"))
+        A = parse_matrix("0,1;1,0")
+        table = semibundle.norm_table(A, semibundle.summary(A), DEFAULT_CERTIFICATE_CAP)
         assert len(table) == 4
         assert all(entry.norm == 0 for entry in table)
 
     def test_certificate_runs_from_fiber_to_image_column(self):
         A = parse_matrix("3,1;8,3")
-        table = norm_table_semi(A)
+        table = semibundle.norm_table(A, semibundle.summary(A), DEFAULT_CERTIFICATE_CAP)
         by_coords = {tuple(e.coords.values()): e for e in table}
         cert = by_coords[(0, 0, 1)].realizer.certificate
         assert cert[0] == Slope(1, 0)
@@ -98,11 +97,13 @@ class TestTable:
 
     def test_realizer_norm_matches(self):
         for text in ("1,0;2,1", "3,1;8,3", "0,1;1,0", "1,0;0,1"):
-            for entry in norm_table_semi(parse_matrix(text)):
+            A = parse_matrix(text)
+            for entry in semibundle.norm_table(A, semibundle.summary(A), DEFAULT_CERTIFICATE_CAP):
                 assert entry.realizer.norm_contribution() == entry.norm
 
     def test_certificate_elision(self):
-        table = norm_table_semi(parse_matrix("1,0;30,1"), certificate_cap=3)
+        A = parse_matrix("1,0;30,1")
+        table = semibundle.norm_table(A, semibundle.summary(A), 3)
         by_coords = {tuple(e.coords.values()): e for e in table}
         pi = by_coords[(0, 0, 1)].realizer
         assert pi.certificate_elided and pi.genus == bredon_wood(30, 1) + 2
@@ -110,13 +111,13 @@ class TestTable:
 
 class TestMogMeg:
     def test_examples(self):
-        assert mog_semi(parse_matrix("1,0;2,1")) == 3
-        assert mog_semi(parse_matrix("1,0;4,1")) == INF
-        assert mog_semi(parse_matrix("0,1;1,0")) == INF
+        assert semibundle.summary(parse_matrix("1,0;2,1")).mog == 3
+        assert semibundle.summary(parse_matrix("1,0;4,1")).mog == INF
+        assert semibundle.summary(parse_matrix("0,1;1,0")).mog == INF
 
     def test_meg_always_two(self):
         for text in ("1,0;2,1", "1,0;4,1", "0,1;1,0", "1,0;0,1", "3,1;8,3"):
-            assert meg_semi(parse_matrix(text)) == 2
+            assert semibundle.summary(parse_matrix(text)).meg == 2
 
 
 def test_parity_consistency_up_to_200():
@@ -134,4 +135,6 @@ def test_parity_consistency_up_to_200():
 def test_norm_multiset_matches_table():
     for text in ("1,0;2,1", "0,1;1,0", "3,1;8,3", "1,0;0,1"):
         A = parse_matrix(text)
-        assert norm_multiset_semi(A) == sorted(e.norm for e in norm_table_semi(A))
+        s = semibundle.summary(A)
+        table = semibundle.norm_table(A, s, DEFAULT_CERTIFICATE_CAP)
+        assert list(s.norms) == sorted(e.norm for e in table)
