@@ -27,6 +27,7 @@ from .curve_complex import (
     PARITY_BY_BITS,
     PARITY_CLASSES,
     ParityClass,
+    Walk,
     geodesic,
     mat_act,
 )
@@ -132,13 +133,15 @@ def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> Surfa
     surface of genus l + 2 built along the certificate, or for l = 0 a torus
     or Klein bottle as A keeps or reverses the one slope of the certificate.
 
-    The certificate is the slice of l + 1 vertices that starts (d - l)/2
-    steps into the geodesic, of length d, from the class's base vertex v to
-    A(v): the path from a vertex w on the axis, the flipped edge or the
-    fixed set of A to A(w).  It proves itself minimal, so l is checked
-    without a second computation of the length:
+    The certificate is the geodesic from a vertex w on the axis, the
+    flipped edge or the fixed set of A to A(w).  The walk from the class's
+    base vertex v to A(v), of length d, meets that set (d - l)/2 moves in,
+    so w is the walk's vertex there, reached by jumping over whole runs of
+    the walk without building the vertices before it; when d = l, w = v
+    and the walk to A(v) is the certificate.  The certificate proves itself
+    minimal, so neither l nor the way w was found is trusted:
 
-    - The slice of a checked geodesic that runs from w to A(w) proves
+    - A checked geodesic of l + 1 vertices from w to A(w) proves
       d(w, A(w)) = l, an upper bound on the translation length.
     - For l >= 2, A(certificate[1]) != certificate[-2] means that the path
       w -> A(w) -> A^2(w) does not backtrack at A(w).  In a tree it is then
@@ -149,23 +152,27 @@ def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> Surfa
       automorphism that fixes a vertex moves every vertex an even distance.
     - For l = 0 there is nothing to prove.
 
-    A length that is 2k too large puts w k steps off the axis, where the
-    path backtracks or d - l is negative; one that is too small ends the
-    slice before A(w)."""
+    A vertex w off the axis, the flipped edge or the fixed set moves
+    l + 2*d(w, that set) > l, so its certificate is too long.  A length
+    that is 2k too large puts w k moves off the axis, where the path
+    backtracks or d - l is negative; one that is too small ends the walk
+    from w before A(w) is reached in l moves."""
     if length > max(cap, 0):
         # skip the walk entirely; only the genus is reported
         return pi_surface_elided(length + 2)
-    v = parity.base_vertex
-    path = geodesic(v, mat_act(A, v))
-    excess = len(path) - 1 - length  # d(v, A(v)) - l: twice the distance from v to w
+    walk = Walk.between(parity.base_vertex, mat_act(A, parity.base_vertex))
+    excess = walk.dist - length  # d(v, A(v)) - l: twice the distance from v to w
     if length < 0 or excess < 0 or excess % 2:
         raise AssertionError(
             f"closed form gives length {length} for {A} on {parity.label}, "
-            f"but the base vertex moves {len(path) - 1}"
+            f"but the base vertex moves {walk.dist}"
         )
-    start = excess // 2
-    certificate = path[start : start + length + 1]
-    # a slice of a checked geodesic from w to A(w) proves d(w, A(w)) = l
+    if excess:
+        w = walk.vertex(excess // 2)
+        certificate = geodesic(w, mat_act(A, w))
+    else:
+        certificate = walk.path()
+    # a checked geodesic from w to A(w) proves d(w, A(w)) = l
     if len(certificate) != length + 1 or certificate[-1] != mat_act(A, certificate[0]):
         raise AssertionError(
             f"certificate of {A} on {parity.label} does not run from a vertex to its image"

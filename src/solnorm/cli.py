@@ -23,6 +23,7 @@ from .curve_complex import (
     PARITY_CLASSES,
     distance,
     export_dot,
+    format_slopes,
     geodesic,
     int_text,
     mat_act,
@@ -280,7 +281,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(fmt_extnat(distance(parse_slope(args.slope1), parse_slope(args.slope2))))
     elif args.command == "geodesic":
         path = geodesic(parse_slope(args.slope1), parse_slope(args.slope2))
-        print(" -> ".join(str(s) for s in path))
+        print(" -> ".join(format_slopes(path)))
     elif args.command == "act":
         print(mat_act(parse_matrix(args.matrix), parse_slope(args.slope)))
     elif args.command in KINDS:

@@ -19,6 +19,7 @@ which matches the wire format "a,c;b,d" used by the command line.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import re
 from collections.abc import Callable, Iterable, Iterator
@@ -97,6 +98,15 @@ def _over_digit_limit(what: str, err: ValueError) -> DomainError:
     """The error for output that int-to-str refused: err is its ValueError
     and what names the number."""
     return DomainError(f"{what} over Python's int-digit limit: {err}")
+
+
+def format_slopes(slopes: Iterable[Slope]) -> tuple[str, ...]:
+    """Each slope as its text "p/q", formatted in C.  A slope with an entry
+    over Python's int-digit limit raises DomainError, as str(slope) does."""
+    try:
+        return tuple(map("%d/%d".__mod__, slopes))
+    except ValueError as err:  # int-to-str refuses numbers over the digit limit
+        raise _over_digit_limit("slope entry", err) from None
 
 
 def int_text(n: int, what: str) -> str:
@@ -363,70 +373,140 @@ def distance_bfs(s1: Slope, s2: Slope, bound: int) -> ExtNat | str:
 
 def _walk(
     ga: int, gc: int, gb: int, gd: int, tp: int, tq: int, steps: int
-) -> list[tuple[int, int]]:
+) -> list[tuple[int, int, int, int, int]]:
     """At most steps moves of the frame G = [[ga, gc], [gb, gd]] toward the
-    target T = tp/tq, as the list of G(0/1) = (gc, gd) after each, with
-    either sign.  The walk stops early at T = 0/1, where it has arrived.
+    target T = tp/tq, as the list of runs (c, d, dc, dd, r): the run's r
+    vertices, the points G(0/1) after each of its moves, are
+    (c + j*dc, d + j*dd) for j = 0 .. r-1, with either sign.  The walk
+    stops early at T = 0/1, where it has arrived.
 
     The neighbors of 0/1 are the slopes 2s/n with n odd and s = +-1, and
     the branch at 2s/n holds the slopes strictly between 1/((n+1)/2) and
-    1/((n-1)/2), times s.  So the step toward T = s*|P|/Q (Q > 0) goes to
+    1/((n-1)/2), times s.  So the move toward T = s*|P|/Q (Q > 0) goes to
     the one odd n within 1 of 2Q/|P|.  It applies H = [[1, 2s], [s(n-1)/2,
     n]], which has det 1 and sends 0/1 to 2s/n: G <- G*H, T <- H^-1(T).
-    Each step is a bounded number of big-integer operations, so a walk
-    costs O(#continued-fraction terms + path length) of them, whatever the
-    size of the partial quotients."""
-    pairs = []
-    for _ in range(steps):
-        if not tp:
-            break
+
+    n = 1 exactly when Q < |P|, and then H = [[1, 2s], [0, 1]] leaves ga,
+    gb and Q alone and takes 2Q off |P|.  So the moves with n = 1 come in
+    runs of r = ceil((|P| - Q) / 2Q): one floor division, and H^r moves
+    the frame in O(1) big-integer operations.  Any other move is a run of
+    one, with increments 0.  A walk therefore costs O(#continued-fraction
+    terms) big-integer operations, however long the path and however
+    large the partial quotients."""
+    runs = []
+    while steps and tp:
         if tq < 0:
             tp, tq = -tp, -tq
-        s = 1 if tp > 0 else -1
-        n = tq // (abs(tp) // 2)
-        n += 1 - n % 2  # the odd n within 1 of 2Q/|P|
-        m = s * (n - 1) // 2
-        ga, gc, gb, gd = ga + gc * m, 2 * s * ga + gc * n, gb + gd * m, 2 * s * gb + gd * n
-        tp, tq = n * tp - 2 * s * tq, tq - m * tp
-        pairs.append((gc, gd))
-    return pairs
+        s, size = (1, tp) if tp > 0 else (-1, -tp)
+        if tq < size:  # n = 1
+            r = min(-((tq - size) // (2 * tq)), steps)
+            dc, dd = 2 * s * ga, 2 * s * gb
+            runs.append((gc + dc, gd + dd, dc, dd, r))
+            gc, gd, tp = gc + r * dc, gd + r * dd, tp - 2 * s * r * tq
+            steps -= r
+        else:
+            n = tq // (size // 2)
+            n += 1 - n % 2  # the odd n within 1 of 2Q/|P|
+            m = s * (n - 1) // 2
+            ga, gc, gb, gd = ga + gc * m, 2 * s * ga + gc * n, gb + gd * m, 2 * s * gb + gd * n
+            tp, tq = n * tp - 2 * s * tq, tq - m * tp
+            runs.append((gc, gd, 0, 0, 1))
+            steps -= 1
+    return runs
+
+
+def _progression(start: int, step: int, count: int) -> Iterable[int]:
+    """start, start + step, ... (count terms), produced in C."""
+    return range(start, start + step * count, step) if step else itertools.repeat(start, count)
+
+
+# The longest path Walk.path lists, under 200 MB of slopes: a longer one
+# is a domain error, not a list that runs the process out of memory.
+MAX_PATH_EDGES = 10**6
+
+
+class Walk(NamedTuple):
+    """The walk from s1 toward s2 along their tree path, of dist =
+    distance(s1, s2) moves; start holds _walk's frame and target.
+
+    Walk.between builds it with the frame G = [[y, p], [-x, q]] from
+    ext_gcd (the one distance uses), which has det 1 and sends 0/1 to
+    s1 = p/q, and the target T = G^-1(s2): distance(s1, s2) = N(T), finite
+    only when the numerator of T is even."""
+
+    s1: Slope
+    s2: Slope
+    dist: int
+    start: tuple[int, int, int, int, int, int]
+
+    @classmethod
+    def between(cls, s1: Slope, s2: Slope) -> "Walk":
+        _, x, y = ext_gcd(s1.p, s1.q)
+        tp, tq = s1.q * s2.p - s1.p * s2.q, x * s2.p + y * s2.q
+        dist = bredon_wood(tp, tq)  # distance(s1, s2): N ignores the sign of tp
+        if dist == INF:
+            raise DomainError(f"infinite distance: {s1} and {s2} lie in different parity classes")
+        return cls(s1, s2, dist, (y, s1.p, -x, s1.q, tp, tq))
+
+    def vertex(self, index: int) -> Slope:
+        """The vertex index moves along the walk, 0 <= index <= dist, in
+        O(#runs) big-integer operations: no vertex before it is built."""
+        c, d, dc, dd, r = self.s1.p, self.s1.q, 0, 0, 1
+        for c, d, dc, dd, r in _walk(*self.start, index):
+            pass
+        return Slope.of(c + (r - 1) * dc, d + (r - 1) * dd)
+
+    def path(self) -> list[Slope]:
+        """The unique tree path from s1 to s2, every vertex checked.
+
+        A path of more than MAX_PATH_EDGES edges raises DomainError before
+        any vertex is built: dist is known, and such a list would exhaust
+        memory rather than be printed.
+
+        The runs of _walk are spelled out as vertex pairs, a run of many
+        moves in C by zip over two ranges.  One loop then checks each
+        vertex and builds it: it must have intersection number 2 with the
+        previous vertex, the parity of s1, and differ from the vertex two
+        before it.  The first makes its gcd divide 2, the second makes one
+        entry odd, so the pair is reduced and becomes a Slope through
+        tuple.__new__, without the gcd of Slope.__new__.  The third means
+        the path never turns back, and a path in a tree that never turns
+        back is the geodesic between its ends.  At the end the path must
+        have N(T) edges and end at s2, which checks N(T) too."""
+        s1, s2 = self.s1, self.s2
+        if self.dist > MAX_PATH_EDGES:
+            raise DomainError(
+                f"geodesic from {s1} to {s2} is longer than {MAX_PATH_EDGES} edges, too long to list"
+            )
+        pp, pq = s1
+        bp = bq = None  # the vertex before (pp, pq); s1 has none
+        parity = (pp & 1, pq & 1)
+        new = tuple.__new__
+        pairs = []
+        for c, d, dc, dd, r in _walk(*self.start, self.dist):
+            if r == 1:
+                pairs.append((c, d))
+            else:
+                pairs += zip(_progression(c, dc, r), _progression(d, dd, r))
+        path = [s1]
+        for cp, cq in pairs:
+            if cq < 0 or (cq == 0 and cp < 0):
+                cp, cq = -cp, -cq
+            if (abs(pp * cq - cp * pq) != 2 or (cp & 1, cq & 1) != parity
+                    or (cp == bp and cq == bq)):
+                raise AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
+            path.append(new(Slope, (cp, cq)))
+            bp, bq = pp, pq
+            pp, pq = cp, cq
+        if len(path) != self.dist + 1 or path[-1] != s2:
+            raise AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
+        return path
 
 
 def geodesic(s1: Slope, s2: Slope) -> list[Slope]:
-    """The unique tree path from s1 to s2, read off in one pass.
-
-    The frame G = [[y, p], [-x, q]] from ext_gcd (the one distance uses)
-    has det 1 and sends 0/1 to s1 = p/q, so _walk works on the target
-    T = G^-1(s2): distance(s1, s2) = N(T), finite only when the numerator
-    of T is even.
-
-    One loop over the list _walk returns checks each vertex and builds it:
-    it must have intersection number 2 with the previous vertex and the
-    parity of s1.  The first makes its gcd divide 2, the second makes one
-    entry odd, so the pair is reduced and becomes a Slope through
-    tuple.__new__, without the gcd of Slope.__new__.  At the end the path
-    must have N(T) edges and end at s2: in a tree, those facts make it the
-    geodesic.
-    """
-    _, x, y = ext_gcd(s1.p, s1.q)
-    tp, tq = s1.q * s2.p - s1.p * s2.q, x * s2.p + y * s2.q
-    dist = bredon_wood(tp, tq)  # distance(s1, s2): N ignores the sign of tp
-    if dist == INF:
-        raise DomainError(f"infinite distance: {s1} and {s2} lie in different parity classes")
-    pp, pq = s1
-    parity = (pp & 1, pq & 1)
-    new = tuple.__new__
-    path = [s1]
-    for cp, cq in _walk(y, pp, -x, pq, tp, tq, dist):
-        if cq < 0 or (cq == 0 and cp < 0):
-            cp, cq = -cp, -cq
-        if abs(pp * cq - cp * pq) != 2 or (cp & 1, cq & 1) != parity:
-            raise AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
-        path.append(new(Slope, (cp, cq)))
-        pp, pq = cp, cq
-    if len(path) != dist + 1 or path[-1] != s2:
-        raise AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
-    return path
+    """The unique tree path from s1 to s2, read off in one pass and checked
+    vertex by vertex (Walk.path)."""
+    return Walk.between(s1, s2).path()
 
 
 def export_dot(center: Slope, radius: int, bound: int) -> str:

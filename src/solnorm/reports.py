@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import ExtNat
-from .curve_complex import ParityClass, Slope
+from .curve_complex import ParityClass, Slope, format_slopes
 
 if TYPE_CHECKING:
     from .bundle import H2Structure
@@ -78,7 +78,7 @@ class SurfaceDescription:
     def slope_texts(self) -> tuple[str, ...]:
         """The certificate's slopes as text, rendered once however many rows
         show them."""
-        return tuple(map(str, self.certificate))
+        return format_slopes(self.certificate)
 
     @cached_property
     def certificate_line(self) -> str:

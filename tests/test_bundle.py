@@ -15,7 +15,7 @@ from solnorm import (
     periodic_class,
     z2_norm_bundle,
 )
-from solnorm import bundle
+from solnorm import bundle, curve_complex
 from solnorm.bundle import PERIODIC_REPRESENTATIVES
 from solnorm.cli import document
 from solnorm.curve_complex import (
@@ -23,6 +23,7 @@ from solnorm.curve_complex import (
     IDENTITY,
     ParityClass,
     Slope,
+    distance,
     geodesic,
     intersection_number,
     mat_act,
@@ -194,8 +195,68 @@ class TestNormTable:
                     assert cert[-1] == mat_act(A, cert[0])
         assert seen == 18
 
+    @pytest.mark.parametrize("k", [10**3, 10**12, 10**40])
+    def test_walk_runs_grow_with_the_answer_not_the_entries(self, monkeypatch, k):
+        # base vertices k/2 to k moves from the axis, the flipped edge or the
+        # fixed set: P W P^-1 and P (0,-1;1,0) P^-1 with P = 1,0;2k,1 or
+        # 1,2k;0,1 and W = 1,2;2,5, and the rotation 1,0;2k,-1.  Each run
+        # _walk returns costs O(1) big-integer operations; their number is
+        # bounded by the continued-fraction terms of the columns and the
+        # certificates' size
+        def cf_terms(p, q):
+            terms = 0
+            while q:
+                p, q, terms = q, p % q, terms + 1
+            return terms
+
+        runs = 0
+        walk = curve_complex._walk
+
+        def counting(*args):
+            nonlocal runs
+            for run in walk(*args):
+                runs += 1
+                yield run
+
+        monkeypatch.setattr(curve_complex, "_walk", counting)
+        W, R = GL2Matrix(1, 2, 2, 5), GL2Matrix(0, -1, 1, 0)
+        family = [P @ M @ P.inverse() for P in (GL2Matrix(1, 0, 2 * k, 1), GL2Matrix(1, 2 * k, 0, 1))
+                  for M in (W, R)]
+        family.append(GL2Matrix(1, 0, 2 * k, -1))
+        for A in family:
+            s = bundle.summary(A)
+            moves = [distance(c.base_vertex, mat_act(A, c.base_vertex)) for c in s.h2.classes]
+            assert max(moves) >= k - 1  # the walks the certificates jump along
+            runs = 0
+            bundle.norm_table(A, s, DEFAULT_CERTIFICATE_CAP)
+            size = sum(s.lengths[c] + 1 for c in s.h2.classes)
+            assert 0 < runs <= 2 * (cf_terms(A.a, A.b) + cf_terms(A.c, A.d) + size), A
+
+    @pytest.mark.parametrize("text, parity, computed", [
+        ("1,0;2,1", ParityClass.ONE_ZERO, 1),  # 1/0 -> 1/2 is on the axis: d = l = 1
+        ("5,2;2,1", ParityClass.ONE_ONE, 1),  # d = l = 2
+        ("4,1;-1,0", ParityClass.ONE_ONE, 2),  # d = 3, l = 1: the walk from w needs its own N
+        ("2,1;-1,0", ParityClass.ONE_ONE, 2),  # d = 2, l = 0
+    ])
+    def test_realizer_computes_n_once_on_the_axis(self, monkeypatch, text, parity, computed):
+        # a base vertex on the axis is its own w: no jump and no second N
+        calls = 0
+        plain = curve_complex.bredon_wood
+
+        def counting(p, q):
+            nonlocal calls
+            calls += 1
+            return plain(p, q)
+
+        A = parse_matrix(text)
+        length = translation_lengths(A)[parity]
+        monkeypatch.setattr(curve_complex, "bredon_wood", counting)
+        bundle._realizer(A, parity, length, DEFAULT_CERTIFICATE_CAP)
+        assert calls == computed
+
     def test_realizer_rejects_a_certificate_off_the_orbit(self, monkeypatch):
-        # a walk that returns its path backwards puts the slice off the orbit
+        # a geodesic returned backwards runs from A(w) to w, off the orbit;
+        # d(1/1, A(1/1)) = 3, so the certificate is geodesic(w, A(w))
         A = parse_matrix("4,1;-1,0")
         monkeypatch.setattr(bundle, "geodesic", lambda s1, s2: geodesic(s1, s2)[::-1])
         with pytest.raises(AssertionError, match="does not run from a vertex to its image"):

@@ -6,9 +6,16 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solnorm import bredon_wood, bundle, oracle, semibundle
+from solnorm import bredon_wood, bundle, curve_complex, oracle, reports, semibundle
 from solnorm.cli import census_row, document, main, render, to_canonical_json
-from solnorm.curve_complex import GL2Matrix, Slope, mat_act, parse_matrix
+from solnorm.curve_complex import (
+    GL2Matrix,
+    Slope,
+    intersection_number,
+    mat_act,
+    parse_matrix,
+    parse_slope,
+)
 from solnorm.errors import DomainError
 
 # det 1 with 4,300-digit entries, the most the parser takes; the trace 2n
@@ -174,6 +181,24 @@ class TestExitCodes:
         code, _, err = run(capsys, "geodesic", "0/1", "1/0")
         assert code == 1 and "infinite distance" in err
 
+    def test_geodesic_too_long_to_list_is_one(self, capsys, monkeypatch):
+        # 10**12 edges: refused from the distance alone, before the walk
+        # yields a run, so the cost is bounded whatever the memory
+        runs = 0
+        walk = curve_complex._walk
+
+        def counting(*args):
+            nonlocal runs
+            for run_ in walk(*args):
+                runs += 1
+                yield run_
+
+        monkeypatch.setattr(curve_complex, "_walk", counting)
+        code, out, err = run(capsys, "geodesic", "1/0", "1/2000000000000")
+        assert (code, out, runs) == (1, "", 0)
+        assert err == (f"solnorm: geodesic from 1/0 to 1/2000000000000 is longer than "
+                       f"{curve_complex.MAX_PATH_EDGES} edges, too long to list\n")
+
     def test_unknown_command_is_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
@@ -236,15 +261,16 @@ class TestReports:
             str(mat_act(C, Slope(C.a, C.b)))
 
     def test_each_certificate_is_rendered_once(self, monkeypatch):
+        # counts the slopes given to the one helper that renders certificates
         calls = 0
-        plain = Slope.__str__
+        plain = reports.format_slopes
 
-        def counting(self):
+        def counting(slopes):
             nonlocal calls
-            calls += 1
-            return plain(self)
+            calls += len(slopes)
+            return plain(slopes)
 
-        monkeypatch.setattr(Slope, "__str__", counting)
+        monkeypatch.setattr(reports, "format_slopes", counting)
         # (kind, matrix, slopes rendered): the semi-bundle's one certificate,
         # of N(2k, 1) edges, sits in four rows; a bundle's in two (t = 0, 1)
         cases = [
@@ -259,6 +285,37 @@ class TestReports:
                 calls = 0
                 build()
                 assert calls == expected, (kind, A)
+
+    # Base vertices far from the fixed set or the axis: d(1/0, A(1/0)) is
+    # 2 * 10**12 for the rotation and 2 * 10**12 + 1 for P W P^-1 with
+    # P = 1,0;2k,1, W = 1,2;2,5, k = 10**12.  Each report jumps to the axis.
+    @pytest.mark.parametrize("matrix", [
+        "1,0;4000000000000,-1",
+        "-3999999999999,2;-8000000000007999999999998,4000000000005",
+    ])
+    @pytest.mark.parametrize("cap, limit", [([], 10**4), (["--certificate-cap=0"], 0),
+                                            (["--certificate-cap=1"], 1)])
+    def test_far_from_the_axis_reports_finish(self, capsys, matrix, cap, limit):
+        A = parse_matrix(matrix)
+        code, text, _ = run(capsys, "bundle", f"--matrix={matrix}", *cap)
+        assert code == 0
+        code, out, _ = run(capsys, "bundle", f"--matrix={matrix}", "--json", *cap)
+        assert code == 0
+        doc = json.loads(out)
+        lengths = [n for n in doc["translation_lengths"].values() if n != "inf"]
+        certificates = []
+        for entry in doc["norm_table"]:
+            for realizer in [entry["realizer"], *entry["realizer"].get("pieces", [])]:
+                if isinstance(realizer.get("certificate"), list):
+                    certificates.append((entry["norm"], realizer["certificate"]))
+        kept = sum(0 < n <= limit for n in lengths)
+        assert len(certificates) == 2 * kept  # each shown in the t = 0 and t = 1 rows
+        for norm, texts in certificates:
+            slopes = [parse_slope(t) for t in texts]
+            assert len(slopes) == norm + 1 and norm in lengths
+            assert slopes[-1] == mat_act(A, slopes[0])
+            assert all(intersection_number(u, v) == 2 for u, v in zip(slopes, slopes[1:]))
+            assert f"certificate: {' -> '.join(texts)}" in text
 
     def test_certificate_cap_flag(self, capsys):
         code, out, _ = run(capsys, "bundle", "--matrix", "1,0;30,1", "--certificate-cap", "3", "--json")

@@ -358,13 +358,27 @@ class TestNeighbors:
             assert sorted(got) == sorted(brute)
 
 
+def moves(*pairs):
+    """A walk of single moves, as _walk yields them: runs of one, increments 0."""
+    return [(c, d, 0, 0, 1) for c, d in pairs]
+
+
 # Walks _walk could be forged to return from 0/1 toward 4/3, d(0/1, 4/3) = 2.
 FORGED_WALKS = [
-    [(2, 2), (4, 3)],  # intersection numbers 2, but 2/2 is not a slope
-    [(2, 3), (4, 3)],  # reduced, right parity, but 2/3 and 4/3 meet 6 times
-    [(2, 1), (4, 3), (2, 1)],  # one step too many
-    [(2, 1)],  # stops short of 4/3
-    [(2, 1), (-4, 3)],  # ends at the wrong vertex
+    moves((2, 2), (4, 3)),  # intersection numbers 2, but 2/2 is not a slope
+    moves((2, 3), (4, 3)),  # reduced, right parity, but 2/3 and 4/3 meet 6 times
+    moves((2, 1), (4, 3), (2, 1)),  # one step too many
+    moves((2, 1)),  # stops short of 4/3
+    moves((2, 1), (-4, 3)),  # ends at the wrong vertex
+    [(2, 1, 2, 2, 3)],  # one run 2/1, 4/3, 6/5: a step past 4/3
+]
+
+# Walks from 0/1 to 4/3 of N + 2 = 4 edges that turn back once: every edge
+# has intersection number 2 and every vertex the parity of 0/1, so with N
+# forged 2 too large only the step-back check refuses them.
+STEP_BACK_WALKS = [
+    moves((2, 1), (0, 1), (2, 1), (4, 3)),
+    [(2, 1, -2, 0, 2), (2, 1, 2, 2, 2)],  # the turn inside a run
 ]
 
 
@@ -437,14 +451,35 @@ class TestBfsAndGeodesic:
     @example(W.power(300), mat_act(W.power(-600), Slope(0, 1)))
     def test_walk_returns_the_path_and_stops_at_the_target(self, A, t):
         # _walk gets five steps more than the distance and must stop after
-        # exactly d, one pair per vertex past s1, in path order
+        # exactly d, one vertex per step past s1, in path order
         s1, s2 = mat_act(A, Slope(0, 1)), mat_act(A, t)
         _, x, y = ext_gcd(s1.p, s1.q)
         tp, tq = s1.q * s2.p - s1.p * s2.q, x * s2.p + y * s2.q
         d = bredon_wood(tp, tq)
-        pairs = curve_complex._walk(y, s1.p, -x, s1.q, tp, tq, d + 5)
-        assert type(pairs) is list and len(pairs) == d == distance(s1, s2)
+        runs = curve_complex._walk(y, s1.p, -x, s1.q, tp, tq, d + 5)
+        assert type(runs) is list
+        pairs = [(c + j * dc, e + j * de) for c, e, dc, de, r in runs for j in range(r)]
+        assert len(pairs) == d == distance(s1, s2)
         assert [Slope.of(p, q) for p, q in pairs] == geodesic(s1, s2)[1:]
+
+    @given(unimodular, even_slopes, st.integers(0, 10**6))
+    @example(IDENTITY, Slope(2, 10**12 + 1), 0)
+    @example(GL2Matrix(1, 0, 0, -1), Slope(2, 10**12 + 1), 1)
+    def test_walk_vertex_is_the_path_vertex(self, A, t, seed):
+        # the jump reaches each vertex of the path without building the rest
+        s1, s2 = mat_act(A, Slope(0, 1)), mat_act(A, t)
+        walk = curve_complex.Walk.between(s1, s2)
+        path = geodesic(s1, s2)
+        index = seed % (walk.dist + 1)
+        assert walk.vertex(index) == path[index]
+        assert walk.vertex(0) == s1 and walk.vertex(walk.dist) == s2
+
+    def test_walk_vertex_on_a_run_of_a_trillion_moves(self):
+        # 1/0 to 1/(2 * 10**12): one run, d = 10**12; each vertex 1/(2j)
+        walk = curve_complex.Walk.between(Slope(1, 0), Slope(1, 2 * 10**12))
+        assert walk.dist == 10**12
+        assert [walk.vertex(j) for j in (0, 1, 7, 10**12 - 1)] == [
+            Slope(1, 0), Slope(1, 2), Slope(1, 14), Slope(1, 2 * 10**12 - 2)]
 
     @pytest.mark.parametrize("extra", [-1, 1, 2])
     def test_walk_of_the_wrong_length_raises(self, monkeypatch, extra):
@@ -453,26 +488,87 @@ class TestBfsAndGeodesic:
         with pytest.raises(AssertionError, match="left the tree path"):
             geodesic(Slope(1, 0), Slope(1, 8))
 
+    def test_a_path_too_long_to_list_is_refused_unwalked(self, monkeypatch):
+        # the limit is read from the distance: d(1/0, 1/(2k)) = k, so k at
+        # the limit is listed and k + 1 is refused before _walk is called
+        calls = []
+        walk = curve_complex._walk
+        monkeypatch.setattr(curve_complex, "_walk", lambda *args: calls.append(args) or walk(*args))
+        monkeypatch.setattr(curve_complex, "MAX_PATH_EDGES", 5)
+        assert geodesic(Slope(1, 0), Slope(1, 10))[-2:] == [Slope(1, 8), Slope(1, 10)]
+        assert len(calls) == 1
+        for target in (Slope(1, 12), Slope(1, 2 * 10**12)):
+            with pytest.raises(DomainError, match="1/0 to 1/[0-9]+ is longer than 5 edges, too long"):
+                geodesic(Slope(1, 0), target)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("vertices", FORGED_WALKS)
     def test_forged_walks_are_refused(self, monkeypatch, vertices):
-        # geodesic checks every vertex _walk proposes; d(0/1, 4/3) = 2
+        # geodesic checks every vertex _walk proposes, also when the runs
+        # come as an iterator; d(0/1, 4/3) = 2
         monkeypatch.setattr(curve_complex, "_walk", lambda *args: iter(vertices))
         with pytest.raises(AssertionError, match="left the tree path"):
             geodesic(Slope(0, 1), Slope(4, 3))
 
     @pytest.mark.parametrize("vertices", FORGED_WALKS)
     def test_forged_walk_lists_are_refused(self, monkeypatch, vertices):
-        # the same walks returned as lists, as _walk returns them
+        # the same runs returned as a list, as _walk returns them
         monkeypatch.setattr(curve_complex, "_walk", lambda *args: list(vertices))
         with pytest.raises(AssertionError, match="left the tree path"):
             geodesic(Slope(0, 1), Slope(4, 3))
 
+    @pytest.mark.parametrize("runs", STEP_BACK_WALKS)
+    def test_a_walk_that_turns_back_is_refused(self, monkeypatch, runs):
+        # with N forged 2 too large, the turned-back walk has the length and
+        # the end a geodesic needs; only the step-back check refuses it
+        monkeypatch.setattr(curve_complex, "bredon_wood", lambda p, q: bredon_wood(p, q) + 2)
+        monkeypatch.setattr(curve_complex, "_walk", lambda *args: iter(runs))
+        with pytest.raises(AssertionError, match="left the tree path"):
+            geodesic(Slope(0, 1), Slope(4, 3))
+
     def test_walk_signs_are_canonicalized(self, monkeypatch):
-        walk = [(-2, -1), (4, 3)]
+        walk = moves((-2, -1), (4, 3))
         monkeypatch.setattr(curve_complex, "_walk", lambda *args: iter(walk))
         assert geodesic(Slope(0, 1), Slope(4, 3)) == [Slope(0, 1), Slope(2, 1), Slope(4, 3)]
-        walk = [(-1, 0)]
+        walk = moves((-1, 0))
         assert geodesic(Slope(1, 2), Slope(1, 0)) == [Slope(1, 2), Slope(1, 0)]
+
+
+def continued_fraction_pair(quotients: list[int]) -> tuple[int, int]:
+    """(p, q) with p/q = [a0; a1, ..., an] for the given quotients."""
+    p, q = 1, 0
+    for a in reversed(quotients):
+        p, q = a * p + q, p
+    return p, q
+
+
+# continued fractions of up to 400 terms, with quotients near 10**12
+# mixed in: operands of up to about 5,000 digits
+_QUOTIENTS = st.lists(
+    st.one_of(st.integers(1, 30), st.integers(10**12 - 50, 10**12 + 50)), min_size=1, max_size=400
+)
+
+
+class TestRuns:
+    @given(_QUOTIENTS, st.booleans(), st.booleans())
+    @example([10**12] * 400, False, False)
+    def test_run_lengths_sum_to_bredon_wood(self, quotients, negate_p, negate_q):
+        # the walk from 0/1 to T counts d(0/1, T) = N(T) as a sum of run
+        # lengths, with none of bredon_wood's code
+        p, q = continued_fraction_pair(quotients)
+        if p % 2:  # make p even, keeping the pair coprime
+            p, q = (q, p) if q % 2 == 0 else (p + q, q)
+        p, q = -p if negate_p else p, -q if negate_q else q
+        bound = abs(p) + abs(q)  # more steps than any walk of the pair takes
+        runs = list(curve_complex._walk(1, 0, 0, 1, p, q, bound))
+        assert sum(r for *_, r in runs) == bredon_wood(p, q)
+        assert len(runs) <= 2 * len(quotients) + 2
+
+    def test_a_run_is_one_iteration(self):
+        # 1/0 to 1/(2 * 10**12) is one run of 10**12 moves with n = 1
+        walk = curve_complex.Walk.between(Slope(1, 0), Slope(1, 2 * 10**12))
+        (run,) = curve_complex._walk(*walk.start, walk.dist)
+        assert run[-1] == walk.dist == 10**12
 
 
 DOT_LINE = re.compile(r'^(graph \{|\}|  "-?\d+/\d+";|  "-?\d+/\d+" -- "-?\d+/\d+";)$')

@@ -50,6 +50,12 @@ REPORT_CASES = [
     ("bundle", "2,1;-1,0", None),  # rotation on 1/1, torus at -1/1
     ("bundle", "4,1;-1,0", None),  # -1/1 -> -3/1, with d(1/1, A(1/1)) = 3
     ("bundle", "-1,0;4,1", None),  # inversion, -1/1 -> -1/3
+    # far from the axis or the fixed set (k = 10**3): a short certificate
+    # thousands of walk steps from the base vertex
+    ("bundle", "-3999,2;-8007998,4005", None),  # P W P^-1, P = 1,0;2k,1, W = 1,2;2,5
+    ("bundle", "4001,-7991998;2,-3995", None),  # P W P^-1, P = 1,2k;0,1
+    ("bundle", "1,0;2000,-1", None),  # rotation, d(1/0, A(1/0)) = 2000
+    ("bundle", "2000,-1;4000001,-2000", None),  # inversion P (0,-1;1,0) P^-1, P = 1,0;2k,1
     ("semibundle", "3,1;2,1", None),  # b = 2 mod 4
     ("semibundle", "1,0;4,1", None),  # b = 0 mod 4
     ("semibundle", "2,1;1,1", None),  # b odd
