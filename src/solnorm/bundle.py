@@ -27,7 +27,6 @@ from .curve_complex import (
     PARITY_BY_BITS,
     PARITY_CLASSES,
     ParityClass,
-    Walk,
     geodesic,
     mat_act,
 )
@@ -134,12 +133,15 @@ def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> Surfa
     or Klein bottle as A keeps or reverses the one slope of the certificate.
 
     The certificate is the geodesic from a vertex w on the axis, the
-    flipped edge or the fixed set of A to A(w).  The walk from the class's
-    base vertex v to A(v), of length d, meets that set (d - l)/2 moves in,
-    so w is the walk's vertex there, reached by jumping over whole runs of
-    the walk without building the vertices before it; when d = l, w = v
-    and the walk to A(v) is the certificate.  The certificate proves itself
-    minimal, so neither l nor the way w was found is trusted:
+    flipped edge or the fixed set of A to A(w).  In a tree the path from
+    the class's base vertex v to A(v) runs v -> w -> A(w) -> A(v), and its
+    two outer legs have the same length (Serre, Trees, I.6.4).  So the
+    certificate is the middle l edges of the one walk from v to A(v):
+    geodesic(v, A(v), middle=l) skips the first (d - l)/2 moves by whole
+    runs, without building a vertex, and lists the l edges after them.  It
+    raises when l is negative, above d = d(v, A(v)) or of the parity of
+    d + 1.  The certificate proves itself minimal, so neither l nor the
+    way w was found is trusted:
 
     - A checked geodesic of l + 1 vertices from w to A(w) proves
       d(w, A(w)) = l, an upper bound on the translation length.
@@ -155,23 +157,13 @@ def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> Surfa
     A vertex w off the axis, the flipped edge or the fixed set moves
     l + 2*d(w, that set) > l, so its certificate is too long.  A length
     that is 2k too large puts w k moves off the axis, where the path
-    backtracks or d - l is negative; one that is too small ends the walk
-    from w before A(w) is reached in l moves."""
+    backtracks or d - l is negative; one that is too small ends the
+    stretch from w before A(w) is reached in l moves."""
     if length > max(cap, 0):
         # skip the walk entirely; only the genus is reported
         return pi_surface_elided(length + 2)
-    walk = Walk.between(parity.base_vertex, mat_act(A, parity.base_vertex))
-    excess = walk.dist - length  # d(v, A(v)) - l: twice the distance from v to w
-    if length < 0 or excess < 0 or excess % 2:
-        raise AssertionError(
-            f"closed form gives length {length} for {A} on {parity.label}, "
-            f"but the base vertex moves {walk.dist}"
-        )
-    if excess:
-        w = walk.vertex(excess // 2)
-        certificate = geodesic(w, mat_act(A, w))
-    else:
-        certificate = walk.path()
+    v = parity.base_vertex
+    certificate = geodesic(v, mat_act(A, v), middle=length)
     # a checked geodesic from w to A(w) proves d(w, A(w)) = l
     if len(certificate) != length + 1 or certificate[-1] != mat_act(A, certificate[0]):
         raise AssertionError(

@@ -420,93 +420,90 @@ def _progression(start: int, step: int, count: int) -> Iterable[int]:
     return range(start, start + step * count, step) if step else itertools.repeat(start, count)
 
 
-# The longest path Walk.path lists, under 200 MB of slopes: a longer one
-# is a domain error, not a list that runs the process out of memory.
+# The most edges geodesic lists, under 200 MB of slopes: a longer list is
+# a domain error, not one that runs the process out of memory.
 MAX_PATH_EDGES = 10**6
 
 
-class Walk(NamedTuple):
-    """The walk from s1 toward s2 along their tree path, of dist =
-    distance(s1, s2) moves; start holds _walk's frame and target.
+def geodesic(s1: Slope, s2: Slope, middle: int | None = None) -> list[Slope]:
+    """The unique tree path from s1 to s2, every vertex checked.  With
+    middle = m it is only the middle m edges: vertices k .. d - k of the
+    path, where d = distance(s1, s2) and k = (d - m)/2.  A middle below 0,
+    above d or of the parity of d + 1 raises AssertionError.
 
-    Walk.between builds it with the frame G = [[y, p], [-x, q]] from
-    ext_gcd (the one distance uses), which has det 1 and sends 0/1 to
-    s1 = p/q, and the target T = G^-1(s2): distance(s1, s2) = N(T), finite
-    only when the numerator of T is even."""
+    One frame and one N give d: the frame G = [[y, p], [-x, q]] from
+    ext_gcd (the one distance uses) has det 1 and sends 0/1 to s1 = p/q,
+    and d = N(T) for the target T = G^-1(s2), finite only when the
+    numerator of T is even.  A stretch of more than MAX_PATH_EDGES edges
+    raises DomainError before any vertex is built: such a list would
+    exhaust memory rather than be printed.
 
-    s1: Slope
-    s2: Slope
-    dist: int
-    start: tuple[int, int, int, int, int, int]
-
-    @classmethod
-    def between(cls, s1: Slope, s2: Slope) -> "Walk":
-        _, x, y = ext_gcd(s1.p, s1.q)
-        tp, tq = s1.q * s2.p - s1.p * s2.q, x * s2.p + y * s2.q
-        dist = bredon_wood(tp, tq)  # distance(s1, s2): N ignores the sign of tp
-        if dist == INF:
-            raise DomainError(f"infinite distance: {s1} and {s2} lie in different parity classes")
-        return cls(s1, s2, dist, (y, s1.p, -x, s1.q, tp, tq))
-
-    def vertex(self, index: int) -> Slope:
-        """The vertex index moves along the walk, 0 <= index <= dist, in
-        O(#runs) big-integer operations: no vertex before it is built."""
-        c, d, dc, dd, r = self.s1.p, self.s1.q, 0, 0, 1
-        for c, d, dc, dd, r in _walk(*self.start, index):
-            pass
-        return Slope.of(c + (r - 1) * dc, d + (r - 1) * dd)
-
-    def path(self) -> list[Slope]:
-        """The unique tree path from s1 to s2, every vertex checked.
-
-        A path of more than MAX_PATH_EDGES edges raises DomainError before
-        any vertex is built: dist is known, and such a list would exhaust
-        memory rather than be printed.
-
-        The runs of _walk are spelled out as vertex pairs, a run of many
-        moves in C by zip over two ranges.  One loop then checks each
-        vertex and builds it: it must have intersection number 2 with the
-        previous vertex, the parity of s1, and differ from the vertex two
-        before it.  The first makes its gcd divide 2, the second makes one
-        entry odd, so the pair is reduced and becomes a Slope through
-        tuple.__new__, without the gcd of Slope.__new__.  The third means
-        the path never turns back, and a path in a tree that never turns
-        back is the geodesic between its ends.  At the end the path must
-        have N(T) edges and end at s2, which checks N(T) too."""
-        s1, s2 = self.s1, self.s2
-        if self.dist > MAX_PATH_EDGES:
-            raise DomainError(
-                f"geodesic from {s1} to {s2} is longer than {MAX_PATH_EDGES} edges, too long to list"
-            )
-        pp, pq = s1
-        bp = bq = None  # the vertex before (pp, pq); s1 has none
-        parity = (pp & 1, pq & 1)
-        new = tuple.__new__
-        pairs = []
-        for c, d, dc, dd, r in _walk(*self.start, self.dist):
-            if r == 1:
-                pairs.append((c, d))
-            else:
-                pairs += zip(_progression(c, dc, r), _progression(d, dd, r))
-        path = [s1]
-        for cp, cq in pairs:
-            if cq < 0 or (cq == 0 and cp < 0):
-                cp, cq = -cp, -cq
-            if (abs(pp * cq - cp * pq) != 2 or (cp & 1, cq & 1) != parity
-                    or (cp == bp and cq == bq)):
-                raise AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
-            path.append(new(Slope, (cp, cq)))
-            bp, bq = pp, pq
-            pp, pq = cp, cq
-        if len(path) != self.dist + 1 or path[-1] != s2:
+    _walk moves the frame d - k times, in runs.  The runs before vertex k
+    are skipped whole, without building a vertex.  The run that holds
+    vertex k is trimmed there: vertex k, built by Slope.of, must have the
+    parity of s1, and the rest of the run follows it.  Each run is spelled
+    out as vertex pairs, a run of many moves in C by zip over two ranges.
+    One loop then checks each vertex after the first and builds it: it
+    must have intersection number 2 with the previous vertex, the parity
+    of s1, and differ from the vertex two before it.  The first makes its
+    gcd divide 2, the second makes one entry odd, so the pair is reduced
+    and becomes a Slope through tuple.__new__, without the gcd of
+    Slope.__new__.  The third means the stretch never turns back, and a
+    path in a tree that never turns back is the geodesic between its ends.
+    At the end the stretch must have m + 1 vertices, and the whole path
+    (k = 0) must end at s2, which checks N(T) too.  So what is returned is
+    a tree geodesic of m edges in the class of s1; that it is the middle of
+    the path to s2 rests on N(T), and a caller that relies on it checks
+    the ends itself."""
+    _, x, y = ext_gcd(s1.p, s1.q)  # gcd 1 for a reduced slope
+    tp, tq = s1.q * s2.p - s1.p * s2.q, x * s2.p + y * s2.q
+    dist = bredon_wood(tp, tq)  # distance(s1, s2): N ignores the sign of tp
+    if dist == INF:
+        raise DomainError(f"infinite distance: {s1} and {s2} lie in different parity classes")
+    edges = dist if middle is None else middle
+    if edges < 0 or edges > dist or (dist - edges) % 2:
+        raise AssertionError(f"geodesic from {s1} to {s2} has {dist} edges: no middle stretch of {edges}")
+    if edges > MAX_PATH_EDGES:
+        raise DomainError(
+            f"geodesic from {s1} to {s2} is longer than {MAX_PATH_EDGES} edges, too long to list"
+        )
+    skip = (dist - edges) // 2
+    parity = (s1.p & 1, s1.q & 1)
+    runs = iter(_walk(y, s1.p, -x, s1.q, tp, tq, dist - skip))
+    first, pairs = s1, []
+    if skip:
+        left = skip  # vertex k is the run's vertex left - 1
+        for c, d, dc, dd, r in runs:
+            if left <= r:
+                break
+            left -= r
+        else:
             raise AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
-        return path
-
-
-def geodesic(s1: Slope, s2: Slope) -> list[Slope]:
-    """The unique tree path from s1 to s2, read off in one pass and checked
-    vertex by vertex (Walk.path)."""
-    return Walk.between(s1, s2).path()
+        first = Slope.of(c + (left - 1) * dc, d + (left - 1) * dd)
+        if (first.p & 1, first.q & 1) != parity:
+            raise AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
+        pairs += zip(_progression(c + left * dc, dc, r - left), _progression(d + left * dd, dd, r - left))
+    for c, d, dc, dd, r in runs:
+        if r == 1:
+            pairs.append((c, d))
+        else:
+            pairs += zip(_progression(c, dc, r), _progression(d, dd, r))
+    pp, pq = first
+    bp = bq = None  # the vertex before (pp, pq); the first has none
+    new = tuple.__new__
+    path = [first]
+    for cp, cq in pairs:
+        if cq < 0 or (cq == 0 and cp < 0):
+            cp, cq = -cp, -cq
+        if (abs(pp * cq - cp * pq) != 2 or (cp & 1, cq & 1) != parity
+                or (cp == bp and cq == bq)):
+            raise AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
+        path.append(new(Slope, (cp, cq)))
+        bp, bq = pp, pq
+        pp, pq = cp, cq
+    if len(path) != edges + 1 or (not skip and path[-1] != s2):
+        raise AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
+    return path
 
 
 def export_dot(center: Slope, radius: int, bound: int) -> str:

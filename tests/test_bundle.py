@@ -214,9 +214,9 @@ class TestNormTable:
 
         def counting(*args):
             nonlocal runs
-            for run in walk(*args):
-                runs += 1
-                yield run
+            walked = walk(*args)
+            runs += len(walked)
+            return walked
 
         monkeypatch.setattr(curve_complex, "_walk", counting)
         W, R = GL2Matrix(1, 2, 2, 5), GL2Matrix(0, -1, 1, 0)
@@ -232,48 +232,58 @@ class TestNormTable:
             size = sum(s.lengths[c] + 1 for c in s.h2.classes)
             assert 0 < runs <= 2 * (cf_terms(A.a, A.b) + cf_terms(A.c, A.d) + size), A
 
-    @pytest.mark.parametrize("text, parity, computed", [
-        ("1,0;2,1", ParityClass.ONE_ZERO, 1),  # 1/0 -> 1/2 is on the axis: d = l = 1
-        ("5,2;2,1", ParityClass.ONE_ONE, 1),  # d = l = 2
-        ("4,1;-1,0", ParityClass.ONE_ONE, 2),  # d = 3, l = 1: the walk from w needs its own N
-        ("2,1;-1,0", ParityClass.ONE_ONE, 2),  # d = 2, l = 0
+    @pytest.mark.parametrize("text, parity", [
+        ("1,0;2,1", ParityClass.ONE_ZERO),  # 1/0 -> 1/2 is on the axis: d = l = 1
+        ("5,2;2,1", ParityClass.ONE_ONE),  # d = l = 2
+        ("4,1;-1,0", ParityClass.ONE_ONE),  # d = 3, l = 1: the middle edge of the walk
+        ("2,1;-1,0", ParityClass.ONE_ONE),  # d = 2, l = 0: the middle vertex
     ])
-    def test_realizer_computes_n_once_on_the_axis(self, monkeypatch, text, parity, computed):
-        # a base vertex on the axis is its own w: no jump and no second N
-        calls = 0
-        plain = curve_complex.bredon_wood
+    def test_realizer_computes_n_once_on_the_axis(self, monkeypatch, text, parity):
+        # on the axis or off it, a certificate is one geodesic call with one N
+        calls = {"geodesic": 0, "bredon_wood": 0}
 
-        def counting(p, q):
-            nonlocal calls
-            calls += 1
-            return plain(p, q)
+        def counting(module, name):
+            plain = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return plain(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
 
         A = parse_matrix(text)
         length = translation_lengths(A)[parity]
-        monkeypatch.setattr(curve_complex, "bredon_wood", counting)
+        counting(bundle, "geodesic")
+        counting(curve_complex, "bredon_wood")
         bundle._realizer(A, parity, length, DEFAULT_CERTIFICATE_CAP)
-        assert calls == computed
+        assert calls == {"geodesic": 1, "bredon_wood": 1}
 
     def test_realizer_rejects_a_certificate_off_the_orbit(self, monkeypatch):
         # a geodesic returned backwards runs from A(w) to w, off the orbit;
-        # d(1/1, A(1/1)) = 3, so the certificate is geodesic(w, A(w))
+        # d(1/1, A(1/1)) = 3, so the certificate is the middle edge w -> A(w)
         A = parse_matrix("4,1;-1,0")
-        monkeypatch.setattr(bundle, "geodesic", lambda s1, s2: geodesic(s1, s2)[::-1])
+        monkeypatch.setattr(bundle, "geodesic",
+                            lambda s1, s2, middle=None: geodesic(s1, s2, middle)[::-1])
         with pytest.raises(AssertionError, match="does not run from a vertex to its image"):
             bundle._realizer(A, ParityClass.ONE_ONE, 1, DEFAULT_CERTIFICATE_CAP)
 
     # (matrix, shift of every finite closed-form length, the check that
     # catches it).  The base vertex 1/1 of 4,1;-1,0 and 8,1;-1,0 is off the
-    # axis (d(v, A v) = l + 2); those of 1,0;2,1 are on it.
+    # axis (d(v, A v) = l + 2); those of 1,0;2,1 are on it.  A length the
+    # walk from v to A(v) has no middle stretch of is refused by geodesic;
+    # those cases are named by the length the closed form gives.
     @pytest.mark.parametrize(
         "text, shift, message",
         [
             ("4,1;-1,0", 2, "not on the axis"),
-            ("4,1;-1,0", -2, "closed form gives length -1"),
+            pytest.param("4,1;-1,0", -2, "has 3 edges: no middle stretch of -1",
+                         id="4,1;-1,0--2-closed form gives length -1"),
             ("8,1;-1,0", 2, "not on the axis"),
             ("8,1;-1,0", -2, "does not run from a vertex to its image"),
-            ("1,0;2,1", 2, "closed form gives length 2 .* but the base vertex moves 0"),
-            ("1,0;2,1", -2, "closed form gives length -2"),
+            pytest.param("1,0;2,1", 2, "has 0 edges: no middle stretch of 2",
+                         id="1,0;2,1-2-closed form gives length 2, the base vertex moves 0"),
+            pytest.param("1,0;2,1", -2, "has 0 edges: no middle stretch of -2",
+                         id="1,0;2,1--2-closed form gives length -2"),
         ],
     )
     def test_report_rejects_a_closed_form_off_by_two(self, monkeypatch, text, shift, message):

@@ -463,23 +463,63 @@ class TestBfsAndGeodesic:
         assert [Slope.of(p, q) for p, q in pairs] == geodesic(s1, s2)[1:]
 
     @given(unimodular, even_slopes, st.integers(0, 10**6))
-    @example(IDENTITY, Slope(2, 10**12 + 1), 0)
+    @example(IDENTITY, Slope(2000, 1), 123)  # one run of 1,000 moves, cut at vertex 123
+    @example(W.power(300), mat_act(W.power(-600), Slope(0, 1)), 5)
     @example(GL2Matrix(1, 0, 0, -1), Slope(2, 10**12 + 1), 1)
-    def test_walk_vertex_is_the_path_vertex(self, A, t, seed):
-        # the jump reaches each vertex of the path without building the rest
+    def test_middle_is_the_middle_of_the_path(self, A, t, seed):
+        # the runs before vertex k are skipped whole and the run that holds
+        # it is cut there; the stretch is vertices k .. d - k of the path
         s1, s2 = mat_act(A, Slope(0, 1)), mat_act(A, t)
-        walk = curve_complex.Walk.between(s1, s2)
         path = geodesic(s1, s2)
-        index = seed % (walk.dist + 1)
-        assert walk.vertex(index) == path[index]
-        assert walk.vertex(0) == s1 and walk.vertex(walk.dist) == s2
+        d = len(path) - 1
+        k = seed % (d // 2 + 1)
+        assert geodesic(s1, s2, middle=d - 2 * k) == path[k:d - k + 1]
+        assert geodesic(s1, s2, middle=d) == path
 
-    def test_walk_vertex_on_a_run_of_a_trillion_moves(self):
-        # 1/0 to 1/(2 * 10**12): one run, d = 10**12; each vertex 1/(2j)
-        walk = curve_complex.Walk.between(Slope(1, 0), Slope(1, 2 * 10**12))
-        assert walk.dist == 10**12
-        assert [walk.vertex(j) for j in (0, 1, 7, 10**12 - 1)] == [
-            Slope(1, 0), Slope(1, 2), Slope(1, 14), Slope(1, 2 * 10**12 - 2)]
+    def test_middle_of_a_run_of_a_trillion_moves(self):
+        # 1/0 to 1/(2 * 10**12): one run, d = 10**12; vertex j is 1/(2j)
+        s1, s2 = Slope(1, 0), Slope(1, 2 * 10**12)
+        half = 5 * 10**11
+        assert geodesic(s1, s2, middle=0) == [Slope(1, 2 * half)]
+        assert geodesic(s1, s2, middle=4) == [Slope(1, 2 * j) for j in range(half - 2, half + 3)]
+
+    @pytest.mark.parametrize("middle", [-2, -1, 1, 3, 5, 6])
+    def test_a_middle_that_does_not_fit_is_refused(self, middle):
+        # d(1/0, 1/8) = 4: the middle stretches have 0, 2 or 4 edges
+        with pytest.raises(AssertionError, match=f"from 1/0 to 1/8 has 4 edges: no middle stretch of {middle}$"):
+            geodesic(Slope(1, 0), Slope(1, 8), middle=middle)
+
+    @pytest.mark.parametrize("target", [Slope(1, 0), Slope(1, 2), Slope(1, 8), Slope(33, 8), Slope(-23, 10)])
+    @pytest.mark.parametrize("extra", [-1, 1, 2])
+    def test_a_forged_length_with_a_middle_is_refused_or_a_stretch(self, monkeypatch, target, extra):
+        # with N forged, each middle the forged length allows is refused or
+        # is a true stretch of the path, never an IndexError or a
+        # StopIteration; the whole path is always refused, and 1/0 to
+        # itself with N forged to 2 runs out of moves before vertex k = 1
+        path = geodesic(Slope(1, 0), target)
+        forged = len(path) - 1 + extra
+        monkeypatch.setattr(curve_complex, "bredon_wood", lambda p, q: bredon_wood(p, q) + extra)
+        refused = []
+        for middle in range(forged % 2, forged + 1, 2):
+            try:
+                stretch = geodesic(Slope(1, 0), target, middle=middle)
+            except AssertionError as err:
+                assert "left the tree path" in str(err)
+                refused.append(middle)
+            else:
+                assert len(stretch) == middle + 1
+                assert any(path[i:i + middle + 1] == stretch for i in range(len(path)))
+        assert (forged in refused) == (forged >= 0)
+
+    @pytest.mark.parametrize("middle", [0, 2])
+    def test_a_cut_run_of_the_wrong_parity_is_refused(self, monkeypatch, middle):
+        # the path from 1/0 to 1/8 runs through 1/2, 1/4, 1/6; the forged
+        # run 1/1, 1/3, 1/5 of as many moves as asked for has edges of
+        # intersection number 2, so with middle 0 (the stretch [1/3]) only
+        # the parity check on vertex k refuses it
+        monkeypatch.setattr(curve_complex, "_walk", lambda *args: [(1, 1, 0, 2, args[-1])])
+        with pytest.raises(AssertionError, match="left the tree path"):
+            geodesic(Slope(1, 0), Slope(1, 8), middle=middle)
 
     @pytest.mark.parametrize("extra", [-1, 1, 2])
     def test_walk_of_the_wrong_length_raises(self, monkeypatch, extra):
@@ -501,6 +541,12 @@ class TestBfsAndGeodesic:
             with pytest.raises(DomainError, match="1/0 to 1/[0-9]+ is longer than 5 edges, too long"):
                 geodesic(Slope(1, 0), target)
         assert len(calls) == 1
+        # the limit is on the edges listed, not on the path: the middle 4
+        # edges of 10**12 are listed and the middle 6 refused unwalked
+        assert len(geodesic(Slope(1, 0), Slope(1, 2 * 10**12), middle=4)) == 5
+        with pytest.raises(DomainError, match="is longer than 5 edges, too long"):
+            geodesic(Slope(1, 0), Slope(1, 2 * 10**12), middle=6)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("vertices", FORGED_WALKS)
     def test_forged_walks_are_refused(self, monkeypatch, vertices):
@@ -566,9 +612,12 @@ class TestRuns:
 
     def test_a_run_is_one_iteration(self):
         # 1/0 to 1/(2 * 10**12) is one run of 10**12 moves with n = 1
-        walk = curve_complex.Walk.between(Slope(1, 0), Slope(1, 2 * 10**12))
-        (run,) = curve_complex._walk(*walk.start, walk.dist)
-        assert run[-1] == walk.dist == 10**12
+        # the frame and target geodesic starts from
+        s1, s2 = Slope(1, 0), Slope(1, 2 * 10**12)
+        _, x, y = ext_gcd(s1.p, s1.q)
+        tp, tq = s1.q * s2.p - s1.p * s2.q, x * s2.p + y * s2.q
+        (run,) = curve_complex._walk(y, s1.p, -x, s1.q, tp, tq, 10**12)
+        assert run[-1] == 10**12
 
 
 DOT_LINE = re.compile(r'^(graph \{|\}|  "-?\d+/\d+";|  "-?\d+/\d+" -- "-?\d+/\d+";)$')
