@@ -442,14 +442,17 @@ def geodesic(s1: Slope, s2: Slope, middle: int | None = None) -> list[Slope]:
     are skipped whole, without building a vertex.  The run that holds
     vertex k is trimmed there: vertex k, built by Slope.of, must have the
     parity of s1, and the rest of the run follows it.  Each run is spelled
-    out as vertex pairs, a run of many moves in C by zip over two ranges.
-    One loop then checks each vertex after the first and builds it: it
-    must have intersection number 2 with the previous vertex, the parity
-    of s1, and differ from the vertex two before it.  The first makes its
-    gcd divide 2, the second makes one entry odd, so the pair is reduced
-    and becomes a Slope through tuple.__new__, without the gcd of
-    Slope.__new__.  The third means the stretch never turns back, and a
-    path in a tree that never turns back is the geodesic between its ends.
+    out lazily as vertex pairs, a run of many moves in C by zip over two
+    ranges, and the chained runs are cut after m + 1 pairs: a walk that
+    claims more moves than the stretch has fails the length check below
+    instead of filling memory.  One loop checks each vertex after the
+    first and builds it: it must have intersection number 2 with the
+    previous vertex, the parity of s1, and differ from the vertex two
+    before it.  The first makes its gcd divide 2, the second makes one
+    entry odd, so the pair is reduced and becomes a Slope through
+    tuple.__new__, without the gcd of Slope.__new__.  The third means the
+    stretch never turns back, and a path in a tree that never turns back
+    is the geodesic between its ends.
     At the end the stretch must have m + 1 vertices, and the whole path
     (k = 0) must end at s2, which checks N(T) too.  So what is returned is
     a tree geodesic of m edges in the class of s1; that it is the middle of
@@ -470,7 +473,7 @@ def geodesic(s1: Slope, s2: Slope, middle: int | None = None) -> list[Slope]:
     skip = (dist - edges) // 2
     parity = (s1.p & 1, s1.q & 1)
     runs = iter(_walk(y, s1.p, -x, s1.q, tp, tq, dist - skip))
-    first, pairs = s1, []
+    first, pieces = s1, []
     if skip:
         left = skip  # vertex k is the run's vertex left - 1
         for c, d, dc, dd, r in runs:
@@ -482,17 +485,14 @@ def geodesic(s1: Slope, s2: Slope, middle: int | None = None) -> list[Slope]:
         first = Slope.of(c + (left - 1) * dc, d + (left - 1) * dd)
         if (first.p & 1, first.q & 1) != parity:
             raise AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
-        pairs += zip(_progression(c + left * dc, dc, r - left), _progression(d + left * dd, dd, r - left))
+        pieces.append(zip(_progression(c + left * dc, dc, r - left), _progression(d + left * dd, dd, r - left)))
     for c, d, dc, dd, r in runs:
-        if r == 1:
-            pairs.append((c, d))
-        else:
-            pairs += zip(_progression(c, dc, r), _progression(d, dd, r))
+        pieces.append(((c, d),) if r == 1 else zip(_progression(c, dc, r), _progression(d, dd, r)))
     pp, pq = first
     bp = bq = None  # the vertex before (pp, pq); the first has none
     new = tuple.__new__
     path = [first]
-    for cp, cq in pairs:
+    for cp, cq in itertools.islice(itertools.chain.from_iterable(pieces), edges + 1):
         if cq < 0 or (cq == 0 and cp < 0):
             cp, cq = -cp, -cq
         if (abs(pp * cq - cp * pq) != 2 or (cp & 1, cq & 1) != parity

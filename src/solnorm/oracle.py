@@ -1,18 +1,19 @@
 """Independent brute-force oracles and the randomized verification suites.
 
 Everything here deliberately avoids the closed-form machinery it is checking:
-distances are re-derived by breadth-first search over explicitly enumerated
-neighbors, geodesics by a step-by-step neighbor search, orders by matrix
-powers, the mod-2 permutation by acting on slopes, conjugacy is decided
-by searching the unimodular matrices in a box, and random matrices come from
-a seeded generator so every run is reproducible.  The same checks back both
+distances are re-derived as tree distances over explicitly enumerated
+neighbors, geodesics are checked edge by edge against what a tree path is,
+orders by matrix powers, the mod-2 permutation by acting on slopes,
+conjugacy is decided by searching the unimodular matrices in a box, and
+random matrices come from a seeded generator so every run is reproducible.  The same checks back both
 the pytest suite and the ``solnorm verify`` subcommand.
 
 Each piece of oracle work is done once: the conjugator search solves the
 linear equation its first row must satisfy instead of testing every row,
-the grid check takes all formula distances from one BFS source in one
-distances_from call, and the invariance checks build one summary per
-distinct matrix and compare its fields.
+the grid check walks each component once and reads every source's
+distance row off its parent's, the invariance checks build one summary per
+distinct matrix and compare its fields, and the random draws work on plain
+integers, with the streams of random.Random's own methods.
 """
 
 from __future__ import annotations
@@ -24,37 +25,15 @@ from dataclasses import dataclass
 
 from .arith import INF, ExtNat, bredon_wood, ext_gcd, is_finite
 from .bundle import (
-    GeometryClass,
-    classify_geometry,
-    h2_structure,
-    order,
-    periodic_class,
-    summary,
-    PERIODIC_REPRESENTATIVES,
+    GeometryClass, classify_geometry, h2_structure, order, periodic_class, summary, PERIODIC_REPRESENTATIVES,
 )
 from .curve_complex import (
-    GL2Matrix,
-    IDENTITY,
-    PARITY_CLASSES,
-    ParityClass,
-    Slope,
-    _family_range,
-    breadth_first,
-    distance,
-    distances_from,
-    geodesic,
-    intersection_number,
-    mat_act,
-    neighbors_bounded,
-    parity_of,
+    GL2Matrix, IDENTITY, PARITY_CLASSES, ParityClass, Slope, _family_range, distance, distances_from,
+    geodesic, intersection_number, mat_act, neighbors_bounded, parity_of,
 )
 from .errors import DomainError
 from .semibundle import summary as semi_summary
-from .tree_action import (
-    parity_permutation,
-    translation_length_closed,
-    translation_length_orbit,
-)
+from .tree_action import parity_permutation, translation_length_closed, translation_length_orbit
 
 # Elementary shears, their inverses, and the orientation-reversing flip.
 GENERATORS = (
@@ -64,15 +43,19 @@ GENERATORS = (
     GL2Matrix(1, 0, -1, 1),
     GL2Matrix(1, 0, 0, -1),
 )
+_GENERATOR_ENTRIES = tuple((g.a, g.c, g.b, g.d) for g in GENERATORS)
 
 
 def random_glz(seed: int, word_length: int) -> GL2Matrix:
-    """Product of word_length generators chosen by an RNG seeded with seed."""
-    rng = random.Random(seed)
-    result = IDENTITY
+    """Product of word_length generators chosen by an RNG seeded with seed.
+    The product is taken on int tuples and checked once, by the GL2Matrix
+    built from it; choice draws the same indices as over GENERATORS."""
+    choose = random.Random(seed).choice
+    a, c, b, d = 1, 0, 0, 1
     for _ in range(word_length):
-        result = result @ rng.choice(GENERATORS)
-    return result
+        ga, gc, gb, gd = choose(_GENERATOR_ENTRIES)
+        a, c, b, d = a * ga + c * gb, a * gc + c * gd, b * ga + d * gb, b * gc + d * gd
+    return GL2Matrix(a, c, b, d)
 
 
 def random_matrix(rng: random.Random, max_word: int) -> GL2Matrix:
@@ -81,12 +64,17 @@ def random_matrix(rng: random.Random, max_word: int) -> GL2Matrix:
 
 def random_slope(rng: random.Random, bound: int, parity: ParityClass | None = None) -> Slope:
     """A uniform coprime pair with entries in [-bound, bound], of the given
-    parity if any, as a slope.  Each entry is rng.randrange(-bound, bound + 1),
-    the draw rng.randint(-bound, bound) makes, so the stream is randint's."""
-    lo, hi = -bound, bound + 1
+    parity if any, as a slope.  Each entry is randint's draw: getrandbits
+    over the bits of the width 2*bound + 1 until below it, minus bound."""
+    width = 2 * bound + 1
+    bits, getrandbits = width.bit_length(), rng.getrandbits
     while True:
-        p = rng.randrange(lo, hi)
-        q = rng.randrange(lo, hi)
+        p = q = width
+        while p >= width:
+            p = getrandbits(bits)
+        while q >= width:
+            q = getrandbits(bits)
+        p, q = p - bound, q - bound
         if parity is not None and (p % 2, q % 2) != (parity.j, parity.k):
             continue
         if math.gcd(p, q) == 1:  # gcd(0, 0) = 0 rejects 0/0 too
@@ -192,50 +180,6 @@ def parity_permutation_by_action(A: GL2Matrix) -> dict[ParityClass, ParityClass]
     return perm
 
 
-def geodesic_by_search(s1: Slope, s2: Slope) -> list[Slope]:
-    """The tree path from s1 to s2 by neighbor search: the reference for
-    curve_complex.geodesic.
-
-    Each step enumerates the neighbor family of the current vertex by the
-    parameter t (smallest |t| first) and moves to the unique neighbor whose
-    distance to s2 drops by one; the search window is doubled on exhaustion.
-    Its cost grows with the partial quotients, so keep it to small slopes.
-    """
-    dist = distance(s1, s2)
-    if dist == INF:
-        raise DomainError(f"infinite distance: {s1} and {s2} lie in different parity classes")
-    path = [s1]
-    cur = s1
-    remaining = dist
-    while remaining:
-        cur = _step_toward(cur, s2, remaining - 1)
-        path.append(cur)
-        remaining -= 1
-    return path
-
-
-def _step_toward(cur: Slope, target: Slope, want: int) -> Slope:
-    g, x, y = ext_gcd(cur.p, cur.q)
-    p0, q0 = -2 * y, 2 * x
-    window = 2 * max(1, abs(cur.p), abs(cur.q), abs(target.p), abs(target.q))
-    while True:
-        for t in _spiral(window):
-            cp, cq = p0 + t * cur.p, q0 + t * cur.q
-            if math.gcd(cp, cq) != 1:
-                continue
-            cand = Slope.of(cp, cq)
-            if distance(cand, target) == want:
-                return cand
-        window *= 2
-
-
-def _spiral(limit: int):
-    yield 0
-    for t in range(1, limit + 1):
-        yield t
-        yield -t
-
-
 def check_four_point(slopes: tuple[Slope, Slope, Slope, Slope]) -> bool:
     """Tree (0-hyperbolic) four-point condition: among the three pairings of
     distance sums, the two largest coincide."""
@@ -284,21 +228,72 @@ class CheckResult:
         return f"{status}  {self.name}: {self.detail}"
 
 
+def _preorder(root: Slope, adjacency: dict[Slope, list[Slope]]):
+    """The component of root in depth-first preorder, each vertex's depth,
+    and one past the end of its subtree's slice of that order.  The ends
+    are None unless the component is a tree: the walk meets no discovered
+    vertex but the parent, that once, and the lists hold 2(n - 1) entries,
+    so they list each discovery edge from both ends and nothing else."""
+    up = {root: 0}  # each discovered vertex's parent, by its index in order
+    order, depths, parents = [], [], []
+    stack, entries, tree = [root], 0, True
+    while stack:
+        v = stack.pop()
+        i, j = len(order), up[v]
+        parent = order[j] if i else None
+        order.append(v)
+        parents.append(j)
+        depths.append(depths[j] + 1 if i else 0)
+        entries += len(adjacency[v])
+        for u in adjacency[v]:
+            if u not in up:
+                up[u] = i
+                stack.append(u)
+            elif u == parent:
+                parent = None  # a second entry of the parent is refused
+            else:
+                tree = False
+    ends = list(range(1, len(order) + 1))
+    for i in range(len(order) - 1, 0, -1):  # a subtree ends where its last child's does
+        ends[parents[i]] = max(ends[parents[i]], ends[i])
+    return order, depths, ends if tree and entries == 2 * len(order) - 2 else None
+
+
 def check_grid_agreement(bound: int) -> CheckResult:
-    """Formula distance vs breadth-first search, all same-parity pairs in the
-    box: the formula distances from each source come from one
-    distances_from call, the function distance itself is built on."""
+    """Formula distance vs tree distance, all pairs connected in the box.
+    Each component is walked once and must be a tree.  The root's row of
+    distances is the depths; a child's row is its parent's with -1 on the
+    child's subtree, a slice of the preorder, and +1 elsewhere.  On a tree
+    these are the breadth-first levels.  Each row is compared in one list
+    comparison with one distances_from call, the function distance is
+    built on; only a mismatch is read pair by pair."""
     slopes = slopes_within(bound)
     adjacency = {s: neighbors_bounded(s, bound) for s in slopes}
     pairs = 0
     failures: list[str] = []
-    for source in slopes:
-        reached = list(breadth_first(source, adjacency.__getitem__))
-        pairs += len(reached)
-        formulas = distances_from(source, [target for target, _, _ in reached])
-        for (target, bfs_dist, _), formula in zip(reached, formulas):
-            if formula != bfs_dist:
-                failures.append(f"d({source},{target}) formula {formula} != bfs {bfs_dist}")
+    seen: set[Slope] = set()
+    for root in slopes:
+        if root in seen:
+            continue
+        order, depths, ends = _preorder(root, adjacency)
+        seen.update(order)
+        pairs += len(order) ** 2
+        if ends is None:
+            failures.append(f"component of {root}: not a tree")
+            continue
+        ancestors: list[tuple[int, list[int]]] = []  # (end of subtree, row)
+        for i, source in enumerate(order):
+            while ancestors and ancestors[-1][0] <= i:
+                ancestors.pop()
+            end, row = ends[i], depths
+            if ancestors:
+                up = ancestors[-1][1]
+                row = [d + 1 for d in up[:i]] + [d - 1 for d in up[i:end]] + [d + 1 for d in up[end:]]
+            ancestors.append((end, row))
+            formulas = distances_from(source, order)
+            if formulas != row:
+                failures += (f"d({source},{target}) formula {formula} != bfs {level}"
+                             for target, formula, level in zip(order, formulas, row) if formula != level)
     return CheckResult(
         "grid agreement",
         f"{pairs} BFS-reachable pairs within |p|,|q| <= {bound}, {len(failures)} mismatches",
@@ -507,8 +502,10 @@ def check_conjugacy_criterion(
 
 def check_geodesics(samples: int, coeff_bound: int, seed: int) -> CheckResult:
     """Geodesic soundness: right endpoints, length = distance, successive
-    intersection numbers all equal to 2, and the same vertices as the
-    neighbor search."""
+    intersection numbers all equal to 2, every vertex in the class of s1,
+    and no vertex equal to the one two before it.  A path of edges that
+    never turns back is the unique geodesic between its ends in a tree
+    (Serre, Trees, I.2), so a path that passes is the tree path."""
     rng = random.Random(seed)
     failures: list[str] = []
     for _ in range(samples):
@@ -522,8 +519,10 @@ def check_geodesics(samples: int, coeff_bound: int, seed: int) -> CheckResult:
             failures.append(f"{s1}->{s2}: length {len(path) - 1} != {distance(s1, s2)}")
         if any(intersection_number(path[i], path[i + 1]) != 2 for i in range(len(path) - 1)):
             failures.append(f"{s1}->{s2}: non-edge step")
-        if path != geodesic_by_search(s1, s2):
-            failures.append(f"{s1}->{s2}: path differs from the neighbor search")
+        if any(parity_of(v) is not cls for v in path):
+            failures.append(f"{s1}->{s2}: a vertex left the class {cls.label}")
+        if any(path[i] == path[i + 2] for i in range(len(path) - 2)):
+            failures.append(f"{s1}->{s2}: the path turns back")
     return CheckResult(
         "geodesic soundness",
         f"{samples} same-parity pairs with |p|,|q| <= {coeff_bound}, {len(failures)} errors",

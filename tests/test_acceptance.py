@@ -1,9 +1,11 @@
 """Acceptance suite: one test per criterion, each at its stated scale.
 
 Every criterion is exact (zero tolerance); each test prints a single
-PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s` to see the
-lines as they complete, or `solnorm verify --level full` for the same checks
-outside pytest.
+PASS/FAIL line, and the check's own line must be the one
+`solnorm verify --level full` prints, so a change to what a check covers
+fails here as well as in verify's output.  Run with
+`pytest tests/test_acceptance.py -v -s` to see the lines as they complete,
+or `solnorm verify --level full` for the same checks outside pytest.
 """
 
 import random
@@ -17,6 +19,7 @@ from solnorm.oracle import (
     check_conjugacy_criterion,
     check_geodesics,
     check_grid_agreement,
+    check_h2_kernel,
     check_invariance,
     check_lens_invariance,
     check_nil_family,
@@ -26,10 +29,28 @@ from solnorm.oracle import (
 )
 
 
+# The lines of `solnorm verify --level full`, one per criterion, in order.
+FULL_LINES = [
+    "PASS  grid agreement: 213414 BFS-reachable pairs within |p|,|q| <= 25, 0 mismatches",
+    "PASS  Bredon-Wood parity: 10000 pairs with |p| <= 1000, 0 parity violations",
+    "PASS  lens invariance: 4081 (p, q) with even p <= 200, 0 violations",
+    "PASS  closed form vs orbit: 9335 comparisons over 1000 matrices, 0 mismatches",
+    "PASS  periodic table: 7 classes checked, 0 errors",
+    "PASS  Nil family: n = 1..48, 0 errors",
+    "PASS  semi-bundle theorems: 500 gluings, 0 errors",
+    "PASS  conjugacy criterion: 245 trace -2 matrices (entries <= 20) conjugated, "
+    "500 other-trace matrices never reached the form; 0 errors",
+    "PASS  geodesic soundness: 500 same-parity pairs with |p|,|q| <= 40, 0 errors",
+    "PASS  invariance suite: 500 matrix pairs and 1000 slope tuples, 0 errors",
+    "PASS  H2 kernel cross-check: 500 matrices, 0 errors",
+]
+
+
 def report(number: int, result: CheckResult, extra: str = "") -> None:
     status = "PASS" if result.passed else "FAIL"
     print(f"ACCEPTANCE {number}: {status} - {result.name}: {result.detail}{extra}")
     assert result.passed, result.failures
+    assert result.line() == FULL_LINES[number - 1]
 
 
 def test_criterion_01_oracle_equivalence():
@@ -82,3 +103,7 @@ def test_criterion_09_geodesic_soundness():
 
 def test_criterion_10_invariance_suite():
     report(10, check_invariance(matrix_pairs=500, slope_tuples=1000, seed=106))
+
+
+def test_criterion_11_h2_kernel():
+    report(11, check_h2_kernel(samples=500, seed=107))

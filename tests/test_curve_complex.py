@@ -371,6 +371,7 @@ FORGED_WALKS = [
     moves((2, 1)),  # stops short of 4/3
     moves((2, 1), (-4, 3)),  # ends at the wrong vertex
     [(2, 1, 2, 2, 3)],  # one run 2/1, 4/3, 6/5: a step past 4/3
+    [(2, 1, 2, 2, 10**12)],  # the same run claiming 10**12 moves: cut after 3, never listed
 ]
 
 # Walks from 0/1 to 4/3 of N + 2 = 4 edges that turn back once: every edge
@@ -562,6 +563,15 @@ class TestBfsAndGeodesic:
         monkeypatch.setattr(curve_complex, "_walk", lambda *args: list(vertices))
         with pytest.raises(AssertionError, match="left the tree path"):
             geodesic(Slope(0, 1), Slope(4, 3))
+
+    @pytest.mark.parametrize("middle", [None, 0, 2])
+    def test_a_run_claiming_a_trillion_moves_is_cut(self, monkeypatch, middle):
+        # a forged run of 10**12 moves from 0/1, through 2/1, 4/3, 6/5, ...,
+        # where d(0/1, 4/3) = 2: geodesic reads at most m + 1 of its pairs,
+        # whole or cut at vertex k, and refuses the walk without listing it
+        monkeypatch.setattr(curve_complex, "_walk", lambda *args: [(2, 1, 2, 2, 10**12)])
+        with pytest.raises(AssertionError, match="left the tree path"):
+            geodesic(Slope(0, 1), Slope(4, 3), middle=middle)
 
     @pytest.mark.parametrize("runs", STEP_BACK_WALKS)
     def test_a_walk_that_turns_back_is_refused(self, monkeypatch, runs):

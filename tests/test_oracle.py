@@ -1,5 +1,6 @@
 """The brute-force oracles themselves: generators, conjugator search,
-four-point condition, geodesic search, and the work the checks do."""
+four-point condition, the checks' failure branches, and the work the
+checks do."""
 
 import math
 import random
@@ -8,12 +9,11 @@ import pytest
 
 from solnorm import INF, ParityClass, Slope, bundle, geodesic, oracle, parity_of, parse_matrix, semibundle
 from solnorm.bundle import PERIODIC_REPRESENTATIVES
-from solnorm.curve_complex import IDENTITY
+from solnorm.curve_complex import IDENTITY, breadth_first, distances_from, neighbors_bounded
 from solnorm.errors import DomainError
 from solnorm.oracle import (
     brute_conjugate_to_meg_form,
     check_four_point,
-    geodesic_by_search,
     iter_trace_minus_two,
     order_by_powers,
     random_glz,
@@ -33,6 +33,21 @@ class TestRandomMatrices:
         for i in range(1000):
             A = random_glz(i, 8)
             assert A.det() in (1, -1)
+
+
+def random_glz_by_products(seed, word_length):
+    """random_glz as it was written with GL2Matrix products: the stream reference."""
+    rng = random.Random(seed)
+    result = IDENTITY
+    for _ in range(word_length):
+        result = result @ rng.choice(oracle.GENERATORS)
+    return result
+
+
+def test_random_glz_keeps_the_product_stream():
+    for seed in (0, 7, 102, 2026, 2**47 + 5):
+        for length in (0, 1, 2, 5, 12, 40):
+            assert random_glz(seed, length) == random_glz_by_products(seed, length), (seed, length)
 
 
 def random_slope_by_randint(rng, bound, parity=None):
@@ -171,9 +186,78 @@ def test_slopes_within():
     assert len(slopes) == 1 + 7 + 4 + 4
 
 
-def test_geodesic_matches_search_on_grid():
+def test_geodesic_is_the_breadth_first_tree_path():
+    # the 12-box holds one component per class, so the breadth-first
+    # parents inside it give the tree path between every same-parity pair
     slopes = slopes_within(12)
+    adjacency = {s: neighbors_bounded(s, 12) for s in slopes}
     for s1 in slopes:
+        parent = {v: up for v, _, up in breadth_first(s1, adjacency.__getitem__)}
         for s2 in slopes:
-            if parity_of(s1) is parity_of(s2):
-                assert geodesic(s1, s2) == geodesic_by_search(s1, s2), (s1, s2)
+            if parity_of(s1) is not parity_of(s2):
+                continue
+            path = [s2]
+            while path[-1] != s1:
+                path.append(parent[path[-1]])
+            assert geodesic(s1, s2) == path[::-1], (s1, s2)
+
+
+def test_grid_check_refuses_a_component_that_is_not_a_tree(monkeypatch):
+    # 2/1 and -2/1 meet four times; an edge between them closes a cycle
+    # through 0/1, and an edge listed from one end only breaks the count
+    u, w = Slope(2, 1), Slope(-2, 1)
+
+    def with_extra_edge(ends):
+        def neighbors(s, bound):
+            return neighbors_bounded(s, bound) + [v for v in ends if s in (u, w) and v != s]
+        return neighbors
+
+    for ends in ((u, w), (w,)):
+        monkeypatch.setattr(oracle, "neighbors_bounded", with_extra_edge(ends))
+        result = oracle.check_grid_agreement(3)
+        assert result.failures == ["component of -2/1: not a tree"], ends
+
+
+@pytest.mark.parametrize("lists, tree", [
+    ({"a": ["b", "c"], "b": ["a"], "c": ["a"]}, True),
+    ({"a": ["b", "c"], "b": ["a", "a"], "c": []}, False),  # the parent twice, c's edge once
+    ({"a": ["b"], "b": ["a", "b"]}, False),  # a loop
+    ({"a": ["b", "b"], "b": ["a"]}, False),  # a child twice
+    ({"a": ["b"], "b": []}, False),  # an edge listed from one end only
+])
+def test_preorder_accepts_exactly_the_trees(lists, tree):
+    order, depths, ends = oracle._preorder("a", lists)
+    assert order[0] == "a" and sorted(order) == sorted(lists)
+    assert (ends is not None) == tree
+
+
+def test_grid_check_reports_a_formula_off_by_one(monkeypatch):
+    def forged(source, targets):
+        out = distances_from(source, targets)
+        return [d + 1 if (source, t) == (Slope(0, 1), Slope(2, 3)) else d for t, d in zip(targets, out)]
+
+    monkeypatch.setattr(oracle, "distances_from", forged)
+    result = oracle.check_grid_agreement(3)
+    assert result.failures == ["d(0/1,2/3) formula 2 != bfs 1"]
+    assert result.line() == "FAIL  grid agreement: 86 BFS-reachable pairs within |p|,|q| <= 3, 1 mismatches"
+
+
+def forged_geodesics(monkeypatch, forge):
+    """check_geodesics with every path it asks for passed through forge."""
+    monkeypatch.setattr(oracle, "geodesic", lambda s1, s2: forge(geodesic(s1, s2)))
+    return oracle.check_geodesics(20, 10, seed=1805).failures
+
+
+def test_geodesic_check_refuses_a_path_that_turns_back(monkeypatch):
+    # one step out and back at the start: N + 2 edges of intersection
+    # number 2 in the class, so only the length and step-back tests fail
+    failures = forged_geodesics(monkeypatch, lambda path: path[:2] + path if len(path) > 1 else path)
+    assert any(f.endswith(": the path turns back") for f in failures)
+    assert all(": length " in f or f.endswith(": the path turns back") for f in failures)
+
+
+def test_geodesic_check_refuses_a_path_that_leaves_the_class(monkeypatch):
+    # 1/0 is in the class 1/0 only: slipped in after the first vertex
+    failures = forged_geodesics(monkeypatch, lambda path: path[:1] + [Slope(1, 0)] + path[1:])
+    left = [f for f in failures if ": a vertex left the class" in f]
+    assert left and all(f.split(": ")[0] + ": non-edge step" in failures for f in left)
