@@ -103,16 +103,18 @@ def to_canonical_json(doc: dict) -> str:
     directly for the closed report schema: dicts with str keys, ints, strs,
     and lists, where a list that starts with a str holds only strs.  Types
     are matched exactly, so a bool is not taken for an int; any other value
-    raises TypeError."""
+    raises TypeError.  A list of strs equal to one already written, such as
+    a certificate that several norm-table rows share, is quoted once."""
     parts: list[str] = []
-    _write_json(doc, "\n", parts)
+    _write_json(doc, "\n", parts, {})
     parts.append("\n")
     return "".join(parts)
 
 
-def _write_json(value, newline: str, parts: list[str]) -> None:
+def _write_json(value, newline: str, parts: list[str], quoted: dict[tuple, tuple[str, ...]]) -> None:
     """Append the text of value to parts; newline is the line break and
-    indent of the line value starts on."""
+    indent of the line value starts on.  quoted maps each list of strs
+    written so far, as a tuple, to its quoted items."""
     kind = type(value)
     if kind is str:
         parts.append(_quote(value))
@@ -127,18 +129,22 @@ def _write_json(value, newline: str, parts: list[str]) -> None:
             if type(key) is not str:
                 raise TypeError(f"JSON object key {key!r} is not a str")
             parts += (separator, _quote(key), ": ")
-            _write_json(value[key], inner, parts)
+            _write_json(value[key], inner, parts, quoted)
             separator = "," + inner
         parts.append(newline + "}")
     elif kind is list:
         inner = newline + "  "
         if type(value[0]) is str:  # a certificate, in one join; _quote refuses a non-str
-            parts += ("[", inner, ("," + inner).join(map(_quote, value)), newline, "]")
+            key = tuple(value)
+            items = quoted.get(key)
+            if items is None:
+                items = quoted[key] = tuple(map(_quote, value))
+            parts += ("[", inner, ("," + inner).join(items), newline, "]")
             return
         separator = "[" + inner
         for item in value:
             parts.append(separator)
-            _write_json(item, inner, parts)
+            _write_json(item, inner, parts, quoted)
             separator = "," + inner
         parts.append(newline + "]")
     else:

@@ -420,13 +420,49 @@ def _progression(start: int, step: int, count: int) -> Iterable[int]:
     return range(start, start + step * count, step) if step else itertools.repeat(start, count)
 
 
+def _run_vertices(c: int, d: int, dc: int, dd: int, r: int) -> Iterator[Slope]:
+    """The vertices (c + j*dc, d + j*dd), j = 0 .. r-1, of a checked run of
+    r >= 2 as canonical slopes, built in C by tuple.__new__.
+
+    Vertex j takes the sign of q_j = d + j*dd, which is linear in j.  With
+    dd != 0, q_j has the sign of -dd exactly for j < z = -(d // dd), the
+    sign of dd for j > z, and at j = z it is 0 or has the sign of dd.  In
+    a checked run a vertex with q_j = 0 is (+-1, 0), the slope 1/0: its p
+    divides det(v_0, s) = +-2 and is odd, as the class of s1 has an odd
+    entry.  With dd = 0 the determinant is -dc*d, so every q_j = d is
+    nonzero."""
+    if dd:
+        z, sign = min(max(-(d // dd), 0), r), (1 if dd > 0 else -1)
+    else:
+        z, sign = 0, (1 if d > 0 else -1)
+    pieces = [_signed_vertices(c, d, dc, dd, 0, z, -sign)]
+    if z < r and d + z * dd == 0:
+        pieces.append((Slope(1, 0),))
+        z += 1
+    pieces.append(_signed_vertices(c, d, dc, dd, z, r, sign))
+    return itertools.chain.from_iterable(pieces)
+
+
+def _signed_vertices(c: int, d: int, dc: int, dd: int, start: int, stop: int, sign: int) -> Iterator[Slope]:
+    """sign * (c + j*dc, d + j*dd) for j = start .. stop-1, as Slopes built in C."""
+    count = stop - start
+    ps = _progression(sign * (c + start * dc), sign * dc, count)
+    qs = _progression(sign * (d + start * dd), sign * dd, count)
+    return map(tuple.__new__, itertools.repeat(Slope), zip(ps, qs))
+
+
+def _left_the_path(s1: Slope, s2: Slope) -> AssertionError:
+    """The error for a walk from s1 to s2 that fails one of geodesic's checks."""
+    return AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
+
+
 # The most edges geodesic lists, under 200 MB of slopes: a longer list is
 # a domain error, not one that runs the process out of memory.
 MAX_PATH_EDGES = 10**6
 
 
 def geodesic(s1: Slope, s2: Slope, middle: int | None = None) -> list[Slope]:
-    """The unique tree path from s1 to s2, every vertex checked.  With
+    """The unique tree path from s1 to s2, every edge checked.  With
     middle = m it is only the middle m edges: vertices k .. d - k of the
     path, where d = distance(s1, s2) and k = (d - m)/2.  A middle below 0,
     above d or of the parity of d + 1 raises AssertionError.
@@ -440,24 +476,36 @@ def geodesic(s1: Slope, s2: Slope, middle: int | None = None) -> list[Slope]:
 
     _walk moves the frame d - k times, in runs.  The runs before vertex k
     are skipped whole, without building a vertex.  The run that holds
-    vertex k is trimmed there: vertex k, built by Slope.of, must have the
-    parity of s1, and the rest of the run follows it.  Each run is spelled
-    out lazily as vertex pairs, a run of many moves in C by zip over two
-    ranges, and the chained runs are cut after m + 1 pairs: a walk that
-    claims more moves than the stretch has fails the length check below
-    instead of filling memory.  One loop checks each vertex after the
-    first and builds it: it must have intersection number 2 with the
-    previous vertex, the parity of s1, and differ from the vertex two
-    before it.  The first makes its gcd divide 2, the second makes one
-    entry odd, so the pair is reduced and becomes a Slope through
-    tuple.__new__, without the gcd of Slope.__new__.  The third means the
-    stretch never turns back, and a path in a tree that never turns back
-    is the geodesic between its ends.
-    At the end the stretch must have m + 1 vertices, and the whole path
-    (k = 0) must end at s2, which checks N(T) too.  So what is returned is
-    a tree geodesic of m edges in the class of s1; that it is the middle of
-    the path to s2 rests on N(T), and a caller that relies on it checks
-    the ends itself."""
+    vertex k is cut there: vertex k, built by Slope.of, must have the
+    parity of s1, and the rest of the run follows it as a run of its own.
+    Each run (c, d, dc, dd, r) is then checked as a whole and its vertices
+    v_j = v_0 + j*s, v_0 = (c, d), s = (dc, dd), are built in C:
+
+    - A run of more than the edges the stretch has left, or of fewer than
+      one vertex, is refused before any of its vertices is built.
+    - v_0 gets the per-edge check, with the product of two big entries:
+      intersection number 2 with the previous vertex, the parity of s1,
+      and not the vertex two before it.  The first makes its gcd divide
+      2, the second makes one entry odd, so the pair is reduced.
+    - A run of r >= 2 needs even dc and dd, |c*dd - dc*d| = 2, and
+      v_1 != +-(the vertex before v_0).  Then every vertex is a slope of
+      the class of s1 one edge from the next, and the run never turns
+      back: det(v_j, v_{j+1}) = det(v_0, s) exactly for every j, and
+      canonicalizing a sign negates a whole vertex, which leaves |det|
+      alone; an even step keeps every vertex in the parity class of v_0;
+      v_{j+2} = +-v_j would need s = 0 (then det = 0) or v_{j+1} = 0,
+      which is no slope, so a run can turn back only where it starts,
+      and the vertex after it is the next run's v_0, checked against
+      the run's last two.  So a run costs one product, not one per edge.
+
+    Where runs meet, and on runs of one, every edge keeps the per-edge
+    check.  A stretch that passes every check never turns back, and a
+    path in a tree that never turns back is the geodesic between its
+    ends.  At the end the stretch must have m + 1 vertices, and the whole
+    path (k = 0) must end at s2, which checks N(T) too.  So what is
+    returned is a tree geodesic of m edges in the class of s1; that it is
+    the middle of the path to s2 rests on N(T), and a caller that relies
+    on it checks the ends itself."""
     _, x, y = ext_gcd(s1.p, s1.q)  # gcd 1 for a reduced slope
     tp, tq = s1.q * s2.p - s1.p * s2.q, x * s2.p + y * s2.q
     dist = bredon_wood(tp, tq)  # distance(s1, s2): N ignores the sign of tp
@@ -473,7 +521,7 @@ def geodesic(s1: Slope, s2: Slope, middle: int | None = None) -> list[Slope]:
     skip = (dist - edges) // 2
     parity = (s1.p & 1, s1.q & 1)
     runs = iter(_walk(y, s1.p, -x, s1.q, tp, tq, dist - skip))
-    first, pieces = s1, []
+    path = [s1]
     if skip:
         left = skip  # vertex k is the run's vertex left - 1
         for c, d, dc, dd, r in runs:
@@ -481,28 +529,29 @@ def geodesic(s1: Slope, s2: Slope, middle: int | None = None) -> list[Slope]:
                 break
             left -= r
         else:
-            raise AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
+            raise _left_the_path(s1, s2)
         first = Slope.of(c + (left - 1) * dc, d + (left - 1) * dd)
         if (first.p & 1, first.q & 1) != parity:
-            raise AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
-        pieces.append(zip(_progression(c + left * dc, dc, r - left), _progression(d + left * dd, dd, r - left)))
-    for c, d, dc, dd, r in runs:
-        pieces.append(((c, d),) if r == 1 else zip(_progression(c, dc, r), _progression(d, dd, r)))
-    pp, pq = first
-    bp = bq = None  # the vertex before (pp, pq); the first has none
+            raise _left_the_path(s1, s2)
+        path = [first]
+        if left < r:
+            runs = itertools.chain(((c + left * dc, d + left * dd, dc, dd, r - left),), runs)
     new = tuple.__new__
-    path = [first]
-    for cp, cq in itertools.islice(itertools.chain.from_iterable(pieces), edges + 1):
-        if cq < 0 or (cq == 0 and cp < 0):
-            cp, cq = -cp, -cq
-        if (abs(pp * cq - cp * pq) != 2 or (cp & 1, cq & 1) != parity
-                or (cp == bp and cq == bq)):
-            raise AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
-        path.append(new(Slope, (cp, cq)))
-        bp, bq = pp, pq
-        pp, pq = cp, cq
+    for c, d, dc, dd, r in runs:
+        if not 0 < r <= edges + 1 - len(path):
+            raise _left_the_path(s1, s2)
+        pp, pq = path[-1]
+        cp, cq = (-c, -d) if d < 0 or (d == 0 and c < 0) else (c, d)
+        if abs(pp * cq - cp * pq) != 2 or (cp & 1, cq & 1) != parity or (cp, cq) in path[-2:-1]:
+            raise _left_the_path(s1, s2)
+        if r == 1:
+            path.append(new(Slope, (cp, cq)))
+            continue
+        if dc & 1 or dd & 1 or abs(c * dd - dc * d) != 2 or (c + dc, d + dd) in ((pp, pq), (-pp, -pq)):
+            raise _left_the_path(s1, s2)
+        path.extend(_run_vertices(c, d, dc, dd, r))
     if len(path) != edges + 1 or (not skip and path[-1] != s2):
-        raise AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
+        raise _left_the_path(s1, s2)
     return path
 
 

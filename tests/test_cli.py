@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solnorm import bredon_wood, bundle, curve_complex, oracle, reports, semibundle
+from solnorm import bredon_wood, bundle, cli, curve_complex, oracle, reports, semibundle
 from solnorm.cli import census_row, document, main, render, to_canonical_json
 from solnorm.curve_complex import (
     GL2Matrix,
@@ -363,6 +363,20 @@ class TestCanonicalJson:
     @given(_DOCUMENTS)
     def test_matches_json_dumps(self, doc):
         assert to_canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("kind, matrix, end, rows", [
+        ("semibundle", "1,0;16002,1", "1/16002", 4),  # one certificate in four rows
+        ("bundle", "-1,0;8002,-1", "-1/8002", 2),  # l[1/0]'s certificate, in the t = 0 and 1 rows
+    ])
+    def test_a_shared_certificate_is_quoted_once(self, monkeypatch, kind, matrix, end, rows):
+        quoted = []
+        plain = cli._quote
+        monkeypatch.setattr(cli, "_quote", lambda s: quoted.append(s) or plain(s))
+        doc = document(kind, parse_matrix(matrix))
+        text = to_canonical_json(doc)
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert text.count(f'"{end}"') == rows
+        assert quoted.count(end) == 1
 
     @pytest.mark.parametrize("value", [1.5, True, False, None, ("a", "b"), {1: "a"}, {"a": {2: 3}}])
     def test_values_outside_the_schema_raise(self, value):

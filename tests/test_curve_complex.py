@@ -1,11 +1,12 @@
 """Slopes, the matrix action, distances, geodesics, and DOT export."""
 
+import itertools
 import math
 import re
 import sys
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from solnorm import (
     INF,
@@ -371,7 +372,8 @@ FORGED_WALKS = [
     moves((2, 1)),  # stops short of 4/3
     moves((2, 1), (-4, 3)),  # ends at the wrong vertex
     [(2, 1, 2, 2, 3)],  # one run 2/1, 4/3, 6/5: a step past 4/3
-    [(2, 1, 2, 2, 10**12)],  # the same run claiming 10**12 moves: cut after 3, never listed
+    [(2, 1, 2, 2, 10**12)],  # the same run claiming 10**12 moves: refused unlisted
+    [(2, 1, 2, 2, 0), (2, 1, 2, 2, 2)],  # the path, after a run of no vertices
 ]
 
 # Walks from 0/1 to 4/3 of N + 2 = 4 edges that turn back once: every edge
@@ -381,6 +383,91 @@ STEP_BACK_WALKS = [
     moves((2, 1), (0, 1), (2, 1), (4, 3)),
     [(2, 1, -2, 0, 2), (2, 1, 2, 2, 2)],  # the turn inside a run
 ]
+
+
+# Walks from 0/1 that a run check alone refuses, as (target, runs): with N
+# forged 2 too large each has the length and the end a geodesic needs, and
+# the first vertex of each run passes the per-edge check.
+RUN_FORGERIES = {
+    # 2/1, 2/2, 2/3: an odd step leaves the class; 2/2 is not a slope
+    "odd step": (Slope(2, 3), [(2, 1, 0, 1, 3)]),
+    # 2/1, 2/3, 2/5: slopes of the class, but det(v_0, s) = 4
+    "determinant 4": (Slope(2, 5), [(2, 1, 0, 2, 3)]),
+    # 2/1 three times: det(v_0, s) = 0
+    "zero step": (Slope(2, 1), [(2, 1, 0, 0, 3)]),
+    # 2/1, 0/1, -2/1: the run's second vertex is the vertex before it
+    "turns back at its start": (Slope(-2, 1), [(2, 1, -2, 0, 3)]),
+    # 2/1, 0/-1, -2/-3: the same, with the second vertex negated
+    "turns back, negated": (Slope(2, 3), [(2, 1, -2, -2, 3)]),
+}
+
+
+def progression(start, step, count):
+    return range(start, start + step * count, step) if step else itertools.repeat(start, count)
+
+
+def geodesic_by_vertices(s1, s2, middle=None):
+    """geodesic as it was written with one check per vertex: the reference
+    for the run checks.  The runs of _walk are spelled out pair by pair;
+    each pair after the first must have intersection number 2 with the one
+    before it, the parity of s1, and differ from the one two before it."""
+    _, x, y = ext_gcd(s1.p, s1.q)
+    tp, tq = s1.q * s2.p - s1.p * s2.q, x * s2.p + y * s2.q
+    dist = bredon_wood(tp, tq)
+    edges = dist if middle is None else middle
+    assert 0 <= edges <= dist and (dist - edges) % 2 == 0
+    skip = (dist - edges) // 2
+    parity = (s1.p & 1, s1.q & 1)
+    runs = iter(curve_complex._walk(y, s1.p, -x, s1.q, tp, tq, dist - skip))
+    first, pieces = s1, []
+    if skip:
+        left = skip  # vertex k is the run's vertex left - 1
+        for c, d, dc, dd, r in runs:
+            if left <= r:
+                break
+            left -= r
+        else:
+            raise AssertionError("left the tree path")
+        first = Slope.of(c + (left - 1) * dc, d + (left - 1) * dd)
+        if (first.p & 1, first.q & 1) != parity:
+            raise AssertionError("left the tree path")
+        pieces.append(zip(progression(c + left * dc, dc, r - left), progression(d + left * dd, dd, r - left)))
+    for c, d, dc, dd, r in runs:
+        pieces.append(zip(progression(c, dc, r), progression(d, dd, r)))
+    path = [first]
+    for cp, cq in itertools.islice(itertools.chain.from_iterable(pieces), edges + 1):
+        if cq < 0 or (cq == 0 and cp < 0):
+            cp, cq = -cp, -cq
+        if (abs(path[-1].p * cq - cp * path[-1].q) != 2 or (cp & 1, cq & 1) != parity
+                or (len(path) > 1 and path[-2] == (cp, cq))):
+            raise AssertionError("left the tree path")
+        path.append(Slope(cp, cq))
+    if len(path) != edges + 1 or (not skip and path[-1] != s2):
+        raise AssertionError("left the tree path")
+    return path
+
+
+def assert_canonical(path):
+    for v in path:
+        assert type(v) is Slope and (v.q > 0 or (v.p, v.q) == (1, 0)), v
+        assert math.gcd(v.p, v.q) == 1
+
+
+def spell_at_most(monkeypatch, pairs):
+    """Make geodesic spell the vertices of its runs through a wrapper that
+    fails the test once more than pairs vertices have been spelled; returns
+    the list of coordinates spelled so far."""
+    plain, spelled = curve_complex._progression, []
+
+    def counting(start, step, count):
+        for term in plain(start, step, count):
+            if len(spelled) >= 2 * pairs:
+                pytest.fail(f"geodesic spelled out more than {pairs} vertices")
+            spelled.append(term)
+            yield term
+
+    monkeypatch.setattr(curve_complex, "_progression", counting)
+    return spelled
 
 
 class TestBfsAndGeodesic:
@@ -552,7 +639,9 @@ class TestBfsAndGeodesic:
     @pytest.mark.parametrize("vertices", FORGED_WALKS)
     def test_forged_walks_are_refused(self, monkeypatch, vertices):
         # geodesic checks every vertex _walk proposes, also when the runs
-        # come as an iterator; d(0/1, 4/3) = 2
+        # come as an iterator; d(0/1, 4/3) = 2, and no walk is spelled out
+        # past m + 2 = 4 vertices
+        spell_at_most(monkeypatch, 4)
         monkeypatch.setattr(curve_complex, "_walk", lambda *args: iter(vertices))
         with pytest.raises(AssertionError, match="left the tree path"):
             geodesic(Slope(0, 1), Slope(4, 3))
@@ -560,6 +649,7 @@ class TestBfsAndGeodesic:
     @pytest.mark.parametrize("vertices", FORGED_WALKS)
     def test_forged_walk_lists_are_refused(self, monkeypatch, vertices):
         # the same runs returned as a list, as _walk returns them
+        spell_at_most(monkeypatch, 4)
         monkeypatch.setattr(curve_complex, "_walk", lambda *args: list(vertices))
         with pytest.raises(AssertionError, match="left the tree path"):
             geodesic(Slope(0, 1), Slope(4, 3))
@@ -567,11 +657,33 @@ class TestBfsAndGeodesic:
     @pytest.mark.parametrize("middle", [None, 0, 2])
     def test_a_run_claiming_a_trillion_moves_is_cut(self, monkeypatch, middle):
         # a forged run of 10**12 moves from 0/1, through 2/1, 4/3, 6/5, ...,
-        # where d(0/1, 4/3) = 2: geodesic reads at most m + 1 of its pairs,
-        # whole or cut at vertex k, and refuses the walk without listing it
+        # where d(0/1, 4/3) = 2: geodesic refuses the walk, whole or cut at
+        # vertex k, without listing it; the spelling wrapper turns a missing
+        # length check into a failure after m + 2 vertices, not a full memory
+        spell_at_most(monkeypatch, (2 if middle is None else middle) + 2)
         monkeypatch.setattr(curve_complex, "_walk", lambda *args: [(2, 1, 2, 2, 10**12)])
         with pytest.raises(AssertionError, match="left the tree path"):
             geodesic(Slope(0, 1), Slope(4, 3), middle=middle)
+
+    @pytest.mark.parametrize("middle", [None, 2, 0])
+    def test_a_run_longer_than_the_stretch_left_is_refused_unbuilt(self, monkeypatch, middle):
+        # d(1/0, 1/8) = 4 along the run 1/2, 1/4, 1/6, 1/8; the forged run
+        # has one vertex more.  Whole, or cut at vertex k = 1 or 2, it is
+        # longer than the edges left and refused before a vertex is spelled
+        spelled = spell_at_most(monkeypatch, 10)
+        monkeypatch.setattr(curve_complex, "_walk", lambda *args: [(1, 2, 0, 2, 5)])
+        with pytest.raises(AssertionError, match="left the tree path"):
+            geodesic(Slope(1, 0), Slope(1, 8), middle=middle)
+        assert spelled == []
+
+    @pytest.mark.parametrize("name", RUN_FORGERIES)
+    def test_a_run_check_refuses_its_forgery(self, monkeypatch, name):
+        target, runs = RUN_FORGERIES[name]
+        assert distance(Slope(0, 1), target) == 1
+        monkeypatch.setattr(curve_complex, "bredon_wood", lambda p, q: bredon_wood(p, q) + 2)
+        monkeypatch.setattr(curve_complex, "_walk", lambda *args: iter(runs))
+        with pytest.raises(AssertionError, match="left the tree path"):
+            geodesic(Slope(0, 1), target)
 
     @pytest.mark.parametrize("runs", STEP_BACK_WALKS)
     def test_a_walk_that_turns_back_is_refused(self, monkeypatch, runs):
@@ -588,6 +700,133 @@ class TestBfsAndGeodesic:
         assert geodesic(Slope(0, 1), Slope(4, 3)) == [Slope(0, 1), Slope(2, 1), Slope(4, 3)]
         walk = moves((-1, 0))
         assert geodesic(Slope(1, 2), Slope(1, 0)) == [Slope(1, 2), Slope(1, 0)]
+
+
+# entries up to about 10**30
+huge = st.integers(-(10**30), 10**30)
+
+
+def largest_middle(d: int, cap: int) -> int:
+    """The longest middle stretch of a path of d edges with at most about
+    cap edges: the whole path when it is short enough."""
+    return d if d <= cap else cap + (d - cap) % 2
+
+
+def clipped(runs, steps):
+    """runs cut after steps moves, as _walk cuts its walk."""
+    out = []
+    for c, d, dc, dd, r in runs:
+        if steps <= 0:
+            break
+        out.append((c, d, dc, dd, min(r, steps)))
+        steps -= r
+    return out
+
+
+@st.composite
+def walks_around_a_slope(draw):
+    """(s1, s2, runs, path): a tree path of r edges, v_{-1} .. v_{r-1} with
+    v_j = u + (j - j0)*s, around a slope w: u meets w once and s = +-2w,
+    so every vertex meets w once and the next one twice.  u is the vertex
+    with |q| < |b| for w = a/b, so q changes sign next to u, inside the
+    run for most j0.  The runs spell v_0 .. v_{r-1} in pieces cut at
+    random, each with a random sign; path is the canonical vertices."""
+    a, b = draw(
+        st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (3, 2), (-5, 2)])
+        | st.tuples(huge, huge).filter(lambda ab: math.gcd(*ab) == 1)
+    )
+    _, x, y = ext_gcd(a, b)
+    up, uq = -y, x  # a*uq - b*up = 1
+    if b:
+        t = -(uq // b)
+        up, uq = up + t * a, uq + t * b
+    r = draw(st.integers(2, 40))
+    j0 = draw(st.integers(0, r - 1))
+    e = draw(st.sampled_from([1, -1]))
+    sp, sq = 2 * e * a, 2 * e * b
+    vertices = [(up + (j - j0) * sp, uq + (j - j0) * sq) for j in range(-1, r)]
+    cuts = sorted(draw(st.sets(st.integers(1, r - 1), max_size=4)))
+    runs = []
+    for start, stop in zip([0, *cuts], [*cuts, r]):
+        sign = draw(st.sampled_from([1, -1]))
+        p, q = vertices[start + 1]
+        runs.append((sign * p, sign * q, sign * sp, sign * sq, stop - start))
+    path = [Slope.of(p, q) for p, q in vertices]
+    return path[0], path[-1], runs, path
+
+
+class TestRunChecksAgainstVertexChecks:
+    """geodesic checks each run as a whole; geodesic_by_vertices checks
+    every vertex.  They return the same canonical slopes."""
+
+    @given(huge, huge, huge, huge)
+    @example(10**30, 1, 3, 10**29)
+    @example(1, 0, 0, 10**30 // 2)  # one run of 5 * 10**29 moves: a middle of 300
+    def test_same_class_pairs_up_to_10_to_the_30(self, p, q, a, b):
+        assume(math.gcd(p, q) == 1)
+        s1 = Slope.of(p, q)
+        p2, q2 = 2 * a + s1.p % 2, 2 * b + s1.q % 2
+        assume(math.gcd(p2, q2) == 1)
+        s2 = Slope.of(p2, q2)
+        middle = largest_middle(distance(s1, s2), 300)
+        path = geodesic(s1, s2, middle=middle)
+        assert path == geodesic_by_vertices(s1, s2, middle=middle)
+        assert_canonical(path)
+
+    @pytest.mark.parametrize("A", [
+        GL2Matrix(1, 0, 16002, 1),  # the semibundle 1,0;16002,1 certificate's one run
+        GL2Matrix(-1, 0, 8002, -1),
+        GL2Matrix(1, 0, 4 * 10**12, -1),  # base slopes 2 * 10**12 steps from the fixed set
+        GL2Matrix(-3999999999999, 2, -8000000000007999999999998, 4000000000005),
+        GL2Matrix(150001, 75000, 2, 1),
+        W.power(60),
+    ])
+    def test_shears_and_semibundle_targets_far_from_the_axis(self, A):
+        pairs = [(Slope(1, 0), Slope.of(A.a, A.b))]  # a semibundle certificate
+        pairs += [(v, mat_act(A, v)) for v in (Slope(1, 0), Slope(0, 1), Slope(1, 1))]
+        for s1, s2 in pairs:
+            d = distance(s1, s2)
+            if d == INF:
+                continue
+            for middle in {largest_middle(d, 9000), d % 2, min(d % 2 + 2, d)}:
+                path = geodesic(s1, s2, middle=middle)
+                assert path == geodesic_by_vertices(s1, s2, middle=middle)
+                assert_canonical(path)
+
+    @given(unimodular, even_slopes)
+    @example(IDENTITY, Slope(40, 1))  # one run of 20 moves
+    @example(GL2Matrix(1, 0, 0, -1), Slope(2, 41))
+    def test_every_middle_of_short_paths(self, A, t):
+        # every cut at vertex k, inside a run or between two
+        s1, s2 = mat_act(A, Slope(0, 1)), mat_act(A, t)
+        d = distance(s1, s2)
+        for middle in range(d % 2, d + 1, 2):
+            path = geodesic(s1, s2, middle=middle)
+            assert path == geodesic_by_vertices(s1, s2, middle=middle)
+            assert_canonical(path)
+
+    @given(walks_around_a_slope())
+    @example((Slope(-1, 6), Slope(1, 4), [(1, -4, 0, 2, 5)], [Slope(-1, 6), Slope(-1, 4), Slope(-1, 2),
+                                                              Slope(1, 0), Slope(1, 2), Slope(1, 4)]))
+    @example((Slope(-1, 6), Slope(1, 4), [(-1, 4, 0, -2, 5)], [Slope(-1, 6), Slope(-1, 4), Slope(-1, 2),
+                                                               Slope(1, 0), Slope(1, 2), Slope(1, 4)]))
+    # q crosses 0 between two vertices: 4/3, 2/1, 0/1, 2/3 as one run
+    @example((Slope(4, 3), Slope(2, 3), [(-2, -1, 2, 2, 3)], [Slope(4, 3), Slope(2, 1), Slope(0, 1), Slope(2, 3)]))
+    def test_forged_runs_whose_q_crosses_zero(self, walk):
+        # the forged runs spell the true path, with signs and cuts _walk
+        # would not choose; both checks accept them, whole and in every
+        # middle, and the true walk gives the same path
+        s1, s2, runs, path = walk
+        assert distance(s1, s2) == len(path) - 1
+        assert geodesic(s1, s2) == path
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(curve_complex, "_walk", lambda *args: clipped(runs, args[-1]))
+            for middle in range(len(path) % 2 ^ 1, len(path), 2):
+                stretch = geodesic(s1, s2, middle=middle)
+                assert stretch == geodesic_by_vertices(s1, s2, middle=middle)
+                k = (len(path) - 1 - middle) // 2
+                assert stretch == path[k:k + middle + 1]
+                assert_canonical(stretch)
 
 
 def continued_fraction_pair(quotients: list[int]) -> tuple[int, int]:

@@ -62,11 +62,28 @@ def random_slope_by_randint(rng, bound, parity=None):
         return Slope.of(p, q)
 
 
+class BoundedRandom(random.Random):
+    """A Random whose getrandbits fails after CALLS calls: a rejection loop
+    that never accepts a draw fails an assertion instead of running on."""
+
+    CALLS = 10_000  # 40 draws take at most 774 calls in the test below
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        if self.calls > self.CALLS:
+            raise AssertionError(f"getrandbits called more than {self.CALLS} times")
+        return super().getrandbits(k)
+
+
 def test_random_slope_keeps_the_randint_stream():
     for seed in (0, 7, 106, 2026):
         for bound in (1, 3, 25, 40):
             for parity in (None, *ParityClass):
-                new, old = random.Random(seed), random.Random(seed)
+                new, old = BoundedRandom(seed), random.Random(seed)
                 drawn = [random_slope(new, bound, parity) for _ in range(40)]
                 assert drawn == [random_slope_by_randint(old, bound, parity) for _ in range(40)]
                 assert new.getstate() == old.getstate(), (seed, bound, parity)
