@@ -19,7 +19,7 @@ F[1/1] through the intersection pairing rather than by a stated equation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import INF, ExtNat, is_finite
 from .curve_complex import (
@@ -47,27 +47,30 @@ from .tree_action import MOD2_PERMUTATIONS, translation_lengths
 DERIVED_IDENTIFICATION = "derived identification"
 
 
-@dataclass(frozen=True)
-class BundleClass:
-    """Coordinates of a Z2-homology class: t is the tau coefficient, and
-    (j, k) are the pairings with the basis curves (j with gamma_mu, k with
-    gamma_lambda)."""
-
+class _BundleClassFields(NamedTuple):
     t: int
     j: int
     k: int
 
-    def __post_init__(self) -> None:
-        if not all(bit in (0, 1) for bit in (self.t, self.j, self.k)):
-            raise DomainError(f"class coordinates must be bits: {(self.t, self.j, self.k)}")
+
+class BundleClass(_BundleClassFields):
+    """Coordinates of a Z2-homology class: t is the tau coefficient, and
+    (j, k) are the pairings with the basis curves (j with gamma_mu, k with
+    gamma_lambda)."""
+
+    __slots__ = ()
+
+    def __new__(cls, t: int, j: int, k: int) -> "BundleClass":
+        if not all(bit in (0, 1) for bit in (t, j, k)):
+            raise DomainError(f"class coordinates must be bits: {(t, j, k)}")
+        return tuple.__new__(cls, (t, j, k))
 
     def parity(self) -> ParityClass | None:
         """The parity class (j, k) names; None for (0, 0), which names none."""
         return PARITY_BY_BITS.get((self.j, self.k))
 
 
-@dataclass(frozen=True)
-class H2Structure:
+class H2Structure(NamedTuple):
     """One case of the table: valid_jk holds (0, 0) and the (j, k) of each
     class A mod 2 fixes, and classes those fixed classes in (j, k) order."""
 
@@ -104,7 +107,7 @@ def _h2_case(
 
 
 # The case of each of the six invertible matrices mod 2, read off its
-# permutation of the parity classes.  H2Structure is frozen, so every
+# permutation of the parity classes.  H2Structure is a tuple, so every
 # caller can share these.
 _H2_BY_MOD2 = {bits: _h2_case(bits, perm) for bits, perm in MOD2_PERMUTATIONS.items()}
 

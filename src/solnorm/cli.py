@@ -5,6 +5,11 @@ export-graph, verify.  Infinity renders as the literal string "inf" in both
 text and JSON.  Exit codes: 0 success, 1 domain error (non-coprime slope,
 determinant not +-1, ...), 2 parse error, 3 verification failure, 4 census
 input or output file error (missing, unwritable, not UTF-8).
+
+Every command runs in a fresh process, so the imports are kept to what
+reports need: `verify` imports the oracle on demand, and JSON strings are
+quoted by the C function that json.dumps uses, taken from _json without
+loading the json package.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import csv
 import functools
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _quote
+from _json import encode_basestring_ascii as _quote
 
 from . import bundle, semibundle
 from .arith import bredon_wood, extnat_json, fmt_extnat
@@ -32,7 +37,6 @@ from .curve_complex import (
     parse_slope,
 )
 from .errors import DomainError, ParseError
-from .oracle import run_checks
 from .reports import DEFAULT_CERTIFICATE_CAP, NormReport
 
 # The module of each kind, with its summary and norm_table.
@@ -309,6 +313,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "export-graph":
         sys.stdout.write(export_dot(parse_slope(args.center), args.radius, args.bound))
     elif args.command == "verify":
+        from .oracle import run_checks
+
         results = run_checks(args.level)
         for result in results:
             print(result.line())

@@ -23,7 +23,6 @@ import itertools
 import math
 import re
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arith import INF, ExtNat, bredon_wood, ext_gcd
@@ -162,19 +161,27 @@ def parity_of(s: Slope) -> ParityClass:
     return PARITY_BY_BITS[s.p % 2, s.q % 2]
 
 
-@dataclass(frozen=True)
-class GL2Matrix:
-    """An integer matrix with rows (a, c) and (b, d) and determinant +-1."""
-
+class _GL2Fields(NamedTuple):
     a: int
     c: int
     b: int
     d: int
 
-    def __post_init__(self) -> None:
-        det = self.det()
+
+class GL2Matrix(_GL2Fields):
+    """An integer matrix with rows (a, c) and (b, d) and determinant +-1.
+
+    A matrix is the tuple (a, c, b, d), as a Slope is its pair: equality,
+    hashing and order are those of tuples, and @ is the matrix product."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, c: int, b: int, d: int) -> "GL2Matrix":
+        self = tuple.__new__(cls, (a, c, b, d))
+        det = a * d - b * c
         if det not in (1, -1):
             raise DomainError(f"matrix {self.to_text()} has determinant {det}, need +-1")
+        return self
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c

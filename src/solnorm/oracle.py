@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import INF, ExtNat, bredon_wood, ext_gcd, is_finite
 from .bundle import (
@@ -43,17 +43,16 @@ GENERATORS = (
     GL2Matrix(1, 0, -1, 1),
     GL2Matrix(1, 0, 0, -1),
 )
-_GENERATOR_ENTRIES = tuple((g.a, g.c, g.b, g.d) for g in GENERATORS)
 
 
 def random_glz(seed: int, word_length: int) -> GL2Matrix:
     """Product of word_length generators chosen by an RNG seeded with seed.
-    The product is taken on int tuples and checked once, by the GL2Matrix
-    built from it; choice draws the same indices as over GENERATORS."""
+    The product is taken on the entries, each generator being the tuple
+    (a, c, b, d), and checked once, by the GL2Matrix built from it."""
     choose = random.Random(seed).choice
     a, c, b, d = 1, 0, 0, 1
     for _ in range(word_length):
-        ga, gc, gb, gd = choose(_GENERATOR_ENTRIES)
+        ga, gc, gb, gd = choose(GENERATORS)
         a, c, b, d = a * ga + c * gb, a * gc + c * gd, b * ga + d * gb, b * gc + d * gd
     return GL2Matrix(a, c, b, d)
 
@@ -62,13 +61,21 @@ def random_matrix(rng: random.Random, max_word: int) -> GL2Matrix:
     return random_glz(rng.getrandbits(48), rng.randint(0, max_word))
 
 
+# Pairs random_slope draws before it gives up.  For every bound >= 1 a pair
+# is a slope of the requested class with probability at least 4/27 (bound 4,
+# class 1/1), so a sound generator runs out with probability below 10**-69.
+SLOPE_DRAWS = 1000
+
+
 def random_slope(rng: random.Random, bound: int, parity: ParityClass | None = None) -> Slope:
     """A uniform coprime pair with entries in [-bound, bound], of the given
     parity if any, as a slope.  Each entry is randint's draw: getrandbits
-    over the bits of the width 2*bound + 1 until below it, minus bound."""
+    over the bits of the width 2*bound + 1 until below it, minus bound.
+    Raises AssertionError when SLOPE_DRAWS pairs hold no such slope, as for
+    bound 0, rather than drawing forever."""
     width = 2 * bound + 1
     bits, getrandbits = width.bit_length(), rng.getrandbits
-    while True:
+    for _ in range(SLOPE_DRAWS):
         p = q = width
         while p >= width:
             p = getrandbits(bits)
@@ -79,6 +86,8 @@ def random_slope(rng: random.Random, bound: int, parity: ParityClass | None = No
             continue
         if math.gcd(p, q) == 1:  # gcd(0, 0) = 0 rejects 0/0 too
             return Slope.of(p, q)
+    wanted = "slope" if parity is None else f"slope of class {parity.label}"
+    raise AssertionError(f"{SLOPE_DRAWS} pairs in [-{bound}, {bound}] held no {wanted}")
 
 
 def _second_rows(w: int, x: int, bound: int):
@@ -213,8 +222,7 @@ def slopes_within(bound: int) -> list[Slope]:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     detail: str
     failures: list[str]

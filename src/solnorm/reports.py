@@ -16,7 +16,6 @@ reports but the genus is still recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -55,13 +54,18 @@ class Summary(NamedTuple):
     f_norm: int | None = None
 
 
-@dataclass(frozen=True)
-class SurfaceDescription:
+class _SurfaceFields(NamedTuple):
     kind: str
     genus: int | None = None
     certificate: tuple[Slope, ...] | None = None
     certificate_elided: bool = False
-    pieces: tuple["SurfaceDescription", ...] = ()
+    pieces: tuple[SurfaceDescription, ...] = ()
+
+
+class SurfaceDescription(_SurfaceFields):
+    """A realizing surface.  It has no __slots__: the instance dict holds
+    the cached renderings of its certificate, while its fields stay
+    read-only."""
 
     def norm_contribution(self) -> int:
         """max(0, -Euler characteristic): genus - 2 for a non-orientable
@@ -117,8 +121,7 @@ class SurfaceDescription:
         return doc
 
 
-@dataclass(frozen=True)
-class NormReport:
+class NormReport(NamedTuple):
     coords: dict
     norm: int
     realizer: SurfaceDescription

@@ -17,7 +17,7 @@ all of these, and norm_table(A, summary(A), cap) adds the realizers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import INF, bredon_wood
 from .curve_complex import GL2Matrix, Slope, geodesic
@@ -33,21 +33,24 @@ from .reports import (
 )
 
 
-@dataclass(frozen=True)
-class SemiBundleClass:
-    """Coefficients of [K1], [K2] and (when b is even) [F(b/a)]."""
-
+class _SemiBundleClassFields(NamedTuple):
     e1: int
     e2: int
     phi: int
 
-    def __post_init__(self) -> None:
-        if not all(bit in (0, 1) for bit in (self.e1, self.e2, self.phi)):
-            raise DomainError(f"class coordinates must be bits: {(self.e1, self.e2, self.phi)}")
+
+class SemiBundleClass(_SemiBundleClassFields):
+    """Coefficients of [K1], [K2] and (when b is even) [F(b/a)]."""
+
+    __slots__ = ()
+
+    def __new__(cls, e1: int, e2: int, phi: int) -> "SemiBundleClass":
+        if not all(bit in (0, 1) for bit in (e1, e2, phi)):
+            raise DomainError(f"class coordinates must be bits: {(e1, e2, phi)}")
+        return tuple.__new__(cls, (e1, e2, phi))
 
 
-@dataclass(frozen=True)
-class SemiBundleH2:
+class SemiBundleH2(NamedTuple):
     order: int
     generators: tuple[str, ...]
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import INF, ExtNat, bredon_wood, ext_gcd
 from .curve_complex import (
@@ -45,22 +45,27 @@ class ActionType(enum.Enum):
     NOT_FIXED = "not-fixed"
 
 
-@dataclass(frozen=True)
-class TranslationData:
+class _TranslationFields(NamedTuple):
     parity: ParityClass
     length: ExtNat
     action: ActionType
 
-    def __post_init__(self) -> None:
+
+class TranslationData(_TranslationFields):
+    """The translation length of a matrix on one parity tree, with its
+    action type; a length that contradicts the type raises."""
+
+    __slots__ = ()
+
+    def __new__(cls, parity: ParityClass, length: ExtNat, action: ActionType) -> "TranslationData":
         # explicit raises, so the checks also run under python -O
-        if (self.length == INF) != (self.action is ActionType.NOT_FIXED):
-            raise AssertionError(
-                f"{self.parity.label}: length {self.length} with action {self.action.value}"
-            )
-        if self.action is ActionType.ROTATION and self.length != 0:
-            raise AssertionError(f"{self.parity.label}: rotation with length {self.length}")
-        if self.action is ActionType.INVERSION and self.length != 1:
-            raise AssertionError(f"{self.parity.label}: inversion with length {self.length}")
+        if (length == INF) != (action is ActionType.NOT_FIXED):
+            raise AssertionError(f"{parity.label}: length {length} with action {action.value}")
+        if action is ActionType.ROTATION and length != 0:
+            raise AssertionError(f"{parity.label}: rotation with length {length}")
+        if action is ActionType.INVERSION and length != 1:
+            raise AssertionError(f"{parity.label}: inversion with length {length}")
+        return tuple.__new__(cls, (parity, length, action))
 
 
 # The permutation of {1/0, 0/1, 1/1} induced by each of the six invertible

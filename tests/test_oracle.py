@@ -4,6 +4,7 @@ checks do."""
 
 import math
 import random
+import re
 
 import pytest
 
@@ -89,6 +90,31 @@ def test_random_slope_keeps_the_randint_stream():
                 assert new.getstate() == old.getstate(), (seed, bound, parity)
                 if parity is not None:
                     assert all(parity_of(s) is parity for s in drawn)
+
+
+class ConstantRandom(random.Random):
+    """A forged Random whose getrandbits always returns 0, so random_slope
+    draws the pair (-bound, -bound) every time."""
+
+    def __init__(self):
+        super().__init__(0)
+        self.calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return 0
+
+
+def test_random_slope_gives_up_after_its_draw_budget():
+    # (-1, -1) has class 1/1, so a 0/1 draw never succeeds; bound 0 leaves
+    # only 0/0, which is no slope of any class
+    for bound, parity, wanted in ((1, ParityClass.ZERO_ONE, "slope of class 0/1"), (0, None, "slope")):
+        rng = ConstantRandom()
+        message = f"{oracle.SLOPE_DRAWS} pairs in [-{bound}, {bound}] held no {wanted}"
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            random_slope(rng, bound, parity)
+        assert rng.calls == 2 * oracle.SLOPE_DRAWS
+    assert random_slope(ConstantRandom(), 1, ParityClass.ONE_ONE) == Slope(1, 1)  # -1/-1
 
 
 def test_order_by_powers_matches_power():

@@ -1,0 +1,117 @@
+"""The record types are NamedTuples: read-only fields, validated
+construction with the same errors, keyword construction, and an import
+path that loads neither dataclasses nor the oracle."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import solnorm
+from solnorm import oracle
+from solnorm.bundle import BundleClass, H2Structure, h2_structure, norm_table, summary
+from solnorm.curve_complex import GL2Matrix, IDENTITY, PARITY_BY_BITS, Slope, parse_matrix
+from solnorm.errors import DomainError
+from solnorm.reports import NormReport, SurfaceDescription, pi_surface
+from solnorm.semibundle import SemiBundleClass, SemiBundleH2
+from solnorm.semibundle import summary as semi_summary
+from solnorm.tree_action import ActionType, TranslationData
+
+P10 = PARITY_BY_BITS[1, 0]
+A = parse_matrix("1,0;6,1")
+
+RECORDS = [
+    GL2Matrix(2, 1, 1, 1),
+    BundleClass(0, 1, 0),
+    SemiBundleClass(1, 0, 1),
+    TranslationData(P10, 3, ActionType.TRANSLATION),
+    h2_structure(IDENTITY),
+    semi_summary(A).h2,
+    norm_table(A, summary(A), 10)[2],
+    pi_surface([Slope(1, 0), Slope(1, 2)]),
+    oracle.CheckResult("stub", "0 errors", []),
+]
+
+
+def test_every_record_type_is_listed():
+    assert {type(r) for r in RECORDS} == {
+        GL2Matrix, BundleClass, SemiBundleClass, TranslationData, H2Structure, SemiBundleH2,
+        NormReport, SurfaceDescription, oracle.CheckResult,
+    }
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_fields_are_read_only(record):
+    for name in record._fields:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        assert getattr(record, name) is value
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: GL2Matrix(1, 1, 1, 1), "matrix 1,1;1,1 has determinant 0, need +-1"),
+        (lambda: GL2Matrix(a=2, c=0, b=0, d=1), "matrix 2,0;0,1 has determinant 2, need +-1"),
+        (lambda: BundleClass(2, 0, 0), "class coordinates must be bits: (2, 0, 0)"),
+        (lambda: BundleClass(t=0, j=1, k=-1), "class coordinates must be bits: (0, 1, -1)"),
+        (lambda: SemiBundleClass(0, 0, 2), "class coordinates must be bits: (0, 0, 2)"),
+    ],
+)
+def test_validated_records_raise_the_same_domain_errors(make, message):
+    with pytest.raises(DomainError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_translation_data_refuses_a_length_its_action_cannot_have():
+    with pytest.raises(AssertionError, match="1/0: rotation with length 2"):
+        TranslationData(P10, 2, ActionType.ROTATION)
+    with pytest.raises(AssertionError, match="1/0: inversion with length 3"):
+        TranslationData(P10, 3, ActionType.INVERSION)
+    with pytest.raises(AssertionError, match="1/0: length 3 with action not-fixed"):
+        TranslationData(P10, 3, ActionType.NOT_FIXED)
+
+
+def test_keyword_construction():
+    assert BundleClass(t=0, j=1, k=0) == BundleClass(0, 1, 0)
+    assert solnorm.z2_norm_bundle(A, BundleClass(t=0, j=1, k=0)) == 3
+    assert SemiBundleClass(e1=1, e2=0, phi=1) == SemiBundleClass(1, 0, 1)
+    assert GL2Matrix(a=1, c=0, b=6, d=1) == A
+    data = TranslationData(parity=P10, length=1, action=ActionType.INVERSION)
+    assert (data.parity, data.length, data.action) == (P10, 1, ActionType.INVERSION)
+    assert SurfaceDescription("torus") == SurfaceDescription(kind="torus", pieces=())
+
+
+def test_records_are_their_tuples():
+    assert A == (1, 0, 6, 1) and hash(A) == hash((1, 0, 6, 1))
+    a, c, b, d = A
+    assert (a, c, b, d) == (A.a, A.c, A.b, A.d)
+    assert repr(A) == "GL2Matrix(a=1, c=0, b=6, d=1)"
+    assert str(A) == "1,0;6,1"
+    assert repr(BundleClass(0, 1, 0)) == "BundleClass(t=0, j=1, k=0)"
+
+
+# Run in a fresh interpreter: the modules that importing solnorm and its
+# command line adds to whatever the interpreter's start-up already loaded.
+IMPORT_CHILD = """
+import sys
+before = set(sys.modules)
+import solnorm, solnorm.cli
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_path_loads_no_dataclasses_json_or_oracle():
+    src = str(Path(solnorm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_CHILD], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
+    )
+    loaded = set(done.stdout.split())
+    assert "solnorm.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "json", "solnorm.oracle"}), sorted(loaded)
