@@ -30,10 +30,12 @@ from .curve_complex import (
     GL2Matrix,
     ParityClass,
     Slope,
+    TreePath,
     distance,
     distance_bfs,
     export_dot,
     geodesic,
+    geodesic_path,
     intersection_number,
     mat_act,
     neighbors_bounded,
@@ -70,6 +72,7 @@ __all__ = [
     "SemiBundleClass",
     "Slope",
     "TranslationData",
+    "TreePath",
     "bredon_wood",
     "classify_geometry",
     "distance",
@@ -77,6 +80,7 @@ __all__ = [
     "export_dot",
     "ext_gcd",
     "geodesic",
+    "geodesic_path",
     "h2_structure",
     "intersection_number",
     "mat_act",

@@ -27,7 +27,8 @@ from .curve_complex import (
     PARITY_BY_BITS,
     PARITY_CLASSES,
     ParityClass,
-    geodesic,
+    Validated,
+    geodesic_path,
     mat_act,
 )
 from .errors import DomainError
@@ -53,7 +54,7 @@ class _BundleClassFields(NamedTuple):
     k: int
 
 
-class BundleClass(_BundleClassFields):
+class BundleClass(Validated, _BundleClassFields):
     """Coordinates of a Z2-homology class: t is the tau coefficient, and
     (j, k) are the pairings with the basis curves (j with gamma_mu, k with
     gamma_lambda)."""
@@ -140,10 +141,12 @@ def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> Surfa
     the class's base vertex v to A(v) runs v -> w -> A(w) -> A(v), and its
     two outer legs have the same length (Serre, Trees, I.6.4).  So the
     certificate is the middle l edges of the one walk from v to A(v):
-    geodesic(v, A(v), middle=l) skips the first (d - l)/2 moves by whole
-    runs, without building a vertex, and lists the l edges after them.  It
-    raises when l is negative, above d = d(v, A(v)) or of the parity of
-    d + 1.  The certificate proves itself minimal, so neither l nor the
+    geodesic_path(v, A(v), middle=l) skips the first (d - l)/2 moves by
+    whole runs, without building a vertex, and checks the l edges after
+    them run by run.  It raises when l is negative, above d = d(v, A(v))
+    or of the parity of d + 1.  The checks below read the path's first
+    two and last two vertices from the record, so no vertex list is
+    built.  The certificate proves itself minimal, so neither l nor the
     way w was found is trusted:
 
     - A checked geodesic of l + 1 vertices from w to A(w) proves
@@ -166,19 +169,19 @@ def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> Surfa
         # skip the walk entirely; only the genus is reported
         return pi_surface_elided(length + 2)
     v = parity.base_vertex
-    certificate = geodesic(v, mat_act(A, v), middle=length)
+    certificate = geodesic_path(v, mat_act(A, v), middle=length)
+    w, second, last_but_one, last = certificate.ends
     # a checked geodesic from w to A(w) proves d(w, A(w)) = l
-    if len(certificate) != length + 1 or certificate[-1] != mat_act(A, certificate[0]):
+    if len(certificate) != length + 1 or last != mat_act(A, w):
         raise AssertionError(
             f"certificate of {A} on {parity.label} does not run from a vertex to its image"
         )
-    if length >= 2 and mat_act(A, certificate[1]) == certificate[-2]:
+    if length >= 2 and mat_act(A, second) == last_but_one:
         raise AssertionError(
             f"certificate of {A} on {parity.label} starts at a vertex not on the axis: "
             "A of its second vertex is its last but one"
         )
     if length == 0:
-        w = certificate[0]
         image = (A.a * w.p + A.c * w.q, A.b * w.p + A.d * w.q)
         return TORUS if image == (w.p, w.q) else KLEIN_BOTTLE
     return pi_surface(certificate)

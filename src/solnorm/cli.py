@@ -28,8 +28,7 @@ from .curve_complex import (
     PARITY_CLASSES,
     distance,
     export_dot,
-    format_slopes,
-    geodesic,
+    geodesic_path,
     int_text,
     mat_act,
     parse_int,
@@ -290,8 +289,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "dist":
         print(fmt_extnat(distance(parse_slope(args.slope1), parse_slope(args.slope2))))
     elif args.command == "geodesic":
-        path = geodesic(parse_slope(args.slope1), parse_slope(args.slope2))
-        print(" -> ".join(format_slopes(path)))
+        path = geodesic_path(parse_slope(args.slope1), parse_slope(args.slope2))
+        print(" -> ".join(path.texts()))
     elif args.command == "act":
         print(mat_act(parse_matrix(args.matrix), parse_slope(args.slope)))
     elif args.command in KINDS:

@@ -18,15 +18,34 @@ which matches the wire format "a,c;b,d" used by the command line.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import math
 import re
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 from .arith import INF, ExtNat, bredon_wood, ext_gcd
 from .errors import DomainError, ParseError
+
+
+class Validated:
+    """The base of the validated record types, before their NamedTuple
+    fields: _make and _replace build the record through cls(*fields), so
+    they refuse what the constructor refuses instead of taking any tuple."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        return cls(*iterable)
+
+    def _replace(self, /, **changes):
+        fields = [changes.pop(name, value) for name, value in zip(self._fields, self)]
+        if changes:
+            raise TypeError(f"Got unexpected field names: {list(changes)!r}")
+        return type(self)(*fields)
 
 
 class _SlopeFields(NamedTuple):
@@ -34,7 +53,7 @@ class _SlopeFields(NamedTuple):
     q: int
 
 
-class Slope(_SlopeFields):
+class Slope(Validated, _SlopeFields):
     """A reduced fraction p/q in canonical form: q > 0, or (p, q) = (1, 0).
 
     A slope is the tuple (p, q): it equals its plain pair, and hashing,
@@ -99,15 +118,6 @@ def _over_digit_limit(what: str, err: ValueError) -> DomainError:
     return DomainError(f"{what} over Python's int-digit limit: {err}")
 
 
-def format_slopes(slopes: Iterable[Slope]) -> tuple[str, ...]:
-    """Each slope as its text "p/q", formatted in C.  A slope with an entry
-    over Python's int-digit limit raises DomainError, as str(slope) does."""
-    try:
-        return tuple(map("%d/%d".__mod__, slopes))
-    except ValueError as err:  # int-to-str refuses numbers over the digit limit
-        raise _over_digit_limit("slope entry", err) from None
-
-
 def int_text(n: int, what: str) -> str:
     """str(n) for program output.  A number over Python's int-digit limit
     raises DomainError naming what it is."""
@@ -168,7 +178,7 @@ class _GL2Fields(NamedTuple):
     d: int
 
 
-class GL2Matrix(_GL2Fields):
+class GL2Matrix(Validated, _GL2Fields):
     """An integer matrix with rows (a, c) and (b, d) and determinant +-1.
 
     A matrix is the tuple (a, c, b, d), as a Slope is its pair: equality,
@@ -427,9 +437,9 @@ def _progression(start: int, step: int, count: int) -> Iterable[int]:
     return range(start, start + step * count, step) if step else itertools.repeat(start, count)
 
 
-def _run_vertices(c: int, d: int, dc: int, dd: int, r: int) -> Iterator[Slope]:
+def _run_pairs(c: int, d: int, dc: int, dd: int, r: int) -> Iterator[tuple[int, int]]:
     """The vertices (c + j*dc, d + j*dd), j = 0 .. r-1, of a checked run of
-    r >= 2 as canonical slopes, built in C by tuple.__new__.
+    r >= 2 as canonical (p, q) pairs, produced in C.
 
     Vertex j takes the sign of q_j = d + j*dd, which is linear in j.  With
     dd != 0, q_j has the sign of -dd exactly for j < z = -(d // dd), the
@@ -442,20 +452,103 @@ def _run_vertices(c: int, d: int, dc: int, dd: int, r: int) -> Iterator[Slope]:
         z, sign = min(max(-(d // dd), 0), r), (1 if dd > 0 else -1)
     else:
         z, sign = 0, (1 if d > 0 else -1)
-    pieces = [_signed_vertices(c, d, dc, dd, 0, z, -sign)]
+    if z == r or (z == 0 and d):  # one sign throughout
+        return _signed_pairs(c, d, dc, dd, 0, r, -sign if z else sign)
+    pieces = [_signed_pairs(c, d, dc, dd, 0, z, -sign)]
     if z < r and d + z * dd == 0:
-        pieces.append((Slope(1, 0),))
+        pieces.append(((1, 0),))
         z += 1
-    pieces.append(_signed_vertices(c, d, dc, dd, z, r, sign))
+    pieces.append(_signed_pairs(c, d, dc, dd, z, r, sign))
     return itertools.chain.from_iterable(pieces)
 
 
-def _signed_vertices(c: int, d: int, dc: int, dd: int, start: int, stop: int, sign: int) -> Iterator[Slope]:
-    """sign * (c + j*dc, d + j*dd) for j = start .. stop-1, as Slopes built in C."""
+def _signed_pairs(c: int, d: int, dc: int, dd: int, start: int, stop: int, sign: int) -> Iterator[tuple[int, int]]:
+    """sign * (c + j*dc, d + j*dd) for j = start .. stop-1, produced in C."""
     count = stop - start
     ps = _progression(sign * (c + start * dc), sign * dc, count)
     qs = _progression(sign * (d + start * dd), sign * dd, count)
-    return map(tuple.__new__, itertools.repeat(Slope), zip(ps, qs))
+    return zip(ps, qs)
+
+
+def _run_vertices(c: int, d: int, dc: int, dd: int, r: int) -> Iterator[Slope]:
+    """The vertices of a checked run as Slopes, built in C by tuple.__new__."""
+    return map(tuple.__new__, itertools.repeat(Slope), _run_pairs(c, d, dc, dd, r))
+
+
+def _canonical(p: int, q: int) -> Slope:
+    """The slope +-(p, q) of a checked vertex, built without a gcd."""
+    return tuple.__new__(Slope, (-p, -q) if q < 0 or (q == 0 and p < 0) else (p, q))
+
+
+class TreePath(Sequence):
+    """A checked tree path, held as the walk that proved it: its vertices
+    are built only when they are read.
+
+    pieces alternates between a list of the vertices given one by one (the
+    first vertex and each run of one) and a checked run (c, d, dc, dd, r)
+    of r >= 2 vertices (c + j*dc, d + j*dd), either sign; starts holds the
+    path index of each piece's first vertex.  So the record grows with the
+    number of runs, not with their lengths.  len, indexing and texts cost
+    no vertex they do not return; iterating builds the slopes of a run in
+    C.  The record is read-only."""
+
+    __slots__ = ("_path",)  # (pieces, starts, vertex count, ends), set once
+
+    def __init__(self, pieces: list, starts: list[int], count: int, ends: tuple[Slope, ...]) -> None:
+        object.__setattr__(self, "_path", (pieces, starts, count, ends))
+
+    def _read_only(self, *args) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __len__(self) -> int:
+        return self._path[2]
+
+    @property
+    def ends(self) -> tuple[Slope, Slope, Slope, Slope]:
+        """The vertices path[0], path[1], path[-2] and path[-1], as the
+        walk's checks met them; all four are path[0] on a path of one."""
+        return self._path[3]
+
+    def __getitem__(self, index):
+        pieces, starts, count, ends = self._path
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(count))]
+        i = index + count if index < 0 else index
+        if not 0 <= i < count:
+            raise IndexError("path index out of range")
+        if -2 <= index <= 1:
+            return ends[index]
+        k = bisect.bisect_right(starts, i) - 1
+        piece, j = pieces[k], i - starts[k]
+        if k % 2 == 0:
+            return piece[j]
+        c, d, dc, dd, _ = piece
+        return _canonical(c + j * dc, d + j * dd)
+
+    def __iter__(self) -> Iterator[Slope]:
+        pieces = self._path[0]
+        if len(pieces) == 1:  # no run of two or more
+            return iter(pieces[0])
+        return itertools.chain.from_iterable(
+            _run_vertices(*piece) if k % 2 else piece for k, piece in enumerate(pieces)
+        )
+
+    def texts(self) -> tuple[str, ...]:
+        """Each vertex as its text "p/q", formatted in C, a run's straight
+        from its progressions.  An entry over Python's int-digit limit
+        raises DomainError, as str(slope) does."""
+        text, pieces = "%d/%d".__mod__, self._path[0]
+        try:
+            if len(pieces) == 1:  # no run of two or more
+                return tuple(map(text, pieces[0]))
+            texts = []
+            for k, piece in enumerate(pieces):
+                texts += map(text, _run_pairs(*piece) if k % 2 else piece)
+            return tuple(texts)
+        except ValueError as err:  # int-to-str refuses numbers over the digit limit
+            raise _over_digit_limit("slope entry", err) from None
 
 
 def _left_the_path(s1: Slope, s2: Slope) -> AssertionError:
@@ -463,33 +556,36 @@ def _left_the_path(s1: Slope, s2: Slope) -> AssertionError:
     return AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
 
 
-# The most edges geodesic lists, under 200 MB of slopes: a longer list is
-# a domain error, not one that runs the process out of memory.
+# The most edges geodesic_path checks: listing or printing a longer path
+# (200 MB of slopes at the limit) would exhaust memory, so it is a domain
+# error instead.
 MAX_PATH_EDGES = 10**6
 
 
-def geodesic(s1: Slope, s2: Slope, middle: int | None = None) -> list[Slope]:
-    """The unique tree path from s1 to s2, every edge checked.  With
-    middle = m it is only the middle m edges: vertices k .. d - k of the
-    path, where d = distance(s1, s2) and k = (d - m)/2.  A middle below 0,
-    above d or of the parity of d + 1 raises AssertionError.
+def geodesic_path(s1: Slope, s2: Slope, middle: int | None = None) -> TreePath:
+    """The unique tree path from s1 to s2, every edge checked, as a
+    TreePath.  With middle = m it is only the middle m edges: vertices
+    k .. d - k of the path, where d = distance(s1, s2) and k = (d - m)/2.
+    A middle below 0, above d or of the parity of d + 1 raises
+    AssertionError.
 
     One frame and one N give d: the frame G = [[y, p], [-x, q]] from
     ext_gcd (the one distance uses) has det 1 and sends 0/1 to s1 = p/q,
     and d = N(T) for the target T = G^-1(s2), finite only when the
     numerator of T is even.  A stretch of more than MAX_PATH_EDGES edges
-    raises DomainError before any vertex is built: such a list would
-    exhaust memory rather than be printed.
+    raises DomainError before the walk starts and before any vertex
+    exists: such a path could not be listed or printed.
 
     _walk moves the frame d - k times, in runs.  The runs before vertex k
     are skipped whole, without building a vertex.  The run that holds
     vertex k is cut there: vertex k, built by Slope.of, must have the
     parity of s1, and the rest of the run follows it as a run of its own.
-    Each run (c, d, dc, dd, r) is then checked as a whole and its vertices
-    v_j = v_0 + j*s, v_0 = (c, d), s = (dc, dd), are built in C:
+    Each run (c, d, dc, dd, r) is then checked as a whole, and kept as it
+    is; the vertices v_j = v_0 + j*s, v_0 = (c, d), s = (dc, dd), of a run
+    of r >= 2 are built only when the path is read:
 
     - A run of more than the edges the stretch has left, or of fewer than
-      one vertex, is refused before any of its vertices is built.
+      one vertex, is refused before it is checked.
     - v_0 gets the per-edge check, with the product of two big entries:
       intersection number 2 with the previous vertex, the parity of s1,
       and not the vertex two before it.  The first makes its gcd divide
@@ -528,7 +624,7 @@ def geodesic(s1: Slope, s2: Slope, middle: int | None = None) -> list[Slope]:
     skip = (dist - edges) // 2
     parity = (s1.p & 1, s1.q & 1)
     runs = iter(_walk(y, s1.p, -x, s1.q, tp, tq, dist - skip))
-    path = [s1]
+    first = s1
     if skip:
         left = skip  # vertex k is the run's vertex left - 1
         for c, d, dc, dd, r in runs:
@@ -540,26 +636,43 @@ def geodesic(s1: Slope, s2: Slope, middle: int | None = None) -> list[Slope]:
         first = Slope.of(c + (left - 1) * dc, d + (left - 1) * dd)
         if (first.p & 1, first.q & 1) != parity:
             raise _left_the_path(s1, s2)
-        path = [first]
         if left < r:
             runs = itertools.chain(((c + left * dc, d + left * dd, dc, dd, r - left),), runs)
+    # the vertices one by one since the last run, and the last two vertices
+    vertices, last, back = [first], first, None
+    pieces, starts, count = [vertices], [0], 1
     new = tuple.__new__
     for c, d, dc, dd, r in runs:
-        if not 0 < r <= edges + 1 - len(path):
+        if not 0 < r <= edges + 1 - count:
             raise _left_the_path(s1, s2)
-        pp, pq = path[-1]
+        pp, pq = last
         cp, cq = (-c, -d) if d < 0 or (d == 0 and c < 0) else (c, d)
-        if abs(pp * cq - cp * pq) != 2 or (cp & 1, cq & 1) != parity or (cp, cq) in path[-2:-1]:
+        if abs(pp * cq - cp * pq) != 2 or (cp & 1, cq & 1) != parity or (cp, cq) == back:
             raise _left_the_path(s1, s2)
         if r == 1:
-            path.append(new(Slope, (cp, cq)))
+            back, last = last, new(Slope, (cp, cq))
+            vertices.append(last)
+            count += 1
             continue
         if dc & 1 or dd & 1 or abs(c * dd - dc * d) != 2 or (c + dc, d + dd) in ((pp, pq), (-pp, -pq)):
             raise _left_the_path(s1, s2)
-        path.extend(_run_vertices(c, d, dc, dd, r))
-    if len(path) != edges + 1 or (not skip and path[-1] != s2):
+        vertices = []
+        pieces += ((c, d, dc, dd, r), vertices)
+        starts += (count, count + r)
+        back = _canonical(c + (r - 2) * dc, d + (r - 2) * dd)
+        last = _canonical(c + (r - 1) * dc, d + (r - 1) * dd)
+        count += r
+    if count != edges + 1 or (not skip and last != s2):
         raise _left_the_path(s1, s2)
-    return path
+    if count == 1:
+        return TreePath(pieces, starts, count, (first,) * 4)
+    second = pieces[0][1] if len(pieces[0]) > 1 else _canonical(*pieces[1][:2])
+    return TreePath(pieces, starts, count, (first, second, back, last))
+
+
+def geodesic(s1: Slope, s2: Slope, middle: int | None = None) -> list[Slope]:
+    """The vertices of geodesic_path(s1, s2, middle), as a list."""
+    return list(geodesic_path(s1, s2, middle))
 
 
 def export_dot(center: Slope, radius: int, bound: int) -> str:

@@ -10,8 +10,12 @@ A norm table entry pairs a homology class with its norm and a combinatorial
 description of a surface realizing it.  Non-orientable realizers of positive
 norm carry a geodesic certificate: the path of slopes whose successive
 intersection numbers are 2, from which the surface is assembled one piece
-per edge.  Certificates longer than a caller-chosen cap are elided from
-reports but the genus is still recorded.
+per edge.  A certificate is kept as the checked runs of the walk that
+proved it (a curve_complex.TreePath), and its text is formatted straight
+from the runs, so rendering a report builds no list of its vertices.
+Certificates longer than a caller-chosen cap are elided from reports but
+the genus is still recorded; geodesic_path's MAX_PATH_EDGES limit still
+applies to those that are not.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import ExtNat
-from .curve_complex import ParityClass, Slope, format_slopes
+from .curve_complex import ParityClass, TreePath
 
 if TYPE_CHECKING:
     from .bundle import H2Structure
@@ -57,7 +61,7 @@ class Summary(NamedTuple):
 class _SurfaceFields(NamedTuple):
     kind: str
     genus: int | None = None
-    certificate: tuple[Slope, ...] | None = None
+    certificate: TreePath | None = None
     certificate_elided: bool = False
     pieces: tuple[SurfaceDescription, ...] = ()
 
@@ -80,15 +84,15 @@ class SurfaceDescription(_SurfaceFields):
 
     @cached_property
     def slope_texts(self) -> tuple[str, ...]:
-        """The certificate's slopes as text, rendered once however many rows
-        show them."""
-        return format_slopes(self.certificate)
+        """The certificate's slopes as text, formatted from its runs once
+        however many rows show them."""
+        return self.certificate.texts()
 
     @cached_property
     def certificate_line(self) -> str:
-        """The certificate as the text report's "p/q -> ... -> p/q", joined
-        once however many rows show it."""
-        return " -> ".join(self.slope_texts)
+        """The certificate as the text report's "p/q -> ... -> p/q", formatted
+        and joined once however many rows show it."""
+        return " -> ".join(self.certificate.texts())
 
     def describe(self) -> str:
         if self.kind == KIND_SUM:
@@ -104,7 +108,7 @@ class SurfaceDescription(_SurfaceFields):
         for desc in (self,) + self.pieces:
             if desc.certificate_elided:
                 texts.append("(elided)")
-            elif desc.certificate:
+            elif desc.certificate is not None:
                 texts.append(desc.certificate_line)
         return "; ".join(texts) if texts else None
 
@@ -134,10 +138,10 @@ class NormReport(NamedTuple):
         return doc
 
 
-def pi_surface(certificate: list[Slope]) -> SurfaceDescription:
+def pi_surface(certificate: TreePath) -> SurfaceDescription:
     """Non-orientable surface built along a geodesic: genus = path length + 2."""
     genus = len(certificate) - 1 + 2
-    return SurfaceDescription(KIND_PI, genus=genus, certificate=tuple(certificate))
+    return SurfaceDescription(KIND_PI, genus=genus, certificate=certificate)
 
 
 def pi_surface_elided(genus: int) -> SurfaceDescription:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .arith import INF, bredon_wood
-from .curve_complex import GL2Matrix, Slope, geodesic
+from .curve_complex import GL2Matrix, Slope, Validated, geodesic_path
 from .errors import DomainError
 from .reports import (
     KLEIN_BOTTLE,
@@ -39,7 +39,7 @@ class _SemiBundleClassFields(NamedTuple):
     phi: int
 
 
-class SemiBundleClass(_SemiBundleClassFields):
+class SemiBundleClass(Validated, _SemiBundleClassFields):
     """Coefficients of [K1], [K2] and (when b is even) [F(b/a)]."""
 
     __slots__ = ()
@@ -72,7 +72,7 @@ def _f_realizer(A: GL2Matrix, norm: int, cap: int) -> SurfaceDescription:
         return KLEIN_BOTTLE
     if norm > max(cap, 0):
         return pi_surface_elided(norm + 2)
-    return pi_surface(geodesic(Slope(1, 0), Slope.of(A.a, A.b)))
+    return pi_surface(geodesic_path(Slope(1, 0), Slope.of(A.a, A.b)))
 
 
 def summary(A: GL2Matrix) -> Summary:

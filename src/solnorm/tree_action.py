@@ -31,6 +31,7 @@ from .curve_complex import (
     PARITY_CLASSES,
     ParityClass,
     Slope,
+    Validated,
     distances_from,
     mat_act,
     parity_of,
@@ -51,7 +52,7 @@ class _TranslationFields(NamedTuple):
     action: ActionType
 
 
-class TranslationData(_TranslationFields):
+class TranslationData(Validated, _TranslationFields):
     """The translation length of a matrix on one parity tree, with its
     action type; a length that contradicts the type raises."""
 

@@ -127,7 +127,7 @@ class TestNormTable:
         by_coords = {tuple(e.coords.values()): e for e in table}
         pi = by_coords[(0, 1, 0)].realizer
         assert pi.kind == KIND_PI and pi.genus == 3
-        assert pi.certificate == (Slope(1, 0), Slope(1, 2))
+        assert tuple(pi.certificate) == (Slope(1, 0), Slope(1, 2))
         assert by_coords[(0, 0, 1)].realizer.kind == KIND_TORUS
         summed = by_coords[(1, 1, 0)].realizer
         assert summed.kind == KIND_SUM
@@ -239,8 +239,8 @@ class TestNormTable:
         ("2,1;-1,0", ParityClass.ONE_ONE),  # d = 2, l = 0: the middle vertex
     ])
     def test_realizer_computes_n_once_on_the_axis(self, monkeypatch, text, parity):
-        # on the axis or off it, a certificate is one geodesic call with one N
-        calls = {"geodesic": 0, "bredon_wood": 0}
+        # on the axis or off it, a certificate is one geodesic_path call with one N
+        calls = {"geodesic_path": 0, "bredon_wood": 0}
 
         def counting(module, name):
             plain = getattr(module, name)
@@ -253,24 +253,26 @@ class TestNormTable:
 
         A = parse_matrix(text)
         length = translation_lengths(A)[parity]
-        counting(bundle, "geodesic")
+        counting(bundle, "geodesic_path")
         counting(curve_complex, "bredon_wood")
         bundle._realizer(A, parity, length, DEFAULT_CERTIFICATE_CAP)
-        assert calls == {"geodesic": 1, "bredon_wood": 1}
+        assert calls == {"geodesic_path": 1, "bredon_wood": 1}
 
     def test_realizer_rejects_a_certificate_off_the_orbit(self, monkeypatch):
-        # a geodesic returned backwards runs from A(w) to w, off the orbit;
-        # d(1/1, A(1/1)) = 3, so the certificate is the middle edge w -> A(w)
+        # the walk 1/1, -1/1, -3/1, -5/1 from 1/1 to A(1/1) has the middle
+        # edge w -> A(w) = -1/1 -> -3/1; forged backwards it passes the
+        # path's checks (a middle stretch need not end at the target) but
+        # runs from A(w) to w, off the orbit
         A = parse_matrix("4,1;-1,0")
-        monkeypatch.setattr(bundle, "geodesic",
-                            lambda s1, s2, middle=None: geodesic(s1, s2, middle)[::-1])
+        assert geodesic(Slope(1, 1), mat_act(A, Slope(1, 1))) == [Slope(1, 1), Slope(-1, 1), Slope(-3, 1), Slope(-5, 1)]
+        monkeypatch.setattr(curve_complex, "_walk", lambda *args: [(-3, 1, 0, 0, 1), (-1, 1, 0, 0, 1)])
         with pytest.raises(AssertionError, match="does not run from a vertex to its image"):
             bundle._realizer(A, ParityClass.ONE_ONE, 1, DEFAULT_CERTIFICATE_CAP)
 
     # (matrix, shift of every finite closed-form length, the check that
     # catches it).  The base vertex 1/1 of 4,1;-1,0 and 8,1;-1,0 is off the
     # axis (d(v, A v) = l + 2); those of 1,0;2,1 are on it.  A length the
-    # walk from v to A(v) has no middle stretch of is refused by geodesic;
+    # walk from v to A(v) has no middle stretch of is refused by geodesic_path;
     # those cases are named by the length the closed form gives.
     @pytest.mark.parametrize(
         "text, shift, message",

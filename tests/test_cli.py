@@ -2,11 +2,12 @@
 
 import csv
 import json
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
-from solnorm import bredon_wood, bundle, cli, curve_complex, oracle, reports, semibundle
+from solnorm import bredon_wood, bundle, cli, curve_complex, oracle, semibundle
 from solnorm.cli import census_row, document, main, render, to_canonical_json
 from solnorm.curve_complex import (
     GL2Matrix,
@@ -199,6 +200,27 @@ class TestExitCodes:
         assert err == (f"solnorm: geodesic from 1/0 to 1/2000000000000 is longer than "
                        f"{curve_complex.MAX_PATH_EDGES} edges, too long to list\n")
 
+    def test_geodesic_text_over_the_digit_limit_is_one(self, capsys, monkeypatch):
+        # the slopes parse under the default limit, which is then lowered
+        # to 640 digits before the path is printed: the 701-digit entries
+        # of 1/0, (2X+1)/2, (4X+1)/4, (6X+1)/6 end in exit 1, one line
+        X = 10**700
+        plain = cli.geodesic_path
+
+        def lowering(s1, s2):
+            path = plain(s1, s2)
+            sys.set_int_max_str_digits(640)
+            return path
+
+        monkeypatch.setattr(cli, "geodesic_path", lowering)
+        limit = sys.get_int_max_str_digits()
+        try:
+            code, out, err = run(capsys, "geodesic", "1/0", f"{6 * X + 1}/6")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (1, "")
+        assert err.startswith("solnorm: slope entry over Python's int-digit limit: ") and err.count("\n") == 1
+
     def test_unknown_command_is_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
@@ -261,16 +283,17 @@ class TestReports:
             str(mat_act(C, Slope(C.a, C.b)))
 
     def test_each_certificate_is_rendered_once(self, monkeypatch):
-        # counts the slopes given to the one helper that renders certificates
+        # counts the vertices of the paths given to TreePath.texts, the one
+        # method that renders certificates
         calls = 0
-        plain = reports.format_slopes
+        plain = curve_complex.TreePath.texts
 
-        def counting(slopes):
+        def counting(path):
             nonlocal calls
-            calls += len(slopes)
-            return plain(slopes)
+            calls += len(path)
+            return plain(path)
 
-        monkeypatch.setattr(reports, "format_slopes", counting)
+        monkeypatch.setattr(curve_complex.TreePath, "texts", counting)
         # (kind, matrix, slopes rendered): the semi-bundle's one certificate,
         # of N(2k, 1) edges, sits in four rows; a bundle's in two (t = 0, 1)
         cases = [
@@ -285,6 +308,35 @@ class TestReports:
                 calls = 0
                 build()
                 assert calls == expected, (kind, A)
+
+    @pytest.mark.parametrize("kind, matrix", [
+        ("semibundle", "1,0;16002,1"),  # one run of 8,001 edges, in four rows
+        ("bundle", "1,0;16002,1"),  # l[1/0] = 8,001: the same run, in two rows
+        ("semibundle", "-1,0;8002,-1"),
+    ])
+    def test_shear_reports_build_no_run_vertex(self, monkeypatch, kind, matrix):
+        # a shear's certificate is one long run: the realizer's checks read
+        # its ends off the run, and text and JSON format it straight from
+        # the run's progressions, so no run is spelled out as slopes
+        A = parse_matrix(matrix)
+        text, doc = render(kind, A, 10000), document(kind, A)
+        rendered = 0
+        pairs = curve_complex._run_pairs
+
+        def counting(*run):
+            nonlocal rendered
+            rendered += run[-1]
+            return pairs(*run)
+
+        def refuse(*run):
+            pytest.fail(f"the report built the vertices of the run {run}")
+
+        monkeypatch.setattr(curve_complex, "_run_pairs", counting)
+        monkeypatch.setattr(curve_complex, "_run_vertices", refuse)
+        same = render(kind, A, 10000) == text  # outside the assert: no slow diff of 100 kB texts
+        assert same
+        assert document(kind, A) == doc
+        assert rendered >= 2 * 4000
 
     # Base vertices far from the fixed set or the axis: d(1/0, A(1/0)) is
     # 2 * 10**12 for the rotation and 2 * 10**12 + 1 for P W P^-1 with
@@ -359,7 +411,9 @@ class TestCanonicalJson:
     """to_canonical_json writes the bytes of json.dumps(doc, sort_keys=True,
     indent=2) + "\n" for every document of the report schema."""
 
-    @settings(max_examples=75, deadline=None)
+    # without the shrink phase a wrong writer fails in seconds, where
+    # shrinking its failing document took minutes; every example is kept
+    @settings(max_examples=75, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
     @given(_DOCUMENTS)
     def test_matches_json_dumps(self, doc):
         assert to_canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -374,7 +428,10 @@ class TestCanonicalJson:
         monkeypatch.setattr(cli, "_quote", lambda s: quoted.append(s) or plain(s))
         doc = document(kind, parse_matrix(matrix))
         text = to_canonical_json(doc)
-        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        # compared outside the assert: pytest's diff of two different
+        # 100 kB texts takes minutes
+        same = text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert same
         assert text.count(f'"{end}"') == rows
         assert quoted.count(end) == 1
 

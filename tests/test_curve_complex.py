@@ -27,7 +27,7 @@ from solnorm import (
     parse_slope,
 )
 from solnorm import curve_complex, oracle
-from solnorm.curve_complex import IDENTITY, PARITY_BY_BITS, PARITY_CLASSES, breadth_first
+from solnorm.curve_complex import IDENTITY, PARITY_BY_BITS, PARITY_CLASSES, TreePath, breadth_first, geodesic_path
 from solnorm.errors import DomainError, ParseError
 
 
@@ -382,6 +382,7 @@ FORGED_WALKS = [
 STEP_BACK_WALKS = [
     moves((2, 1), (0, 1), (2, 1), (4, 3)),
     [(2, 1, -2, 0, 2), (2, 1, 2, 2, 2)],  # the turn inside a run
+    [(2, 1, 2, 0, 2), *moves((2, 1), (4, 3))],  # 2/1, 4/1, then back to 2/1 where the run ends
 ]
 
 
@@ -827,6 +828,97 @@ class TestRunChecksAgainstVertexChecks:
                 k = (len(path) - 1 - middle) // 2
                 assert stretch == path[k:k + middle + 1]
                 assert_canonical(stretch)
+
+
+def assert_record_is(path, vertices):
+    """The TreePath path holds exactly vertices: its list, its length, every
+    index, negative ones too, its texts and its ends."""
+    assert type(path) is TreePath
+    assert list(path) == vertices
+    assert_canonical(list(path))
+    n = len(vertices)
+    assert len(path) == n
+    for i in range(-n, n):
+        assert path[i] == vertices[i] and type(path[i]) is Slope, i
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            path[i]
+    assert path.texts() == tuple("%d/%d" % v for v in vertices)
+    ends = (vertices[0],) * 4 if n == 1 else (vertices[0], vertices[1], vertices[-2], vertices[-1])
+    assert path.ends == ends
+
+
+class TestTreePath:
+    """geodesic_path returns the checked runs as a TreePath; read back, it is
+    the path the per-vertex reference builds."""
+
+    @given(unimodular, even_slopes)
+    @example(IDENTITY, Slope(40, 1))  # one run of 20 moves, cut at every vertex k
+    @example(GL2Matrix(1, 0, 0, -1), Slope(2, 41))
+    @example(W.power(40), mat_act(W.power(-80), Slope(0, 1)))  # runs of one only
+    def test_every_middle_is_the_reference_path(self, A, t):
+        s1, s2 = mat_act(A, Slope(0, 1)), mat_act(A, t)
+        d = distance(s1, s2)
+        for middle in range(d % 2, d + 1, 2):
+            assert_record_is(geodesic_path(s1, s2, middle), geodesic_by_vertices(s1, s2, middle=middle))
+
+    @given(walks_around_a_slope())
+    # q crosses 0 inside the run: -1/6, -1/4, -1/2, 1/0, 1/2, 1/4 as one run
+    @example((Slope(-1, 6), Slope(1, 4), [(1, -4, 0, 2, 5)], [Slope(-1, 6), Slope(-1, 4), Slope(-1, 2),
+                                                              Slope(1, 0), Slope(1, 2), Slope(1, 4)]))
+    # q crosses 0 between two vertices: 4/3, 2/1, 0/1, 2/3 as one run
+    @example((Slope(4, 3), Slope(2, 3), [(-2, -1, 2, 2, 3)], [Slope(4, 3), Slope(2, 1), Slope(0, 1), Slope(2, 3)]))
+    def test_runs_whose_q_changes_sign(self, walk):
+        # the forged runs spell the true path with signs and cuts _walk
+        # would not choose, 1/0 inside a run among them; every middle,
+        # cut inside a run or between two, reads back as the reference
+        s1, s2, runs, path = walk
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(curve_complex, "_walk", lambda *args: clipped(runs, args[-1]))
+            for middle in range(len(path) % 2 ^ 1, len(path), 2):
+                k = (len(path) - 1 - middle) // 2
+                record = geodesic_path(s1, s2, middle)
+                assert_record_is(record, path[k:k + middle + 1])
+                assert list(record) == geodesic_by_vertices(s1, s2, middle=middle)
+
+    def test_a_run_is_read_without_spelling_it(self, monkeypatch):
+        # the middle 10**6 edges of the one run from 1/0 to 1/(2 * 10**12):
+        # vertex i of the stretch is 1/(2(k + i)), k = (10**12 - 10**6)/2;
+        # length and indexing build only the vertices they return
+        spell_at_most(monkeypatch, 0)
+        m = curve_complex.MAX_PATH_EDGES
+        k = (10**12 - m) // 2
+        path = geodesic_path(Slope(1, 0), Slope(1, 2 * 10**12), middle=m)
+        assert len(path) == m + 1
+        for i in (0, 1, 2, m // 2, -2, -1):
+            assert path[i] == Slope(1, 2 * (k + i % (m + 1)))
+        assert path[1:3] == [Slope(1, 2 * k + 2), Slope(1, 2 * k + 4)]
+
+    def test_is_read_only(self):
+        path = geodesic_path(Slope(0, 1), Slope(4, 3))
+        for name in ("_path", "anything"):
+            with pytest.raises(AttributeError, match="TreePath is read-only"):
+                setattr(path, name, None)
+        with pytest.raises(AttributeError, match="TreePath is read-only"):
+            del path._path
+        assert list(path) == [Slope(0, 1), Slope(2, 1), Slope(4, 3)]
+
+    def test_run_text_over_the_digit_limit_is_a_domain_error(self, monkeypatch):
+        # the true path 1/0, (2X+1)/2, (4X+1)/4, (6X+1)/6 around X/1, forged
+        # as one run after 1/0: under a lowered limit 1/0 formats and the
+        # run's 701-digit entries raise the slope-entry DomainError
+        X = 10**700
+        monkeypatch.setattr(curve_complex, "_walk", lambda *args: [(2 * X + 1, 2, 2 * X, 2, 3)])
+        path = geodesic_path(Slope(1, 0), Slope(6 * X + 1, 6))
+        assert len(path) == 4 and path[-2] == Slope(4 * X + 1, 4)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(DomainError, match="^slope entry over Python's int-digit limit: "):
+                path.texts()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert path.texts()[1:] == (f"{2 * X + 1}/2", f"{4 * X + 1}/4", f"{6 * X + 1}/6")
 
 
 def continued_fraction_pair(quotients: list[int]) -> tuple[int, int]:

@@ -67,6 +67,35 @@ def test_validated_records_raise_the_same_domain_errors(make, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: Slope(1, 2)._replace(p=4), DomainError, "slope 4/2 is not reduced"),
+        (lambda: IDENTITY._replace(a=2), DomainError, "matrix 2,0;0,1 has determinant 2, need +-1"),
+        (lambda: BundleClass._make((5, 5, 5)), DomainError, "class coordinates must be bits: (5, 5, 5)"),
+        (lambda: SemiBundleClass(0, 0, 1)._replace(phi=2), DomainError,
+         "class coordinates must be bits: (0, 0, 2)"),
+        (lambda: TranslationData._make((P10, 2, ActionType.ROTATION)), AssertionError,
+         "1/0: rotation with length 2"),
+    ],
+    ids=["Slope", "GL2Matrix", "BundleClass", "SemiBundleClass", "TranslationData"],
+)
+def test_make_and_replace_refuse_what_the_constructor_refuses(make, error, message):
+    # NamedTuple's own _make and _replace would build these with
+    # tuple.__new__, past the validating constructor
+    with pytest.raises(error) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_make_and_replace_build_valid_records():
+    assert Slope(1, 2)._replace(p=3) == Slope(3, 2) and type(Slope(1, 2)._replace(p=3)) is Slope
+    assert GL2Matrix._make((2, 1, 1, 1)) == GL2Matrix(2, 1, 1, 1)
+    assert type(BundleClass._make([0, 1, 0])) is BundleClass
+    with pytest.raises(TypeError, match="unexpected field names: \\['r'\\]"):
+        Slope(1, 2)._replace(r=3)
+
+
 def test_translation_data_refuses_a_length_its_action_cannot_have():
     with pytest.raises(AssertionError, match="1/0: rotation with length 2"):
         TranslationData(P10, 2, ActionType.ROTATION)
