@@ -144,9 +144,9 @@ def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> Surfa
     geodesic_path(v, A(v), middle=l) skips the first (d - l)/2 moves by
     whole runs, without building a vertex, and checks the l edges after
     them run by run.  It raises when l is negative, above d = d(v, A(v))
-    or of the parity of d + 1.  The checks below read the path's first
-    two and last two vertices from the record, so no vertex list is
-    built.  The certificate proves itself minimal, so neither l nor the
+    or of the parity of d + 1.  The checks below index the path's first
+    two and last two vertices, which the record keeps, so no vertex list
+    is built.  The certificate proves itself minimal, so neither l nor the
     way w was found is trusted:
 
     - A checked geodesic of l + 1 vertices from w to A(w) proves
@@ -170,13 +170,13 @@ def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> Surfa
         return pi_surface_elided(length + 2)
     v = parity.base_vertex
     certificate = geodesic_path(v, mat_act(A, v), middle=length)
-    w, second, last_but_one, last = certificate.ends
+    w = certificate[0]
     # a checked geodesic from w to A(w) proves d(w, A(w)) = l
-    if len(certificate) != length + 1 or last != mat_act(A, w):
+    if len(certificate) != length + 1 or certificate[-1] != mat_act(A, w):
         raise AssertionError(
             f"certificate of {A} on {parity.label} does not run from a vertex to its image"
         )
-    if length >= 2 and mat_act(A, second) == last_but_one:
+    if length >= 2 and mat_act(A, certificate[1]) == certificate[-2]:
         raise AssertionError(
             f"certificate of {A} on {parity.label} starts at a vertex not on the axis: "
             "A of its second vertex is its last but one"

@@ -22,6 +22,7 @@ import bisect
 import enum
 import itertools
 import math
+import operator
 import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import NamedTuple
@@ -490,9 +491,12 @@ class TreePath(Sequence):
     path index of each piece's first vertex.  So the record grows with the
     number of runs, not with their lengths.  len, indexing and texts cost
     no vertex they do not return; iterating builds the slopes of a run in
-    C.  The record is read-only."""
+    C.  The record is read-only, and it is a value: it equals, orders and
+    hashes as the tuple of its vertices, which it builds only when it is
+    compared or hashed, and it copies and pickles."""
 
-    __slots__ = ("_path",)  # (pieces, starts, vertex count, ends), set once
+    # (pieces, starts, vertex count, (path[0], path[1], path[-2], path[-1])), set once
+    __slots__ = ("_path",)
 
     def __init__(self, pieces: list, starts: list[int], count: int, ends: tuple[Slope, ...]) -> None:
         object.__setattr__(self, "_path", (pieces, starts, count, ends))
@@ -502,19 +506,46 @@ class TreePath(Sequence):
 
     __setattr__ = __delattr__ = _read_only
 
+    def __reduce__(self):
+        return TreePath, self._path
+
+    def __repr__(self) -> str:
+        return f"<TreePath of {len(self)} vertices from {self[0]} to {self[-1]}>"
+
+    def _compare(self, other, op: Callable[[tuple, tuple], bool]):
+        if isinstance(other, TreePath):
+            other = tuple(other)
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return op(tuple(self), other)
+
+    def __eq__(self, other):
+        if isinstance(other, (TreePath, tuple)) and len(other) != self._path[2]:
+            return False  # no vertex need be built
+        return self is other or self._compare(other, operator.eq)
+
+    def __lt__(self, other):
+        return self._compare(other, operator.lt)
+
+    def __le__(self, other):
+        return self._compare(other, operator.le)
+
+    def __gt__(self, other):
+        return self._compare(other, operator.gt)
+
+    def __ge__(self, other):
+        return self._compare(other, operator.ge)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
     def __len__(self) -> int:
         return self._path[2]
-
-    @property
-    def ends(self) -> tuple[Slope, Slope, Slope, Slope]:
-        """The vertices path[0], path[1], path[-2] and path[-1], as the
-        walk's checks met them; all four are path[0] on a path of one."""
-        return self._path[3]
 
     def __getitem__(self, index):
         pieces, starts, count, ends = self._path
         if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(count))]
+            return tuple(self[i] for i in range(*index.indices(count)))
         i = index + count if index < 0 else index
         if not 0 <= i < count:
             raise IndexError("path index out of range")

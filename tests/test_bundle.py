@@ -1,5 +1,8 @@
 """Torus bundles: H2 structure, norms, realizers, mog/meg, geometry."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -127,13 +130,28 @@ class TestNormTable:
         by_coords = {tuple(e.coords.values()): e for e in table}
         pi = by_coords[(0, 1, 0)].realizer
         assert pi.kind == KIND_PI and pi.genus == 3
-        assert tuple(pi.certificate) == (Slope(1, 0), Slope(1, 2))
+        assert pi.certificate == (Slope(1, 0), Slope(1, 2))
         assert by_coords[(0, 0, 1)].realizer.kind == KIND_TORUS
         summed = by_coords[(1, 1, 0)].realizer
         assert summed.kind == KIND_SUM
         assert [piece.kind for piece in summed.pieces] == [KIND_PI, KIND_TORUS_FIBER]
         assert by_coords[(0, 1, 1)].note == "derived identification"
         assert by_coords[(0, 0, 1)].note is None
+
+    @pytest.mark.parametrize("text", ["1,0;2,1", "-1,0;8002,-1", "5,2;2,1", "3,16;2,11"])
+    def test_a_second_build_is_equal(self, text):
+        # a certificate is a value, so a norm table equals a second build of
+        # itself and its realizers hash the same; a pi realizer equals its
+        # plain tuple of fields
+        A = parse_matrix(text)
+        first, second = (bundle.norm_table(A, bundle.summary(A), DEFAULT_CERTIFICATE_CAP) for _ in range(2))
+        assert first == second and pickle.loads(pickle.dumps(first)) == first and copy.deepcopy(first) == first
+        assert [hash(e.realizer) for e in first] == [hash(e.realizer) for e in second]
+        certified = [entry.realizer for entry in first if entry.realizer.certificate is not None]
+        assert certified
+        for desc in certified:
+            fields = (desc.kind, desc.genus, tuple(desc.certificate), False, ())
+            assert desc == fields and hash(desc) == hash(fields)
 
     def test_identity_table(self):
         table = bundle.norm_table(IDENTITY, bundle.summary(IDENTITY), DEFAULT_CERTIFICATE_CAP)

@@ -1,7 +1,9 @@
 """Slopes, the matrix action, distances, geodesics, and DOT export."""
 
+import copy
 import itertools
 import math
+import pickle
 import re
 import sys
 
@@ -832,7 +834,7 @@ class TestRunChecksAgainstVertexChecks:
 
 def assert_record_is(path, vertices):
     """The TreePath path holds exactly vertices: its list, its length, every
-    index, negative ones too, its texts and its ends."""
+    index, negative ones too, and its texts."""
     assert type(path) is TreePath
     assert list(path) == vertices
     assert_canonical(list(path))
@@ -844,8 +846,7 @@ def assert_record_is(path, vertices):
         with pytest.raises(IndexError):
             path[i]
     assert path.texts() == tuple("%d/%d" % v for v in vertices)
-    ends = (vertices[0],) * 4 if n == 1 else (vertices[0], vertices[1], vertices[-2], vertices[-1])
-    assert path.ends == ends
+    assert path == tuple(vertices) and hash(path) == hash(tuple(vertices))
 
 
 class TestTreePath:
@@ -892,7 +893,7 @@ class TestTreePath:
         assert len(path) == m + 1
         for i in (0, 1, 2, m // 2, -2, -1):
             assert path[i] == Slope(1, 2 * (k + i % (m + 1)))
-        assert path[1:3] == [Slope(1, 2 * k + 2), Slope(1, 2 * k + 4)]
+        assert path[1:3] == (Slope(1, 2 * k + 2), Slope(1, 2 * k + 4))
 
     def test_is_read_only(self):
         path = geodesic_path(Slope(0, 1), Slope(4, 3))
@@ -902,6 +903,25 @@ class TestTreePath:
         with pytest.raises(AttributeError, match="TreePath is read-only"):
             del path._path
         assert list(path) == [Slope(0, 1), Slope(2, 1), Slope(4, 3)]
+
+    def test_is_a_value(self):
+        # a path equals, orders and hashes as the tuple of its vertices,
+        # whatever runs hold them, and its copies and pickles are equal
+        s1, s2 = Slope(1, 0), Slope(1, 40)
+        path, again = geodesic_path(s1, s2), geodesic_path(s1, s2)
+        vertices = tuple(geodesic_by_vertices(s1, s2))
+        assert path is not again and path == again and hash(path) == hash(again) == hash(vertices)
+        assert path == vertices and vertices == path and not path != vertices
+        assert path != list(vertices) and path != vertices[:-1] + (Slope(3, 40),) and path != None  # noqa: E711
+        cut = geodesic_path(s1, s2, middle=18)
+        assert cut != path and cut == geodesic_path(Slope(1, 2), Slope(1, 38)) == vertices[1:-1]
+        assert cut > path and path < cut and cut >= vertices[1:-1] and vertices < cut[:-1] and path <= again
+        assert sorted([cut, path]) == [path, cut]
+        with pytest.raises(TypeError):
+            path < list(vertices)
+        assert {path: 1}[vertices] == 1
+        for copied in (copy.copy(path), copy.deepcopy(path), pickle.loads(pickle.dumps(path))):
+            assert type(copied) is TreePath and copied == path and copied.texts() == path.texts()
 
     def test_run_text_over_the_digit_limit_is_a_domain_error(self, monkeypatch):
         # the true path 1/0, (2X+1)/2, (4X+1)/4, (6X+1)/6 around X/1, forged

@@ -72,7 +72,10 @@ class TestTable:
         by_coords = {tuple(e.coords.values()): e for e in table}
         pi = by_coords[(0, 0, 1)].realizer
         assert pi.kind == KIND_PI and pi.genus == 3
-        assert tuple(pi.certificate) == (Slope(1, 0), Slope(1, 2))
+        assert pi.certificate == (Slope(1, 0), Slope(1, 2))
+        assert pi == (KIND_PI, 3, (Slope(1, 0), Slope(1, 2)), False, ())
+        again = semibundle.norm_table(A, semibundle.summary(A), DEFAULT_CERTIFICATE_CAP)
+        assert table == again and [hash(e.realizer) for e in table] == [hash(e.realizer) for e in again]
         assert by_coords[(0, 0, 1)].norm == 1
         both = by_coords[(1, 1, 1)].realizer
         assert both.kind == KIND_SUM
