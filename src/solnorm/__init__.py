@@ -13,6 +13,12 @@ give every invariant a report states: the H2 case, the sorted norms, mog,
 meg and, for bundles, the geometry and the translation lengths.
 norm_table(A, summary(A), cap) in the same module adds the realizing
 surfaces.  z2_norm_bundle and z2_norm_semi give the norm of one class.
+
+The orbit reference for translation lengths (ActionType, TranslationData,
+translation_length_orbit) and the bounded breadth-first distance
+distance_bfs live in solnorm.oracle.  They keep their names here: the
+module __getattr__ (PEP 562) imports the oracle on the first use of one of
+them, so importing solnorm does not.
 """
 
 from .arith import INF, ExtNat, bredon_wood, ext_gcd
@@ -32,7 +38,6 @@ from .curve_complex import (
     Slope,
     TreePath,
     distance,
-    distance_bfs,
     export_dot,
     geodesic,
     geodesic_path,
@@ -48,14 +53,7 @@ from .semibundle import (
     SemiBundleClass,
     z2_norm_semi,
 )
-from .tree_action import (
-    ActionType,
-    TranslationData,
-    parity_permutation,
-    translation_length_closed,
-    translation_length_orbit,
-    translation_lengths,
-)
+from .tree_action import parity_permutation, translation_length_closed, translation_lengths
 
 __version__ = "0.1.0"
 
@@ -98,3 +96,13 @@ __all__ = [
     "z2_norm_bundle",
     "z2_norm_semi",
 ]
+
+_ORACLE_NAMES = frozenset({"ActionType", "TranslationData", "distance_bfs", "translation_length_orbit"})
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    return getattr(oracle, name)

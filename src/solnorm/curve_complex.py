@@ -372,23 +372,6 @@ def breadth_first(
         frontier = nxt
 
 
-def distance_bfs(s1: Slope, s2: Slope, bound: int) -> ExtNat | str:
-    """Breadth-first search over the subgraph with coefficients <= bound.
-
-    Returns the exact distance when a path is found (any path in a tree
-    contains the geodesic, so the shortest path in any subgraph is the
-    geodesic), infinity on a parity mismatch, and the string "unknown" when
-    the bounded search exhausts without reaching s2 -- absence within a
-    bound proves nothing.
-    """
-    if parity_of(s1) != parity_of(s2):
-        return INF
-    for v, level, _ in breadth_first(s1, lambda u: neighbors_bounded(u, bound)):
-        if v == s2:
-            return level
-    return "unknown"
-
-
 def _walk(
     ga: int, gc: int, gb: int, gd: int, tp: int, tq: int, steps: int
 ) -> list[tuple[int, int, int, int, int]]:

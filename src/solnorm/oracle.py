@@ -2,11 +2,14 @@
 
 Everything here deliberately avoids the closed-form machinery it is checking:
 distances are re-derived as tree distances over explicitly enumerated
-neighbors, geodesics are checked edge by edge against what a tree path is,
-orders by matrix powers, the mod-2 permutation by acting on slopes,
-conjugacy is decided by searching the unimodular matrices in a box, and
-random matrices come from a seeded generator so every run is reproducible.  The same checks back both
-the pytest suite and the ``solnorm verify`` subcommand.
+neighbors (distance_bfs for one pair), geodesics are checked edge by edge
+against what a tree path is, translation lengths are read off the orbit of
+one vertex (translation_length_orbit, with Serre's action type), orders by
+matrix powers, the mod-2 permutation by acting on slopes, conjugacy is
+decided by searching the unimodular matrices in a box, and random matrices
+come from a seeded generator so every run is reproducible.  The same checks
+back both the pytest suite and the ``solnorm verify`` subcommand.  None of
+it runs on a report path.
 
 Each piece of oracle work is done once: the conjugator search solves the
 linear equation its first row must satisfy instead of testing every row,
@@ -18,6 +21,7 @@ integers, with the streams of random.Random's own methods.
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
 import random
@@ -28,12 +32,12 @@ from .bundle import (
     GeometryClass, classify_geometry, h2_structure, order, periodic_class, summary, PERIODIC_REPRESENTATIVES,
 )
 from .curve_complex import (
-    GL2Matrix, IDENTITY, PARITY_CLASSES, ParityClass, Slope, _family_range, distance, distances_from,
-    geodesic, intersection_number, mat_act, neighbors_bounded, parity_of,
+    GL2Matrix, IDENTITY, PARITY_CLASSES, ParityClass, Slope, Validated, _family_range, breadth_first,
+    distance, distances_from, geodesic, intersection_number, mat_act, neighbors_bounded, parity_of,
 )
 from .errors import DomainError
 from .semibundle import summary as semi_summary
-from .tree_action import parity_permutation, translation_length_closed, translation_length_orbit
+from .tree_action import parity_permutation, translation_length_closed
 
 # Elementary shears, their inverses, and the orientation-reversing flip.
 GENERATORS = (
@@ -189,6 +193,67 @@ def parity_permutation_by_action(A: GL2Matrix) -> dict[ParityClass, ParityClass]
     return perm
 
 
+class ActionType(enum.Enum):
+    ROTATION = "rotation"
+    INVERSION = "inversion"
+    TRANSLATION = "translation"
+    NOT_FIXED = "not-fixed"
+
+
+class _TranslationFields(NamedTuple):
+    parity: ParityClass
+    length: ExtNat
+    action: ActionType
+
+
+class TranslationData(Validated, _TranslationFields):
+    """The translation length of a matrix on one parity tree, with its
+    action type; a length that contradicts the type raises."""
+
+    __slots__ = ()
+
+    def __new__(cls, parity: ParityClass, length: ExtNat, action: ActionType) -> "TranslationData":
+        # explicit raises, so the checks also run under python -O
+        if (length == INF) != (action is ActionType.NOT_FIXED):
+            raise AssertionError(f"{parity.label}: length {length} with action {action.value}")
+        if action is ActionType.ROTATION and length != 0:
+            raise AssertionError(f"{parity.label}: rotation with length {length}")
+        if action is ActionType.INVERSION and length != 1:
+            raise AssertionError(f"{parity.label}: inversion with length {length}")
+        return tuple.__new__(cls, (parity, length, action))
+
+
+def translation_length_orbit(
+    A: GL2Matrix, cls: ParityClass, v: Slope | None = None
+) -> TranslationData:
+    """Translation length and action type on the tree of cls, from the
+    orbit of one vertex v of that tree (its base vertex by default): the
+    reference for tree_action.translation_length_closed.
+
+    A moves the class when A(v) leaves it.  Otherwise any v gives the same
+    length: for a translation, d(v, A^2(v)) - d(v, A(v)) telescopes along
+    the projection of v to the axis; for a rotation it is 0; and when
+    A^2(v) = v the length is the parity of d(v, A(v)).
+    """
+    if v is None:
+        v = cls.base_vertex
+    elif parity_of(v) is not cls:
+        raise DomainError(f"base vertex {v} is not in parity class {cls.label}")
+    fv = mat_act(A, v)
+    if parity_of(fv) is not cls:
+        return TranslationData(cls, INF, ActionType.NOT_FIXED)
+    ffv = mat_act(A, fv)
+    d1, d2 = distances_from(v, (fv, ffv))
+    if ffv != v:
+        length = d2 - d1
+        action = ActionType.TRANSLATION if length > 0 else ActionType.ROTATION
+    elif d1 % 2 == 1:
+        length, action = 1, ActionType.INVERSION
+    else:
+        length, action = 0, ActionType.ROTATION
+    return TranslationData(cls, length, action)
+
+
 def check_four_point(slopes: tuple[Slope, Slope, Slope, Slope]) -> bool:
     """Tree (0-hyperbolic) four-point condition: among the three pairings of
     distance sums, the two largest coincide."""
@@ -214,6 +279,23 @@ def slopes_within(bound: int) -> list[Slope]:
             if math.gcd(p, q) == 1:
                 out.append(Slope(p, q))
     return out
+
+
+def distance_bfs(s1: Slope, s2: Slope, bound: int) -> ExtNat | str:
+    """Breadth-first search over the subgraph with coefficients <= bound.
+
+    Returns the exact distance when a path is found (any path in a tree
+    contains the geodesic, so the shortest path in any subgraph is the
+    geodesic), infinity on a parity mismatch, and the string "unknown" when
+    the bounded search exhausts without reaching s2 -- absence within a
+    bound proves nothing.
+    """
+    if parity_of(s1) != parity_of(s2):
+        return INF
+    for v, level, _ in breadth_first(s1, lambda u: neighbors_bounded(u, bound)):
+        if v == s2:
+            return level
+    return "unknown"
 
 
 # ----------------------------------------------------------------------

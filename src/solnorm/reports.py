@@ -16,6 +16,10 @@ from the runs, so rendering a report builds no list of its vertices.
 Certificates longer than a caller-chosen cap are elided from reports but
 the genus is still recorded; geodesic_path's MAX_PATH_EDGES limit still
 applies to those that are not.
+
+The module holds only what the reports render.  The norm a realizer
+contributes, max(0, -Euler characteristic), is not rendered: the tests
+recompute it from these records and compare it with each row's norm.
 """
 
 from __future__ import annotations
@@ -70,17 +74,6 @@ class SurfaceDescription(_SurfaceFields):
     """A realizing surface.  It has no __slots__: the instance dict holds
     the cached renderings of its certificate, while its fields stay
     read-only."""
-
-    def norm_contribution(self) -> int:
-        """max(0, -Euler characteristic): genus - 2 for a non-orientable
-        surface of genus > 2, zero for everything else here."""
-        if self.kind == KIND_SUM:
-            return sum(piece.norm_contribution() for piece in self.pieces)
-        if self.kind == KIND_PI:
-            if self.genus is None:
-                raise AssertionError(f"{KIND_PI} surface without a genus")
-            return max(0, self.genus - 2)
-        return 0
 
     @cached_property
     def slope_texts(self) -> tuple[str, ...]:

@@ -1,9 +1,10 @@
-"""Classification of a unimodular matrix acting on the three parity trees.
+"""The action of a unimodular matrix on the three parity trees.
 
 A matrix permutes the components of the curve complex through its mod-2
-reduction.  On a preserved component the action is, per Serre's trichotomy,
-a rotation (fixes a vertex), an inversion (flips an edge), or a translation
-along an axis.  The translation length
+reduction (MOD2_PERMUTATIONS, parity_permutation).  On a preserved
+component the action is, per Serre's trichotomy, a rotation (fixes a
+vertex), an inversion (flips an edge), or a translation along an axis.  The
+translation length
 
     l = min over vertices v of d(v, A(v))
 
@@ -11,62 +12,17 @@ has one closed form in the matrix entries, translation_length_closed: the
 difference d(v, A^2(v)) - d(v, A(v)) evaluated on the integers of the
 class's base vertex j/k, for all three trees.  It is the only length the
 reports and the census compute; each bundle certificate then proves its own
-length minimal (bundle._realizer).  translation_length_orbit computes the
-same length from the orbit of a single base vertex (l = d(v, A^2(v)) -
-d(v, A(v)) when A^2(v) != v, else the parity of d(v, A(v))), with its action
-type.  It runs on no report path: it is the independent reference that the
-oracle and the tests compare the closed form with.
+length minimal (bundle._realizer).  The independent reference it is checked
+against, the same length read off the orbit of one vertex with its action
+type, is oracle.translation_length_orbit.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
-from typing import NamedTuple
 
 from .arith import INF, ExtNat, bredon_wood, ext_gcd
-from .curve_complex import (
-    GL2Matrix,
-    PARITY_BY_BITS,
-    PARITY_CLASSES,
-    ParityClass,
-    Slope,
-    Validated,
-    distances_from,
-    mat_act,
-    parity_of,
-)
-from .errors import DomainError
-
-
-class ActionType(enum.Enum):
-    ROTATION = "rotation"
-    INVERSION = "inversion"
-    TRANSLATION = "translation"
-    NOT_FIXED = "not-fixed"
-
-
-class _TranslationFields(NamedTuple):
-    parity: ParityClass
-    length: ExtNat
-    action: ActionType
-
-
-class TranslationData(Validated, _TranslationFields):
-    """The translation length of a matrix on one parity tree, with its
-    action type; a length that contradicts the type raises."""
-
-    __slots__ = ()
-
-    def __new__(cls, parity: ParityClass, length: ExtNat, action: ActionType) -> "TranslationData":
-        # explicit raises, so the checks also run under python -O
-        if (length == INF) != (action is ActionType.NOT_FIXED):
-            raise AssertionError(f"{parity.label}: length {length} with action {action.value}")
-        if action is ActionType.ROTATION and length != 0:
-            raise AssertionError(f"{parity.label}: rotation with length {length}")
-        if action is ActionType.INVERSION and length != 1:
-            raise AssertionError(f"{parity.label}: inversion with length {length}")
-        return tuple.__new__(cls, (parity, length, action))
+from .curve_complex import GL2Matrix, PARITY_BY_BITS, PARITY_CLASSES, ParityClass
 
 
 # The permutation of {1/0, 0/1, 1/1} induced by each of the six invertible
@@ -86,40 +42,6 @@ MOD2_PERMUTATIONS = {
 def parity_permutation(A: GL2Matrix) -> dict[ParityClass, ParityClass]:
     """The permutation of {1/0, 0/1, 1/1} induced by A mod 2, as a new dict."""
     return dict(MOD2_PERMUTATIONS[A.mod2()])
-
-
-def fixes_class(A: GL2Matrix, cls: ParityClass) -> bool:
-    return MOD2_PERMUTATIONS[A.mod2()][cls] is cls
-
-
-def translation_length_orbit(
-    A: GL2Matrix, cls: ParityClass, v: Slope | None = None
-) -> TranslationData:
-    """Translation length and action type on the tree of cls, from the
-    orbit of one vertex.
-
-    Any base vertex gives the same length: for a translation,
-    d(v, A^2(v)) - d(v, A(v)) telescopes along the projection of v to the
-    axis; for a rotation it is 0; and when A^2(v) = v the length is the
-    parity of d(v, A(v)).
-    """
-    if not fixes_class(A, cls):
-        return TranslationData(cls, INF, ActionType.NOT_FIXED)
-    if v is None:
-        v = cls.base_vertex
-    elif parity_of(v) is not cls:
-        raise DomainError(f"base vertex {v} is not in parity class {cls.label}")
-    fv = mat_act(A, v)
-    ffv = mat_act(A, fv)
-    d1, d2 = distances_from(v, (fv, ffv))
-    if ffv != v:
-        length = d2 - d1
-        action = ActionType.TRANSLATION if length > 0 else ActionType.ROTATION
-    elif d1 % 2 == 1:
-        length, action = 1, ActionType.INVERSION
-    else:
-        length, action = 0, ActionType.ROTATION
-    return TranslationData(cls, length, action)
 
 
 # Each class's base vertex j/k with the ext_gcd cofactors (x, y),

@@ -33,10 +33,12 @@ from solnorm.curve_complex import (
 )
 from solnorm.errors import DomainError
 from solnorm.oracle import (
+    ActionType,
     iter_unimodular,
     order_by_powers,
     parity_permutation_by_action,
     random_glz,
+    translation_length_orbit,
 )
 from solnorm.reports import (
     DEFAULT_CERTIFICATE_CAP,
@@ -46,13 +48,9 @@ from solnorm.reports import (
     KIND_TORUS,
     KIND_TORUS_FIBER,
 )
-from solnorm.tree_action import (
-    MOD2_PERMUTATIONS,
-    fixes_class,
-    parity_permutation,
-    translation_length_orbit,
-    translation_lengths,
-)
+from solnorm.tree_action import MOD2_PERMUTATIONS, parity_permutation, translation_lengths
+
+from helpers import norm_contribution
 
 
 class TestH2Structure:
@@ -95,6 +93,17 @@ class TestH2Structure:
         }
         for text, expected in cases.items():
             assert h2_structure(parse_matrix(text)).valid_jk == expected
+
+    def test_a_permutation_fixing_two_classes_is_refused(self):
+        # no permutation of three classes fixes exactly two; a forged one raises
+        P10, P01, P11 = ParityClass
+        with pytest.raises(AssertionError, match="^1,0;0,1 mod 2 fixes 2 parity classes$"):
+            bundle._h2_case((1, 0, 0, 1), {P10: P10, P01: P01, P11: P01})
+
+    def test_summary_refuses_an_infinite_length_on_a_fixed_class(self, monkeypatch):
+        monkeypatch.setattr(bundle, "translation_lengths", lambda A: dict.fromkeys(ParityClass, INF))
+        with pytest.raises(AssertionError, match="^infinite translation length of 1,0;0,1 on fixed class 0/1$"):
+            bundle.summary(IDENTITY)
 
 
 class TestNorm:
@@ -193,7 +202,7 @@ class TestNormTable:
         for text in ("1,0;2,1", "1,0;6,1", "3,2;4,3", "0,-1;1,0", "1,0;0,-1"):
             A = parse_matrix(text)
             for entry in bundle.norm_table(A, bundle.summary(A), DEFAULT_CERTIFICATE_CAP):
-                assert entry.realizer.norm_contribution() == entry.norm
+                assert norm_contribution(entry.realizer) == entry.norm
 
     def test_certificates_are_edge_paths(self):
         # each certificate is a path of norm-many edges from a vertex w to
@@ -380,9 +389,9 @@ class TestGeometry:
 
 
 class TestClosedFormsAgainstReferences:
-    """order, the mod-2 permutation, fixes_class, the H2 table and the
-    translation lengths against matrix powers, the action on base vertices
-    and the orbit of the base vertex."""
+    """order, the mod-2 permutation, its fixed classes, the H2 table and
+    the translation lengths against matrix powers, the action on base
+    vertices and the orbit of the base vertex."""
 
     def test_every_matrix_with_entries_up_to_four(self):
         count = 0
@@ -392,11 +401,13 @@ class TestClosedFormsAgainstReferences:
             perm = parity_permutation(A)
             assert perm == parity_permutation_by_action(A), A
             fixed = {cls for cls in ParityClass if perm[cls] is cls}
-            assert {cls for cls in ParityClass if fixes_class(A, cls)} == fixed, A
+            orbits = {cls: translation_length_orbit(A, cls) for cls in ParityClass}
+            kept = {cls for cls, data in orbits.items() if data.action is not ActionType.NOT_FIXED}
+            assert kept == fixed, A
             assert h2_structure(A).valid_jk == {(0, 0)} | {cls.value for cls in fixed}, A
             lengths = translation_lengths(A)
             for cls in ParityClass:
-                assert lengths[cls] == translation_length_orbit(A, cls).length, (A, cls)
+                assert lengths[cls] == orbits[cls].length, (A, cls)
             count += 1
         assert count == 360
 

@@ -1,6 +1,7 @@
 """The record types are NamedTuples: read-only fields, validated
 construction with the same errors, keyword construction, and an import
-path that loads neither dataclasses nor the oracle."""
+path that loads neither dataclasses nor the oracle, whose public names
+solnorm resolves on first use."""
 
 import os
 import subprocess
@@ -14,10 +15,10 @@ from solnorm import oracle
 from solnorm.bundle import BundleClass, H2Structure, h2_structure, norm_table, summary
 from solnorm.curve_complex import GL2Matrix, IDENTITY, PARITY_BY_BITS, Slope, parse_matrix
 from solnorm.errors import DomainError
+from solnorm.oracle import ActionType, TranslationData
 from solnorm.reports import NormReport, SurfaceDescription, pi_surface
 from solnorm.semibundle import SemiBundleClass, SemiBundleH2
 from solnorm.semibundle import summary as semi_summary
-from solnorm.tree_action import ActionType, TranslationData
 
 P10 = PARITY_BY_BITS[1, 0]
 A = parse_matrix("1,0;6,1")
@@ -134,13 +135,43 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_import_path_loads_no_dataclasses_json_or_oracle():
+def run_child(code: str) -> str:
+    """The stdout of code run in a fresh interpreter that imports this solnorm."""
     src = str(Path(solnorm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", IMPORT_CHILD], env=env, capture_output=True, text=True, check=True,
-        timeout=60,
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60,
     )
-    loaded = set(done.stdout.split())
+    return done.stdout
+
+
+def test_import_path_loads_no_dataclasses_json_or_oracle():
+    loaded = set(run_child(IMPORT_CHILD).split())
     assert "solnorm.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "json", "solnorm.oracle"}), sorted(loaded)
+
+
+ORACLE_NAMES = ("ActionType", "TranslationData", "distance_bfs", "translation_length_orbit")
+
+
+def test_every_public_name_resolves_and_the_oracle_names_are_the_oracles():
+    for name in solnorm.__all__:
+        assert getattr(solnorm, name) is not None, name
+    for name in ORACLE_NAMES:
+        assert name in solnorm.__all__
+        assert getattr(solnorm, name) is getattr(oracle, name), name
+
+
+# An unknown name must raise AttributeError before anything is imported, so
+# that getattr(solnorm, name, default) gives the default.
+UNKNOWN_CHILD = """
+import sys
+import solnorm
+print(getattr(solnorm, "no_such_name", None), "solnorm.oracle" in sys.modules)
+"""
+
+
+def test_an_unknown_name_raises_attribute_error_without_importing_the_oracle():
+    assert run_child(UNKNOWN_CHILD).split() == ["None", "False"]
+    with pytest.raises(AttributeError, match="module 'solnorm' has no attribute 'no_such_name'"):
+        solnorm.no_such_name

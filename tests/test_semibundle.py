@@ -17,6 +17,8 @@ from solnorm.curve_complex import IDENTITY, Slope
 from solnorm.errors import DomainError
 from solnorm.reports import DEFAULT_CERTIFICATE_CAP, KIND_KLEIN_BOTTLE, KIND_PI, KIND_SUM
 
+from helpers import norm_contribution
+
 
 class TestH2:
     def test_odd_b(self):
@@ -31,6 +33,11 @@ class TestH2:
 
     def test_b_zero(self):
         assert semibundle.summary(IDENTITY).h2.order == 8
+
+    def test_summary_refuses_an_infinite_norm(self, monkeypatch):
+        monkeypatch.setattr(semibundle, "bredon_wood", lambda p, q: INF)
+        with pytest.raises(AssertionError, match=r"^N\(2, 1\) is infinite for 1,0;2,1$"):
+            semibundle.summary(parse_matrix("1,0;2,1"))
 
 
 class TestNorm:
@@ -102,7 +109,7 @@ class TestTable:
         for text in ("1,0;2,1", "3,1;8,3", "0,1;1,0", "1,0;0,1"):
             A = parse_matrix(text)
             for entry in semibundle.norm_table(A, semibundle.summary(A), DEFAULT_CERTIFICATE_CAP):
-                assert entry.realizer.norm_contribution() == entry.norm
+                assert norm_contribution(entry.realizer) == entry.norm
 
     def test_certificate_elision(self):
         A = parse_matrix("1,0;30,1")

@@ -10,7 +10,6 @@ import pytest
 
 from solnorm import (
     INF,
-    ActionType,
     GL2Matrix,
     ParityClass,
     Slope,
@@ -20,11 +19,16 @@ from solnorm import (
     parity_permutation,
     parse_matrix,
     translation_length_closed,
-    translation_length_orbit,
 )
 from solnorm.curve_complex import IDENTITY
 from solnorm.errors import DomainError
-from solnorm.oracle import parity_permutation_by_action, random_glz, random_slope
+from solnorm.oracle import (
+    ActionType,
+    parity_permutation_by_action,
+    random_glz,
+    random_slope,
+    translation_length_orbit,
+)
 from solnorm.tree_action import MOD2_PERMUTATIONS
 
 P10 = ParityClass.ONE_ZERO
@@ -109,20 +113,27 @@ class TestOrbitMethod:
 
 
 def test_invariants_hold_under_python_optimize():
-    # python -O drops plain asserts; each of these must still raise
+    # python -O drops plain asserts; each of these must still raise.  The
+    # report-path rows forge an input or monkeypatch a dependency.
     broken = [
-        "TranslationData(ParityClass.ONE_ZERO, 2, ActionType.ROTATION)",
-        "TranslationData(ParityClass.ZERO_ONE, 3, ActionType.INVERSION)",
-        "TranslationData(ParityClass.ONE_ONE, INF, ActionType.TRANSLATION)",
-        "SurfaceDescription(KIND_PI).norm_contribution()",
+        "TranslationData(P10, 2, ActionType.ROTATION)",
+        "TranslationData(P01, 3, ActionType.INVERSION)",
+        "TranslationData(P11, INF, ActionType.TRANSLATION)",
+        "bundle._h2_case((1, 0, 0, 1), {P10: P10, P01: P01, P11: P01})",
+        "bundle.translation_lengths = lambda A: dict.fromkeys(PARITY_CLASSES, INF)\n"
+        "bundle.summary(IDENTITY)",
+        "semibundle.bredon_wood = lambda p, q: INF\n"
+        "semibundle.summary(GL2Matrix(1, 0, 2, 1))",
     ]
     script = "\n".join([
+        "from solnorm import bundle, semibundle",
         "from solnorm.arith import INF",
-        "from solnorm.reports import KIND_PI, SurfaceDescription",
-        "from solnorm.tree_action import ActionType, ParityClass, TranslationData",
+        "from solnorm.curve_complex import GL2Matrix, IDENTITY, PARITY_CLASSES",
+        "from solnorm.oracle import ActionType, TranslationData",
+        "P10, P01, P11 = PARITY_CLASSES",
         "for statement in %r:" % broken,
         "    try:",
-        "        eval(statement)",
+        "        exec(statement)",
         "    except AssertionError as err:",
         "        print(err)",
         "    else:",
