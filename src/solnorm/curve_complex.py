@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import itertools
 import math
 import operator
@@ -33,20 +34,15 @@ from .errors import DomainError, ParseError
 
 class Validated:
     """The base of the validated record types, before their NamedTuple
-    fields: _make and _replace build the record through cls(*fields), so
-    they refuse what the constructor refuses instead of taking any tuple."""
+    fields: _make builds the record through cls(*fields), so it refuses
+    what the constructor refuses instead of taking any tuple.  NamedTuple's
+    own _replace builds through self._make, so it refuses the same."""
 
     __slots__ = ()
 
     @classmethod
     def _make(cls, iterable: Iterable):
         return cls(*iterable)
-
-    def _replace(self, /, **changes):
-        fields = [changes.pop(name, value) for name, value in zip(self._fields, self)]
-        if changes:
-            raise TypeError(f"Got unexpected field names: {list(changes)!r}")
-        return type(self)(*fields)
 
 
 class _SlopeFields(NamedTuple):
@@ -422,40 +418,13 @@ def _progression(start: int, step: int, count: int) -> Iterable[int]:
 
 
 def _run_pairs(c: int, d: int, dc: int, dd: int, r: int) -> Iterator[tuple[int, int]]:
-    """The vertices (c + j*dc, d + j*dd), j = 0 .. r-1, of a checked run of
-    r >= 2 as canonical (p, q) pairs, produced in C.
-
-    Vertex j takes the sign of q_j = d + j*dd, which is linear in j.  With
-    dd != 0, q_j has the sign of -dd exactly for j < z = -(d // dd), the
-    sign of dd for j > z, and at j = z it is 0 or has the sign of dd.  In
-    a checked run a vertex with q_j = 0 is (+-1, 0), the slope 1/0: its p
-    divides det(v_0, s) = +-2 and is odd, as the class of s1 has an odd
-    entry.  With dd = 0 the determinant is -dc*d, so every q_j = d is
-    nonzero."""
-    if dd:
-        z, sign = min(max(-(d // dd), 0), r), (1 if dd > 0 else -1)
-    else:
-        z, sign = 0, (1 if d > 0 else -1)
-    if z == r or (z == 0 and d):  # one sign throughout
-        return _signed_pairs(c, d, dc, dd, 0, r, -sign if z else sign)
-    pieces = [_signed_pairs(c, d, dc, dd, 0, z, -sign)]
-    if z < r and d + z * dd == 0:
-        pieces.append(((1, 0),))
-        z += 1
-    pieces.append(_signed_pairs(c, d, dc, dd, z, r, sign))
-    return itertools.chain.from_iterable(pieces)
-
-
-def _signed_pairs(c: int, d: int, dc: int, dd: int, start: int, stop: int, sign: int) -> Iterator[tuple[int, int]]:
-    """sign * (c + j*dc, d + j*dd) for j = start .. stop-1, produced in C."""
-    count = stop - start
-    ps = _progression(sign * (c + start * dc), sign * dc, count)
-    qs = _progression(sign * (d + start * dd), sign * dd, count)
-    return zip(ps, qs)
+    """The vertices (c + j*dc, d + j*dd), j = 0 .. r-1, of a stored run as
+    (p, q) pairs, produced in C."""
+    return zip(_progression(c, dc, r), _progression(d, dd, r))
 
 
 def _run_vertices(c: int, d: int, dc: int, dd: int, r: int) -> Iterator[Slope]:
-    """The vertices of a checked run as Slopes, built in C by tuple.__new__."""
+    """The vertices of a stored run as Slopes, built in C by tuple.__new__."""
     return map(tuple.__new__, itertools.repeat(Slope), _run_pairs(c, d, dc, dd, r))
 
 
@@ -464,25 +433,27 @@ def _canonical(p: int, q: int) -> Slope:
     return tuple.__new__(Slope, (-p, -q) if q < 0 or (q == 0 and p < 0) else (p, q))
 
 
+@functools.total_ordering
 class TreePath(Sequence):
     """A checked tree path, held as the walk that proved it: its vertices
     are built only when they are read.
 
-    pieces alternates between a list of the vertices given one by one (the
-    first vertex and each run of one) and a checked run (c, d, dc, dd, r)
-    of r >= 2 vertices (c + j*dc, d + j*dd), either sign; starts holds the
-    path index of each piece's first vertex.  So the record grows with the
-    number of runs, not with their lengths.  len, indexing and texts cost
-    no vertex they do not return; iterating builds the slopes of a run in
-    C.  The record is read-only, and it is a value: it equals, orders and
-    hashes as the tuple of its vertices, which it builds only when it is
-    compared or hashed, and it copies and pickles."""
+    pieces holds, in path order, lists of the vertices given one by one
+    (the first vertex and each run of one) and runs (c, d, dc, dd, r) of
+    r >= 1 slopes (c + j*dc, d + j*dd), every one already in canonical
+    form; starts holds the path index of each piece's first vertex.  So
+    the record grows with the number of runs, not with their lengths.
+    len, indexing and texts cost no vertex they do not return; iterating
+    builds the slopes of a run in C.  The record is read-only, and it is a
+    value: it equals, orders and hashes as the tuple of its vertices,
+    which it builds only when it is compared or hashed, and it copies and
+    pickles."""
 
-    # (pieces, starts, vertex count, (path[0], path[1], path[-2], path[-1])), set once
+    # (pieces, starts, vertex count), set once
     __slots__ = ("_path",)
 
-    def __init__(self, pieces: list, starts: list[int], count: int, ends: tuple[Slope, ...]) -> None:
-        object.__setattr__(self, "_path", (pieces, starts, count, ends))
+    def __init__(self, pieces: list, starts: list[int], count: int) -> None:
+        object.__setattr__(self, "_path", (pieces, starts, count))
 
     def _read_only(self, *args) -> None:
         raise AttributeError(f"{type(self).__name__} is read-only")
@@ -510,15 +481,6 @@ class TreePath(Sequence):
     def __lt__(self, other):
         return self._compare(other, operator.lt)
 
-    def __le__(self, other):
-        return self._compare(other, operator.le)
-
-    def __gt__(self, other):
-        return self._compare(other, operator.gt)
-
-    def __ge__(self, other):
-        return self._compare(other, operator.ge)
-
     def __hash__(self) -> int:
         return hash(tuple(self))
 
@@ -526,43 +488,35 @@ class TreePath(Sequence):
         return self._path[2]
 
     def __getitem__(self, index):
-        pieces, starts, count, ends = self._path
+        pieces, starts, count = self._path
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(count)))
         i = index + count if index < 0 else index
         if not 0 <= i < count:
             raise IndexError("path index out of range")
-        if -2 <= index <= 1:
-            return ends[index]
         k = bisect.bisect_right(starts, i) - 1
         piece, j = pieces[k], i - starts[k]
-        if k % 2 == 0:
+        if type(piece) is list:
             return piece[j]
         c, d, dc, dd, _ = piece
-        return _canonical(c + j * dc, d + j * dd)
+        return tuple.__new__(Slope, (c + j * dc, d + j * dd))
 
     def __iter__(self) -> Iterator[Slope]:
-        pieces = self._path[0]
-        if len(pieces) == 1:  # no run of two or more
-            return iter(pieces[0])
         return itertools.chain.from_iterable(
-            _run_vertices(*piece) if k % 2 else piece for k, piece in enumerate(pieces)
+            piece if type(piece) is list else _run_vertices(*piece) for piece in self._path[0]
         )
 
     def texts(self) -> tuple[str, ...]:
         """Each vertex as its text "p/q", formatted in C, a run's straight
         from its progressions.  An entry over Python's int-digit limit
         raises DomainError, as str(slope) does."""
-        text, pieces = "%d/%d".__mod__, self._path[0]
+        text, texts = "%d/%d".__mod__, []
         try:
-            if len(pieces) == 1:  # no run of two or more
-                return tuple(map(text, pieces[0]))
-            texts = []
-            for k, piece in enumerate(pieces):
-                texts += map(text, _run_pairs(*piece) if k % 2 else piece)
-            return tuple(texts)
+            for piece in self._path[0]:
+                texts += map(text, piece if type(piece) is list else _run_pairs(*piece))
         except ValueError as err:  # int-to-str refuses numbers over the digit limit
             raise _over_digit_limit("slope entry", err) from None
+        return tuple(texts)
 
 
 def _left_the_path(s1: Slope, s2: Slope) -> AssertionError:
@@ -594,9 +548,8 @@ def geodesic_path(s1: Slope, s2: Slope, middle: int | None = None) -> TreePath:
     are skipped whole, without building a vertex.  The run that holds
     vertex k is cut there: vertex k, built by Slope.of, must have the
     parity of s1, and the rest of the run follows it as a run of its own.
-    Each run (c, d, dc, dd, r) is then checked as a whole, and kept as it
-    is; the vertices v_j = v_0 + j*s, v_0 = (c, d), s = (dc, dd), of a run
-    of r >= 2 are built only when the path is read:
+    Each run (c, d, dc, dd, r), with vertices v_j = v_0 + j*s, v_0 =
+    (c, d), s = (dc, dd), either sign, is then checked as a whole:
 
     - A run of more than the edges the stretch has left, or of fewer than
       one vertex, is refused before it is checked.
@@ -614,6 +567,15 @@ def geodesic_path(s1: Slope, s2: Slope, middle: int | None = None) -> TreePath:
       which is no slope, so a run can turn back only where it starts,
       and the vertex after it is the next run's v_0, checked against
       the run's last two.  So a run costs one product, not one per edge.
+
+    A checked run of r >= 2 is stored without building a vertex, split
+    where q_j = d + j*dd changes sign: the vertices with q_j < 0, negated,
+    then 1/0 if some q_j = 0, then the vertices with q_j > 0, each stretch
+    a run of slopes already in canonical form.  A vertex with q_j = 0 is
+    (+-1, 0): its p divides det(v_0, s) = +-2 and is odd, as the class of
+    s1 has an odd entry.  With dd = 0 the determinant is -dc*d, so every
+    q_j = d is nonzero.  This split is the one place the sign of a run's
+    vertices is decided; the TreePath reads its runs as they are stored.
 
     Where runs meet, and on runs of one, every edge keeps the per-edge
     check.  A stretch that passes every check never turns back, and a
@@ -670,18 +632,30 @@ def geodesic_path(s1: Slope, s2: Slope, middle: int | None = None) -> TreePath:
             continue
         if dc & 1 or dd & 1 or abs(c * dd - dc * d) != 2 or (c + dc, d + dd) in ((pp, pq), (-pp, -pq)):
             raise _left_the_path(s1, s2)
-        vertices = []
-        pieces += ((c, d, dc, dd, r), vertices)
-        starts += (count, count + r)
         back = _canonical(c + (r - 2) * dc, d + (r - 2) * dd)
         last = _canonical(c + (r - 1) * dc, d + (r - 1) * dd)
+        # the split: the run negated where need be so that q_j = d + j*dd
+        # grows or is d > 0; then q_j < 0 exactly for j < z
+        if dd < 0 or (dd == 0 and d < 0):
+            c, d, dc, dd = -c, -d, -dc, -dd
+        z = min(-(d // dd), r) if d < 0 else 0
+        if z:
+            pieces.append((-c, -d, -dc, -dd, z))
+            starts.append(count)
+        if z < r and d + z * dd == 0:
+            pieces.append([Slope(1, 0)])
+            starts.append(count + z)
+            z += 1
+        if z < r:
+            pieces.append((c + z * dc, d + z * dd, dc, dd, r - z))
+            starts.append(count + z)
         count += r
+        vertices = []
+        pieces.append(vertices)
+        starts.append(count)
     if count != edges + 1 or (not skip and last != s2):
         raise _left_the_path(s1, s2)
-    if count == 1:
-        return TreePath(pieces, starts, count, (first,) * 4)
-    second = pieces[0][1] if len(pieces[0]) > 1 else _canonical(*pieces[1][:2])
-    return TreePath(pieces, starts, count, (first, second, back, last))
+    return TreePath(pieces, starts, count)
 
 
 def geodesic(s1: Slope, s2: Slope, middle: int | None = None) -> list[Slope]:

@@ -11,8 +11,9 @@ description of a surface realizing it.  Non-orientable realizers of positive
 norm carry a geodesic certificate: the path of slopes whose successive
 intersection numbers are 2, from which the surface is assembled one piece
 per edge.  A certificate is kept as the checked runs of the walk that
-proved it (a curve_complex.TreePath), and its text is formatted straight
-from the runs, so rendering a report builds no list of its vertices.
+proved it, each stored as the slopes it spells, already in canonical form
+(a curve_complex.TreePath); its text is formatted straight from the runs,
+with no sign to fix, so rendering a report builds no list of its vertices.
 Certificates longer than a caller-chosen cap are elided from reports but
 the genus is still recorded; geodesic_path's MAX_PATH_EDGES limit still
 applies to those that are not.

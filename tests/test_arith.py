@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from solnorm import INF, bredon_wood, ext_gcd
+from solnorm import INF, arith, bredon_wood, ext_gcd
 from solnorm.arith import extnat_json, fmt_extnat
 from solnorm.errors import DomainError
 
@@ -76,6 +76,13 @@ class TestBredonWood:
                 assert bredon_wood(p, q + p) == n
                 assert bredon_wood(p, -q) == n
                 assert bredon_wood(p, pow(q, -1, p)) == n
+
+    def test_an_odd_b_sequence_sum_is_refused(self, monkeypatch):
+        # with every quotient one too large, the b-sequence of (2, 1) is
+        # (3): its sum is odd, which the closed form refuses
+        monkeypatch.setattr(arith, "divmod", lambda a, b: (a // b + 1, a % b), raising=False)
+        with pytest.raises(AssertionError, match=r"^odd b-sequence sum 3 for \(2, 1\)$"):
+            bredon_wood(2, 1)
 
     def test_big_integer_inputs(self):
         # exactness must survive past 64 bits

@@ -815,6 +815,16 @@ class TestRunChecksAgainstVertexChecks:
                                                                Slope(1, 0), Slope(1, 2), Slope(1, 4)]))
     # q crosses 0 between two vertices: 4/3, 2/1, 0/1, 2/3 as one run
     @example((Slope(4, 3), Slope(2, 3), [(-2, -1, 2, 2, 3)], [Slope(4, 3), Slope(2, 1), Slope(0, 1), Slope(2, 3)]))
+    # the run starts at (-1, 0): 1/0, -1/2, -1/4 after 1/2
+    @example((Slope(1, 2), Slope(-1, 4), [(-1, 0, 0, 2, 3)], [Slope(1, 2), Slope(1, 0), Slope(-1, 2), Slope(-1, 4)]))
+    # the run ends at (-1, 0): 1/4, 1/2, 1/0 after 1/6
+    @example((Slope(1, 6), Slope(1, 0), [(-1, -4, 0, 2, 3)], [Slope(1, 6), Slope(1, 4), Slope(1, 2), Slope(1, 0)]))
+    # q < 0 throughout, and it would reach 0 one vertex past the run's end:
+    # -1/8, -1/6, -1/4 after -1/10
+    @example((Slope(-1, 10), Slope(-1, 4), [(1, -8, 0, 2, 3)],
+              [Slope(-1, 10), Slope(-1, 8), Slope(-1, 6), Slope(-1, 4)]))
+    # q < 0 throughout with a zero step in q: -3/1, -5/1, -7/1 after -1/1
+    @example((Slope(-1, 1), Slope(-7, 1), [(3, -1, 2, 0, 3)], [Slope(-1, 1), Slope(-3, 1), Slope(-5, 1), Slope(-7, 1)]))
     def test_forged_runs_whose_q_crosses_zero(self, walk):
         # the forged runs spell the true path, with signs and cuts _walk
         # would not choose; both checks accept them, whole and in every
@@ -869,6 +879,16 @@ class TestTreePath:
                                                               Slope(1, 0), Slope(1, 2), Slope(1, 4)]))
     # q crosses 0 between two vertices: 4/3, 2/1, 0/1, 2/3 as one run
     @example((Slope(4, 3), Slope(2, 3), [(-2, -1, 2, 2, 3)], [Slope(4, 3), Slope(2, 1), Slope(0, 1), Slope(2, 3)]))
+    # the run starts at (-1, 0): 1/0, -1/2, -1/4 after 1/2
+    @example((Slope(1, 2), Slope(-1, 4), [(-1, 0, 0, 2, 3)], [Slope(1, 2), Slope(1, 0), Slope(-1, 2), Slope(-1, 4)]))
+    # the run ends at (-1, 0): 1/4, 1/2, 1/0 after 1/6
+    @example((Slope(1, 6), Slope(1, 0), [(-1, -4, 0, 2, 3)], [Slope(1, 6), Slope(1, 4), Slope(1, 2), Slope(1, 0)]))
+    # q < 0 throughout, and it would reach 0 one vertex past the run's end:
+    # -1/8, -1/6, -1/4 after -1/10
+    @example((Slope(-1, 10), Slope(-1, 4), [(1, -8, 0, 2, 3)],
+              [Slope(-1, 10), Slope(-1, 8), Slope(-1, 6), Slope(-1, 4)]))
+    # q < 0 throughout with a zero step in q: -3/1, -5/1, -7/1 after -1/1
+    @example((Slope(-1, 1), Slope(-7, 1), [(3, -1, 2, 0, 3)], [Slope(-1, 1), Slope(-3, 1), Slope(-5, 1), Slope(-7, 1)]))
     def test_runs_whose_q_changes_sign(self, walk):
         # the forged runs spell the true path with signs and cuts _walk
         # would not choose, 1/0 inside a run among them; every middle,

@@ -124,9 +124,11 @@ def test_invariants_hold_under_python_optimize():
         "bundle.summary(IDENTITY)",
         "semibundle.bredon_wood = lambda p, q: INF\n"
         "semibundle.summary(GL2Matrix(1, 0, 2, 1))",
+        "arith.divmod = lambda a, b: (a // b + 1, a % b)\n"
+        "arith.bredon_wood(2, 1)",
     ]
     script = "\n".join([
-        "from solnorm import bundle, semibundle",
+        "from solnorm import arith, bundle, semibundle",
         "from solnorm.arith import INF",
         "from solnorm.curve_complex import GL2Matrix, IDENTITY, PARITY_CLASSES",
         "from solnorm.oracle import ActionType, TranslationData",
