@@ -61,6 +61,12 @@ REPORT_CASES = [
     ("semibundle", "2,1;1,1", None),  # b odd
     ("semibundle", "1,5;0,1", None),  # b = 0
     ("semibundle", "200001,100000;2,1", None),  # large partial quotient
+    # one case per way a certificate run is formatted: a zero step in p, a
+    # zero step in q, and two with both steps nonzero
+    ("bundle", "1,0;42,1", None),
+    ("bundle", "1,42;0,1", None),
+    ("semibundle", "41,2;20,1", None),
+    ("bundle", "-19,-40;10,21", None),
 ]
 
 # (center, radius, bound) of export-graph
