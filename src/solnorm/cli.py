@@ -26,6 +26,7 @@ from .arith import bredon_wood, extnat_json, fmt_extnat
 from .curve_complex import (
     GL2Matrix,
     PARITY_CLASSES,
+    TreePath,
     distance,
     export_dot,
     geodesic_path,
@@ -64,7 +65,8 @@ def _report(kind: str, A: GL2Matrix, cap: int) -> tuple[dict, list[NormReport]]:
 
 
 def document(kind: str, A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP) -> dict:
-    """The JSON report."""
+    """The JSON report, as to_canonical_json writes it: each certificate
+    is held as its TreePath, not as a list of texts."""
     doc, table = _report(kind, A, certificate_cap)
     doc["norm_table"] = [entry.to_json() for entry in table]
     return doc
@@ -104,25 +106,43 @@ def render(kind: str, A: GL2Matrix, certificate_cap: int) -> str:
 def to_canonical_json(doc: dict) -> str:
     """The bytes of json.dumps(doc, sort_keys=True, indent=2) + "\n", written
     directly for the closed report schema: dicts with str keys, ints, strs,
-    and lists, where a list that starts with a str holds only strs.  Types
-    are matched exactly, so a bool is not taken for an int; any other value
-    raises TypeError.  A list of strs equal to one already written, such as
-    a certificate that several norm-table rows share, is quoted once."""
+    lists, where a list that starts with a str holds only strs, and
+    certificates, which are written as the list of their "p/q" texts.
+    Types are matched exactly, so a bool is not taken for an int; any other
+    value raises TypeError.  A certificate is a curve_complex.TreePath,
+    formatted by its text method into one block per stored piece, and
+    only once: a row that shows it again at another indent reuses that
+    text with its line breaks re-indented."""
     parts: list[str] = []
     _write_json(doc, "\n", parts, {})
     parts.append("\n")
     return "".join(parts)
 
 
-def _write_json(value, newline: str, parts: list[str], quoted: dict[tuple, tuple[str, ...]]) -> None:
+def _write_json(value, newline: str, parts: list[str], written: dict[int, dict[str, str]]) -> None:
     """Append the text of value to parts; newline is the line break and
-    indent of the line value starts on.  quoted maps each list of strs
-    written so far, as a tuple, to its quoted items."""
+    indent of the line value starts on.  written maps the id of each
+    certificate written so far to its text at each newline it was
+    written on."""
     kind = type(value)
     if kind is str:
         parts.append(_quote(value))
     elif kind is int:
         parts.append(repr(value))
+    elif kind is TreePath:
+        # a slope's text is "-", digits and "/", so it needs no escaping
+        texts = written.setdefault(id(value), {})
+        text = texts.get(newline)
+        if text is None:
+            if texts:  # each line break of a written text is followed by its indent
+                first, text = next(iter(texts.items()))
+                text = text.replace(first, newline)
+            else:
+                inner = newline + "  "
+                body = value.text('",' + inner + '"')
+                text = f'[{inner}"{body}"{newline}]'
+            texts[newline] = text
+        parts.append(text)
     elif (kind is dict or kind is list) and not value:
         parts.append("{}" if kind is dict else "[]")
     elif kind is dict:
@@ -132,22 +152,18 @@ def _write_json(value, newline: str, parts: list[str], quoted: dict[tuple, tuple
             if type(key) is not str:
                 raise TypeError(f"JSON object key {key!r} is not a str")
             parts += (separator, _quote(key), ": ")
-            _write_json(value[key], inner, parts, quoted)
+            _write_json(value[key], inner, parts, written)
             separator = "," + inner
         parts.append(newline + "}")
     elif kind is list:
         inner = newline + "  "
-        if type(value[0]) is str:  # a certificate, in one join; _quote refuses a non-str
-            key = tuple(value)
-            items = quoted.get(key)
-            if items is None:
-                items = quoted[key] = tuple(map(_quote, value))
-            parts += ("[", inner, ("," + inner).join(items), newline, "]")
+        if type(value[0]) is str:  # in one join; _quote refuses a non-str
+            parts += ("[", inner, ("," + inner).join(map(_quote, value)), newline, "]")
             return
         separator = "[" + inner
         for item in value:
             parts.append(separator)
-            _write_json(item, inner, parts, quoted)
+            _write_json(item, inner, parts, written)
             separator = "," + inner
         parts.append(newline + "]")
     else:
@@ -290,7 +306,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(fmt_extnat(distance(parse_slope(args.slope1), parse_slope(args.slope2))))
     elif args.command == "geodesic":
         path = geodesic_path(parse_slope(args.slope1), parse_slope(args.slope2))
-        print(" -> ".join(path.texts()))
+        print(path.text(" -> "))
     elif args.command == "act":
         print(mat_act(parse_matrix(args.matrix), parse_slope(args.slope)))
     elif args.command in KINDS:

@@ -417,15 +417,11 @@ def _progression(start: int, step: int, count: int) -> Iterable[int]:
     return range(start, start + step * count, step) if step else itertools.repeat(start, count)
 
 
-def _run_pairs(c: int, d: int, dc: int, dd: int, r: int) -> Iterator[tuple[int, int]]:
-    """The vertices (c + j*dc, d + j*dd), j = 0 .. r-1, of a stored run as
-    (p, q) pairs, produced in C."""
-    return zip(_progression(c, dc, r), _progression(d, dd, r))
-
-
 def _run_vertices(c: int, d: int, dc: int, dd: int, r: int) -> Iterator[Slope]:
-    """The vertices of a stored run as Slopes, built in C by tuple.__new__."""
-    return map(tuple.__new__, itertools.repeat(Slope), _run_pairs(c, d, dc, dd, r))
+    """The vertices (c + j*dc, d + j*dd), j = 0 .. r-1, of a stored run as
+    Slopes, built in C by tuple.__new__."""
+    pairs = zip(_progression(c, dc, r), _progression(d, dd, r))
+    return map(tuple.__new__, itertools.repeat(Slope), pairs)
 
 
 def _canonical(p: int, q: int) -> Slope:
@@ -443,11 +439,12 @@ class TreePath(Sequence):
     r >= 1 slopes (c + j*dc, d + j*dd), every one already in canonical
     form; starts holds the path index of each piece's first vertex.  So
     the record grows with the number of runs, not with their lengths.
-    len, indexing and texts cost no vertex they do not return; iterating
-    builds the slopes of a run in C.  The record is read-only, and it is a
-    value: it equals, orders and hashes as the tuple of its vertices,
-    which it builds only when it is compared or hashed, and it copies and
-    pickles."""
+    len, indexing and text cost no vertex they do not return: text
+    writes each piece as one block of "p/q" texts, formatted in C from
+    the piece as stored.  Iterating builds the slopes of a run in C.  The
+    record is read-only, and it is a value: it equals, orders and hashes
+    as the tuple of its vertices, which it builds only when it is
+    compared or hashed, and it copies and pickles."""
 
     # (pieces, starts, vertex count), set once
     __slots__ = ("_path",)
@@ -506,17 +503,34 @@ class TreePath(Sequence):
             piece if type(piece) is list else _run_vertices(*piece) for piece in self._path[0]
         )
 
-    def texts(self) -> tuple[str, ...]:
-        """Each vertex as its text "p/q", formatted in C, a run's straight
-        from its progressions.  An entry over Python's int-digit limit
-        raises DomainError, as str(slope) does."""
-        text, texts = "%d/%d".__mod__, []
+    def text(self, separator: str) -> str:
+        """The vertices as "p/q" texts joined by separator, formatted in C:
+        each stored piece with one % over a repeated template.  A list is
+        written as ("%d/%d" + separator) * n over its flattened pairs, a
+        run straight from its progressions, and a run whose step has a
+        zero entry puts that constant entry into the template once, so
+        only the other entry is formatted per vertex.  An entry over
+        Python's int-digit limit raises DomainError, as str(slope) does."""
+        sep = separator.replace("%", "%%")
+        pair, chunks = "%d/%d" + sep, []
         try:
             for piece in self._path[0]:
-                texts += map(text, piece if type(piece) is list else _run_pairs(*piece))
+                if type(piece) is list:
+                    chunks.append((pair * len(piece)) % tuple(itertools.chain.from_iterable(piece)))
+                    continue
+                c, d, dc, dd, r = piece
+                if dc == 0:
+                    chunks.append((f"{c}/%d{sep}" * r) % tuple(_progression(d, dd, r)))
+                elif dd == 0:
+                    chunks.append((f"%d/{d}{sep}" * r) % tuple(_progression(c, dc, r)))
+                else:
+                    flat = [0] * (2 * r)
+                    flat[0::2], flat[1::2] = _progression(c, dc, r), _progression(d, dd, r)
+                    chunks.append((pair * r) % tuple(flat))
         except ValueError as err:  # int-to-str refuses numbers over the digit limit
             raise _over_digit_limit("slope entry", err) from None
-        return tuple(texts)
+        text = "".join(chunks)
+        return text[: len(text) - len(separator)]
 
 
 def _left_the_path(s1: Slope, s2: Slope) -> AssertionError:

@@ -12,8 +12,11 @@ norm carry a geodesic certificate: the path of slopes whose successive
 intersection numbers are 2, from which the surface is assembled one piece
 per edge.  A certificate is kept as the checked runs of the walk that
 proved it, each stored as the slopes it spells, already in canonical form
-(a curve_complex.TreePath); its text is formatted straight from the runs,
-with no sign to fix, so rendering a report builds no list of its vertices.
+(a curve_complex.TreePath).  A report formats it with TreePath.text, one
+block of "p/q" texts per stored piece, so rendering builds no list of its
+vertices and no string per vertex.  The text report writes it joined by
+" -> " once per realizer; the JSON document holds the TreePath itself,
+and cli.to_canonical_json writes it as its list of quoted texts.
 Certificates longer than a caller-chosen cap are elided from reports but
 the genus is still recorded; geodesic_path's MAX_PATH_EDGES limit still
 applies to those that are not.
@@ -73,20 +76,13 @@ class _SurfaceFields(NamedTuple):
 
 class SurfaceDescription(_SurfaceFields):
     """A realizing surface.  It has no __slots__: the instance dict holds
-    the cached renderings of its certificate, while its fields stay
-    read-only."""
-
-    @cached_property
-    def slope_texts(self) -> tuple[str, ...]:
-        """The certificate's slopes as text, formatted from its runs once
-        however many rows show them."""
-        return self.certificate.texts()
+    the cached text of its certificate, while its fields stay read-only."""
 
     @cached_property
     def certificate_line(self) -> str:
         """The certificate as the text report's "p/q -> ... -> p/q", formatted
-        and joined once however many rows show it."""
-        return " -> ".join(self.certificate.texts())
+        once however many rows show it."""
+        return self.certificate.text(" -> ")
 
     def describe(self) -> str:
         if self.kind == KIND_SUM:
@@ -107,13 +103,15 @@ class SurfaceDescription(_SurfaceFields):
         return "; ".join(texts) if texts else None
 
     def to_json(self) -> dict:
+        """The JSON fields; a certificate stays the TreePath, which
+        cli.to_canonical_json writes as its list of "p/q" texts."""
         doc: dict = {"kind": self.kind}
         if self.genus is not None:
             doc["genus"] = self.genus
         if self.certificate_elided:
             doc["certificate"] = "elided"
         elif self.certificate is not None:
-            doc["certificate"] = list(self.slope_texts)
+            doc["certificate"] = self.certificate
         if self.pieces:
             doc["pieces"] = [piece.to_json() for piece in self.pieces]
         return doc

@@ -283,19 +283,21 @@ class TestReports:
             str(mat_act(C, Slope(C.a, C.b)))
 
     def test_each_certificate_is_rendered_once(self, monkeypatch):
-        # counts the vertices of the paths given to TreePath.texts, the one
-        # method that renders certificates
+        # counts the vertices of the paths given to TreePath.text, the one
+        # method that formats certificates, per text report and per JSON
+        # report written
         calls = 0
-        plain = curve_complex.TreePath.texts
+        plain = curve_complex.TreePath.text
 
-        def counting(path):
+        def counting(path, separator):
             nonlocal calls
             calls += len(path)
-            return plain(path)
+            return plain(path, separator)
 
-        monkeypatch.setattr(curve_complex.TreePath, "texts", counting)
+        monkeypatch.setattr(curve_complex.TreePath, "text", counting)
         # (kind, matrix, slopes rendered): the semi-bundle's one certificate,
-        # of N(2k, 1) edges, sits in four rows; a bundle's in two (t = 0, 1)
+        # of N(2k, 1) edges, sits in four rows at two indents; a bundle's in
+        # two (t = 0, 1)
         cases = [
             ("semibundle", GL2Matrix(1, 0, 2 * k, 1), bredon_wood(2 * k, 1) + 1) for k in (3, 50)
         ]
@@ -304,7 +306,7 @@ class TestReports:
             ("bundle", GL2Matrix(5, 2, 2, 1).power(3), (3 + 1) + (3 + 1) + (6 + 1)),
         ]
         for kind, A, expected in cases:
-            for build in (lambda: document(kind, A), lambda: render(kind, A, 10000)):
+            for build in (lambda: to_canonical_json(document(kind, A)), lambda: render(kind, A, 10000)):
                 calls = 0
                 build()
                 assert calls == expected, (kind, A)
@@ -317,25 +319,27 @@ class TestReports:
     def test_shear_reports_build_no_run_vertex(self, monkeypatch, kind, matrix):
         # a shear's certificate is one long run: the realizer's checks read
         # its ends off the run, and text and JSON format it straight from
-        # the run's progressions, so no run is spelled out as slopes
+        # the run's progressions, so no run is spelled out as slopes.  The
+        # JSON reports are compared as bytes: comparing two documents would
+        # compare their certificates vertex by vertex
         A = parse_matrix(matrix)
-        text, doc = render(kind, A, 10000), document(kind, A)
+        text, json_text = render(kind, A, 10000), to_canonical_json(document(kind, A))
         rendered = 0
-        pairs = curve_complex._run_pairs
+        plain = curve_complex._progression
 
-        def counting(*run):
+        def counting(start, step, count):
             nonlocal rendered
-            rendered += run[-1]
-            return pairs(*run)
+            rendered += count
+            return plain(start, step, count)
 
         def refuse(*run):
             pytest.fail(f"the report built the vertices of the run {run}")
 
-        monkeypatch.setattr(curve_complex, "_run_pairs", counting)
+        monkeypatch.setattr(curve_complex, "_progression", counting)
         monkeypatch.setattr(curve_complex, "_run_vertices", refuse)
-        same = render(kind, A, 10000) == text  # outside the assert: no slow diff of 100 kB texts
+        # compared outside the assert: no slow diff of 100 kB texts
+        same = render(kind, A, 10000) == text and to_canonical_json(document(kind, A)) == json_text
         assert same
-        assert document(kind, A) == doc
         assert rendered >= 2 * 4000
 
     # Base vertices far from the fixed set or the axis: d(1/0, A(1/0)) is
@@ -423,17 +427,26 @@ class TestCanonicalJson:
         ("bundle", "-1,0;8002,-1", "-1/8002", 2),  # l[1/0]'s certificate, in the t = 0 and 1 rows
     ])
     def test_a_shared_certificate_is_quoted_once(self, monkeypatch, kind, matrix, end, rows):
-        quoted = []
-        plain = cli._quote
-        monkeypatch.setattr(cli, "_quote", lambda s: quoted.append(s) or plain(s))
+        # the document holds each certificate as its TreePath: the writer
+        # formats it once, in one block, and quotes none of its slopes
+        # one by one; a row at another indent (a piece of a sum, one level
+        # deeper) reuses that block
+        quoted, formatted = [], []
+        plain_quote, plain_text = cli._quote, curve_complex.TreePath.text
+        monkeypatch.setattr(cli, "_quote", lambda s: quoted.append(s) or plain_quote(s))
+        monkeypatch.setattr(curve_complex.TreePath, "text",
+                            lambda path, separator: formatted.append(path) or plain_text(path, separator))
         doc = document(kind, parse_matrix(matrix))
         text = to_canonical_json(doc)
         # compared outside the assert: pytest's diff of two different
         # 100 kB texts takes minutes
-        same = text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        same = text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
         assert same
         assert text.count(f'"{end}"') == rows
-        assert quoted.count(end) == 1
+        realizers = [entry["realizer"] for entry in doc["norm_table"]]
+        realizers += [piece for realizer in realizers for piece in realizer.get("pieces", [])]
+        certificates = {id(r["certificate"]) for r in realizers if "certificate" in r}
+        assert end not in quoted and sorted(map(id, formatted)) == sorted(certificates)
 
     @pytest.mark.parametrize("value", [1.5, True, False, None, ("a", "b"), {1: "a"}, {"a": {2: 3}}])
     def test_values_outside_the_schema_raise(self, value):

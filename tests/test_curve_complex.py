@@ -10,6 +10,7 @@ import sys
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from helpers import check_pieces
 from solnorm import (
     INF,
     GL2Matrix,
@@ -842,20 +843,29 @@ class TestRunChecksAgainstVertexChecks:
                 assert_canonical(stretch)
 
 
+# separators for TreePath.text: the text report's, the JSON writer's, none,
+# and one that is itself a % template
+SEPARATORS = (" -> ", '",\n      "', "", "%d%%")
+
+
 def assert_record_is(path, vertices):
-    """The TreePath path holds exactly vertices: its list, its length, every
-    index, negative ones too, and its texts."""
+    """The TreePath path holds exactly vertices: its length and its stored
+    pieces first, so a record that claims more vertices than it should
+    fails before any is built; then its list, every index, negative ones
+    too, and its text with each separator."""
     assert type(path) is TreePath
-    assert list(path) == vertices
-    assert_canonical(list(path))
     n = len(vertices)
     assert len(path) == n
+    check_pieces(path)
+    assert list(path) == vertices
+    assert_canonical(list(path))
     for i in range(-n, n):
         assert path[i] == vertices[i] and type(path[i]) is Slope, i
     for i in (n, -n - 1):
         with pytest.raises(IndexError):
             path[i]
-    assert path.texts() == tuple("%d/%d" % v for v in vertices)
+    for separator in SEPARATORS:
+        assert path.text(separator) == separator.join("%d/%d" % v for v in vertices)
     assert path == tuple(vertices) and hash(path) == hash(tuple(vertices))
 
 
@@ -941,24 +951,39 @@ class TestTreePath:
             path < list(vertices)
         assert {path: 1}[vertices] == 1
         for copied in (copy.copy(path), copy.deepcopy(path), pickle.loads(pickle.dumps(path))):
-            assert type(copied) is TreePath and copied == path and copied.texts() == path.texts()
+            assert type(copied) is TreePath and copied == path and copied.text(" -> ") == path.text(" -> ")
 
     def test_run_text_over_the_digit_limit_is_a_domain_error(self, monkeypatch):
         # the true path 1/0, (2X+1)/2, (4X+1)/4, (6X+1)/6 around X/1, forged
         # as one run after 1/0: under a lowered limit 1/0 formats and the
-        # run's 701-digit entries raise the slope-entry DomainError
+        # run's 701-digit entries raise the slope-entry DomainError.  The
+        # runs whose step has a zero entry, which put their constant entry
+        # into the template, are forged as records: a run's entries of 1
+        # and 2, with the other entry over the limit, either constant (the
+        # template's own text refuses it) or stepping
         X = 10**700
         monkeypatch.setattr(curve_complex, "_walk", lambda *args: [(2 * X + 1, 2, 2 * X, 2, 3)])
         path = geodesic_path(Slope(1, 0), Slope(6 * X + 1, 6))
         assert len(path) == 4 and path[-2] == Slope(4 * X + 1, 4)
+        records = [path] + [TreePath([[Slope(1, 0)], run], [0, 1], 4) for run in (
+            (1, 2 * X, 0, 2, 3),  # 1/2X, 1/(2X+2), 1/(2X+4): a zero step in p
+            (2 * X + 1, 1, 2, 0, 3),  # (2X+1)/1, (2X+3)/1, (2X+5)/1: a zero step in q
+            (2 * X + 1, 2, 0, 2, 3),  # (2X+1)/2, (2X+1)/4, (2X+1)/6: p constant and over the limit
+        )]
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            with pytest.raises(DomainError, match="^slope entry over Python's int-digit limit: "):
-                path.texts()
+            for record in records:
+                for separator in SEPARATORS:
+                    with pytest.raises(DomainError, match="^slope entry over Python's int-digit limit: "):
+                        record.text(separator)
         finally:
             sys.set_int_max_str_digits(limit)
-        assert path.texts()[1:] == (f"{2 * X + 1}/2", f"{4 * X + 1}/4", f"{6 * X + 1}/6")
+        for record in records:
+            vertices = list(record)
+            for separator in SEPARATORS:
+                assert record.text(separator) == separator.join("%d/%d" % v for v in vertices)
+        assert path.text(" -> ") == f"1/0 -> {2 * X + 1}/2 -> {4 * X + 1}/4 -> {6 * X + 1}/6"
 
 
 def continued_fraction_pair(quotients: list[int]) -> tuple[int, int]:
