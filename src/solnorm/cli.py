@@ -129,20 +129,6 @@ def _write_json(value, newline: str, parts: list[str], written: dict[int, dict[s
         parts.append(_quote(value))
     elif kind is int:
         parts.append(repr(value))
-    elif kind is TreePath:
-        # a slope's text is "-", digits and "/", so it needs no escaping
-        texts = written.setdefault(id(value), {})
-        text = texts.get(newline)
-        if text is None:
-            if texts:  # each line break of a written text is followed by its indent
-                first, text = next(iter(texts.items()))
-                text = text.replace(first, newline)
-            else:
-                inner = newline + "  "
-                body = value.text('",' + inner + '"')
-                text = f'[{inner}"{body}"{newline}]'
-            texts[newline] = text
-        parts.append(text)
     elif (kind is dict or kind is list) and not value:
         parts.append("{}" if kind is dict else "[]")
     elif kind is dict:
@@ -166,6 +152,20 @@ def _write_json(value, newline: str, parts: list[str], written: dict[int, dict[s
             _write_json(item, inner, parts, written)
             separator = "," + inner
         parts.append(newline + "]")
+    elif kind is TreePath:
+        # a slope's text is "-", digits and "/", so it needs no escaping
+        texts = written.setdefault(id(value), {})
+        text = texts.get(newline)
+        if text is None:
+            if texts:  # each line break of a written text is followed by its indent
+                first, text = next(iter(texts.items()))
+                text = text.replace(first, newline)
+            else:
+                inner = newline + "  "
+                body = value.text('",' + inner + '"')
+                text = f'[{inner}"{body}"{newline}]'
+            texts[newline] = text
+        parts.append(text)
     else:
         raise TypeError(f"{kind.__name__} is not in the report schema")
 

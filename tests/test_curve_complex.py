@@ -956,11 +956,11 @@ class TestTreePath:
     def test_run_text_over_the_digit_limit_is_a_domain_error(self, monkeypatch):
         # the true path 1/0, (2X+1)/2, (4X+1)/4, (6X+1)/6 around X/1, forged
         # as one run after 1/0: under a lowered limit 1/0 formats and the
-        # run's 701-digit entries raise the slope-entry DomainError.  The
-        # runs whose step has a zero entry, which put their constant entry
-        # into the template, are forged as records: a run's entries of 1
-        # and 2, with the other entry over the limit, either constant (the
-        # template's own text refuses it) or stepping
+        # run's 701-digit entries raise the slope-entry DomainError.  A run
+        # whose step has a zero entry puts that entry into the template
+        # once; three forged records cover it: the stepping entry over the
+        # limit with p constant, the same with q constant, and a constant p
+        # itself over the limit, which the template's f-string refuses
         X = 10**700
         monkeypatch.setattr(curve_complex, "_walk", lambda *args: [(2 * X + 1, 2, 2 * X, 2, 3)])
         path = geodesic_path(Slope(1, 0), Slope(6 * X + 1, 6))
