@@ -9,7 +9,10 @@ input or output file error (missing, unwritable, not UTF-8).
 Every command runs in a fresh process, so the imports are kept to what
 reports need: `verify` imports the oracle on demand, and JSON strings are
 quoted by the C function that json.dumps uses, taken from _json without
-loading the json package.
+loading the json package.  For the same reason main hands the arguments
+after a subcommand's name straight to that subcommand's own argparse
+parser, and goes back to the top-level parser only for what that parser
+leaves unrecognized, so usage errors are argparse's own (see main).
 """
 
 from __future__ import annotations
@@ -73,16 +76,15 @@ def document(kind: str, A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE
 
 
 def _norm_lines(table: list[NormReport]) -> list[str]:
+    """The norm table's rows, each built in one f-string: a certificate's
+    text is copied once into its row."""
     lines = []
     for entry in table:
         coords = ", ".join(f"{name}={value}" for name, value in entry.coords.items())
-        line = f"  ({coords})  norm {entry.norm}  {entry.realizer.describe()}"
-        certificate = entry.realizer.certificate_text()
-        if certificate:
-            line += f"; certificate: {certificate}"
-        if entry.note:
-            line += f"  [{entry.note}]"
-        lines.append(line)
+        certificate = entry.realizer.certificate_text() or ""
+        label = "; certificate: " if certificate else ""
+        note = f"  [{entry.note}]" if entry.note else ""
+        lines.append(f"  ({coords})  norm {entry.norm}  {entry.realizer.describe()}{label}{certificate}{note}")
     return lines
 
 
@@ -99,8 +101,9 @@ def render(kind: str, A: GL2Matrix, certificate_cap: int) -> str:
     if "translation_lengths" in doc:
         lengths = doc["translation_lengths"].items()
         lines.append("translation lengths: " + " ".join(f"l[{label}]={n}" for label, n in lengths))
-    lines += ["norm table:", *_norm_lines(table), f"mog: {doc['mog']}", f"meg: {doc['meg']}"]
-    return "\n".join(lines) + "\n"
+    # one join, whose empty last item ends the text with its newline
+    lines += ["norm table:", *_norm_lines(table), f"mog: {doc['mog']}", f"meg: {doc['meg']}", ""]
+    return "\n".join(lines)
 
 
 def to_canonical_json(doc: dict) -> str:
@@ -137,8 +140,14 @@ def _write_json(value, newline: str, parts: list[str], written: dict[int, dict[s
         for key in sorted(value):
             if type(key) is not str:
                 raise TypeError(f"JSON object key {key!r} is not a str")
-            parts += (separator, _quote(key), ": ")
-            _write_json(value[key], inner, parts, written)
+            item = value[key]
+            if type(item) is str:  # a leaf is written with its key
+                parts += (separator, _quote(key), ": ", _quote(item))
+            elif type(item) is int:
+                parts += (separator, _quote(key), ": ", repr(item))
+            else:
+                parts += (separator, _quote(key), ": ")
+                _write_json(item, inner, parts, written)
             separator = "," + inner
         parts.append(newline + "}")
     elif kind is list:
@@ -237,10 +246,17 @@ def _count(text: str) -> int:
     return value
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and then reused: building it
-    costs about as much as a small report."""
+    """The top-level argument parser, whose parse_args decides every argv
+    that main reads (see main)."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and each subcommand's own parser by name, built
+    on first use and then reused: building them costs about as much as a
+    small report."""
     parser = argparse.ArgumentParser(
         prog="solnorm",
         description="Z2-Thurston norms and non-orientable genus bounds for "
@@ -283,12 +299,37 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the brute-force verification suites")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), reaching a named subcommand's own
+    parser first (see main)."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code; argv defaults to
+    sys.argv[1:].
+
+    When argv[0] names a subcommand, the rest of argv goes straight to that
+    subcommand's own parser, with the command already in the Namespace.
+    The top-level parser would hand those arguments on unread, but only
+    after classifying each of them, which costs about twice the
+    subcommand's own parse.  If the subcommand's parser leaves arguments
+    unrecognized, argv is parsed again by the top-level parser, because
+    the "unrecognized arguments" error is the top-level parser's, with
+    its usage line.  Every other argv (none, -h, --, an unknown command)
+    goes to the top-level parser alone.  So the Namespace, the help and
+    every usage error are those of build_parser().parse_args(argv), byte
+    for byte."""
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return _dispatch(args)
     except ParseError as err:

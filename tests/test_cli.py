@@ -1,6 +1,8 @@
 """The command-line interface: output formats, exit codes, round-trips."""
 
+import contextlib
 import csv
+import io
 import json
 import sys
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from solnorm import bredon_wood, bundle, cli, curve_complex, oracle, semibundle
-from solnorm.cli import census_row, document, main, render, to_canonical_json
+from solnorm.cli import build_parser, census_row, document, main, render, to_canonical_json
 from solnorm.curve_complex import (
     GL2Matrix,
     Slope,
@@ -225,6 +227,105 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+        # the top-level parser's usage error, not a subcommand's
+        err = capsys.readouterr().err
+        assert err.startswith("usage: solnorm [-h]") and "invalid choice: 'frobnicate'" in err
+
+
+# argv for every subcommand, drawn from a valid one: each option or
+# positional is given, left out or doubled, an option is written whole,
+# abbreviated (--mat) or as --opt=value, a value is one the command takes
+# or one it refuses, and stray tokens ("--", -h, unknown options, refused
+# values, free text) go anywhere, before the command too.  A real argv
+# holds no NUL.  census only ever gets the file names and values below,
+# so it reads and writes inside the test's directory alone.
+_INTS, _COUNTS = ["0", "1", "3", "-3", "12"], ["0", "1", "3"]
+_SLOPES = ["0/1", "1/0", "4/3", "2/1", "-1/2", "6/4"]
+_MATRICES = ["1,0;2,1", "-1,0;2,-1", "0,1;1,0", "3,1;8,3", "2,0;0,1"]
+_REPORT = [("--matrix", _MATRICES), ("--json", None), ("--certificate-cap", _COUNTS)]
+# each subcommand's arguments: (option, or None for a positional; its
+# values, or None for a flag)
+_SPECS = {
+    "bw": [(None, _INTS), (None, _INTS)],
+    "dist": [(None, _SLOPES), (None, _SLOPES)],
+    "geodesic": [(None, _SLOPES), (None, _SLOPES)],
+    "act": [("--matrix", _MATRICES), (None, _SLOPES)],
+    "bundle": _REPORT,
+    "semibundle": _REPORT,
+    "census": [("--in", ["in.txt", "latin1.txt", "missing.txt"]), ("--out", ["out.csv", "no-dir/out.csv"])],
+    "export-graph": [("--center", _SLOPES), ("--radius", _COUNTS), ("--bound", _COUNTS)],
+    "verify": [("--level", ["quick", "full"])],
+}
+# values no argument takes: a negative count, "_" separators, non-ASCII
+# digits, integers over the int-digit limit, malformed slopes and matrices
+_REFUSED = ["-1", "1_0", "\u0661", "2" * 5000, "\u0663/1", "1/" + "3" * 5000, "x", "1,0;2",
+            "1,0;" + "2" * 5000 + ",1", "slow"]
+_STRAY = ["--", "-h", "--help", "--frob", "-x", "--=1", "--mat", "--json", "frobnicate", "bund"]
+_ANY_TEXT = st.text(st.characters(blacklist_characters="\x00"), max_size=6).filter(lambda t: t != "census")
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from([*_SPECS, None]))
+    refused = st.sampled_from(_REFUSED)
+    if command != "census":
+        refused = st.one_of(refused, _ANY_TEXT)
+    argv = [] if command is None else [command]
+    for option, values in _SPECS.get(command, []):
+        for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2]))):  # given, left out or doubled
+            name = option and draw(st.sampled_from([option, option[:5]]))
+            if values is None:
+                argv.append(name)
+                continue
+            value = draw(st.sampled_from(values) if draw(st.integers(0, 3)) else refused)
+            if option is None:
+                argv.append(value)
+            else:
+                argv += draw(st.sampled_from([[name, value], [f"{name}={value}"]]))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.one_of(st.sampled_from(_STRAY), refused)))
+    return argv
+
+
+def _parsed(parse, argv):
+    """(what parse returned or the SystemExit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exit_:
+            result = SystemExit(exit_.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200)
+@given(_argvs())
+def test_every_argv_parses_as_the_top_level_parser_does(tmp_path_factory, argv):
+    # main hands argv to a subcommand's own parser; whatever it is given,
+    # it must reach _dispatch with the Namespace that the top-level
+    # parser's parse_args gives, or exit as that does with the same
+    # stdout and stderr.  A parsed command runs to an exit code of 0 to 4
+    # with no exception; verify's checks are stubbed, so only its
+    # arguments are read
+    work = tmp_path_factory.getbasetemp() / "argv"
+    if not work.exists():
+        work.mkdir()
+        (work / "in.txt").write_text("bundle 1,0;2,1\nsemibundle 0,1;1,0\n")
+        (work / "latin1.txt").write_bytes("# caf\u00e9\nbundle 1,0;2,1\n".encode("latin-1"))
+    dispatched = []
+    plain = cli._dispatch
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(work)
+        patch.setattr(oracle, "run_checks", lambda level: [])
+        patch.setattr(cli, "_dispatch", lambda args: dispatched.append(args) or plain(args))
+        expected, expected_out, expected_err = _parsed(build_parser().parse_args, argv)
+        result, out, err = _parsed(main, argv)
+    if isinstance(expected, SystemExit):
+        assert isinstance(result, SystemExit) and result.code == expected.code in (0, 2)
+        assert (out, err, dispatched) == (expected_out, expected_err, [])
+    else:
+        assert dispatched == [expected] and result in range(5)
+        assert "Traceback" not in err
 
 
 class TestReports:

@@ -960,7 +960,9 @@ class TestTreePath:
         # whose step has a zero entry puts that entry into the template
         # once; three forged records cover it: the stepping entry over the
         # limit with p constant, the same with q constant, and a constant p
-        # itself over the limit, which the template's f-string refuses
+        # itself over the limit, which the template's f-string refuses.  A
+        # fourth, the same path's first two vertices as one list, takes the
+        # one-piece branch
         X = 10**700
         monkeypatch.setattr(curve_complex, "_walk", lambda *args: [(2 * X + 1, 2, 2 * X, 2, 3)])
         path = geodesic_path(Slope(1, 0), Slope(6 * X + 1, 6))
@@ -970,6 +972,7 @@ class TestTreePath:
             (2 * X + 1, 1, 2, 0, 3),  # (2X+1)/1, (2X+3)/1, (2X+5)/1: a zero step in q
             (2 * X + 1, 2, 0, 2, 3),  # (2X+1)/2, (2X+1)/4, (2X+1)/6: p constant and over the limit
         )]
+        records.append(TreePath([[Slope(1, 0), Slope(2 * X + 1, 2)]], [0], 2))
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:

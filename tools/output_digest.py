@@ -15,7 +15,12 @@ same bytes and exit code in both.  The families:
 - verify and verify-O: `verify --level quick` and `--level full`, the
   second under python -O;
 - limits: commands at the int-digit limit (exits 1 and 2), reports whose
-  base vertex is far from the axis, and `geodesic` paths of every shape.
+  base vertex is far from the axis, and `geodesic` paths of every shape;
+- usage: what argparse prints and the exit it takes for help, no
+  arguments, an unknown command, each subcommand's -h, missing required
+  options, unrecognized trailing arguments, abbreviated and doubled
+  options, `--`, `--certificate-cap=-1` and `bundle --matrix -1,0;2,-1`.
+  Children run with COLUMNS=80, so help is wrapped the same everywhere.
 
 The inputs come from this checkout's perfbench/inputs.py, read without
 writing bytecode, so both trees run the same commands.  Each family runs
@@ -36,7 +41,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FAMILIES = ("reports", "census", "verify", "verify-O", "limits")
+FAMILIES = ("reports", "census", "verify", "verify-O", "limits", "usage")
 REPORT_SEEDS = range(501, 511)
 CENSUS_SEEDS = range(600, 610)
 
@@ -90,6 +95,36 @@ def _limits_argvs() -> list[list[str]]:
     return argvs
 
 
+def _usage_argvs() -> list[list[str]]:
+    """The usage family: argv that argparse answers with help or a usage
+    error, and argv it accepts only through its own rules (abbreviations,
+    doubled options, negative numbers, --)."""
+    argvs = [[], ["-h"], ["--help"], ["--he"], ["-x"], ["--"], ["--", "bundle", "--matrix=1,0;2,1"],
+             ["frobnicate"], ["frobnicate", "--matrix=1,0;2,1"], ["bund", "--matrix=1,0;2,1"]]
+    commands = ("bw", "dist", "geodesic", "act", "bundle", "semibundle", "census", "export-graph", "verify")
+    argvs += [[command, "-h"] for command in commands]
+    argvs += [  # a required option or positional missing, or an option without its value
+        ["bw", "1"], ["dist"], ["geodesic", "0/1"], ["act", "--matrix", "1,0;2,1"], ["act", "1/0"],
+        ["bundle"], ["semibundle", "--json"], ["bundle", "--matrix"], ["census", "--in", "in.txt"],
+        ["census", "--in", "in.txt", "--out"], ["export-graph", "--center", "0/1"], ["verify", "--level"],
+    ]
+    argvs += [  # unrecognized trailing arguments: the top-level parser's error
+        ["bw", "1", "2", "3"], ["dist", "0/1", "1/0", "--json"], ["geodesic", "--", "0/1", "2/1", "4/3"],
+        ["bundle", "--matrix=1,0;2,1", "extra"], ["verify", "--level", "quick", "--fast"],
+    ]
+    argvs += [  # abbreviations, doubled options, values argparse refuses
+        ["bundle", "--mat=1,0;2,1"], ["bundle", "--mat", "1,0;2,1", "--js"],
+        ["semibundle", "--m=0,1;1,0", "--cert=0"], ["export-graph", "--c=0/1", "--r=1", "--b=3"],
+        ["bundle", "--=1,0;2,1"], ["verify", "--lev=slow"],
+        ["bundle", "--matrix=1,0;2,1", "--matrix=0,1;1,0"], ["bundle", "--json", "--json", "--matrix=1,0;2,1"],
+        ["bundle", "--matrix=1,0;2,1", "--certificate-cap=-1"],
+        ["semibundle", "--matrix=1,0;2,1", "--certificate-cap", "-1"],
+        ["bundle", "--matrix", "-1,0;2,-1"], ["bundle", "--", "--matrix=1,0;2,1"],
+        ["bw", "-3", "5"], ["bw", "--", "-3", "5"], ["bw", "\u0661", "2"],
+    ]
+    return argvs
+
+
 def _family(name: str) -> tuple[int, str]:
     """Run one family in this process: its command count and digest."""
     from solnorm.cli import main
@@ -123,7 +158,7 @@ def _family(name: str) -> tuple[int, str]:
         for level in ("quick", "full"):
             feed(["verify", "--level", level])
     else:
-        for argv in _limits_argvs():
+        for argv in _limits_argvs() if name == "limits" else _usage_argvs():
             feed(argv)
     return count, digest.hexdigest()
 
@@ -142,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     src = (args.src / "src").resolve()
     if not (src / "solnorm" / "cli.py").is_file():
         parser.error(f"{src} holds no solnorm package")
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "80"}
     for family in FAMILIES:
         flags = ["-O"] if family == "verify-O" else []
         child = [sys.executable, *flags, str(Path(__file__).resolve()), "--family", family]
