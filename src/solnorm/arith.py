@@ -35,11 +35,6 @@ def fmt_extnat(value: ExtNat) -> str:
     return "inf" if value == INF else str(value)
 
 
-def extnat_json(value: ExtNat):
-    """JSON value for an ExtNat: an int, or the literal string "inf"."""
-    return "inf" if value == INF else int(value)
-
-
 def ext_gcd(p: int, q: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(|p|, |q|) > 0 and p*x + q*y = g.
 

@@ -6,6 +6,10 @@ text and JSON.  Exit codes: 0 success, 1 domain error (non-coprime slope,
 determinant not +-1, ...), 2 parse error, 3 verification failure, 4 census
 input or output file error (missing, unwritable, not UTF-8).
 
+A report on one matrix is one record, the matrix text and the kind's
+Summary (_record).  Three writers of fixed shape write it out: render and
+to_canonical_json, with the norm table, and census_row, without one.
+
 Every command runs in a fresh process, so the imports are kept to what
 reports need: `verify` imports the oracle on demand, and JSON strings are
 quoted by the C function that json.dumps uses, taken from _json without
@@ -25,7 +29,7 @@ import sys
 from _json import encode_basestring_ascii as _quote
 
 from . import bundle, semibundle
-from .arith import bredon_wood, extnat_json, fmt_extnat
+from .arith import INF, ExtNat, bredon_wood, fmt_extnat
 from .curve_complex import (
     GL2Matrix,
     PARITY_CLASSES,
@@ -40,39 +44,19 @@ from .curve_complex import (
     parse_slope,
 )
 from .errors import DomainError, ParseError
-from .reports import DEFAULT_CERTIFICATE_CAP, NormReport
+from .reports import DEFAULT_CERTIFICATE_CAP, NormReport, Summary, SurfaceDescription
 
 # The module of each kind, with its summary and norm_table.
 KINDS = {"bundle": bundle, "semibundle": semibundle}
 
 
-def _report(kind: str, A: GL2Matrix, cap: int) -> tuple[dict, list[NormReport]]:
-    """The report's fields other than the norm table, as JSON values, and
-    the norm table.  The fields that only bundles have (geometry, the H2
-    case and identification, the translation lengths) are set here alone."""
+def _record(kind: str, A: GL2Matrix) -> tuple[str, Summary]:
+    """The record every report of A is written from.  The trace is checked
+    here because every writer prints the int itself."""
     matrix = A.to_text()  # before the F[b/a] label, so an over-long entry is named
-    module = KINDS[kind]
-    s = module.summary(A)
-    int_text(s.trace, "trace")  # text and JSON print the int itself, so check it here
-    h2 = {"order": s.h2.order, "generators": list(s.h2.generators)}
-    doc = {"matrix": matrix, "kind": s.kind, "det": s.det, "trace": s.trace, "h2": h2}
-    if s.kind == "bundle":
-        doc["geometry"] = s.geometry
-        h2["case"] = s.h2.case_label
-        if s.h2.identification:
-            h2["identification"] = s.h2.identification
-        lengths = {cls.label: extnat_json(s.lengths[cls]) for cls in PARITY_CLASSES}
-        doc["translation_lengths"] = lengths
-    doc["mog"], doc["meg"] = extnat_json(s.mog), s.meg
-    return doc, module.norm_table(A, s, cap)
-
-
-def document(kind: str, A: GL2Matrix, certificate_cap: int = DEFAULT_CERTIFICATE_CAP) -> dict:
-    """The JSON report, as to_canonical_json writes it: each certificate
-    is held as its TreePath, not as a list of texts."""
-    doc, table = _report(kind, A, certificate_cap)
-    doc["norm_table"] = [entry.to_json() for entry in table]
-    return doc
+    s = KINDS[kind].summary(A)
+    int_text(s.trace, "trace")
+    return matrix, s
 
 
 def _norm_lines(table: list[NormReport]) -> list[str]:
@@ -89,107 +73,130 @@ def _norm_lines(table: list[NormReport]) -> list[str]:
 
 
 def render(kind: str, A: GL2Matrix, certificate_cap: int) -> str:
-    """The text report, rendered from the same fields as the JSON one."""
-    doc, table = _report(kind, A, certificate_cap)
-    h2 = doc["h2"]
-    case = f" ({h2['case']} mod 2)" if "case" in h2 else ""
-    identification = f"; identification: {h2['identification']}" if "identification" in h2 else ""
-    keys = ("matrix", "kind", "det", "trace", "geometry")
-    lines = [f"{key}: {doc[key]}" for key in keys if key in doc]
-    generators = ", ".join(h2["generators"])
-    lines.append(f"h2: order {h2['order']}{case}; generators: {generators}{identification}")
-    if "translation_lengths" in doc:
-        lengths = doc["translation_lengths"].items()
-        lines.append("translation lengths: " + " ".join(f"l[{label}]={n}" for label, n in lengths))
+    """The text report, written from the record and the norm table."""
+    matrix, s = _record(kind, A)
+    h2, generators = s.h2, ", ".join(s.h2.generators)
+    lines = [f"matrix: {matrix}", f"kind: {s.kind}", f"det: {s.det}", f"trace: {s.trace}"]
+    if s.kind == "bundle":
+        identification = f"; identification: {h2.identification}" if h2.identification else ""
+        lengths = " ".join(f"l[{cls.label}]={fmt_extnat(s.lengths[cls])}" for cls in PARITY_CLASSES)
+        lines += [f"geometry: {s.geometry}",
+                  f"h2: order {h2.order} ({h2.case_label} mod 2); generators: {generators}{identification}",
+                  f"translation lengths: {lengths}"]
+    else:
+        lines.append(f"h2: order {h2.order}; generators: {generators}")
+    table = KINDS[kind].norm_table(A, s, certificate_cap)
     # one join, whose empty last item ends the text with its newline
-    lines += ["norm table:", *_norm_lines(table), f"mog: {doc['mog']}", f"meg: {doc['meg']}", ""]
+    lines += ["norm table:", *_norm_lines(table), f"mog: {fmt_extnat(s.mog)}", f"meg: {s.meg}", ""]
     return "\n".join(lines)
 
 
-def to_canonical_json(doc: dict) -> str:
-    """The bytes of json.dumps(doc, sort_keys=True, indent=2) + "\n", written
-    directly for the closed report schema: dicts with str keys, ints, strs,
-    lists, where a list that starts with a str holds only strs, and
-    certificates, which are written as the list of their "p/q" texts.
-    Types are matched exactly, so a bool is not taken for an int; any other
-    value raises TypeError.  A certificate is a curve_complex.TreePath,
-    formatted by its text method into one block per stored piece, and
-    only once: a row that shows it again at another indent reuses that
-    text with its line breaks re-indented."""
-    parts: list[str] = []
-    _write_json(doc, "\n", parts, {})
-    parts.append("\n")
+# The JSON report's members are written in the order sort_keys gives them:
+# the parity classes by their labels, which need no escaping, and each
+# kind's class bits by name, in a row's head up to the value of "norm".
+_CLASSES_BY_LABEL = sorted(PARITY_CLASSES, key=lambda cls: cls.label)
+_ROW_HEADS = {
+    kind: '{\n      "class": {'
+    + ",".join(f'\n        "{name}": %({name})d' for name in names)
+    + '\n      },\n      "norm": '
+    for kind, names in (("bundle", ("j", "k", "t")), ("semibundle", ("e1", "e2", "phi")))
+}
+
+
+def _extnat_json(value: ExtNat) -> str:
+    """The JSON text of an ExtNat: an int, or the string "inf"."""
+    return '"inf"' if value == INF else repr(value)
+
+
+def to_canonical_json(kind: str, A: GL2Matrix, certificate_cap: int) -> str:
+    """The JSON report, written from the record and the norm table: the
+    bytes of json.dumps(report, sort_keys=True, indent=2) + "\n", with each
+    certificate as the list of its "p/q" texts.  The schema fixes every
+    member, so each is written in its place into one list of parts."""
+    matrix, s = _record(kind, A)
+    table = KINDS[kind].norm_table(A, s, certificate_cap)
+    h2, bundle_ = s.h2, s.kind == "bundle"
+    parts = ['{\n  "det": ', repr(s.det)]
+    if bundle_:
+        parts += (',\n  "geometry": ', _quote(s.geometry), ',\n  "h2": {\n    "case": ',
+                  _quote(h2.case_label), ",\n    ")
+    else:
+        parts.append(',\n  "h2": {\n    ')
+    parts += ('"generators": [\n      ', ",\n      ".join(map(_quote, h2.generators)), "\n    ]")
+    if bundle_ and h2.identification:
+        parts += (',\n    "identification": ', _quote(h2.identification))
+    parts += (',\n    "order": ', repr(h2.order), '\n  },\n  "kind": ', _quote(s.kind),
+              ',\n  "matrix": ', _quote(matrix), ',\n  "meg": ', repr(s.meg),
+              ',\n  "mog": ', _extnat_json(s.mog), ',\n  "norm_table": [\n    ')
+    head, written = _ROW_HEADS[s.kind], {}
+    for i, entry in enumerate(table):
+        parts += (",\n    " if i else "", head % entry.coords, repr(entry.norm))
+        if entry.note:
+            parts += (',\n      "note": ', _quote(entry.note))
+        parts.append(',\n      "realizer": ')
+        _write_realizer(entry.realizer, "\n      ", parts, written)
+        parts.append("\n    }")
+    parts += ('\n  ],\n  "trace": ', repr(s.trace))
+    if bundle_:
+        lengths = ",".join(f'\n    "{cls.label}": {_extnat_json(s.lengths[cls])}' for cls in _CLASSES_BY_LABEL)
+        parts += (',\n  "translation_lengths": {', lengths, "\n  }")
+    parts.append("\n}\n")
     return "".join(parts)
 
 
-def _write_json(value, newline: str, parts: list[str], written: dict[int, dict[str, str]]) -> None:
-    """Append the text of value to parts; newline is the line break and
-    indent of the line value starts on.  written maps the id of each
-    certificate written so far to its text at each newline it was
-    written on."""
-    kind = type(value)
-    if kind is str:
-        parts.append(_quote(value))
-    elif kind is int:
-        parts.append(repr(value))
-    elif (kind is dict or kind is list) and not value:
-        parts.append("{}" if kind is dict else "[]")
-    elif kind is dict:
-        inner = newline + "  "
-        separator = "{" + inner
-        for key in sorted(value):
-            if type(key) is not str:
-                raise TypeError(f"JSON object key {key!r} is not a str")
-            item = value[key]
-            if type(item) is str:  # a leaf is written with its key
-                parts += (separator, _quote(key), ": ", _quote(item))
-            elif type(item) is int:
-                parts += (separator, _quote(key), ": ", repr(item))
-            else:
-                parts += (separator, _quote(key), ": ")
-                _write_json(item, inner, parts, written)
-            separator = "," + inner
-        parts.append(newline + "}")
-    elif kind is list:
-        inner = newline + "  "
-        if type(value[0]) is str:  # in one join; _quote refuses a non-str
-            parts += ("[", inner, ("," + inner).join(map(_quote, value)), newline, "]")
-            return
-        separator = "[" + inner
-        for item in value:
+def _write_realizer(surface: SurfaceDescription, newline: str, parts: list[str],
+                    written: dict[int, dict[str, str]]) -> None:
+    """Append the JSON object of a realizing surface to parts; newline is
+    the line break and indent of the line it starts on.  A sum's pieces,
+    never sums themselves, are written one level deeper by this function."""
+    inner = newline + "  "
+    parts.append("{")
+    if surface.certificate_elided:
+        parts += (inner, '"certificate": "elided",')
+    elif surface.certificate is not None:
+        parts += (inner, '"certificate": ', _certificate_block(surface.certificate, inner, written), ",")
+    if surface.genus is not None:
+        parts += (inner, '"genus": ', repr(surface.genus), ",")
+    parts += (inner, '"kind": ', _quote(surface.kind))
+    if surface.pieces:
+        deeper = inner + "  "
+        separator = f',{inner}"pieces": [{deeper}'
+        for piece in surface.pieces:
             parts.append(separator)
-            _write_json(item, inner, parts, written)
-            separator = "," + inner
-        parts.append(newline + "]")
-    elif kind is TreePath:
-        # a slope's text is "-", digits and "/", so it needs no escaping
-        texts = written.setdefault(id(value), {})
-        text = texts.get(newline)
-        if text is None:
-            if texts:  # each line break of a written text is followed by its indent
-                first, text = next(iter(texts.items()))
-                text = text.replace(first, newline)
-            else:
-                inner = newline + "  "
-                body = value.text('",' + inner + '"')
-                text = f'[{inner}"{body}"{newline}]'
-            texts[newline] = text
-        parts.append(text)
-    else:
-        raise TypeError(f"{kind.__name__} is not in the report schema")
+            _write_realizer(piece, deeper, parts, written)
+            separator = "," + deeper
+        parts += (inner, "]")
+    parts += (newline, "}")
+
+
+def _certificate_block(path: TreePath, newline: str, written: dict[int, dict[str, str]]) -> str:
+    """The JSON list of path's "p/q" texts, starting on the line newline
+    breaks to.  TreePath.text formats it once per document: written maps
+    id(path) to its block at each newline, and another indent re-indents
+    the first block.  A slope's text needs no escaping."""
+    texts = written.setdefault(id(path), {})
+    block = texts.get(newline)
+    if block is None:
+        if texts:  # each line break of a written block is followed by its indent
+            first, block = next(iter(texts.items()))
+            block = block.replace(first, newline)
+        else:
+            inner = newline + "  "
+            body = path.text('",' + inner + '"')
+            block = f'[{inner}"{body}"{newline}]'
+        texts[newline] = block
+    return block
 
 
 CENSUS_COLUMNS = ["matrix", "kind", "det", "trace", "geometry", "h2_order", "norms", "mog", "meg"]
 
 
 def census_row(kind: str, A: GL2Matrix) -> list:
-    """The CSV row, in CENSUS_COLUMNS order.  It builds no realizers."""
-    matrix = A.to_text()
-    s = KINDS[kind].summary(A)
+    """The CSV row, in CENSUS_COLUMNS order, written from the record alone:
+    it builds no norm table and no realizer."""
+    matrix, s = _record(kind, A)
     norms = "|".join(map(str, s.norms))
-    geometry = s.geometry or ""
-    trace = int_text(s.trace, "trace")
-    return [matrix, s.kind, s.det, trace, geometry, s.h2.order, norms, fmt_extnat(s.mog), s.meg]
+    return [matrix, s.kind, s.det, s.trace, s.geometry or "", s.h2.order, norms, fmt_extnat(s.mog), s.meg]
 
 
 def parse_census_line(line: str, lineno: int) -> tuple[str, GL2Matrix] | None:
@@ -353,7 +360,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command in KINDS:
         A = parse_matrix(args.matrix)
         if args.json:
-            sys.stdout.write(to_canonical_json(document(args.command, A, args.certificate_cap)))
+            sys.stdout.write(to_canonical_json(args.command, A, args.certificate_cap))
         else:
             sys.stdout.write(render(args.command, A, args.certificate_cap))
     elif args.command == "census":

@@ -3,8 +3,9 @@ norm reports.
 
 A Summary holds everything a report or census row states about one matrix
 apart from the norm table; bundle.summary and semibundle.summary are the
-only places those invariants are computed, and text, JSON and CSV are all
-rendered from it.
+only places those invariants are computed.  With the matrix text it is
+the one record (cli._record) that the text report, the JSON report and
+the census row are each written from.
 
 A norm table entry pairs a homology class with its norm and a combinatorial
 description of a surface realizing it.  Non-orientable realizers of positive
@@ -15,8 +16,8 @@ proved it, each stored as the slopes it spells, already in canonical form
 (a curve_complex.TreePath).  A report formats it with TreePath.text, one
 block of "p/q" texts per stored piece, so rendering builds no list of its
 vertices and no string per vertex.  The text report writes it joined by
-" -> " once per realizer; the JSON document holds the TreePath itself,
-and cli.to_canonical_json writes it as its list of quoted texts.
+" -> " once per realizer, and cli.to_canonical_json writes it as its list
+of quoted texts once per document.
 Certificates longer than a caller-chosen cap are elided from reports but
 the genus is still recorded; geodesic_path's MAX_PATH_EDGES limit still
 applies to those that are not.
@@ -75,8 +76,10 @@ class _SurfaceFields(NamedTuple):
 
 
 class SurfaceDescription(_SurfaceFields):
-    """A realizing surface.  It has no __slots__: the instance dict holds
-    the cached text of its certificate, while its fields stay read-only."""
+    """A realizing surface, which the JSON writer reads field by field and
+    the text report through describe and certificate_text.  It has no
+    __slots__: the instance dict holds the cached text of its certificate,
+    while its fields stay read-only."""
 
     @cached_property
     def certificate_line(self) -> str:
@@ -102,32 +105,12 @@ class SurfaceDescription(_SurfaceFields):
                 texts.append(desc.certificate_line)
         return "; ".join(texts) if texts else None
 
-    def to_json(self) -> dict:
-        """The JSON fields; a certificate stays the TreePath, which
-        cli.to_canonical_json writes as its list of "p/q" texts."""
-        doc: dict = {"kind": self.kind}
-        if self.genus is not None:
-            doc["genus"] = self.genus
-        if self.certificate_elided:
-            doc["certificate"] = "elided"
-        elif self.certificate is not None:
-            doc["certificate"] = self.certificate
-        if self.pieces:
-            doc["pieces"] = [piece.to_json() for piece in self.pieces]
-        return doc
-
 
 class NormReport(NamedTuple):
     coords: dict
     norm: int
     realizer: SurfaceDescription
     note: str | None = None
-
-    def to_json(self) -> dict:
-        doc = {"class": dict(self.coords), "norm": self.norm, "realizer": self.realizer.to_json()}
-        if self.note:
-            doc["note"] = self.note
-        return doc
 
 
 def pi_surface(certificate: TreePath) -> SurfaceDescription:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from solnorm import INF, arith, bredon_wood, ext_gcd
-from solnorm.arith import extnat_json, fmt_extnat
+from solnorm.arith import fmt_extnat
 from solnorm.errors import DomainError
 
 
@@ -96,5 +96,3 @@ class TestBredonWood:
 def test_extnat_rendering():
     assert fmt_extnat(INF) == "inf"
     assert fmt_extnat(7) == "7"
-    assert extnat_json(INF) == "inf"
-    assert extnat_json(7) == 7

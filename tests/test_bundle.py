@@ -20,7 +20,7 @@ from solnorm import (
 )
 from solnorm import bundle, curve_complex
 from solnorm.bundle import PERIODIC_REPRESENTATIVES
-from solnorm.cli import document
+from solnorm.cli import to_canonical_json
 from solnorm.curve_complex import (
     GL2Matrix,
     IDENTITY,
@@ -325,7 +325,7 @@ class TestNormTable:
 
         monkeypatch.setattr(bundle, "translation_lengths", shifted)
         with pytest.raises(AssertionError, match=message):
-            document("bundle", parse_matrix(text))
+            to_canonical_json("bundle", parse_matrix(text), 10000)
 
 
 class TestMogMeg:

@@ -9,8 +9,9 @@ import sys
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from helpers import reference_document
 from solnorm import bredon_wood, bundle, cli, curve_complex, oracle, semibundle
-from solnorm.cli import build_parser, census_row, document, main, render, to_canonical_json
+from solnorm.cli import build_parser, census_row, main, render, to_canonical_json
 from solnorm.curve_complex import (
     GL2Matrix,
     Slope,
@@ -20,6 +21,7 @@ from solnorm.curve_complex import (
     parse_slope,
 )
 from solnorm.errors import DomainError
+from solnorm.reports import DEFAULT_CERTIFICATE_CAP
 
 # det 1 with 4,300-digit entries, the most the parser takes; the trace 2n
 # has 4,301 digits
@@ -353,10 +355,10 @@ class TestReports:
     def test_json_roundtrip_reproduces_bytes(self):
         for kind in ("bundle", "semibundle"):
             for text in ("1,0;2,1", "0,1;1,0", "3,1;8,3", "0,-1;1,0"):
-                first = to_canonical_json(document(kind, parse_matrix(text)))
+                first = to_canonical_json(kind, parse_matrix(text), DEFAULT_CERTIFICATE_CAP)
                 parsed = json.loads(first)
                 assert parsed["kind"] == kind
-                again = to_canonical_json(document(kind, parse_matrix(parsed["matrix"])))
+                again = to_canonical_json(kind, parse_matrix(parsed["matrix"]), DEFAULT_CERTIFICATE_CAP)
                 assert first.encode() == again.encode()
 
     def test_semibundle_with_large_partial_quotient(self, capsys):
@@ -368,13 +370,13 @@ class TestReports:
         A = GL2Matrix(1, 0, 2 * 10**4400, 1)
         for kind in ("bundle", "semibundle"):
             with pytest.raises(DomainError, match="int-digit limit"):
-                document(kind, A)
+                to_canonical_json(kind, A, 10)
             with pytest.raises(DomainError, match="int-digit limit"):
                 render(kind, A, 10)
         # entries within the limit, trace 2n one digit over it
         B = parse_matrix(OVER_LIMIT_TRACE)
         for kind in ("bundle", "semibundle"):
-            for build in (lambda: document(kind, B), lambda: render(kind, B, 10),
+            for build in (lambda: to_canonical_json(kind, B, 10), lambda: render(kind, B, 10),
                           lambda: census_row(kind, B)):
                 with pytest.raises(DomainError, match="trace over Python's int-digit limit"):
                     build()
@@ -407,7 +409,7 @@ class TestReports:
             ("bundle", GL2Matrix(5, 2, 2, 1).power(3), (3 + 1) + (3 + 1) + (6 + 1)),
         ]
         for kind, A, expected in cases:
-            for build in (lambda: to_canonical_json(document(kind, A)), lambda: render(kind, A, 10000)):
+            for build in (lambda: to_canonical_json(kind, A, 10000), lambda: render(kind, A, 10000)):
                 calls = 0
                 build()
                 assert calls == expected, (kind, A)
@@ -420,11 +422,9 @@ class TestReports:
     def test_shear_reports_build_no_run_vertex(self, monkeypatch, kind, matrix):
         # a shear's certificate is one long run: the realizer's checks read
         # its ends off the run, and text and JSON format it straight from
-        # the run's progressions, so no run is spelled out as slopes.  The
-        # JSON reports are compared as bytes: comparing two documents would
-        # compare their certificates vertex by vertex
+        # the run's progressions, so no run is spelled out as slopes
         A = parse_matrix(matrix)
-        text, json_text = render(kind, A, 10000), to_canonical_json(document(kind, A))
+        text, json_text = render(kind, A, 10000), to_canonical_json(kind, A, 10000)
         rendered = 0
         plain = curve_complex._progression
 
@@ -439,7 +439,7 @@ class TestReports:
         monkeypatch.setattr(curve_complex, "_progression", counting)
         monkeypatch.setattr(curve_complex, "_run_vertices", refuse)
         # compared outside the assert: no slow diff of 100 kB texts
-        same = render(kind, A, 10000) == text and to_canonical_json(document(kind, A)) == json_text
+        same = render(kind, A, 10000) == text and to_canonical_json(kind, A, 10000) == json_text
         assert same
         assert rendered >= 2 * 4000
 
@@ -482,79 +482,59 @@ class TestReports:
         assert pis
 
 
-# Documents of the report schema, nested as reports are: dicts with str keys,
-# str and int leaves ("inf" among them, ints of up to 400 digits), lists of
-# strings and lists of dicts.  The strings take every code point, lone
-# surrogates included, and the characters JSON escapes.
-_TEXT = st.text(
-    st.one_of(
-        st.characters(blacklist_categories=()),
-        st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "é"]),
-    ),
-    max_size=8,
-)
-_LEAF = st.one_of(
-    _TEXT,
-    st.just("inf"),
-    st.integers(),
-    st.integers(10**300, 10**400),
-    st.integers(-(10**400), -(10**300)),
-)
-_STRINGS = st.lists(_TEXT, max_size=4)
-
-
-def _objects(values, max_size):
-    return st.lists(st.tuples(_TEXT, values), max_size=max_size).map(dict)
-
-
-_INNER = _objects(st.one_of(_LEAF, _STRINGS), 4)  # a class, a piece
-_ENTRY = _objects(st.one_of(_LEAF, _STRINGS, _INNER, st.lists(_INNER, max_size=3)), 4)
-_DOCUMENTS = _objects(st.one_of(_LEAF, _STRINGS, _INNER, st.lists(_ENTRY, max_size=3)), 6)
+@st.composite
+def _reports(draw):
+    """(kind, matrix, cap) of a report: an oracle.random_glz word A of up to
+    30 letters, times (1,0;0,-1) on a drawn bit so that both determinants
+    come, conjugated by a power of up to 150 of another word, which puts
+    up to a few hundred digits into the entries."""
+    A = oracle.random_glz(draw(st.integers(0, 2**48)), draw(st.integers(0, 30)))
+    if draw(st.booleans()):
+        A = A @ GL2Matrix(1, 0, 0, -1)
+    P = oracle.random_glz(draw(st.integers(0, 2**48)), draw(st.integers(0, 30)))
+    P = P.power(draw(st.integers(0, 150)))
+    kind = draw(st.sampled_from(("bundle", "semibundle")))
+    return kind, P @ A @ P.inverse(), draw(st.sampled_from((0, 1, DEFAULT_CERTIFICATE_CAP)))
 
 
 class TestCanonicalJson:
-    """to_canonical_json writes the bytes of json.dumps(doc, sort_keys=True,
-    indent=2) + "\n" for every document of the report schema."""
+    """to_canonical_json writes the bytes of json.dumps(reference,
+    sort_keys=True, indent=2) + "\n", where reference_document builds the
+    report as a dict of plain JSON values with each certificate as a list
+    of str of its slopes: an independent encoder of the same records."""
 
-    # without the shrink phase a wrong writer fails in seconds, where
-    # shrinking its failing document took minutes; every example is kept
-    @settings(max_examples=75, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
-    @given(_DOCUMENTS)
-    def test_matches_json_dumps(self, doc):
-        assert to_canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # without the shrink phase a wrong writer fails in seconds: its input
+    # is seeds, which shrink to nothing clearer; every example is kept
+    @settings(max_examples=150, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
+    @given(_reports())
+    def test_matches_json_dumps_of_the_reference(self, report):
+        kind, A, cap = report
+        expected = json.dumps(reference_document(kind, A, cap), sort_keys=True, indent=2) + "\n"
+        assert to_canonical_json(kind, A, cap) == expected
 
-    @pytest.mark.parametrize("kind, matrix, end, rows", [
-        ("semibundle", "1,0;16002,1", "1/16002", 4),  # one certificate in four rows
-        ("bundle", "-1,0;8002,-1", "-1/8002", 2),  # l[1/0]'s certificate, in the t = 0 and 1 rows
+    @pytest.mark.parametrize("kind, matrix, end, rows, certificates", [
+        ("semibundle", "1,0;16002,1", "1/16002", 4, 1),  # one certificate in four rows
+        # l[1/0]'s certificate, in the t = 0 and 1 rows, and l[1/1]'s
+        ("bundle", "-1,0;8002,-1", "-1/8002", 2, 2),
     ])
-    def test_a_shared_certificate_is_quoted_once(self, monkeypatch, kind, matrix, end, rows):
-        # the document holds each certificate as its TreePath: the writer
-        # formats it once, in one block, and quotes none of its slopes
-        # one by one; a row at another indent (a piece of a sum, one level
-        # deeper) reuses that block
+    def test_a_shared_certificate_is_quoted_once(self, monkeypatch, kind, matrix, end, rows, certificates):
+        # the writer formats each certificate of a report once, in one
+        # block, and quotes none of its slopes one by one; a row at another
+        # indent (a piece of a sum, one level deeper) reuses that block
+        A = parse_matrix(matrix)
+        expected = json.dumps(reference_document(kind, A, 10000), sort_keys=True, indent=2) + "\n"
         quoted, formatted = [], []
         plain_quote, plain_text = cli._quote, curve_complex.TreePath.text
         monkeypatch.setattr(cli, "_quote", lambda s: quoted.append(s) or plain_quote(s))
         monkeypatch.setattr(curve_complex.TreePath, "text",
                             lambda path, separator: formatted.append(path) or plain_text(path, separator))
-        doc = document(kind, parse_matrix(matrix))
-        text = to_canonical_json(doc)
+        text = to_canonical_json(kind, A, 10000)
         # compared outside the assert: pytest's diff of two different
         # 100 kB texts takes minutes
-        same = text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        same = text == expected
         assert same
         assert text.count(f'"{end}"') == rows
-        realizers = [entry["realizer"] for entry in doc["norm_table"]]
-        realizers += [piece for realizer in realizers for piece in realizer.get("pieces", [])]
-        certificates = {id(r["certificate"]) for r in realizers if "certificate" in r}
-        assert end not in quoted and sorted(map(id, formatted)) == sorted(certificates)
-
-    @pytest.mark.parametrize("value", [1.5, True, False, None, ("a", "b"), {1: "a"}, {"a": {2: 3}}])
-    def test_values_outside_the_schema_raise(self, value):
-        with pytest.raises(TypeError):
-            to_canonical_json({"norm_table": [{"class": value}]})
-        with pytest.raises(TypeError):
-            to_canonical_json({"certificate": ["1/0", value]})
+        assert end not in quoted and len(set(map(id, formatted))) == len(formatted) == certificates
 
 
 class TestCensus:

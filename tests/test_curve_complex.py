@@ -8,7 +8,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import check_pieces
 from solnorm import (
@@ -28,6 +28,7 @@ from solnorm import (
     parity_of,
     parse_matrix,
     parse_slope,
+    translation_length_closed,
 )
 from solnorm import curve_complex, oracle
 from solnorm.curve_complex import IDENTITY, PARITY_BY_BITS, PARITY_CLASSES, TreePath, breadth_first, geodesic_path
@@ -708,6 +709,30 @@ class TestBfsAndGeodesic:
 
 # entries up to about 10**30
 huge = st.integers(-(10**30), 10**30)
+
+
+class TestCertificateOfAPower:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**48), st.integers(8, 30), st.sampled_from((2, 5, 40, 300)))
+    def test_the_certificate_of_a_power_repeats(self, seed, letters, k):
+        # for l >= 2 the certificate of A on a class runs from a vertex w
+        # of A's axis to A(w), and A^k translates the same axis by k*l: the
+        # certificate of A^k starts at the same w and passes A^i(w) at
+        # index i*l, which checks a long walk on large entries against
+        # mat_act alone
+        A = oracle.random_glz(seed, letters)
+        Ak = A.power(k)
+        for cls in PARITY_CLASSES:
+            length = translation_length_closed(A, cls)
+            if length == INF or length < 2:
+                continue
+            v = cls.base_vertex
+            w = geodesic_path(v, mat_act(A, v), middle=length)[0]
+            path = geodesic_path(v, mat_act(Ak, v), middle=k * length)
+            assert len(path) == k * length + 1 and path[0] == w
+            for i in range(1, k + 1):
+                w = mat_act(A, w)
+                assert path[i * length] == w, (A, k, cls, i)
 
 
 def largest_middle(d: int, cap: int) -> int:

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solnorm import (
     INF,
@@ -226,3 +227,27 @@ class TestAgreement:
                 assert translation_length_closed(A, cls) == translation_length_closed(
                     conj, perm[cls]
                 )
+
+
+class TestPowerLaw:
+    """l(A^k) = k * l(A) for k >= 1 when A translates the tree of a class or
+    fixes one of its vertices, and k mod 2 when A inverts an edge (Serre,
+    Trees, I.6.4; Culler-Morgan, Proc. LMS 55 (1987), section 1).  The
+    action type and l(A) come from the orbit reference on A's small
+    entries, l(A^k) from the closed form on entries of up to thousands of
+    digits, so N is checked at every size against the group action."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**48), st.integers(0, 12))
+    def test_translation_length_of_a_power(self, seed, letters):
+        A = random_glz(seed, letters)
+        fixed = [translation_length_orbit(A, cls) for cls in ParityClass]
+        fixed = [data for data in fixed if data.action is not ActionType.NOT_FIXED]
+        # for a hyperbolic A, some k up to 64 takes the entries of A^k and
+        # A^2k across 64 bits, and 400 and 3000 take distances past 1,000
+        ks = [*range(1, 65), 400, 3000]
+        powers = {k: A.power(k) for k in ks}
+        for data in fixed:
+            for k in ks:
+                expected = k % 2 if data.action is ActionType.INVERSION else k * data.length
+                assert translation_length_closed(powers[k], data.parity) == expected, (A, k, data)

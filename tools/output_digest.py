@@ -16,6 +16,11 @@ same bytes and exit code in both.  The families:
   second under python -O;
 - limits: commands at the int-digit limit (exits 1 and 2), reports whose
   base vertex is far from the axis, and `geodesic` paths of every shape;
+- large: reports on entries of thousands of digits with long
+  certificates: B = P W^2500 P^-1 (W = 1,2;2,5, P = (3,2;1,1)^833, entries
+  of about 2,870 digits) as bundle text and JSON, as semi-bundle JSON
+  (one certificate in four rows at two indents) and as bundle text with
+  --certificate-cap=0, and the bundle JSON of W^4000 (3,063 digits);
 - usage: what argparse prints and the exit it takes for help, no
   arguments, an unknown command, each subcommand's -h, missing required
   options, unrecognized trailing arguments, abbreviated and doubled
@@ -41,7 +46,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FAMILIES = ("reports", "census", "verify", "verify-O", "limits", "usage")
+FAMILIES = ("reports", "census", "verify", "verify-O", "limits", "large", "usage")
 REPORT_SEEDS = range(501, 511)
 CENSUS_SEEDS = range(600, 610)
 
@@ -93,6 +98,32 @@ def _limits_argvs() -> list[list[str]]:
                    ("89/55", "-233/377")):
         argvs.append(["geodesic", "--", s1, s2])
     return argvs
+
+
+def _product(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of two matrices held as their row-major (a, c, b, d)."""
+    a, c, b, d = x
+    e, g, f, h = y
+    return a * e + c * f, a * g + c * h, b * e + d * f, b * g + d * h
+
+
+def _power(x: tuple[int, ...], n: int) -> tuple[int, ...]:
+    result = (1, 0, 0, 1)
+    while n:
+        if n & 1:
+            result = _product(result, x)
+        x, n = _product(x, x), n >> 1
+    return result
+
+
+def _large_argvs() -> list[list[str]]:
+    """The large family, its matrices built here with plain integers."""
+    W = (1, 2, 2, 5)
+    a, c, b, d = _power((3, 2, 1, 1), 833)  # det 1, so its inverse is d, -c; -b, a
+    B = "%d,%d;%d,%d" % _product(_product((a, c, b, d), _power(W, 2500)), (d, -c, -b, a))
+    return [["bundle", f"--matrix={B}"], ["bundle", f"--matrix={B}", "--json"],
+            ["semibundle", f"--matrix={B}", "--json"], ["bundle", f"--matrix={B}", "--certificate-cap=0"],
+            ["bundle", "--matrix=%d,%d;%d,%d" % _power(W, 4000), "--json"]]
 
 
 def _usage_argvs() -> list[list[str]]:
@@ -158,7 +189,8 @@ def _family(name: str) -> tuple[int, str]:
         for level in ("quick", "full"):
             feed(["verify", "--level", level])
     else:
-        for argv in _limits_argvs() if name == "limits" else _usage_argvs():
+        argvs = {"limits": _limits_argvs, "large": _large_argvs, "usage": _usage_argvs}[name]
+        for argv in argvs():
             feed(argv)
     return count, digest.hexdigest()
 
