@@ -507,22 +507,26 @@ class TestCanonicalJson:
     # is seeds, which shrink to nothing clearer; every example is kept
     @settings(max_examples=150, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
     @given(_reports())
-    def test_matches_json_dumps_of_the_reference(self, report):
+    def test_matches_json_dumps(self, report):
         kind, A, cap = report
         expected = json.dumps(reference_document(kind, A, cap), sort_keys=True, indent=2) + "\n"
         assert to_canonical_json(kind, A, cap) == expected
 
-    @pytest.mark.parametrize("kind, matrix, end, rows, certificates", [
-        ("semibundle", "1,0;16002,1", "1/16002", 4, 1),  # one certificate in four rows
+    @pytest.mark.parametrize("kind, matrix, end, rows", [
+        ("semibundle", "1,0;16002,1", "1/16002", 4),  # one certificate in four rows
         # l[1/0]'s certificate, in the t = 0 and 1 rows, and l[1/1]'s
-        ("bundle", "-1,0;8002,-1", "-1/8002", 2, 2),
+        ("bundle", "-1,0;8002,-1", "-1/8002", 2),
     ])
-    def test_a_shared_certificate_is_quoted_once(self, monkeypatch, kind, matrix, end, rows, certificates):
+    def test_a_shared_certificate_is_quoted_once(self, monkeypatch, kind, matrix, end, rows):
         # the writer formats each certificate of a report once, in one
         # block, and quotes none of its slopes one by one; a row at another
         # indent (a piece of a sum, one level deeper) reuses that block
         A = parse_matrix(matrix)
-        expected = json.dumps(reference_document(kind, A, 10000), sort_keys=True, indent=2) + "\n"
+        reference = reference_document(kind, A, 10000)
+        expected = json.dumps(reference, sort_keys=True, indent=2) + "\n"
+        realizers = [entry["realizer"] for entry in reference["norm_table"]]
+        realizers += [piece for realizer in realizers for piece in realizer.get("pieces", [])]
+        certificates = len({tuple(r["certificate"]) for r in realizers if isinstance(r.get("certificate"), list)})
         quoted, formatted = [], []
         plain_quote, plain_text = cli._quote, curve_complex.TreePath.text
         monkeypatch.setattr(cli, "_quote", lambda s: quoted.append(s) or plain_quote(s))
@@ -535,6 +539,37 @@ class TestCanonicalJson:
         assert same
         assert text.count(f'"{end}"') == rows
         assert end not in quoted and len(set(map(id, formatted))) == len(formatted) == certificates
+
+    # one matrix of each periodic class A1..A7, Nil of both traces, and
+    # Sol-Anosov of both determinants: each geometry, H_2 case and row
+    # shape of the writer, on every run and not only when a draw hits it
+    @pytest.mark.parametrize("matrix", [
+        *(A.to_text() for A in bundle.PERIODIC_REPRESENTATIVES.values()),
+        "1,0;2,1", "-1,0;2,-1", "2,1;1,1", "5,2;2,1", "1,1;1,0",
+    ])
+    @pytest.mark.parametrize("kind", ["bundle", "semibundle"])
+    def test_each_geometry_matches_json_dumps(self, kind, matrix):
+        A = parse_matrix(matrix)
+        expected = json.dumps(reference_document(kind, A, DEFAULT_CERTIFICATE_CAP), sort_keys=True, indent=2) + "\n"
+        assert to_canonical_json(kind, A, DEFAULT_CERTIFICATE_CAP) == expected
+
+
+class TestRecord:
+    @pytest.mark.parametrize("write", [
+        lambda kind, A: render(kind, A, DEFAULT_CERTIFICATE_CAP),
+        lambda kind, A: to_canonical_json(kind, A, DEFAULT_CERTIFICATE_CAP),
+        census_row,
+    ], ids=["render", "to_canonical_json", "census_row"])
+    @pytest.mark.parametrize("kind", ["bundle", "semibundle"])
+    def test_each_writer_builds_one_summary(self, monkeypatch, kind, write):
+        # every report is written from the one record _record builds: no
+        # writer or norm table works its summary out a second time
+        calls = []
+        module = cli.KINDS[kind]
+        plain = module.summary
+        monkeypatch.setattr(module, "summary", lambda A: calls.append(A) or plain(A))
+        write(kind, parse_matrix("5,2;2,1"))
+        assert len(calls) == 1
 
 
 class TestCensus:
