@@ -6,7 +6,10 @@ in the lens space L(p, q) (Bredon & Wood, 1969).  It is infinite when p is
 odd, zero when p = 0, and otherwise half the sum of a "b-sequence" derived
 from the canonical continued fraction of |p|/|q|.  The same number is the
 distance from 0/1 to p/q in the intersection-number-2 curve complex of the
-torus, which is what the rest of the package uses it for.
+torus, which is what the rest of the package uses it for.  Its one Euclid
+loop takes each kept continued-fraction term together with the zeroed term
+that may follow it, and its last nonzero remainder is the gcd that the
+coprimality test needs.
 
 All arithmetic is exact.  Distances, genera and translation lengths may be
 infinite; infinity is represented by math.inf, which compares correctly
@@ -62,32 +65,34 @@ def bredon_wood(p: int, q: int) -> ExtNat:
     insensitive to the signs of p and q.  Requires gcd(|p|, |q|) = 1 with
     gcd(k, 0) = |k|, so (+-1, 0) is legal (and gives infinity) while any
     even p with q = 0 is rejected.
+
+    For even p the Euclid loop below is also the coprimality test: its
+    last nonzero remainder, left in P, is gcd(|p|, |q|), and P = 0 only
+    for (0, 0).  Only odd p, whose N needs no loop, calls math.gcd.
     """
-    if p == 0 and q == 0:
-        raise DomainError("N(0, 0) is undefined")
-    if math.gcd(p, q) != 1:
-        raise DomainError(f"N({p}, {q}) needs coprime arguments")
-    if p % 2 != 0:
+    if p & 1:
+        if math.gcd(p, q) != 1:
+            raise DomainError(f"N({p}, {q}) needs coprime arguments")
         return INF
-    if p == 0:
-        return 0
     # Half-sum of the b-sequence: it keeps a continued-fraction term when
-    # the previous term was altered or the running sum is odd, and zeroes
-    # it otherwise; the total is always even.  Only the first quotient can
-    # be 0, and the first is always kept, so "altered" is "zeroed": the
-    # flag starts true so that the first term is kept.
+    # the previous term was zeroed or the running sum is odd, and zeroes it
+    # otherwise; the total is always even.  So each pass takes one kept
+    # quotient and, when the sum is then even, steps over the zeroed
+    # quotient after it with a bare remainder.  The first quotient (0 when
+    # |p| < |q|, as for p = 0) is always kept.
     P, Q = abs(p), abs(q)
     total = 0
-    zeroed = True
     while Q:
-        if zeroed or total & 1:
-            a, r = divmod(P, Q)
-            total += a
-            zeroed = False
+        a, r = divmod(P, Q)
+        total += a
+        if r and not total & 1:
+            P, Q = r, Q % r
         else:
-            r = P % Q
-            zeroed = True
-        P, Q = Q, r
-    if total % 2 != 0:
+            P, Q = Q, r
+    if P != 1:
+        if P == 0:
+            raise DomainError("N(0, 0) is undefined")
+        raise DomainError(f"N({p}, {q}) needs coprime arguments")
+    if total & 1:
         raise AssertionError(f"odd b-sequence sum {total} for ({p}, {q})")
-    return total // 2
+    return total >> 1

@@ -189,10 +189,16 @@ def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> Surfa
 
 def summary(A: GL2Matrix) -> Summary:
     """Every invariant a report or census row states about the bundle, from
-    (det, trace), A mod 2 and the three translation lengths."""
+    (det, trace), A mod 2 and the translation lengths on the classes A
+    mod 2 fixes."""
+    det, t = A.det(), A.trace()
+    _, meg, geometry = _by_det_trace(A, det, t)
     structure = h2_structure(A)
     lengths = translation_lengths(A)
     norms = [0, 0]  # the zero class and tau
+    # mog: 2 + the smallest odd translation length, or infinity if none is
+    # odd; a class A mod 2 moves has none
+    mog = INF
     for parity in structure.classes:
         length = lengths[parity]
         if not is_finite(length):
@@ -200,13 +206,10 @@ def summary(A: GL2Matrix) -> Summary:
                 f"infinite translation length of {A} on fixed class {parity.label}"
             )
         norms += (length,) * 2  # the class and its tau-translate
-    # mog: 2 + the smallest odd translation length, or infinity if none is odd
-    odd = [l for l in lengths.values() if is_finite(l) and l % 2 == 1]
-    return Summary(
-        kind="bundle", det=A.det(), trace=A.trace(), h2=structure, norms=tuple(sorted(norms)),
-        mog=2 + min(odd) if odd else INF, meg=meg_bundle(A),
-        geometry=classify_geometry(A).value, lengths=lengths,
-    )
+        if length & 1 and length + 2 < mog:
+            mog = length + 2
+    norms.sort()
+    return Summary("bundle", det, t, structure, tuple(norms), mog, meg, geometry.value, lengths)
 
 
 def norm_table(A: GL2Matrix, s: Summary, cap: int) -> list[NormReport]:
@@ -236,11 +239,7 @@ def meg_bundle(A: GL2Matrix) -> int:
     """Minimum even genus: 2 when the bundle is non-orientable (det -1) or
     the monodromy is conjugate to (-1,0; n,-1) -- equivalently det 1 and
     trace -2 -- else 4."""
-    if A.det() == -1:
-        return 2
-    if A.trace() == -2:
-        return 2
-    return 4
+    return _by_det_trace(A, A.det(), A.trace())[1]
 
 
 class GeometryClass(enum.Enum):
@@ -258,26 +257,36 @@ def order(A: GL2Matrix) -> ExtNat:
     4, 3, 6); at |t| = 2, (A - (t/2)I)^2 = 0, so A has finite order only
     when it is +-I; and |t| >= 3 gives real eigenvalues off the unit circle.
     """
-    t = A.trace()
-    if A.det() == -1:
-        return 2 if t == 0 else INF
-    if t == 0:
-        return 4
-    if t == -1:
-        return 3
-    if t == 1:
-        return 6
-    if abs(t) == 2 and A.b == 0 and A.c == 0:
-        return 1 if t == 2 else 2
-    return INF
+    return _by_det_trace(A, A.det(), A.trace())[0]
 
 
 def classify_geometry(A: GL2Matrix) -> GeometryClass:
-    if is_finite(order(A)):
-        return GeometryClass.EUCLIDEAN_PERIODIC
-    if A.det() == 1 and abs(A.trace()) == 2:
-        return GeometryClass.NIL
-    return GeometryClass.SOL_ANOSOV
+    """Euclidean-periodic at finite order, else Nil at det 1 and |trace| 2
+    (a nontrivial shear, up to sign), else Sol-Anosov."""
+    return _by_det_trace(A, A.det(), A.trace())[2]
+
+
+# The order of a det 1 matrix of trace 0, -1 or 1
+_ORDER_BY_TRACE = {0: 4, -1: 3, 1: 6}
+
+
+def _by_det_trace(A: GL2Matrix, det: int, t: int) -> tuple[ExtNat, int, GeometryClass]:
+    """(order, meg, geometry) of A from det = A.det() and t = A.trace(),
+    by the rules of order, meg_bundle and classify_geometry; A's entries
+    are read only at |t| = 2, to tell +-I from a shear."""
+    if det == -1:
+        if t == 0:
+            return 2, 2, GeometryClass.EUCLIDEAN_PERIODIC
+        return INF, 2, GeometryClass.SOL_ANOSOV
+    k = _ORDER_BY_TRACE.get(t)
+    if k:
+        return k, 4, GeometryClass.EUCLIDEAN_PERIODIC
+    meg = 2 if t == -2 else 4
+    if abs(t) != 2:
+        return INF, meg, GeometryClass.SOL_ANOSOV
+    if A.b == 0 and A.c == 0:
+        return 1 if t == 2 else 2, meg, GeometryClass.EUCLIDEAN_PERIODIC
+    return INF, meg, GeometryClass.NIL
 
 
 PERIODIC_REPRESENTATIVES = {

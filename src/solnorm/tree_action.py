@@ -12,9 +12,12 @@ has one closed form in the matrix entries, translation_length_closed: the
 difference d(v, A^2(v)) - d(v, A(v)) evaluated on the integers of the
 class's base vertex j/k, for all three trees.  It is the only length the
 reports and the census compute; each bundle certificate then proves its own
-length minimal (bundle._realizer).  The independent reference it is checked
-against, the same length read off the orbit of one vertex with its action
-type, is oracle.translation_length_orbit.
+length minimal (bundle._realizer).  translation_lengths reads A mod 2 once
+and evaluates the closed form only on the classes it fixes: a moved class
+has no axis, and its length is INF without a Bredon-Wood call.  The
+independent reference the closed form is checked against, the same length
+read off the orbit of one vertex with its action type, is
+oracle.translation_length_orbit.
 """
 
 from __future__ import annotations
@@ -68,6 +71,17 @@ def translation_length_closed(A: GL2Matrix, cls: ParityClass) -> ExtNat:
     return bredon_wood(u2, p2 * x + q2 * y) - bredon_wood(u1, p1 * x + q1 * y)
 
 
+# The classes each invertible matrix mod 2 fixes, keyed as MOD2_PERMUTATIONS.
+_FIXED_BY_MOD2 = {
+    bits: tuple(cls for cls in PARITY_CLASSES if perm[cls] is cls)
+    for bits, perm in MOD2_PERMUTATIONS.items()
+}
+
+
 def translation_lengths(A: GL2Matrix) -> dict[ParityClass, ExtNat]:
-    """Closed-form lengths for all three parity classes."""
-    return {cls: translation_length_closed(A, cls) for cls in PARITY_CLASSES}
+    """Lengths for all three parity classes, in PARITY_CLASSES order: the
+    closed form on each class A mod 2 fixes, INF on the others."""
+    lengths = dict.fromkeys(PARITY_CLASSES, INF)
+    for cls in _FIXED_BY_MOD2[A.mod2()]:
+        lengths[cls] = translation_length_closed(A, cls)
+    return lengths

@@ -1,10 +1,12 @@
 """Test-only helpers that read the report records and certificate paths."""
 
 import itertools
+import math
 
 from solnorm import bundle, semibundle
-from solnorm.arith import INF
+from solnorm.arith import INF, ExtNat
 from solnorm.curve_complex import PARITY_CLASSES, GL2Matrix, TreePath
+from solnorm.errors import DomainError
 from solnorm.reports import KIND_PI, KIND_SUM, NormReport, SurfaceDescription
 
 
@@ -17,6 +19,33 @@ def check_pieces(path: TreePath) -> None:
     sizes = [len(piece) if type(piece) is list else piece[-1] for piece in pieces]
     if sum(sizes) != count or starts != list(itertools.accumulate(sizes[:-1], initial=0)):
         raise AssertionError(f"pieces of sizes {sizes} at {starts} do not make a path of {count} vertices")
+
+
+def bredon_wood_flag_loop(p: int, q: int) -> ExtNat:
+    """N(p, q) by the b-sequence loop one quotient at a time, with a flag
+    for "the previous term was zeroed" and coprimality tested by math.gcd
+    up front: the reference for arith.bredon_wood, with its errors."""
+    if p == 0 and q == 0:
+        raise DomainError("N(0, 0) is undefined")
+    if math.gcd(p, q) != 1:
+        raise DomainError(f"N({p}, {q}) needs coprime arguments")
+    if p % 2 != 0:
+        return INF
+    P, Q = abs(p), abs(q)
+    total = 0
+    zeroed = True  # the first term is always kept
+    while Q:
+        if zeroed or total % 2 == 1:
+            a, r = divmod(P, Q)
+            total += a
+            zeroed = False
+        else:
+            r = P % Q
+            zeroed = True
+        P, Q = Q, r
+    if total % 2 != 0:
+        raise AssertionError(f"odd b-sequence sum {total} for ({p}, {q})")
+    return total // 2
 
 
 def norm_contribution(surface: SurfaceDescription) -> int:

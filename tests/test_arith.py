@@ -3,8 +3,9 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from helpers import bredon_wood_flag_loop
 from solnorm import INF, arith, bredon_wood, ext_gcd
 from solnorm.arith import fmt_extnat
 from solnorm.errors import DomainError
@@ -30,6 +31,32 @@ class TestExtGcd:
         g, x, y = ext_gcd(p, q)
         assert g == math.gcd(p, q) > 0
         assert p * x + q * y == g
+
+
+def _outcome(f, p: int, q: int):
+    """f(p, q), or the type and message of what it raised."""
+    try:
+        return f(p, q)
+    except (DomainError, AssertionError) as err:
+        return type(err), str(err)
+
+
+def _even_coprime(p: int, q: int) -> tuple[int, int]:
+    """A coprime pair with an even first entry, made from the coprime pair
+    (p, q): itself, (q, p), or (p + q, q) when p and q are both odd."""
+    if p % 2 == 0:
+        return p, q
+    if q % 2 == 0:
+        return q, p
+    return p + q, q
+
+
+def _from_partial_quotients(terms: list[int]) -> tuple[int, int]:
+    """The coprime pair (p, q) with p/q = [terms[0]; terms[1], ...]."""
+    p, q = 1, 0
+    for a in reversed(terms):
+        p, q = a * p + q, p
+    return p, q
 
 
 class TestBredonWood:
@@ -83,6 +110,52 @@ class TestBredonWood:
         monkeypatch.setattr(arith, "divmod", lambda a, b: (a // b + 1, a % b), raising=False)
         with pytest.raises(AssertionError, match=r"^odd b-sequence sum 3 for \(2, 1\)$"):
             bredon_wood(2, 1)
+
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [
+            (0, 0, r"N\(0, 0\) is undefined"),
+            (6, 0, r"N\(6, 0\) needs coprime arguments"),
+            (3, 9, r"N\(3, 9\) needs coprime arguments"),
+            # quotients 1, 2: an odd sum, refused as non-coprime first
+            (6, 4, r"N\(6, 4\) needs coprime arguments"),
+        ],
+    )
+    def test_error_messages(self, p, q, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            bredon_wood(p, q)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            bredon_wood_flag_loop(p, q)
+
+    @given(st.integers(-300, 300), st.integers(-300, 300))
+    def test_matches_the_flag_loop_on_small_pairs(self, p, q):
+        assert _outcome(bredon_wood, p, q) == _outcome(bredon_wood_flag_loop, p, q)
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(1, 9), st.integers(10**12 - 2**10, 10**12 + 2**10)),
+            min_size=1,
+            max_size=30,
+        ),
+        st.integers(0, 1),
+        st.booleans(),
+    )
+    def test_matches_the_flag_loop_on_huge_partial_quotients(self, terms, head, negate):
+        # the leading term may be 0 (|p| < |q|); every later one is >= 1
+        p, q = _even_coprime(*_from_partial_quotients([head * terms[0]] + terms[1:]))
+        if negate:
+            p = -p
+        assert bredon_wood(p, q) == bredon_wood_flag_loop(p, q) != INF
+
+    # 10**4300 - 1, about 14,280 bits, is the largest int an error message
+    # can print under the default int-to-str digit limit
+    @settings(max_examples=20)
+    @given(st.integers(1, 10**4300 - 1), st.integers(1, 10**4300 - 1))
+    def test_matches_the_flag_loop_on_large_pairs(self, p, q):
+        assert _outcome(bredon_wood, p, q) == _outcome(bredon_wood_flag_loop, p, q)
+        g = math.gcd(p, q)
+        p, q = _even_coprime(p // g, q // g)
+        assert bredon_wood(p, q) == bredon_wood_flag_loop(p, q) != INF
 
     def test_big_integer_inputs(self):
         # exactness must survive past 64 bits

@@ -20,8 +20,10 @@ from solnorm import (
     parity_permutation,
     parse_matrix,
     translation_length_closed,
+    translation_lengths,
 )
-from solnorm.curve_complex import IDENTITY
+from solnorm import tree_action
+from solnorm.curve_complex import IDENTITY, PARITY_CLASSES
 from solnorm.errors import DomainError
 from solnorm.oracle import (
     ActionType,
@@ -170,6 +172,28 @@ class TestClosedForm:
 
     def test_odd_shear_moves_one_zero(self):
         assert translation_length_closed(GL2Matrix(1, 0, 3, 1), P10) == INF
+
+    def test_lengths_skip_exactly_the_moved_classes(self, monkeypatch):
+        # translation_lengths reads the fixed classes off A mod 2 and runs
+        # the closed form only on them; the closed form's own parity test
+        # must give INF on every class it skips
+        evaluated = []
+
+        def recorded(A, cls):
+            evaluated.append(cls)
+            return translation_length_closed(A, cls)
+
+        monkeypatch.setattr(tree_action, "translation_length_closed", recorded)
+        seen = set()
+        for i in range(300):
+            A = random_glz(1300 + i, i % 19)
+            expected = {cls: translation_length_closed(A, cls) for cls in PARITY_CLASSES}
+            evaluated.clear()
+            assert translation_lengths(A) == expected, A
+            perm = MOD2_PERMUTATIONS[A.mod2()]
+            assert evaluated == [cls for cls in PARITY_CLASSES if perm[cls] is cls], A
+            seen.add((A.det(), A.mod2()))
+        assert seen == {(det, bits) for det in (1, -1) for bits in MOD2_PERMUTATIONS}
 
 
 class TestAgreement:

@@ -10,8 +10,10 @@ same bytes and exit code in both.  The families:
 
 - reports: the text and JSON report of every `reports` input of
   perfbench/inputs.py for seeds 501-510;
-- census: `census` over the files of seeds 600-609, with the CSV bytes it
-  writes, in a temporary directory;
+- census and census-O: `census` over the files of seeds 600-609, with the
+  CSV bytes it writes, in a temporary directory, the second under python
+  -O, where the invariant raises of `bundle.summary` and of the Euclid loop
+  in `arith.bredon_wood` must still hold;
 - verify and verify-O: `verify --level quick` and `--level full`, the
   second under python -O;
 - limits: commands at the int-digit limit (exits 1 and 2), reports whose
@@ -46,7 +48,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FAMILIES = ("reports", "census", "verify", "verify-O", "limits", "large", "usage")
+FAMILIES = ("reports", "census", "census-O", "verify", "verify-O", "limits", "large", "usage")
 REPORT_SEEDS = range(501, 511)
 CENSUS_SEEDS = range(600, 610)
 
@@ -173,7 +175,7 @@ def _family(name: str) -> tuple[int, str]:
             for item in inputs.report_inputs(seed):
                 for as_json in (False, True):
                     feed(inputs.report_argv(item, as_json))
-    elif name == "census":
+    elif name in ("census", "census-O"):
         inputs = _inputs()
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)  # relative paths, so the transcript names no directory
@@ -211,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{src} holds no solnorm package")
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "80"}
     for family in FAMILIES:
-        flags = ["-O"] if family == "verify-O" else []
+        flags = ["-O"] if family.endswith("-O") else []
         child = [sys.executable, *flags, str(Path(__file__).resolve()), "--family", family]
         proc = subprocess.run(child, env=env, cwd=ROOT, capture_output=True, text=True)
         if proc.returncode:
