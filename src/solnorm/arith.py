@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, int_text
 
 INF = math.inf
 
@@ -58,6 +58,12 @@ def ext_gcd(p: int, q: int) -> tuple[int, int, int]:
     return g, x, y
 
 
+def _not_coprime(p: int, q: int) -> DomainError:
+    """The error "N(p, q) needs coprime arguments".  An argument over
+    Python's int-digit limit raises DomainError naming it instead."""
+    return DomainError(f"N({int_text(p, 'N argument')}, {int_text(q, 'N argument')}) needs coprime arguments")
+
+
 def bredon_wood(p: int, q: int) -> ExtNat:
     """The Bredon-Wood invariant N(p, q).
 
@@ -72,7 +78,7 @@ def bredon_wood(p: int, q: int) -> ExtNat:
     """
     if p & 1:
         if math.gcd(p, q) != 1:
-            raise DomainError(f"N({p}, {q}) needs coprime arguments")
+            raise _not_coprime(p, q)
         return INF
     # Half-sum of the b-sequence: it keeps a continued-fraction term when
     # the previous term was zeroed or the running sum is odd, and zeroes it
@@ -92,7 +98,7 @@ def bredon_wood(p: int, q: int) -> ExtNat:
     if P != 1:
         if P == 0:
             raise DomainError("N(0, 0) is undefined")
-        raise DomainError(f"N({p}, {q}) needs coprime arguments")
+        raise _not_coprime(p, q)
     if total & 1:
         raise AssertionError(f"odd b-sequence sum {total} for ({p}, {q})")
     return total >> 1

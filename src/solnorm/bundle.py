@@ -28,7 +28,6 @@ from .curve_complex import (
     PARITY_CLASSES,
     ParityClass,
     Validated,
-    geodesic_path,
     mat_act,
 )
 from .errors import DomainError
@@ -40,7 +39,6 @@ from .reports import (
     Summary,
     SurfaceDescription,
     pi_surface,
-    pi_surface_elided,
     sum_of,
 )
 from .tree_action import MOD2_PERMUTATIONS, translation_lengths
@@ -132,7 +130,7 @@ def z2_norm_bundle(A: GL2Matrix, cls: BundleClass) -> int:
 
 
 def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> SurfaceDescription:
-    """Surface realizing F[j/k], whose norm is l = length: a non-orientable
+    """Surface realizing F[j/k], whose norm is l = length: pi_surface's
     surface of genus l + 2 built along the certificate, or for l = 0 a torus
     or Klein bottle as A keeps or reverses the one slope of the certificate.
 
@@ -144,13 +142,13 @@ def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> Surfa
     geodesic_path(v, A(v), middle=l) skips the first (d - l)/2 moves by
     whole runs, without building a vertex, and checks the l edges after
     them run by run.  It raises when l is negative, above d = d(v, A(v))
-    or of the parity of d + 1.  The checks below index the path's first
-    two and last two vertices, which the record keeps, so no vertex list
-    is built.  The certificate proves itself minimal, so neither l nor the
+    or of the parity of d + 1.  The checks index the path's first two and
+    last two vertices, which the record keeps, so no vertex list is
+    built.  The certificate proves itself minimal, so neither l nor the
     way w was found is trusted:
 
-    - A checked geodesic of l + 1 vertices from w to A(w) proves
-      d(w, A(w)) = l, an upper bound on the translation length.
+    - pi_surface's check of a geodesic of l + 1 vertices from w to A(w)
+      proves d(w, A(w)) = l, an upper bound on the translation length.
     - For l >= 2, A(certificate[1]) != certificate[-2] means that the path
       w -> A(w) -> A^2(w) does not backtrack at A(w).  In a tree it is then
       the geodesic, so d(w, A^2(w)) = 2l > 0, and A is a translation of
@@ -165,26 +163,20 @@ def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> Surfa
     that is 2k too large puts w k moves off the axis, where the path
     backtracks or d - l is negative; one that is too small ends the
     stretch from w before A(w) is reached in l moves."""
-    if length > max(cap, 0):
-        # skip the walk entirely; only the genus is reported
-        return pi_surface_elided(length + 2)
-    v = parity.base_vertex
-    certificate = geodesic_path(v, mat_act(A, v), middle=length)
-    w = certificate[0]
-    # a checked geodesic from w to A(w) proves d(w, A(w)) = l
-    if len(certificate) != length + 1 or certificate[-1] != mat_act(A, w):
-        raise AssertionError(
-            f"certificate of {A} on {parity.label} does not run from a vertex to its image"
-        )
+    surface = pi_surface(A, parity.base_vertex, length, cap)
+    certificate = surface.certificate
+    if certificate is None:  # elided
+        return surface
     if length >= 2 and mat_act(A, certificate[1]) == certificate[-2]:
         raise AssertionError(
             f"certificate of {A} on {parity.label} starts at a vertex not on the axis: "
             "A of its second vertex is its last but one"
         )
     if length == 0:
+        w = certificate[0]
         image = (A.a * w.p + A.c * w.q, A.b * w.p + A.d * w.q)
         return TORUS if image == (w.p, w.q) else KLEIN_BOTTLE
-    return pi_surface(certificate)
+    return surface
 
 
 def summary(A: GL2Matrix) -> Summary:

@@ -37,14 +37,13 @@ from .curve_complex import (
     distance,
     export_dot,
     geodesic_path,
-    int_text,
     mat_act,
     parse_int,
     parse_matrix,
     parse_slope,
 )
-from .errors import DomainError, ParseError
-from .reports import DEFAULT_CERTIFICATE_CAP, NormReport, Summary, SurfaceDescription
+from .errors import DomainError, ParseError, int_text
+from .reports import DEFAULT_CERTIFICATE_CAP, KIND_EMPTY, KIND_PI, KIND_SUM, NormReport, Summary, SurfaceDescription
 
 # The module of each kind, with its summary and norm_table.
 KINDS = {"bundle": bundle, "semibundle": semibundle}
@@ -60,16 +59,34 @@ def _record(kind: str, A: GL2Matrix) -> tuple[str, Summary]:
 
 
 def _norm_lines(table: list[NormReport]) -> list[str]:
-    """The norm table's rows, each built in one f-string: a certificate's
-    text is copied once into its row."""
-    lines = []
+    """The norm table's rows, each built in one f-string.  A row shows at
+    most one certificate, its realizer's or a piece's; texts maps id(path)
+    to its text, so each is formatted once per report."""
+    lines, texts = [], {}
     for entry in table:
         coords = ", ".join(f"{name}={value}" for name, value in entry.coords.items())
-        certificate = entry.realizer.certificate_text() or ""
+        certificate = ""
+        for surface in (entry.realizer, *entry.realizer.pieces):
+            path = surface.certificate
+            if surface.certificate_elided:
+                certificate = "(elided)"
+            elif path is not None:
+                if id(path) not in texts:
+                    texts[id(path)] = path.text(" -> ")
+                certificate = texts[id(path)]
         label = "; certificate: " if certificate else ""
         note = f"  [{entry.note}]" if entry.note else ""
-        lines.append(f"  ({coords})  norm {entry.norm}  {entry.realizer.describe()}{label}{certificate}{note}")
+        lines.append(f"  ({coords})  norm {entry.norm}  {_surface_name(entry.realizer)}{label}{certificate}{note}")
     return lines
+
+
+def _surface_name(surface: SurfaceDescription) -> str:
+    """The text report's name of a realizing surface."""
+    if surface.kind == KIND_SUM:
+        return " + ".join(map(_surface_name, surface.pieces))
+    if surface.kind == KIND_PI:
+        return f"Pi_{surface.genus}"
+    return "empty surface" if surface.kind == KIND_EMPTY else surface.kind
 
 
 def render(kind: str, A: GL2Matrix, certificate_cap: int) -> str:

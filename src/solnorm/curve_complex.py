@@ -29,7 +29,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 from .arith import INF, ExtNat, bredon_wood, ext_gcd
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, _over_digit_limit, int_text
 
 
 class Validated:
@@ -60,9 +60,9 @@ class Slope(Validated, _SlopeFields):
 
     def __new__(cls, p: int, q: int) -> "Slope":
         if math.gcd(p, q) != 1:
-            raise DomainError(f"slope {p}/{q} is not reduced")
+            raise _slope_error(p, q, "is not reduced")
         if q < 0 or (q == 0 and p != 1):
-            raise DomainError(f"slope {p}/{q} is not in canonical form")
+            raise _slope_error(p, q, "is not in canonical form")
         return tuple.__new__(cls, (p, q))
 
     @classmethod
@@ -78,7 +78,7 @@ class Slope(Validated, _SlopeFields):
             try:
                 return cls(-p, -q)
             except DomainError:
-                raise DomainError(f"slope {p}/{q} is not reduced") from None
+                raise _slope_error(p, q, "is not reduced") from None
         return cls(p, q)
 
     def __str__(self) -> str:
@@ -86,6 +86,12 @@ class Slope(Validated, _SlopeFields):
             return f"{self.p}/{self.q}"
         except ValueError as err:  # int-to-str refuses numbers over the digit limit
             raise _over_digit_limit("slope entry", err) from None
+
+
+def _slope_error(p: int, q: int, problem: str) -> DomainError:
+    """The error "slope p/q <problem>" for the pair as given, or int_text's
+    for an entry over Python's int-digit limit."""
+    return DomainError(f"slope {int_text(p, 'slope entry')}/{int_text(q, 'slope entry')} {problem}")
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -107,21 +113,6 @@ def parse_int(cell: str, message: str) -> int:
 def _entry_over_digit_limit(err: ValueError) -> ParseError:
     """The error for an input entry that int() refused: err is its ValueError."""
     return ParseError(f"integer entry over Python's int-digit limit: {err}")
-
-
-def _over_digit_limit(what: str, err: ValueError) -> DomainError:
-    """The error for output that int-to-str refused: err is its ValueError
-    and what names the number."""
-    return DomainError(f"{what} over Python's int-digit limit: {err}")
-
-
-def int_text(n: int, what: str) -> str:
-    """str(n) for program output.  A number over Python's int-digit limit
-    raises DomainError naming what it is."""
-    try:
-        return str(n)
-    except ValueError as err:  # int-to-str refuses numbers over the digit limit
-        raise _over_digit_limit(what, err) from None
 
 
 def parse_slope(text: str) -> Slope:
@@ -187,7 +178,7 @@ class GL2Matrix(Validated, _GL2Fields):
         self = tuple.__new__(cls, (a, c, b, d))
         det = a * d - b * c
         if det not in (1, -1):
-            raise DomainError(f"matrix {self.to_text()} has determinant {det}, need +-1")
+            raise DomainError(f"matrix {self.to_text()} has determinant {int_text(det, 'determinant')}, need +-1")
         return self
 
     def det(self) -> int:

@@ -8,16 +8,13 @@ the one record (cli._record) that the text report, the JSON report and
 the census row are each written from.
 
 A norm table entry pairs a homology class with its norm and a combinatorial
-description of a surface realizing it.  Non-orientable realizers of positive
-norm carry a geodesic certificate: the path of slopes whose successive
-intersection numbers are 2, from which the surface is assembled one piece
-per edge.  A certificate is kept as the checked runs of the walk that
-proved it, each stored as the slopes it spells, already in canonical form
-(a curve_complex.TreePath).  A report formats it with TreePath.text, one
-block of "p/q" texts per stored piece, so rendering builds no list of its
-vertices and no string per vertex.  The text report writes it joined by
-" -> " once per realizer, and cli.to_canonical_json writes it as its list
-of quoted texts once per document.
+description of a surface realizing it.  Each positive norm is a tree
+distance d(w, A(w)), realized by a non-orientable surface assembled one
+piece per edge of its certificate, the geodesic from w to A(w); pi_surface
+makes it for both kinds.  A certificate is kept as the checked runs of the
+walk that proved it, each stored as the slopes it spells, already in
+canonical form (a curve_complex.TreePath).  cli formats it with
+TreePath.text, one block of "p/q" texts per stored piece, once per report.
 Certificates longer than a caller-chosen cap are elided from reports but
 the genus is still recorded; geodesic_path's MAX_PATH_EDGES limit still
 applies to those that are not.
@@ -29,11 +26,10 @@ recompute it from these records and compare it with each row's norm.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import ExtNat
-from .curve_complex import ParityClass, TreePath
+from .curve_complex import GL2Matrix, ParityClass, Slope, TreePath, geodesic_path, mat_act
 
 if TYPE_CHECKING:
     from .bundle import H2Structure
@@ -67,43 +63,16 @@ class Summary(NamedTuple):
     f_norm: int | None = None
 
 
-class _SurfaceFields(NamedTuple):
+class SurfaceDescription(NamedTuple):
+    """A realizing surface: its kind, the genus of a non-orientable one,
+    the certificate of a Pi_g, or certificate_elided when that is over the
+    cap, and the pieces of a sum.  cli writes its text and its JSON."""
+
     kind: str
     genus: int | None = None
     certificate: TreePath | None = None
     certificate_elided: bool = False
     pieces: tuple[SurfaceDescription, ...] = ()
-
-
-class SurfaceDescription(_SurfaceFields):
-    """A realizing surface, which the JSON writer reads field by field and
-    the text report through describe and certificate_text.  It has no
-    __slots__: the instance dict holds the cached text of its certificate,
-    while its fields stay read-only."""
-
-    @cached_property
-    def certificate_line(self) -> str:
-        """The certificate as the text report's "p/q -> ... -> p/q", formatted
-        once however many rows show it."""
-        return self.certificate.text(" -> ")
-
-    def describe(self) -> str:
-        if self.kind == KIND_SUM:
-            return " + ".join(piece.describe() for piece in self.pieces)
-        if self.kind == KIND_PI:
-            return f"Pi_{self.genus}"
-        if self.kind == KIND_EMPTY:
-            return "empty surface"
-        return self.kind
-
-    def certificate_text(self) -> str | None:
-        texts = []
-        for desc in (self,) + self.pieces:
-            if desc.certificate_elided:
-                texts.append("(elided)")
-            elif desc.certificate is not None:
-                texts.append(desc.certificate_line)
-        return "; ".join(texts) if texts else None
 
 
 class NormReport(NamedTuple):
@@ -113,15 +82,20 @@ class NormReport(NamedTuple):
     note: str | None = None
 
 
-def pi_surface(certificate: TreePath) -> SurfaceDescription:
-    """Non-orientable surface built along a geodesic: genus = path length + 2."""
-    genus = len(certificate) - 1 + 2
-    return SurfaceDescription(KIND_PI, genus=genus, certificate=certificate)
-
-
-def pi_surface_elided(genus: int) -> SurfaceDescription:
-    """Same, for certificates over the length cap: genus only, path elided."""
-    return SurfaceDescription(KIND_PI, genus=genus, certificate_elided=True)
+def pi_surface(A: GL2Matrix, v: Slope, length: int, cap: int) -> SurfaceDescription:
+    """The non-orientable surface of genus length + 2 built along the
+    certificate of A from v, for both kinds: the middle length edges of
+    the walk from v to A(v).  Over the cap (0 for a negative cap) it is
+    elided, with no walk.  Otherwise the certificate must have length + 1
+    vertices and run from its first vertex w to A(w), which proves
+    d(w, A(w)) = length; that w is on the axis (a bundle) or is v itself
+    (a semi-bundle) is the caller's to check."""
+    if length > max(cap, 0):
+        return SurfaceDescription(KIND_PI, genus=length + 2, certificate_elided=True)
+    certificate = geodesic_path(v, mat_act(A, v), middle=length)
+    if len(certificate) != length + 1 or certificate[-1] != mat_act(A, certificate[0]):
+        raise AssertionError(f"certificate of {A} from {v} does not run from a vertex to its image")
+    return SurfaceDescription(KIND_PI, genus=length + 2, certificate=certificate)
 
 
 EMPTY_SURFACE = SurfaceDescription(KIND_EMPTY)

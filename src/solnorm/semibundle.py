@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .arith import INF, bredon_wood
-from .curve_complex import GL2Matrix, Slope, Validated, geodesic_path
+from .curve_complex import GL2Matrix, Slope, Validated
 from .errors import DomainError
 from .reports import (
     KLEIN_BOTTLE,
@@ -28,7 +28,6 @@ from .reports import (
     Summary,
     SurfaceDescription,
     pi_surface,
-    pi_surface_elided,
     sum_of,
 )
 
@@ -67,12 +66,16 @@ def z2_norm_semi(A: GL2Matrix, cls: SemiBundleClass) -> int:
 
 def _f_realizer(A: GL2Matrix, norm: int, cap: int) -> SurfaceDescription:
     """The surface generating the third summand: a Klein bottle when b = 0,
-    else two Moebius bands joined along a geodesic from 1/0 to a/b."""
+    else two Moebius bands joined along pi_surface's certificate, the whole
+    walk from 1/0 to A(1/0) = a/b of norm = N(b, a) = d(1/0, A(1/0)) edges.
+    It must start at 1/0: with 1/0 off the axis, the translation length
+    would pass pi_surface's checks on the middle of that walk."""
     if A.b == 0:
         return KLEIN_BOTTLE
-    if norm > max(cap, 0):
-        return pi_surface_elided(norm + 2)
-    return pi_surface(geodesic_path(Slope(1, 0), Slope.of(A.a, A.b)))
+    surface = pi_surface(A, Slope(1, 0), norm, cap)
+    if surface.certificate is not None and surface.certificate[0] != (1, 0):
+        raise AssertionError(f"certificate of {A} starts at {surface.certificate[0]}, not at 1/0")
+    return surface
 
 
 def summary(A: GL2Matrix) -> Summary:

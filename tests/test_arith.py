@@ -127,6 +127,14 @@ class TestBredonWood:
         with pytest.raises(DomainError, match=f"^{message}$"):
             bredon_wood_flag_loop(p, q)
 
+    # a non-coprime pair whose message would print an argument over the
+    # int-to-str digit limit: the odd branch, and the loop's gcd of 2
+    @pytest.mark.parametrize("p, q", [(3 * 10**4400, 3), (2 * 10**4400, 4), (4, 2 * 10**4400)],
+                             ids=["odd p", "even p", "even q"])
+    def test_an_argument_over_the_digit_limit_is_a_domain_error(self, p, q):
+        with pytest.raises(DomainError, match="^N argument over Python's int-digit limit: "):
+            bredon_wood(p, q)
+
     @given(st.integers(-300, 300), st.integers(-300, 300))
     def test_matches_the_flag_loop_on_small_pairs(self, p, q):
         assert _outcome(bredon_wood, p, q) == _outcome(bredon_wood_flag_loop, p, q)

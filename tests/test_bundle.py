@@ -10,6 +10,7 @@ from solnorm import (
     INF,
     BundleClass,
     GeometryClass,
+    bredon_wood,
     classify_geometry,
     h2_structure,
     meg_bundle,
@@ -18,9 +19,9 @@ from solnorm import (
     periodic_class,
     z2_norm_bundle,
 )
-from solnorm import bundle, curve_complex
+from solnorm import bundle, curve_complex, reports, semibundle
 from solnorm.bundle import PERIODIC_REPRESENTATIVES
-from solnorm.cli import to_canonical_json
+from solnorm.cli import render, to_canonical_json
 from solnorm.curve_complex import (
     GL2Matrix,
     IDENTITY,
@@ -280,7 +281,7 @@ class TestNormTable:
 
         A = parse_matrix(text)
         length = translation_lengths(A)[parity]
-        counting(bundle, "geodesic_path")
+        counting(reports, "geodesic_path")
         counting(curve_complex, "bredon_wood")
         bundle._realizer(A, parity, length, DEFAULT_CERTIFICATE_CAP)
         assert calls == {"geodesic_path": 1, "bredon_wood": 1}
@@ -326,6 +327,52 @@ class TestNormTable:
         monkeypatch.setattr(bundle, "translation_lengths", shifted)
         with pytest.raises(AssertionError, match=message):
             to_canonical_json("bundle", parse_matrix(text), 10000)
+
+    # The semi-bundle's certificate is the whole walk from 1/0 to A(1/0),
+    # of N(b, a) edges.  (matrix, shift of N, the check that catches it):
+    # 11,8;-18,-13 and 7,4;-16,-9 have 1/0 one move off the axis or the
+    # fixed set, so N - 2 is the translation length on the 1/0 tree and
+    # only the start check refuses it.
+    @pytest.mark.parametrize(
+        "text, shift, message",
+        [
+            ("1,0;2,1", 2, "has 1 edges: no middle stretch of 3"),
+            ("1,0;2,1", -2, "has 1 edges: no middle stretch of -1"),
+            ("3,1;8,3", 2, "has 2 edges: no middle stretch of 4"),
+            ("3,1;8,3", -2, "does not run from a vertex to its image"),
+            ("1,0;30,1", 2, "has 15 edges: no middle stretch of 17"),
+            ("1,0;30,1", -2, "does not run from a vertex to its image"),
+            ("11,8;-18,-13", 2, "has 3 edges: no middle stretch of 5"),
+            ("11,8;-18,-13", -2, "starts at -1/2, not at 1/0"),
+            ("7,4;-16,-9", -2, "starts at -1/2, not at 1/0"),
+        ],
+    )
+    def test_semibundle_report_rejects_a_norm_off_by_two(self, monkeypatch, text, shift, message):
+        closed = semibundle.bredon_wood
+        monkeypatch.setattr(semibundle, "bredon_wood", lambda p, q: closed(p, q) + shift)
+        for write in (render, to_canonical_json):
+            with pytest.raises(AssertionError, match=message):
+                write("semibundle", parse_matrix(text), 10000)
+
+    # gluings with 1/0 off the axis of A on the 1/0 tree, where the
+    # translation length l is 2 less than d(1/0, A(1/0)): the middle l
+    # edges of the walk from 1/0 run from a vertex to its image
+    @pytest.mark.parametrize("seed", [38, 93, 190, 593, 771, 887])
+    def test_semibundle_report_rejects_the_translation_length(self, monkeypatch, seed):
+        A = random_glz(seed, 12)
+        length = translation_lengths(A)[ParityClass.ONE_ZERO]
+        assert length == bredon_wood(A.b, A.a) - 2
+        monkeypatch.setattr(semibundle, "bredon_wood", lambda p, q: length)
+        for write in (render, to_canonical_json):
+            with pytest.raises(AssertionError, match="not at 1/0"):
+                write("semibundle", A, 10000)
+
+    @pytest.mark.parametrize("kind", ["bundle", "semibundle"])
+    def test_a_negative_cap_elides_like_zero(self, kind):
+        A = parse_matrix("1,0;6,1")  # l[1/0] = N(6, 1) = 3
+        for write in (render, to_canonical_json):
+            assert write(kind, A, -1) == write(kind, A, 0)
+        assert "certificate: (elided)" in render(kind, A, -1)
 
 
 class TestMogMeg:

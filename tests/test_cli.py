@@ -139,6 +139,7 @@ class TestExitCodes:
             assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt"]
         C = GL2Matrix(5, 2, 2, 1).power(5000)
         refused("act", f"--matrix={C}", f"{C.a}/{C.b}")
+        refused("bundle", f"--matrix={10**4000},0;0,{10**4000}")  # the determinant's digits
 
     # (argv, exit code): each subcommand with each failure class that reaches
     # it.  Integer arguments (bw's, caps, radii, bounds) are argparse's to

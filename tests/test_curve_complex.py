@@ -130,6 +130,15 @@ class TestSlope:
         with pytest.raises(DomainError, match=r"^slope -2/-4 is not reduced$"):
             Slope.of(-2, -4)
 
+    @pytest.mark.parametrize("make", [
+        lambda: Slope(2 * 10**4400, 2),  # not reduced
+        lambda: Slope.of(2 * 10**4400, -2),  # not reduced, named as given
+        lambda: Slope(3**9100, -2),  # not in canonical form
+    ], ids=["Slope", "Slope.of", "canonical form"])
+    def test_an_entry_over_the_digit_limit_is_a_domain_error(self, make):
+        with pytest.raises(DomainError, match="^slope entry over Python's int-digit limit: "):
+            make()
+
     def test_parse(self):
         assert parse_slope("1/0") == Slope(1, 0)
         assert parse_slope(" -2/3 ") == Slope(-2, 3)
@@ -212,6 +221,9 @@ class TestMatrix:
     def test_determinant_rejected(self):
         with pytest.raises(DomainError, match="determinant 2"):
             parse_matrix("2,0;0,1")
+        # entries within the int-digit limit, a determinant over it
+        with pytest.raises(DomainError, match="^determinant over Python's int-digit limit: "):
+            GL2Matrix(10**4000, 0, 0, 10**4000)
 
     def test_parse_rejects_garbage(self):
         for text in ("1,0,2,1", "1;2", "x,0;0,1", "\u0661,0;0,1", "1,0;1_0,1", "1,0;2,1.0",

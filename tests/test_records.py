@@ -34,7 +34,7 @@ RECORDS = {
     "H2Structure": lambda: h2_structure(IDENTITY),
     "SemiBundleH2": lambda: semi_summary(A).h2,
     "NormReport": lambda: norm_table(A, summary(A), 10)[2],
-    "SurfaceDescription": lambda: pi_surface([Slope(1, 0), Slope(1, 2)]),
+    "SurfaceDescription": lambda: pi_surface(A, Slope(1, 0), 3, 10),
     "CheckResult": lambda: oracle.CheckResult("stub", "0 errors", []),
 }
 
@@ -51,6 +51,11 @@ def test_every_record_type_is_listed():
         NormReport, SurfaceDescription, oracle.CheckResult,
     }
     assert all(kind.__name__ == name for name, kind in types.items())
+
+
+def test_no_record_has_an_instance_dict(record):
+    # a record is its tuple: nothing is stored or cached beside the fields
+    assert not hasattr(record, "__dict__")
 
 
 def test_fields_are_read_only(record):
