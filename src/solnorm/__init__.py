@@ -11,7 +11,7 @@ brute-force oracle (see solnorm.oracle and the `solnorm verify` subcommand).
 Each kind has one report API.  bundle.summary(A) and semibundle.summary(A)
 give every invariant a report states: the H2 case, the sorted norms, mog,
 meg and, for bundles, the geometry and the translation lengths.
-norm_table(A, summary(A), cap) in the same module adds the realizing
+norm_table(A, summary(A)) in the same module adds the realizing
 surfaces.  z2_norm_bundle and z2_norm_semi give the norm of one class.
 
 The orbit reference for translation lengths (ActionType, TranslationData,

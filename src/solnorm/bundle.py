@@ -30,7 +30,7 @@ from .curve_complex import (
     Validated,
     mat_act,
 )
-from .errors import DomainError
+from .errors import DomainError, int_text
 from .reports import (
     KLEIN_BOTTLE,
     TORUS,
@@ -61,7 +61,8 @@ class BundleClass(Validated, _BundleClassFields):
 
     def __new__(cls, t: int, j: int, k: int) -> "BundleClass":
         if not all(bit in (0, 1) for bit in (t, j, k)):
-            raise DomainError(f"class coordinates must be bits: {(t, j, k)}")
+            texts = ", ".join(int_text(x, "class coordinate") for x in (t, j, k))
+            raise DomainError(f"class coordinates must be bits: ({texts})")
         return tuple.__new__(cls, (t, j, k))
 
     def parity(self) -> ParityClass | None:
@@ -129,7 +130,7 @@ def z2_norm_bundle(A: GL2Matrix, cls: BundleClass) -> int:
     return 0 if parity is None else s.lengths[parity]
 
 
-def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> SurfaceDescription:
+def _realizer(A: GL2Matrix, parity: ParityClass, length: int) -> SurfaceDescription:
     """Surface realizing F[j/k], whose norm is l = length: pi_surface's
     surface of genus l + 2 built along the certificate, or for l = 0 a torus
     or Klein bottle as A keeps or reverses the one slope of the certificate.
@@ -163,10 +164,8 @@ def _realizer(A: GL2Matrix, parity: ParityClass, length: int, cap: int) -> Surfa
     that is 2k too large puts w k moves off the axis, where the path
     backtracks or d - l is negative; one that is too small ends the
     stretch from w before A(w) is reached in l moves."""
-    surface = pi_surface(A, parity.base_vertex, length, cap)
+    surface = pi_surface(A, parity.base_vertex, length)
     certificate = surface.certificate
-    if certificate is None:  # elided
-        return surface
     if length >= 2 and mat_act(A, certificate[1]) == certificate[-2]:
         raise AssertionError(
             f"certificate of {A} on {parity.label} starts at a vertex not on the axis: "
@@ -204,15 +203,14 @@ def summary(A: GL2Matrix) -> Summary:
     return Summary("bundle", det, t, structure, tuple(norms), mog, meg, geometry.value, lengths)
 
 
-def norm_table(A: GL2Matrix, s: Summary, cap: int) -> list[NormReport]:
-    """The norm table of summary s of A, with realizers; certificates longer
-    than cap are elided."""
+def norm_table(A: GL2Matrix, s: Summary) -> list[NormReport]:
+    """The norm table of summary s of A, with realizers."""
     norms = {(0, 0): 0}
     class_realizer = {(0, 0): []}  # the zero class needs no surface
     for parity in s.h2.classes:
         jk = (parity.j, parity.k)
         norms[jk] = s.lengths[parity]  # finite: summary checked it
-        class_realizer[jk] = [_realizer(A, parity, norms[jk], cap)]
+        class_realizer[jk] = [_realizer(A, parity, norms[jk])]
     table = []
     derived = s.h2.identification is not None
     for t in (0, 1):

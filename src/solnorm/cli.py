@@ -9,6 +9,7 @@ input or output file error (missing, unwritable, not UTF-8).
 A report on one matrix is one record, the matrix text and the kind's
 Summary (_record).  Three writers of fixed shape write it out: render and
 to_canonical_json, with the norm table, and census_row, without one.
+Every certificate in a norm table is checked; _elided says which to print.
 
 Every command runs in a fresh process, so the imports are kept to what
 reports need: `verify` imports the oracle on demand, and JSON strings are
@@ -43,10 +44,12 @@ from .curve_complex import (
     parse_slope,
 )
 from .errors import DomainError, ParseError, int_text
-from .reports import DEFAULT_CERTIFICATE_CAP, KIND_EMPTY, KIND_PI, KIND_SUM, NormReport, Summary, SurfaceDescription
+from .reports import KIND_EMPTY, KIND_PI, KIND_SUM, NormReport, Summary, SurfaceDescription
 
 # The module of each kind, with its summary and norm_table.
 KINDS = {"bundle": bundle, "semibundle": semibundle}
+
+DEFAULT_CERTIFICATE_CAP = 10000
 
 
 def _record(kind: str, A: GL2Matrix) -> tuple[str, Summary]:
@@ -58,21 +61,25 @@ def _record(kind: str, A: GL2Matrix) -> tuple[str, Summary]:
     return matrix, s
 
 
-def _norm_lines(table: list[NormReport]) -> list[str]:
+def _elided(path: TreePath, cap: int) -> bool:
+    """Whether a report leaves out certificate path: one of more than cap
+    edges, so every one at a cap of 0 or below."""
+    return path.edges > cap
+
+
+def _norm_lines(table: list[NormReport], cap: int) -> list[str]:
     """The norm table's rows, each built in one f-string.  A row shows at
     most one certificate, its realizer's or a piece's; texts maps id(path)
-    to its text, so each is formatted once per report."""
+    to its text or "(elided)", so each is written once per report."""
     lines, texts = [], {}
     for entry in table:
         coords = ", ".join(f"{name}={value}" for name, value in entry.coords.items())
         certificate = ""
         for surface in (entry.realizer, *entry.realizer.pieces):
             path = surface.certificate
-            if surface.certificate_elided:
-                certificate = "(elided)"
-            elif path is not None:
+            if path is not None:
                 if id(path) not in texts:
-                    texts[id(path)] = path.text(" -> ")
+                    texts[id(path)] = "(elided)" if _elided(path, cap) else path.text(" -> ")
                 certificate = texts[id(path)]
         label = "; certificate: " if certificate else ""
         note = f"  [{entry.note}]" if entry.note else ""
@@ -102,9 +109,9 @@ def render(kind: str, A: GL2Matrix, certificate_cap: int) -> str:
                   f"translation lengths: {lengths}"]
     else:
         lines.append(f"h2: order {h2.order}; generators: {generators}")
-    table = KINDS[kind].norm_table(A, s, certificate_cap)
+    rows = _norm_lines(KINDS[kind].norm_table(A, s), certificate_cap)
     # one join, whose empty last item ends the text with its newline
-    lines += ["norm table:", *_norm_lines(table), f"mog: {fmt_extnat(s.mog)}", f"meg: {s.meg}", ""]
+    lines += ["norm table:", *rows, f"mog: {fmt_extnat(s.mog)}", f"meg: {s.meg}", ""]
     return "\n".join(lines)
 
 
@@ -128,10 +135,10 @@ def _extnat_json(value: ExtNat) -> str:
 def to_canonical_json(kind: str, A: GL2Matrix, certificate_cap: int) -> str:
     """The JSON report, written from the record and the norm table: the
     bytes of json.dumps(report, sort_keys=True, indent=2) + "\n", with each
-    certificate as the list of its "p/q" texts.  The schema fixes every
-    member, so each is written in its place into one list of parts."""
+    certificate as the list of its "p/q" texts or "elided".  The schema
+    fixes every member, so each is written in its place into one list."""
     matrix, s = _record(kind, A)
-    table = KINDS[kind].norm_table(A, s, certificate_cap)
+    table = KINDS[kind].norm_table(A, s)
     h2, bundle_ = s.h2, s.kind == "bundle"
     parts = ['{\n  "det": ', repr(s.det)]
     if bundle_:
@@ -151,7 +158,7 @@ def to_canonical_json(kind: str, A: GL2Matrix, certificate_cap: int) -> str:
         if entry.note:
             parts += (',\n      "note": ', _quote(entry.note))
         parts.append(',\n      "realizer": ')
-        _write_realizer(entry.realizer, "\n      ", parts, written)
+        _write_realizer(entry.realizer, "\n      ", parts, written, certificate_cap)
         parts.append("\n    }")
     parts += ('\n  ],\n  "trace": ', repr(s.trace))
     if bundle_:
@@ -162,16 +169,16 @@ def to_canonical_json(kind: str, A: GL2Matrix, certificate_cap: int) -> str:
 
 
 def _write_realizer(surface: SurfaceDescription, newline: str, parts: list[str],
-                    written: dict[int, dict[str, str]]) -> None:
+                    written: dict[int, dict[str, str]], cap: int) -> None:
     """Append the JSON object of a realizing surface to parts; newline is
     the line break and indent of the line it starts on.  A sum's pieces,
     never sums themselves, are written one level deeper by this function."""
     inner = newline + "  "
     parts.append("{")
-    if surface.certificate_elided:
-        parts += (inner, '"certificate": "elided",')
-    elif surface.certificate is not None:
-        parts += (inner, '"certificate": ', _certificate_block(surface.certificate, inner, written), ",")
+    path = surface.certificate
+    if path is not None:
+        block = '"elided"' if _elided(path, cap) else _certificate_block(path, inner, written)
+        parts += (inner, '"certificate": ', block, ",")
     if surface.genus is not None:
         parts += (inner, '"genus": ', repr(surface.genus), ",")
     parts += (inner, '"kind": ', _quote(surface.kind))
@@ -180,7 +187,7 @@ def _write_realizer(surface: SurfaceDescription, newline: str, parts: list[str],
         separator = f',{inner}"pieces": [{deeper}'
         for piece in surface.pieces:
             parts.append(separator)
-            _write_realizer(piece, deeper, parts, written)
+            _write_realizer(piece, deeper, parts, written, cap)
             separator = "," + deeper
         parts += (inner, "]")
     parts += (newline, "}")
@@ -375,11 +382,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "act":
         print(mat_act(parse_matrix(args.matrix), parse_slope(args.slope)))
     elif args.command in KINDS:
-        A = parse_matrix(args.matrix)
-        if args.json:
-            sys.stdout.write(to_canonical_json(args.command, A, args.certificate_cap))
-        else:
-            sys.stdout.write(render(args.command, A, args.certificate_cap))
+        write = to_canonical_json if args.json else render
+        sys.stdout.write(write(args.command, parse_matrix(args.matrix), args.certificate_cap))
     elif args.command == "census":
         try:
             count = run_census(args.in_path, args.out_path)

@@ -23,7 +23,6 @@ import enum
 import functools
 import itertools
 import math
-import operator
 import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import NamedTuple
@@ -430,12 +429,14 @@ class TreePath(Sequence):
     r >= 1 slopes (c + j*dc, d + j*dd), every one already in canonical
     form; starts holds the path index of each piece's first vertex.  So
     the record grows with the number of runs, not with their lengths.
-    len, indexing and text cost no vertex they do not return: text
-    writes each piece as one block of "p/q" texts, formatted in C from
-    the piece as stored.  Iterating builds the slopes of a run in C.  The
-    record is read-only, and it is a value: it equals, orders and hashes
-    as the tuple of its vertices, which it builds only when it is
-    compared or hashed, and it copies and pickles."""
+    len, edges (len - 1, which also holds past sys.maxsize vertices),
+    indexing and text cost no vertex they do not return: text writes
+    each piece as one block of "p/q" texts, formatted in C from the piece
+    as stored.  Iterating builds the slopes of a run in C; it and text
+    refuse a path too long to list.  The record is read-only, and it is a
+    value: it equals, orders and hashes as the tuple of its vertices,
+    which it builds only when it is compared or hashed, and it copies and
+    pickles."""
 
     # (pieces, starts, vertex count), set once
     __slots__ = ("_path",)
@@ -452,28 +453,29 @@ class TreePath(Sequence):
         return TreePath, self._path
 
     def __repr__(self) -> str:
-        return f"<TreePath of {len(self)} vertices from {self[0]} to {self[-1]}>"
+        return f"<TreePath of {self.edges + 1} vertices from {self[0]} to {self[-1]}>"
 
-    def _compare(self, other, op: Callable[[tuple, tuple], bool]):
+    def __eq__(self, other):
+        if isinstance(other, TreePath):  # no vertex is built for another length
+            return self is other or (other.edges == self.edges and tuple(self) == tuple(other))
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return len(other) == self._path[2] and tuple(self) == other
+
+    def __lt__(self, other):
         if isinstance(other, TreePath):
             other = tuple(other)
         elif not isinstance(other, tuple):
             return NotImplemented
-        return op(tuple(self), other)
-
-    def __eq__(self, other):
-        if isinstance(other, (TreePath, tuple)) and len(other) != self._path[2]:
-            return False  # no vertex need be built
-        return self is other or self._compare(other, operator.eq)
-
-    def __lt__(self, other):
-        return self._compare(other, operator.lt)
+        return tuple(self) < other
 
     def __hash__(self) -> int:
         return hash(tuple(self))
 
     def __len__(self) -> int:
         return self._path[2]
+
+    edges = property(lambda self: self._path[2] - 1)
 
     def __getitem__(self, index):
         pieces, starts, count = self._path
@@ -489,9 +491,17 @@ class TreePath(Sequence):
         c, d, dc, dd, _ = piece
         return tuple.__new__(Slope, (c + j * dc, d + j * dd))
 
+    def _spelled(self) -> list:
+        """The pieces to spell every vertex from; DomainError past MAX_PATH_EDGES."""
+        pieces, _, count = self._path
+        if count > MAX_PATH_EDGES + 1:
+            raise DomainError(f"geodesic from {self[0]} to {self[-1]} is longer than {MAX_PATH_EDGES} edges, "
+                              "too long to list")
+        return pieces
+
     def __iter__(self) -> Iterator[Slope]:
         return itertools.chain.from_iterable(
-            piece if type(piece) is list else _run_vertices(*piece) for piece in self._path[0]
+            piece if type(piece) is list else _run_vertices(*piece) for piece in self._spelled()
         )
 
     def text(self, separator: str) -> str:
@@ -504,8 +514,8 @@ class TreePath(Sequence):
         piece, always a list, is written with no trailing separator to
         strip.  An entry over
         Python's int-digit limit raises DomainError, as str(slope) does."""
+        pieces = self._spelled()
         sep = separator.replace("%", "%%")
-        pieces = self._path[0]
         pair, chunks = "%d/%d" + sep, []
         try:
             if len(pieces) == 1:  # one list, as most short paths are: no chunks, no join
@@ -535,9 +545,9 @@ def _left_the_path(s1: Slope, s2: Slope) -> AssertionError:
     return AssertionError(f"geodesic walk from {s1} to {s2} left the tree path")
 
 
-# The most edges geodesic_path checks: listing or printing a longer path
+# The most edges a TreePath spells out: listing or printing a longer path
 # (200 MB of slopes at the limit) would exhaust memory, so it is a domain
-# error instead.
+# error.  The walk needs no limit: it stores O(#runs), however long.
 MAX_PATH_EDGES = 10**6
 
 
@@ -551,9 +561,8 @@ def geodesic_path(s1: Slope, s2: Slope, middle: int | None = None) -> TreePath:
     One frame and one N give d: the frame G = [[y, p], [-x, q]] from
     ext_gcd (the one distance uses) has det 1 and sends 0/1 to s1 = p/q,
     and d = N(T) for the target T = G^-1(s2), finite only when the
-    numerator of T is even.  A stretch of more than MAX_PATH_EDGES edges
-    raises DomainError before the walk starts and before any vertex
-    exists: such a path could not be listed or printed.
+    numerator of T is even.  A stretch of any length is walked and
+    checked; the TreePath refuses to spell out one too long to list.
 
     _walk moves the frame d - k times, in runs.  The runs before vertex k
     are skipped whole, without building a vertex.  The run that holds
@@ -604,10 +613,6 @@ def geodesic_path(s1: Slope, s2: Slope, middle: int | None = None) -> TreePath:
     edges = dist if middle is None else middle
     if edges < 0 or edges > dist or (dist - edges) % 2:
         raise AssertionError(f"geodesic from {s1} to {s2} has {dist} edges: no middle stretch of {edges}")
-    if edges > MAX_PATH_EDGES:
-        raise DomainError(
-            f"geodesic from {s1} to {s2} is longer than {MAX_PATH_EDGES} edges, too long to list"
-        )
     skip = (dist - edges) // 2
     parity = (s1.p & 1, s1.q & 1)
     runs = iter(_walk(y, s1.p, -x, s1.q, tp, tq, dist - skip))

@@ -13,11 +13,9 @@ distance d(w, A(w)), realized by a non-orientable surface assembled one
 piece per edge of its certificate, the geodesic from w to A(w); pi_surface
 makes it for both kinds.  A certificate is kept as the checked runs of the
 walk that proved it, each stored as the slopes it spells, already in
-canonical form (a curve_complex.TreePath).  cli formats it with
-TreePath.text, one block of "p/q" texts per stored piece, once per report.
-Certificates longer than a caller-chosen cap are elided from reports but
-the genus is still recorded; geodesic_path's MAX_PATH_EDGES limit still
-applies to those that are not.
+canonical form (a curve_complex.TreePath).  Every certificate is checked,
+however long; cli decides whether to print it, with TreePath.text, one
+block of "p/q" texts per stored piece.
 
 The module holds only what the reports render.  The norm a realizer
 contributes, max(0, -Euler characteristic), is not rendered: the tests
@@ -34,8 +32,6 @@ from .curve_complex import GL2Matrix, ParityClass, Slope, TreePath, geodesic_pat
 if TYPE_CHECKING:
     from .bundle import H2Structure
     from .semibundle import SemiBundleH2
-
-DEFAULT_CERTIFICATE_CAP = 10000
 
 KIND_EMPTY = "empty"
 KIND_TORUS_FIBER = "torus fiber"
@@ -65,13 +61,12 @@ class Summary(NamedTuple):
 
 class SurfaceDescription(NamedTuple):
     """A realizing surface: its kind, the genus of a non-orientable one,
-    the certificate of a Pi_g, or certificate_elided when that is over the
-    cap, and the pieces of a sum.  cli writes its text and its JSON."""
+    the certificate of a Pi_g and the pieces of a sum.  cli writes its
+    text and its JSON."""
 
     kind: str
     genus: int | None = None
     certificate: TreePath | None = None
-    certificate_elided: bool = False
     pieces: tuple[SurfaceDescription, ...] = ()
 
 
@@ -82,18 +77,15 @@ class NormReport(NamedTuple):
     note: str | None = None
 
 
-def pi_surface(A: GL2Matrix, v: Slope, length: int, cap: int) -> SurfaceDescription:
+def pi_surface(A: GL2Matrix, v: Slope, length: int) -> SurfaceDescription:
     """The non-orientable surface of genus length + 2 built along the
     certificate of A from v, for both kinds: the middle length edges of
-    the walk from v to A(v).  Over the cap (0 for a negative cap) it is
-    elided, with no walk.  Otherwise the certificate must have length + 1
-    vertices and run from its first vertex w to A(w), which proves
+    the walk from v to A(v).  The certificate must have length edges
+    and run from its first vertex w to A(w), which proves
     d(w, A(w)) = length; that w is on the axis (a bundle) or is v itself
     (a semi-bundle) is the caller's to check."""
-    if length > max(cap, 0):
-        return SurfaceDescription(KIND_PI, genus=length + 2, certificate_elided=True)
     certificate = geodesic_path(v, mat_act(A, v), middle=length)
-    if len(certificate) != length + 1 or certificate[-1] != mat_act(A, certificate[0]):
+    if certificate.edges != length or certificate[-1] != mat_act(A, certificate[0]):
         raise AssertionError(f"certificate of {A} from {v} does not run from a vertex to its image")
     return SurfaceDescription(KIND_PI, genus=length + 2, certificate=certificate)
 

@@ -12,7 +12,7 @@ the second I-bundle's boundary fiber), a path of exactly N(b, a) edges.
 The minimum even genus is always 2: each half contains an embedded Klein
 bottle.  The minimum odd genus is N(b, a) + 2 when b = 2 mod 4 -- the only
 case where N(b, a) is odd -- and infinite otherwise.  summary(A) states
-all of these, and norm_table(A, summary(A), cap) adds the realizers.
+all of these, and norm_table(A, summary(A)) adds the realizers.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .arith import INF, bredon_wood
 from .curve_complex import GL2Matrix, Slope, Validated
-from .errors import DomainError
+from .errors import DomainError, int_text
 from .reports import (
     KLEIN_BOTTLE,
     NormReport,
@@ -45,7 +45,8 @@ class SemiBundleClass(Validated, _SemiBundleClassFields):
 
     def __new__(cls, e1: int, e2: int, phi: int) -> "SemiBundleClass":
         if not all(bit in (0, 1) for bit in (e1, e2, phi)):
-            raise DomainError(f"class coordinates must be bits: {(e1, e2, phi)}")
+            texts = ", ".join(int_text(x, "class coordinate") for x in (e1, e2, phi))
+            raise DomainError(f"class coordinates must be bits: ({texts})")
         return tuple.__new__(cls, (e1, e2, phi))
 
 
@@ -64,7 +65,7 @@ def z2_norm_semi(A: GL2Matrix, cls: SemiBundleClass) -> int:
     return summary(A).f_norm if cls.phi else 0
 
 
-def _f_realizer(A: GL2Matrix, norm: int, cap: int) -> SurfaceDescription:
+def _f_realizer(A: GL2Matrix, norm: int) -> SurfaceDescription:
     """The surface generating the third summand: a Klein bottle when b = 0,
     else two Moebius bands joined along pi_surface's certificate, the whole
     walk from 1/0 to A(1/0) = a/b of norm = N(b, a) = d(1/0, A(1/0)) edges.
@@ -72,8 +73,8 @@ def _f_realizer(A: GL2Matrix, norm: int, cap: int) -> SurfaceDescription:
     would pass pi_surface's checks on the middle of that walk."""
     if A.b == 0:
         return KLEIN_BOTTLE
-    surface = pi_surface(A, Slope(1, 0), norm, cap)
-    if surface.certificate is not None and surface.certificate[0] != (1, 0):
+    surface = pi_surface(A, Slope(1, 0), norm)
+    if surface.certificate[0] != (1, 0):
         raise AssertionError(f"certificate of {A} starts at {surface.certificate[0]}, not at 1/0")
     return surface
 
@@ -99,11 +100,10 @@ def summary(A: GL2Matrix) -> Summary:
     )
 
 
-def norm_table(A: GL2Matrix, s: Summary, cap: int) -> list[NormReport]:
-    """The norm table of summary s of A, with realizers; certificates longer
-    than cap are elided."""
+def norm_table(A: GL2Matrix, s: Summary) -> list[NormReport]:
+    """The norm table of summary s of A, with realizers."""
     norm = s.f_norm
-    f_surface = None if norm is None else _f_realizer(A, norm, cap)
+    f_surface = None if norm is None else _f_realizer(A, norm)
     table = []
     for e1 in (0, 1):
         for e2 in (0, 1):

@@ -3,7 +3,9 @@
 import itertools
 import math
 
-from solnorm import bundle, semibundle
+import pytest
+
+from solnorm import bundle, curve_complex, semibundle
 from solnorm.arith import INF, ExtNat
 from solnorm.curve_complex import PARITY_CLASSES, GL2Matrix, TreePath
 from solnorm.errors import DomainError
@@ -19,6 +21,23 @@ def check_pieces(path: TreePath) -> None:
     sizes = [len(piece) if type(piece) is list else piece[-1] for piece in pieces]
     if sum(sizes) != count or starts != list(itertools.accumulate(sizes[:-1], initial=0)):
         raise AssertionError(f"pieces of sizes {sizes} at {starts} do not make a path of {count} vertices")
+
+
+def spell_at_most(monkeypatch, pairs):
+    """Make geodesic spell the vertices of its runs through a wrapper that
+    fails the test once more than pairs vertices have been spelled; returns
+    the list of coordinates spelled so far."""
+    plain, spelled = curve_complex._progression, []
+
+    def counting(start, step, count):
+        for term in plain(start, step, count):
+            if len(spelled) >= 2 * pairs:
+                pytest.fail(f"geodesic spelled out more than {pairs} vertices")
+            spelled.append(term)
+            yield term
+
+    monkeypatch.setattr(curve_complex, "_progression", counting)
+    return spelled
 
 
 def bredon_wood_flag_loop(p: int, q: int) -> ExtNat:
@@ -62,21 +81,20 @@ def norm_contribution(surface: SurfaceDescription) -> int:
     return 0
 
 
-def _surface_document(surface: SurfaceDescription) -> dict:
+def _surface_document(surface: SurfaceDescription, cap: int) -> dict:
     doc: dict = {"kind": surface.kind}
     if surface.genus is not None:
         doc["genus"] = surface.genus
-    if surface.certificate_elided:
-        doc["certificate"] = "elided"
-    elif surface.certificate is not None:
-        doc["certificate"] = [str(v) for v in surface.certificate]
+    path = surface.certificate
+    if path is not None:  # elided when it has more edges than the cap, or any at a negative cap
+        doc["certificate"] = "elided" if len(path) - 1 > max(cap, 0) else [str(v) for v in path]
     if surface.pieces:
-        doc["pieces"] = [_surface_document(piece) for piece in surface.pieces]
+        doc["pieces"] = [_surface_document(piece, cap) for piece in surface.pieces]
     return doc
 
 
-def _row_document(entry: NormReport) -> dict:
-    doc = {"class": dict(entry.coords), "norm": entry.norm, "realizer": _surface_document(entry.realizer)}
+def _row_document(entry: NormReport, cap: int) -> dict:
+    doc = {"class": dict(entry.coords), "norm": entry.norm, "realizer": _surface_document(entry.realizer, cap)}
     if entry.note:
         doc["note"] = entry.note
     return doc
@@ -87,7 +105,8 @@ def reference_document(kind: str, A: GL2Matrix, cap: int) -> dict:
     records: json.dumps(reference_document(kind, A, cap), sort_keys=True,
     indent=2) + "\n" is the reference for cli.to_canonical_json.  Each
     certificate is the list of str of its vertices, so the reference
-    reads the path one slope at a time and not through TreePath.text."""
+    reads the path one slope at a time and not through TreePath.text, or
+    "elided" when it has more edges than the cap."""
     module = {"bundle": bundle, "semibundle": semibundle}[kind]
     matrix = A.to_text()
     s = module.summary(A)
@@ -102,5 +121,5 @@ def reference_document(kind: str, A: GL2Matrix, cap: int) -> dict:
             cls.label: "inf" if s.lengths[cls] == INF else s.lengths[cls] for cls in PARITY_CLASSES
         }
     doc["mog"], doc["meg"] = "inf" if s.mog == INF else s.mog, s.meg
-    doc["norm_table"] = [_row_document(entry) for entry in module.norm_table(A, s, cap)]
+    doc["norm_table"] = [_row_document(entry, cap) for entry in module.norm_table(A, s)]
     return doc

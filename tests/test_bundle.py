@@ -1,6 +1,7 @@
 """Torus bundles: H2 structure, norms, realizers, mog/meg, geometry."""
 
 import copy
+import json
 import pickle
 
 import pytest
@@ -42,7 +43,6 @@ from solnorm.oracle import (
     translation_length_orbit,
 )
 from solnorm.reports import (
-    DEFAULT_CERTIFICATE_CAP,
     KIND_KLEIN_BOTTLE,
     KIND_PI,
     KIND_SUM,
@@ -118,6 +118,13 @@ class TestNorm:
     def test_identity_one_one(self):
         assert z2_norm_bundle(IDENTITY, BundleClass(0, 1, 1)) == 0
 
+    def test_class_coordinates_over_the_digit_limit_are_a_domain_error(self):
+        with pytest.raises(DomainError, match="^class coordinate over Python's int-digit limit: "):
+            BundleClass(10**5000, 0, 0)
+        with pytest.raises(DomainError) as err:
+            BundleClass(0, -10**4000, 1)
+        assert str(err.value) == f"class coordinates must be bits: (0, {-10**4000}, 1)"
+
     def test_invalid_class_names_valid_set(self):
         with pytest.raises(DomainError, match=r"valid: \[\(0, 0\), \(1, 1\)\]"):
             z2_norm_bundle(parse_matrix("0,1;1,0"), BundleClass(0, 1, 0))
@@ -126,7 +133,7 @@ class TestNorm:
 class TestNormTable:
     def test_three_cycle_table(self):
         A = parse_matrix("1,1;1,0")
-        table = bundle.norm_table(A, bundle.summary(A), DEFAULT_CERTIFICATE_CAP)
+        table = bundle.norm_table(A, bundle.summary(A))
         assert len(table) == 2
         assert [entry.norm for entry in table] == [0, 0]
         kinds = [entry.realizer.kind for entry in table]
@@ -134,7 +141,7 @@ class TestNormTable:
 
     def test_shear_two_table(self):
         A = parse_matrix("1,0;2,1")
-        table = bundle.norm_table(A, bundle.summary(A), DEFAULT_CERTIFICATE_CAP)
+        table = bundle.norm_table(A, bundle.summary(A))
         assert len(table) == 8
         assert sorted(entry.norm for entry in table) == [0, 0, 0, 0, 1, 1, 1, 1]
         by_coords = {tuple(e.coords.values()): e for e in table}
@@ -154,17 +161,17 @@ class TestNormTable:
         # itself and its realizers hash the same; a pi realizer equals its
         # plain tuple of fields
         A = parse_matrix(text)
-        first, second = (bundle.norm_table(A, bundle.summary(A), DEFAULT_CERTIFICATE_CAP) for _ in range(2))
+        first, second = (bundle.norm_table(A, bundle.summary(A)) for _ in range(2))
         assert first == second and pickle.loads(pickle.dumps(first)) == first and copy.deepcopy(first) == first
         assert [hash(e.realizer) for e in first] == [hash(e.realizer) for e in second]
         certified = [entry.realizer for entry in first if entry.realizer.certificate is not None]
         assert certified
         for desc in certified:
-            fields = (desc.kind, desc.genus, tuple(desc.certificate), False, ())
+            fields = (desc.kind, desc.genus, tuple(desc.certificate), ())
             assert desc == fields and hash(desc) == hash(fields)
 
     def test_identity_table(self):
-        table = bundle.norm_table(IDENTITY, bundle.summary(IDENTITY), DEFAULT_CERTIFICATE_CAP)
+        table = bundle.norm_table(IDENTITY, bundle.summary(IDENTITY))
         assert len(table) == 8
         assert all(entry.norm == 0 for entry in table)
         # every base vertex is fixed with its orientation
@@ -177,7 +184,7 @@ class TestNormTable:
         # into the geodesic from 1/1 to its image -3/1
         for text in ("0,1;1,0", "2,1;-1,0"):
             A = parse_matrix(text)
-            table = bundle.norm_table(A, bundle.summary(A), DEFAULT_CERTIFICATE_CAP)
+            table = bundle.norm_table(A, bundle.summary(A))
             by_coords = {tuple(e.coords.values()): e for e in table}
             assert by_coords[(0, 1, 1)].norm == 0
             assert by_coords[(0, 1, 1)].realizer.kind == KIND_TORUS
@@ -185,24 +192,30 @@ class TestNormTable:
     def test_klein_bottle_realizer(self):
         # rows (1,0) and (0,-1) fix 0/1 with a sign flip
         A = parse_matrix("1,0;0,-1")
-        table = bundle.norm_table(A, bundle.summary(A), DEFAULT_CERTIFICATE_CAP)
+        table = bundle.norm_table(A, bundle.summary(A))
         by_coords = {tuple(e.coords.values()): e for e in table}
         assert by_coords[(0, 0, 1)].realizer.kind == KIND_KLEIN_BOTTLE
         assert by_coords[(0, 1, 0)].realizer.kind == KIND_TORUS
 
     def test_certificate_elision(self):
+        # the record holds the whole checked certificate of 15 edges; the
+        # writers leave it out at cap 3 and print it at cap 15
         A = parse_matrix("1,0;30,1")
-        table = bundle.norm_table(A, bundle.summary(A), 3)
+        table = bundle.norm_table(A, bundle.summary(A))
         by_coords = {tuple(e.coords.values()): e for e in table}
         pi = by_coords[(0, 1, 0)].realizer
         assert pi.genus == 15 + 2
-        assert pi.certificate is None
-        assert pi.certificate_elided
+        assert pi.certificate == tuple(Slope(1, 2 * i) for i in range(16))
+        assert "  (t=0, j=1, k=0)  norm 15  Pi_17; certificate: (elided)\n" in render("bundle", A, 3)
+        assert "Pi_17; certificate: 1/0 -> 1/2 -> " in render("bundle", A, 15)
+        doc = json.loads(to_canonical_json("bundle", A, 3))
+        rows = {tuple(row["class"].values()): row for row in doc["norm_table"]}  # by (j, k, t)
+        assert rows[(1, 0, 0)]["realizer"] == {"certificate": "elided", "genus": 17, "kind": KIND_PI}
 
     def test_realizer_norm_matches(self):
         for text in ("1,0;2,1", "1,0;6,1", "3,2;4,3", "0,-1;1,0", "1,0;0,-1"):
             A = parse_matrix(text)
-            for entry in bundle.norm_table(A, bundle.summary(A), DEFAULT_CERTIFICATE_CAP):
+            for entry in bundle.norm_table(A, bundle.summary(A)):
                 assert norm_contribution(entry.realizer) == entry.norm
 
     def test_certificates_are_edge_paths(self):
@@ -211,7 +224,7 @@ class TestNormTable:
         seen = 0
         for text in ("1,0;2,1", "1,0;6,1", "3,2;4,3", "2,1;-1,0", "4,1;-1,0", "-1,0;4,1"):
             A = parse_matrix(text)
-            for entry in bundle.norm_table(A, bundle.summary(A), DEFAULT_CERTIFICATE_CAP):
+            for entry in bundle.norm_table(A, bundle.summary(A)):
                 cert = entry.realizer.certificate
                 if cert is None and entry.realizer.pieces:
                     cert = entry.realizer.pieces[0].certificate
@@ -256,7 +269,7 @@ class TestNormTable:
             moves = [distance(c.base_vertex, mat_act(A, c.base_vertex)) for c in s.h2.classes]
             assert max(moves) >= k - 1  # the walks the certificates jump along
             runs = 0
-            bundle.norm_table(A, s, DEFAULT_CERTIFICATE_CAP)
+            bundle.norm_table(A, s)
             size = sum(s.lengths[c] + 1 for c in s.h2.classes)
             assert 0 < runs <= 2 * (cf_terms(A.a, A.b) + cf_terms(A.c, A.d) + size), A
 
@@ -283,7 +296,7 @@ class TestNormTable:
         length = translation_lengths(A)[parity]
         counting(reports, "geodesic_path")
         counting(curve_complex, "bredon_wood")
-        bundle._realizer(A, parity, length, DEFAULT_CERTIFICATE_CAP)
+        bundle._realizer(A, parity, length)
         assert calls == {"geodesic_path": 1, "bredon_wood": 1}
 
     def test_realizer_rejects_a_certificate_off_the_orbit(self, monkeypatch):
@@ -295,7 +308,7 @@ class TestNormTable:
         assert geodesic(Slope(1, 1), mat_act(A, Slope(1, 1))) == [Slope(1, 1), Slope(-1, 1), Slope(-3, 1), Slope(-5, 1)]
         monkeypatch.setattr(curve_complex, "_walk", lambda *args: [(-3, 1, 0, 0, 1), (-1, 1, 0, 0, 1)])
         with pytest.raises(AssertionError, match="does not run from a vertex to its image"):
-            bundle._realizer(A, ParityClass.ONE_ONE, 1, DEFAULT_CERTIFICATE_CAP)
+            bundle._realizer(A, ParityClass.ONE_ONE, 1)
 
     # (matrix, shift of every finite closed-form length, the check that
     # catches it).  The base vertex 1/1 of 4,1;-1,0 and 8,1;-1,0 is off the
@@ -316,9 +329,11 @@ class TestNormTable:
                          id="1,0;2,1--2-closed form gives length -2"),
         ],
     )
-    def test_report_rejects_a_closed_form_off_by_two(self, monkeypatch, text, shift, message):
+    @pytest.mark.parametrize("cap", [10000, 0])
+    def test_report_rejects_a_closed_form_off_by_two(self, monkeypatch, text, shift, message, cap):
         # the certificate proves l itself, so a wrong closed form raises
-        # while the report is built, not only in the golden bytes
+        # while the report is built, not only in the golden bytes, and
+        # also when the report elides the certificate
         closed = bundle.translation_lengths
 
         def shifted(A):
@@ -326,13 +341,14 @@ class TestNormTable:
 
         monkeypatch.setattr(bundle, "translation_lengths", shifted)
         with pytest.raises(AssertionError, match=message):
-            to_canonical_json("bundle", parse_matrix(text), 10000)
+            to_canonical_json("bundle", parse_matrix(text), cap)
 
     # The semi-bundle's certificate is the whole walk from 1/0 to A(1/0),
     # of N(b, a) edges.  (matrix, shift of N, the check that catches it):
     # 11,8;-18,-13 and 7,4;-16,-9 have 1/0 one move off the axis or the
     # fixed set, so N - 2 is the translation length on the 1/0 tree and
-    # only the start check refuses it.
+    # only the start check refuses it; so has -35,-12;108,37, the shear
+    # 1,0;12,1 conjugated by 3,1;2,1, whose 6 edges a cap of 0 elides.
     @pytest.mark.parametrize(
         "text, shift, message",
         [
@@ -345,27 +361,30 @@ class TestNormTable:
             ("11,8;-18,-13", 2, "has 3 edges: no middle stretch of 5"),
             ("11,8;-18,-13", -2, "starts at -1/2, not at 1/0"),
             ("7,4;-16,-9", -2, "starts at -1/2, not at 1/0"),
+            ("-35,-12;108,37", -2, "starts at -1/2, not at 1/0"),
         ],
     )
-    def test_semibundle_report_rejects_a_norm_off_by_two(self, monkeypatch, text, shift, message):
+    @pytest.mark.parametrize("cap", [10000, 0])
+    def test_semibundle_report_rejects_a_norm_off_by_two(self, monkeypatch, text, shift, message, cap):
         closed = semibundle.bredon_wood
         monkeypatch.setattr(semibundle, "bredon_wood", lambda p, q: closed(p, q) + shift)
         for write in (render, to_canonical_json):
             with pytest.raises(AssertionError, match=message):
-                write("semibundle", parse_matrix(text), 10000)
+                write("semibundle", parse_matrix(text), cap)
 
     # gluings with 1/0 off the axis of A on the 1/0 tree, where the
     # translation length l is 2 less than d(1/0, A(1/0)): the middle l
     # edges of the walk from 1/0 run from a vertex to its image
+    @pytest.mark.parametrize("cap", [10000, 0])
     @pytest.mark.parametrize("seed", [38, 93, 190, 593, 771, 887])
-    def test_semibundle_report_rejects_the_translation_length(self, monkeypatch, seed):
+    def test_semibundle_report_rejects_the_translation_length(self, monkeypatch, seed, cap):
         A = random_glz(seed, 12)
         length = translation_lengths(A)[ParityClass.ONE_ZERO]
         assert length == bredon_wood(A.b, A.a) - 2
         monkeypatch.setattr(semibundle, "bredon_wood", lambda p, q: length)
         for write in (render, to_canonical_json):
             with pytest.raises(AssertionError, match="not at 1/0"):
-                write("semibundle", A, 10000)
+                write("semibundle", A, cap)
 
     @pytest.mark.parametrize("kind", ["bundle", "semibundle"])
     def test_a_negative_cap_elides_like_zero(self, kind):
@@ -396,7 +415,7 @@ class TestMogMeg:
     def test_norm_symmetry_under_tau(self):
         for i in range(100):
             A = random_glz(400 + i, i % 12)
-            for entry_t0 in bundle.norm_table(A, bundle.summary(A), 0):
+            for entry_t0 in bundle.norm_table(A, bundle.summary(A)):
                 t, j, k = entry_t0.coords["t"], entry_t0.coords["j"], entry_t0.coords["k"]
                 if t == 0:
                     assert entry_t0.norm == z2_norm_bundle(A, BundleClass(1, j, k))
@@ -496,5 +515,5 @@ def test_norm_multiset_matches_table():
     for text in ("1,0;2,1", "1,1;1,0", "0,1;1,0", "3,2;4,3", "1,0;0,-1"):
         A = parse_matrix(text)
         s = bundle.summary(A)
-        table = bundle.norm_table(A, s, DEFAULT_CERTIFICATE_CAP)
+        table = bundle.norm_table(A, s)
         assert list(s.norms) == sorted(e.norm for e in table)

@@ -9,9 +9,9 @@ import sys
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from helpers import reference_document
+from helpers import reference_document, spell_at_most
 from solnorm import bredon_wood, bundle, cli, curve_complex, oracle, semibundle
-from solnorm.cli import build_parser, census_row, main, render, to_canonical_json
+from solnorm.cli import DEFAULT_CERTIFICATE_CAP, build_parser, census_row, main, render, to_canonical_json
 from solnorm.curve_complex import (
     GL2Matrix,
     Slope,
@@ -21,7 +21,6 @@ from solnorm.curve_complex import (
     parse_slope,
 )
 from solnorm.errors import DomainError
-from solnorm.reports import DEFAULT_CERTIFICATE_CAP
 
 # det 1 with 4,300-digit entries, the most the parser takes; the trace 2n
 # has 4,301 digits
@@ -188,21 +187,30 @@ class TestExitCodes:
         assert code == 1 and "infinite distance" in err
 
     def test_geodesic_too_long_to_list_is_one(self, capsys, monkeypatch):
-        # 10**12 edges: refused from the distance alone, before the walk
-        # yields a run, so the cost is bounded whatever the memory
-        runs = 0
-        walk = curve_complex._walk
-
-        def counting(*args):
-            nonlocal runs
-            for run_ in walk(*args):
-                runs += 1
-                yield run_
-
-        monkeypatch.setattr(curve_complex, "_walk", counting)
+        # 10**12 edges: walked and checked as one run, then refused before
+        # a vertex is spelled, so the cost is bounded whatever the memory
+        spell_at_most(monkeypatch, 0)
         code, out, err = run(capsys, "geodesic", "1/0", "1/2000000000000")
-        assert (code, out, runs) == (1, "", 0)
+        assert (code, out) == (1, "")
         assert err == (f"solnorm: geodesic from 1/0 to 1/2000000000000 is longer than "
+                       f"{curve_complex.MAX_PATH_EDGES} edges, too long to list\n")
+
+    @pytest.mark.parametrize("as_json", [[], ["--json"]])
+    @pytest.mark.parametrize("kind", ["bundle", "semibundle"])
+    def test_a_certificate_too_long_to_list_is_elided_or_one(self, capsys, monkeypatch, kind, as_json):
+        # the shear's certificates of 2 * 10**12 + 1 edges are walked and
+        # checked as one run each; a cap under that length elides them, and
+        # one that would print them meets the listing limit before any
+        # vertex is spelled or any output written
+        spell_at_most(monkeypatch, 0)
+        argv = [kind, "--matrix=1,0;4000000000002,1", *as_json]
+        elided = '"certificate": "elided"' if as_json else "Pi_2000000000003; certificate: (elided)"
+        for cap in ([], ["--certificate-cap=2000000"]):
+            code, out, err = run(capsys, *argv, *cap)
+            assert (code, err) == (0, "") and elided in out
+        code, out, err = run(capsys, *argv, "--certificate-cap=2000000000001")
+        assert (code, out) == (1, "")
+        assert err == (f"solnorm: geodesic from 1/0 to 1/4000000000002 is longer than "
                        f"{curve_complex.MAX_PATH_EDGES} edges, too long to list\n")
 
     def test_geodesic_text_over_the_digit_limit_is_one(self, capsys, monkeypatch):

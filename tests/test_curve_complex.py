@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import check_pieces
+from helpers import check_pieces, spell_at_most
 from solnorm import (
     INF,
     GL2Matrix,
@@ -470,23 +470,6 @@ def assert_canonical(path):
         assert math.gcd(v.p, v.q) == 1
 
 
-def spell_at_most(monkeypatch, pairs):
-    """Make geodesic spell the vertices of its runs through a wrapper that
-    fails the test once more than pairs vertices have been spelled; returns
-    the list of coordinates spelled so far."""
-    plain, spelled = curve_complex._progression, []
-
-    def counting(start, step, count):
-        for term in plain(start, step, count):
-            if len(spelled) >= 2 * pairs:
-                pytest.fail(f"geodesic spelled out more than {pairs} vertices")
-            spelled.append(term)
-            yield term
-
-    monkeypatch.setattr(curve_complex, "_progression", counting)
-    return spelled
-
-
 class TestBfsAndGeodesic:
     def test_direct_edge(self):
         assert distance_bfs(Slope(0, 1), Slope(2, 1), 5) == 1
@@ -633,25 +616,27 @@ class TestBfsAndGeodesic:
         with pytest.raises(AssertionError, match="left the tree path"):
             geodesic(Slope(1, 0), Slope(1, 8))
 
-    def test_a_path_too_long_to_list_is_refused_unwalked(self, monkeypatch):
-        # the limit is read from the distance: d(1/0, 1/(2k)) = k, so k at
-        # the limit is listed and k + 1 is refused before _walk is called
-        calls = []
-        walk = curve_complex._walk
-        monkeypatch.setattr(curve_complex, "_walk", lambda *args: calls.append(args) or walk(*args))
+    def test_a_path_too_long_to_list_is_refused_unspelled(self, monkeypatch):
+        # d(1/0, 1/(2k)) = k: a path of k edges at the limit is listed, and
+        # one of k + 1 or 10**12 edges is walked and checked whole, but
+        # refused before one vertex is spelled, in text and in iteration
+        # the limit is on the edges listed, not on the path: the middle 4
+        # edges of 10**12 are listed too, and the middle 6, named by their
+        # ends, refused
         monkeypatch.setattr(curve_complex, "MAX_PATH_EDGES", 5)
         assert geodesic(Slope(1, 0), Slope(1, 10))[-2:] == [Slope(1, 8), Slope(1, 10)]
-        assert len(calls) == 1
-        for target in (Slope(1, 12), Slope(1, 2 * 10**12)):
-            with pytest.raises(DomainError, match="1/0 to 1/[0-9]+ is longer than 5 edges, too long"):
-                geodesic(Slope(1, 0), target)
-        assert len(calls) == 1
-        # the limit is on the edges listed, not on the path: the middle 4
-        # edges of 10**12 are listed and the middle 6 refused unwalked
         assert len(geodesic(Slope(1, 0), Slope(1, 2 * 10**12), middle=4)) == 5
-        with pytest.raises(DomainError, match="is longer than 5 edges, too long"):
+        spell_at_most(monkeypatch, 0)
+        for target in (Slope(1, 12), Slope(1, 2 * 10**12)):
+            path = geodesic_path(Slope(1, 0), target)
+            assert (len(path), path[-1]) == (target.q // 2 + 1, target)
+            message = f"^geodesic from 1/0 to {target} is longer than 5 edges, too long to list$"
+            for spell in (list, lambda path: path.text(" -> "), hash, lambda path: path == tuple(path)):
+                with pytest.raises(DomainError, match=message):
+                    spell(path)
+        k = (10**12 - 6) // 2  # the stretch runs from vertex k to vertex k + 6
+        with pytest.raises(DomainError, match=f"^geodesic from 1/{2 * k} to 1/{2 * k + 12} is longer than 5"):
             geodesic(Slope(1, 0), Slope(1, 2 * 10**12), middle=6)
-        assert len(calls) == 2
 
     @pytest.mark.parametrize("vertices", FORGED_WALKS)
     def test_forged_walks_are_refused(self, monkeypatch, vertices):
@@ -948,6 +933,22 @@ class TestTreePath:
                 record = geodesic_path(s1, s2, middle)
                 assert_record_is(record, path[k:k + middle + 1])
                 assert list(record) == geodesic_by_vertices(s1, s2, middle=middle)
+
+    def test_a_path_past_sys_maxsize_vertices_is_a_value(self, monkeypatch):
+        # 10**20 edges in one run: len is refused by CPython past
+        # sys.maxsize, but edges, repr, indexing and equality read the
+        # record, and spelling it out is refused as too long to list
+        spell_at_most(monkeypatch, 0)
+        n = 10**20
+        path = geodesic_path(Slope(1, 0), Slope(1, 2 * n))
+        assert path.edges == n and path[-2:] == (Slope(1, 2 * n - 2), Slope(1, 2 * n))
+        assert repr(path) == f"<TreePath of {n + 1} vertices from 1/0 to 1/{2 * n}>"
+        with pytest.raises(OverflowError):
+            len(path)
+        assert path == path and path != (Slope(1, 0),)
+        assert path != geodesic_path(Slope(1, 0), Slope(1, 2 * n - 2))
+        with pytest.raises(DomainError, match=f"^geodesic from 1/0 to 1/{2 * n} is longer than"):
+            path == geodesic_path(Slope(1, 0), Slope(1, 2 * n))
 
     def test_a_run_is_read_without_spelling_it(self, monkeypatch):
         # the middle 10**6 edges of the one run from 1/0 to 1/(2 * 10**12):

@@ -54,6 +54,7 @@ def run(argv: list[str]) -> tuple[int, str]:
        st.sampled_from([0, 1, None]))
 @example(conjugate(10**40, False, W), "bundle", None)
 @example(conjugate(10**12, True, R), "bundle", 1)
+@example(conjugate(2**62 - 1, False, W), "semibundle", 0)  # a certificate past sys.maxsize vertices
 def test_reports_pass_the_benchmark_checks(M, kind, cap):
     argv = [kind, f"--matrix={inputs.text(M)}"]
     if cap is not None:

@@ -33,8 +33,8 @@ RECORDS = {
     "TranslationData": lambda: TranslationData(P10, 3, ActionType.TRANSLATION),
     "H2Structure": lambda: h2_structure(IDENTITY),
     "SemiBundleH2": lambda: semi_summary(A).h2,
-    "NormReport": lambda: norm_table(A, summary(A), 10)[2],
-    "SurfaceDescription": lambda: pi_surface(A, Slope(1, 0), 3, 10),
+    "NormReport": lambda: norm_table(A, summary(A))[2],
+    "SurfaceDescription": lambda: pi_surface(A, Slope(1, 0), 3),
     "CheckResult": lambda: oracle.CheckResult("stub", "0 errors", []),
 }
 

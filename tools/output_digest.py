@@ -17,7 +17,12 @@ same bytes and exit code in both.  The families:
 - verify and verify-O: `verify --level quick` and `--level full`, the
   second under python -O;
 - limits: commands at the int-digit limit (exits 1 and 2), reports whose
-  base vertex is far from the axis, and `geodesic` paths of every shape;
+  base vertex is far from the axis, `geodesic` paths of every shape, and
+  both kinds' text and JSON reports on the shear 1,0;4000000000002,1,
+  whose certificates of 2*10^12 + 1 edges are elided at the default cap
+  and at --certificate-cap=2000000 and too long to list (exit 1) at
+  --certificate-cap=2000000000001, and on 1,0;(2*10^20 + 2),1, whose
+  certificates have more vertices than sys.maxsize;
 - large: reports on entries of thousands of digits with long
   certificates: B = P W^2500 P^-1 (W = 1,2;2,5, P = (3,2;1,1)^833, entries
   of about 2,870 digits) as bundle text and JSON, as semi-bundle JSON
@@ -78,7 +83,8 @@ def _run(main, argv: list[str]) -> str:
 def _limits_argvs() -> list[list[str]]:
     """The limits family: inputs and outputs at the int-digit limit,
     reports far from the axis under each certificate cap, long shear and
-    large-partial-quotient reports, and geodesics of every run shape."""
+    large-partial-quotient reports, geodesics of every run shape, and
+    certificates too long to list, elided or asked for."""
     k = 10**1400  # P W P^-1 for P = 1,0;2k,1 and W = 1,2;2,5: 2,800-digit entries
     far = f"{1 - 4 * k},2;{2 * k * (1 - 4 * k) + 2 - 10 * k},{4 * k + 5}"
     big = "2" * 5000
@@ -99,6 +105,12 @@ def _limits_argvs() -> list[list[str]]:
                    ("1/0", f"{6 * 10**4000 + 1}/6"), ("1/0", "1/2000000000000"), ("0/1", "1/0"),
                    ("89/55", "-233/377")):
         argvs.append(["geodesic", "--", s1, s2])
+    for kind in ("bundle", "semibundle"):
+        for cap in ([], ["--certificate-cap=2000000"], ["--certificate-cap=2000000000001"]):
+            argvs += [[kind, "--matrix=1,0;4000000000002,1", *cap],
+                      [kind, "--matrix=1,0;4000000000002,1", "--json", *cap]]
+        huge = f"--matrix=1,0;{2 * 10**20 + 2},1"
+        argvs += [[kind, huge], [kind, huge, "--json"]]
     return argvs
 
 
