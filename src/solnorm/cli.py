@@ -12,22 +12,24 @@ to_canonical_json, with the norm table, and census_row, without one.
 Every certificate in a norm table is checked; _elided says which to print.
 
 Every command runs in a fresh process, so the imports are kept to what
-reports need: `verify` imports the oracle on demand, and JSON strings are
-quoted by the C function that json.dumps uses, taken from _json without
-loading the json package.  For the same reason main hands the arguments
-after a subcommand's name straight to that subcommand's own argparse
-parser, and goes back to the top-level parser only for what that parser
-leaves unrecognized, so usage errors are argparse's own (see main).
+reports need: `verify` imports the oracle on demand, `census` imports csv,
+and JSON strings are quoted by the C function that json.dumps uses, taken
+from _json without loading the json package.  For the same reason a
+well-formed command line is read without argparse: COMMANDS holds the
+grammar once, _read reads argv by it, and build_parser builds argparse
+from it.  argparse is the reference: it is imported and built only for
+argv the reader refuses (help, usage errors, refused values, and the
+spellings only argparse takes), and decides those as it always has (see
+main).
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
-import functools
 import os
 import sys
 from _json import encode_basestring_ascii as _quote
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import bundle, semibundle
 from .arith import INF, ExtNat, bredon_wood, fmt_extnat
@@ -45,6 +47,9 @@ from .curve_complex import (
 )
 from .errors import DomainError, ParseError, int_text
 from .reports import KIND_EMPTY, KIND_PI, KIND_SUM, NormReport, Summary, SurfaceDescription
+
+if TYPE_CHECKING:
+    import argparse
 
 # The module of each kind, with its summary and norm_table.
 KINDS = {"bundle": bundle, "semibundle": semibundle}
@@ -241,6 +246,8 @@ def run_census(in_path: str, out_path: str) -> int:
     """Write one row per input line as it is computed, to a temporary file
     beside out_path that replaces it only once every line has parsed; on
     any failure the temporary file is removed and out_path is untouched."""
+    import csv
+
     count = 0
     temp_path = f"{out_path}.{os.getpid()}.tmp"
     with open(in_path, encoding="utf-8") as source:
@@ -266,101 +273,154 @@ def _integer(text: str) -> int:
     try:
         return parse_int(text, f"expected an integer, got {text!r}")
     except ParseError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+        raise _type_error(str(err)) from None
 
 
 def _count(text: str) -> int:
     """argparse type for caps, radii and bounds: a non-negative integer."""
     value = _integer(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+        raise _type_error(f"expected an integer >= 0, got {text!r}")
     return value
 
 
+def _type_error(message: str) -> Exception:
+    """The argparse.ArgumentTypeError whose message argparse prints."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
+# The command-line grammar, written once: each command's help and its
+# arguments in order, each as the name and keywords that argparse's
+# add_argument takes.  build_parser builds argparse from it, and _read
+# reads well-formed argv by it.
+_MATRIX = ("--matrix", {"required": True, "help": 'row-major "a,c;b,d"'})
+COMMANDS = {
+    "bw": ("Bredon-Wood invariant N(p, q)", [("p", {"type": _integer}), ("q", {"type": _integer})]),
+    "dist": ("distance between two slopes in the curve complex", [("slope1", {}), ("slope2", {})]),
+    "geodesic": ("the unique tree path between two same-parity slopes", [("slope1", {}), ("slope2", {})]),
+    "act": ("image of a slope under a matrix", [_MATRIX, ("slope", {})]),
+    **{
+        kind: (f"full norm report for a torus {kind}", [
+            _MATRIX,
+            ("--json", {"action": "store_true"}),
+            ("--certificate-cap", {"type": _count, "default": DEFAULT_CERTIFICATE_CAP,
+                                   "help": "elide geodesic certificates longer than this (default %(default)s)"}),
+        ])
+        for kind in KINDS
+    },
+    "census": ("CSV summary for a file of matrices", [("--in", {"dest": "in_path", "required": True}),
+                                                       ("--out", {"dest": "out_path", "required": True})]),
+    "export-graph": ("DOT text for a ball in the curve complex", [
+        ("--center", {"required": True}),
+        ("--radius", {"type": _count, "required": True}),
+        ("--bound", {"type": _count, "required": True}),
+    ]),
+    "verify": ("run the brute-force verification suites",
+               [("--level", {"choices": ("quick", "full"), "default": "quick"})]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The top-level argument parser, whose parse_args decides every argv
-    that main reads (see main)."""
-    return _parsers()[0]
+    """argparse's parser of COMMANDS, the reference: _read gives its
+    parse_args namespace on every argv it reads, and main hands it every
+    argv _read refuses, for its help, its usage errors and its decision.
+    Building it costs about as much as a small report."""
+    import argparse
 
-
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The argument parser and each subcommand's own parser by name, built
-    on first use and then reused: building them costs about as much as a
-    small report."""
     parser = argparse.ArgumentParser(
         prog="solnorm",
         description="Z2-Thurston norms and non-orientable genus bounds for "
         "torus bundles and semi-bundles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bw", help="Bredon-Wood invariant N(p, q)")
-    p.add_argument("p", type=_integer)
-    p.add_argument("q", type=_integer)
-
-    p = sub.add_parser("dist", help="distance between two slopes in the curve complex")
-    p.add_argument("slope1")
-    p.add_argument("slope2")
-
-    p = sub.add_parser("geodesic", help="the unique tree path between two same-parity slopes")
-    p.add_argument("slope1")
-    p.add_argument("slope2")
-
-    p = sub.add_parser("act", help="image of a slope under a matrix")
-    p.add_argument("--matrix", required=True, help='row-major "a,c;b,d"')
-    p.add_argument("slope")
-
-    for name in KINDS:
-        p = sub.add_parser(name, help=f"full norm report for a torus {name}")
-        p.add_argument("--matrix", required=True, help='row-major "a,c;b,d"')
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--certificate-cap", type=_count, default=DEFAULT_CERTIFICATE_CAP,
-                       help="elide geodesic certificates longer than this (default %(default)s)")
-
-    p = sub.add_parser("census", help="CSV summary for a file of matrices")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--out", dest="out_path", required=True)
-
-    p = sub.add_parser("export-graph", help="DOT text for a ball in the curve complex")
-    p.add_argument("--center", required=True)
-    p.add_argument("--radius", type=_count, required=True)
-    p.add_argument("--bound", type=_count, required=True)
-
-    p = sub.add_parser("verify", help="run the brute-force verification suites")
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
-
-    return parser, sub.choices
+    for command, (help_text, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+    return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), reaching a named subcommand's own
-    parser first (see main)."""
-    parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return parser.parse_args(argv)
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of build_parser().parse_args(argv), read from COMMANDS
+    without argparse, or None for argv this reader refuses.
+
+    It reads argv whose argv[0] is a command and whose every later token
+    is an exact long option of that command or a positional.  An option
+    is given at most once, as --name, --name=value or --name value; a
+    flag never has "="; no value or positional is empty, and a separate
+    value or a positional does not start with "-".  Each value converts
+    by its type and choices, every required option is given, and the
+    positionals are exactly the command's.  argparse reads each such argv
+    alike; abbreviations, doubled options, "--", negative numbers, -h and
+    every error are left to it."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    arguments = command[1]
+    options = {name: keywords for name, keywords in arguments if name.startswith("-")}
+    texts, given = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        name, equals, text = token.partition("=")
+        if name not in options or name in texts:
+            return None
+        if options[name].get("action") == "store_true":
+            if equals:
+                return None
+        elif not equals:
+            text = next(tokens, "-")
+            if text.startswith("-"):
+                return None
+        texts[name] = text
+    positionals = [name for name, _ in arguments if name not in options]
+    if len(given) != len(positionals):
+        return None
+    texts.update(zip(positionals, given))
+    values = {"command": argv[0]}
+    for name, keywords in arguments:
+        dest = keywords.get("dest") or (name[2:].replace("-", "_") if name in options else name)
+        flag = keywords.get("action") == "store_true"
+        text = texts.get(name)
+        if text is None:
+            if keywords.get("required"):
+                return None
+            values[dest] = keywords.get("default", False if flag else None)
+        elif flag:
+            values[dest] = True
+        elif not text:
+            return None
+        else:
+            convert = keywords.get("type")
+            try:
+                value = text if convert is None else convert(text)
+            except Exception:  # argparse's to report: it converts the text again
+                return None
+            if value not in keywords.get("choices", (value,)):
+                return None
+            values[dest] = value
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code; argv defaults to
     sys.argv[1:].
 
-    When argv[0] names a subcommand, the rest of argv goes straight to that
-    subcommand's own parser, with the command already in the Namespace.
-    The top-level parser would hand those arguments on unread, but only
-    after classifying each of them, which costs about twice the
-    subcommand's own parse.  If the subcommand's parser leaves arguments
-    unrecognized, argv is parsed again by the top-level parser, because
-    the "unrecognized arguments" error is the top-level parser's, with
-    its usage line.  Every other argv (none, -h, --, an unknown command)
-    goes to the top-level parser alone.  So the Namespace, the help and
-    every usage error are those of build_parser().parse_args(argv), byte
-    for byte."""
-    args = _parse(sys.argv[1:] if argv is None else argv)
+    A well-formed argv is read by _read, without importing or building
+    argparse.  Every argv it refuses (none, -h, --, an unknown command,
+    an abbreviation, a doubled option, a missing, extra or refused
+    argument) goes to build_parser().parse_args, which prints the help or
+    the usage error and exits, or reads it.  So the namespace, the help
+    and every usage error are those of build_parser().parse_args(argv),
+    byte for byte."""
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
     except ParseError as err:
@@ -371,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(args: SimpleNamespace | argparse.Namespace) -> int:
     if args.command == "bw":
         print(fmt_extnat(bredon_wood(args.p, args.q)))
     elif args.command == "dist":

@@ -432,11 +432,11 @@ class TreePath(Sequence):
     len, edges (len - 1, which also holds past sys.maxsize vertices),
     indexing and text cost no vertex they do not return: text writes
     each piece as one block of "p/q" texts, formatted in C from the piece
-    as stored.  Iterating builds the slopes of a run in C; it and text
-    refuse a path too long to list.  The record is read-only, and it is a
-    value: it equals, orders and hashes as the tuple of its vertices,
-    which it builds only when it is compared or hashed, and it copies and
-    pickles."""
+    as stored.  Iterating builds the slopes of a run in C; it, text,
+    reversed, index and a slice refuse to list more than MAX_PATH_EDGES
+    edges.  The record is read-only, and it is a value: it equals, orders
+    and hashes as the tuple of its vertices, which it builds only when it
+    is compared or hashed, and it copies and pickles."""
 
     # (pieces, starts, vertex count), set once
     __slots__ = ("_path",)
@@ -480,7 +480,10 @@ class TreePath(Sequence):
     def __getitem__(self, index):
         pieces, starts, count = self._path
         if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(count)))
+            indices = range(*index.indices(count))
+            if indices[MAX_PATH_EDGES + 1:]:  # a range's truth holds past sys.maxsize, unlike len
+                raise self._too_long()
+            return tuple(self[i] for i in indices)
         i = index + count if index < 0 else index
         if not 0 <= i < count:
             raise IndexError("path index out of range")
@@ -491,18 +494,30 @@ class TreePath(Sequence):
         c, d, dc, dd, _ = piece
         return tuple.__new__(Slope, (c + j * dc, d + j * dd))
 
+    def _too_long(self) -> DomainError:
+        """The error for listing more than MAX_PATH_EDGES edges of this path."""
+        return DomainError(f"geodesic from {self[0]} to {self[-1]} is longer than {MAX_PATH_EDGES} edges, "
+                           "too long to list")
+
     def _spelled(self) -> list:
         """The pieces to spell every vertex from; DomainError past MAX_PATH_EDGES."""
         pieces, _, count = self._path
         if count > MAX_PATH_EDGES + 1:
-            raise DomainError(f"geodesic from {self[0]} to {self[-1]} is longer than {MAX_PATH_EDGES} edges, "
-                              "too long to list")
+            raise self._too_long()
         return pieces
 
     def __iter__(self) -> Iterator[Slope]:
         return itertools.chain.from_iterable(
             piece if type(piece) is list else _run_vertices(*piece) for piece in self._spelled()
         )
+
+    # the Sequence mixins would read one vertex at a time past the limit
+    def __reversed__(self) -> Iterator[Slope]:
+        return reversed(tuple(self))
+
+    def index(self, value, start: int = 0, stop: int | None = None) -> int:
+        vertices = tuple(self)
+        return vertices.index(value, start, len(vertices) if stop is None else stop)
 
     def text(self, separator: str) -> str:
         """The vertices as "p/q" texts joined by separator, formatted in C:

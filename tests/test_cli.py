@@ -7,7 +7,7 @@ import json
 import sys
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from helpers import reference_document, spell_at_most
 from solnorm import bredon_wood, bundle, cli, curve_complex, oracle, semibundle
@@ -243,13 +243,16 @@ class TestExitCodes:
         assert err.startswith("usage: solnorm [-h]") and "invalid choice: 'frobnicate'" in err
 
 
-# argv for every subcommand, drawn from a valid one: each option or
-# positional is given, left out or doubled, an option is written whole,
-# abbreviated (--mat) or as --opt=value, a value is one the command takes
-# or one it refuses, and stray tokens ("--", -h, unknown options, refused
-# values, free text) go anywhere, before the command too.  A real argv
-# holds no NUL.  census only ever gets the file names and values below,
-# so it reads and writes inside the test's directory alone.
+# argv for every subcommand, drawn from a valid one.  Half are well
+# formed: each argument given once or left out, in any order, an option
+# written whole as --opt value or --opt=value, with a value the command
+# takes.  In the others each option or positional is given, left out or
+# doubled, an option is written whole, abbreviated (--mat) or as
+# --opt=value, a value is one the command takes or one it refuses, and
+# stray tokens ("--", -h, unknown options, refused values, free text) go
+# anywhere, before the command too.  A real argv holds no NUL.  census
+# only ever gets relative file names, so it reads and writes inside the
+# test's directory alone.
 _INTS, _COUNTS = ["0", "1", "3", "-3", "12"], ["0", "1", "3"]
 _SLOPES = ["0/1", "1/0", "4/3", "2/1", "-1/2", "6/4"]
 _MATRICES = ["1,0;2,1", "-1,0;2,-1", "0,1;1,0", "3,1;8,3", "2,0;0,1"]
@@ -282,18 +285,21 @@ def _argvs(draw):
     if command != "census":
         refused = st.one_of(refused, _ANY_TEXT)
     argv = [] if command is None else [command]
-    for option, values in _SPECS.get(command, []):
-        for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2]))):  # given, left out or doubled
-            name = option and draw(st.sampled_from([option, option[:5]]))
+    well_formed = draw(st.booleans())
+    specs = _SPECS.get(command, [])
+    for option, values in draw(st.permutations(specs)) if well_formed else specs:
+        # given, left out or (not well formed) doubled
+        for _ in range(draw(st.sampled_from([1, 1, 1, 0] if well_formed else [1, 1, 1, 0, 2]))):
+            name = option and (option if well_formed else draw(st.sampled_from([option, option[:5]])))
             if values is None:
                 argv.append(name)
                 continue
-            value = draw(st.sampled_from(values) if draw(st.integers(0, 3)) else refused)
+            value = draw(st.sampled_from(values) if well_formed or draw(st.integers(0, 3)) else refused)
             if option is None:
                 argv.append(value)
             else:
                 argv += draw(st.sampled_from([[name, value], [f"{name}={value}"]]))
-    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+    for _ in range(0 if well_formed else draw(st.sampled_from([0, 0, 0, 1, 2]))):
         argv.insert(draw(st.integers(0, len(argv))), draw(st.one_of(st.sampled_from(_STRAY), refused)))
     return argv
 
@@ -309,14 +315,34 @@ def _parsed(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(_argvs())
+# argv at the edge of what main reads without argparse, each one that a
+# reader with a wrong rule would read otherwise: "=" on a flag, a doubled
+# flag or option (argparse refuses a first value it cannot convert), an
+# empty value, a "-" value or positional, an "=" in a value, a "--", a
+# value outside the choices, "--" as the prefix of the one option (and
+# of --help) and a default
+@example(["bundle", "--matrix=1,0;2,1", "--json=1"])
+@example(["bundle", "--json", "--matrix=1,0;2,1", "--json"])
+@example(["bundle", "--matrix", "1,0;2,1", "--matrix=0,1;1,0"])
+@example(["bundle", "--matrix=1,0;2,1", "--certificate-cap=x", "--certificate-cap=3"])
+@example(["semibundle", "--matrix="])
+@example(["bundle", "--matrix=1,0;2,1", "--certificate-cap", "-0"])
+@example(["bw", "-3", "4"])
+@example(["census", "--in=a=b", "--out", "o.csv"])
+@example(["act", "--matrix", "1,0;0,1", "--", "-1/2"])
+@example(["verify", "--level", "slow"])
+@example(["act", "--=1,0;2,1", "1/0"])
+@example(["semibundle", "--json", "--matrix", "0,1;1,0"])
 def test_every_argv_parses_as_the_top_level_parser_does(tmp_path_factory, argv):
-    # main hands argv to a subcommand's own parser; whatever it is given,
-    # it must reach _dispatch with the Namespace that the top-level
-    # parser's parse_args gives, or exit as that does with the same
-    # stdout and stderr.  A parsed command runs to an exit code of 0 to 4
-    # with no exception; verify's checks are stubbed, so only its
+    # main reads a well-formed argv itself and hands every other to the
+    # top-level parser; whatever it is given, it must reach _dispatch with
+    # the attributes of the Namespace that the top-level parser's
+    # parse_args gives (the reader's is a SimpleNamespace, so vars() are
+    # compared, as Namespace.__eq__ does), or exit as that does with the
+    # same stdout and stderr.  A parsed command runs to an exit code of 0
+    # to 4 with no exception; verify's checks are stubbed, so only its
     # arguments are read
     work = tmp_path_factory.getbasetemp() / "argv"
     if not work.exists():
@@ -328,14 +354,14 @@ def test_every_argv_parses_as_the_top_level_parser_does(tmp_path_factory, argv):
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(work)
         patch.setattr(oracle, "run_checks", lambda level: [])
-        patch.setattr(cli, "_dispatch", lambda args: dispatched.append(args) or plain(args))
+        patch.setattr(cli, "_dispatch", lambda args: dispatched.append(vars(args)) or plain(args))
         expected, expected_out, expected_err = _parsed(build_parser().parse_args, argv)
         result, out, err = _parsed(main, argv)
     if isinstance(expected, SystemExit):
         assert isinstance(result, SystemExit) and result.code == expected.code in (0, 2)
         assert (out, err, dispatched) == (expected_out, expected_err, [])
     else:
-        assert dispatched == [expected] and result in range(5)
+        assert dispatched == [vars(expected)] and result in range(5)
         assert "Traceback" not in err
 
 

@@ -619,7 +619,8 @@ class TestBfsAndGeodesic:
     def test_a_path_too_long_to_list_is_refused_unspelled(self, monkeypatch):
         # d(1/0, 1/(2k)) = k: a path of k edges at the limit is listed, and
         # one of k + 1 or 10**12 edges is walked and checked whole, but
-        # refused before one vertex is spelled, in text and in iteration
+        # refused before one vertex is spelled, in text, iteration, a
+        # slice, reversed and index, while a short slice of it is listed;
         # the limit is on the edges listed, not on the path: the middle 4
         # edges of 10**12 are listed too, and the middle 6, named by their
         # ends, refused
@@ -630,8 +631,11 @@ class TestBfsAndGeodesic:
         for target in (Slope(1, 12), Slope(1, 2 * 10**12)):
             path = geodesic_path(Slope(1, 0), target)
             assert (len(path), path[-1]) == (target.q // 2 + 1, target)
+            assert path[:3] == (Slope(1, 0), Slope(1, 2), Slope(1, 4)) and path[-1:] == (target,)
             message = f"^geodesic from 1/0 to {target} is longer than 5 edges, too long to list$"
-            for spell in (list, lambda path: path.text(" -> "), hash, lambda path: path == tuple(path)):
+            for spell in (list, lambda path: path.text(" -> "), hash, lambda path: path == tuple(path),
+                          lambda path: path[:], lambda path: list(reversed(path)),
+                          lambda path: path.index(target)):
                 with pytest.raises(DomainError, match=message):
                     spell(path)
         k = (10**12 - 6) // 2  # the stretch runs from vertex k to vertex k + 6

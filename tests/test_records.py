@@ -1,7 +1,8 @@
 """The record types are NamedTuples: read-only fields, validated
 construction with the same errors, keyword construction, and an import
 path that loads neither dataclasses nor the oracle, whose public names
-solnorm resolves on first use."""
+solnorm resolves on first use, nor argparse and csv, which only help,
+usage errors and census load."""
 
 import os
 import subprocess
@@ -151,12 +152,13 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
 
-def run_child(code: str) -> str:
-    """The stdout of code run in a fresh interpreter that imports this solnorm."""
+def run_child(code: str, *flags: str) -> str:
+    """The stdout of code run in a fresh interpreter, with flags, that
+    imports this solnorm."""
     src = str(Path(solnorm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60,
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     return done.stdout
 
@@ -165,6 +167,51 @@ def test_import_path_loads_no_dataclasses_json_or_oracle():
     loaded = set(run_child(IMPORT_CHILD).split())
     assert "solnorm.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "json", "solnorm.oracle"}), sorted(loaded)
+
+
+# Which of argparse, gettext and csv are loaded after each stage: start-up
+# (run with -S, so no site hook loads one), the import, well-formed
+# commands of every kind but census, a census, and -h.
+BUDGET_CHILD = """
+import contextlib, io, os, sys, tempfile
+
+def loaded(stage):
+    print(stage, *(name for name in ("argparse", "csv", "gettext") if name in sys.modules), sep=",")
+
+loaded("start")
+import solnorm, solnorm.cli
+loaded("import")
+commands = [
+    ["bundle", "--matrix=1,0;2,1"], ["bundle", "--json", "--matrix", "5,2;2,1", "--certificate-cap=1"],
+    ["semibundle", "--matrix=-1,0;2,-1"], ["verify", "--level", "quick"], ["bw", "8", "3"],
+    ["dist", "0/1", "8/3"], ["geodesic", "0/1", "4/3"], ["act", "--matrix", "1,0;2,1", "1/0"],
+    ["export-graph", "--center=0/1", "--radius", "1", "--bound=5"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in commands:
+        assert solnorm.cli.main(argv) == 0, argv
+loaded("commands")
+with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
+    path = os.path.join(work, "in.txt")
+    with open(path, "w") as source:
+        source.write("bundle 1,0;2,1\\n")
+    assert solnorm.cli.main(["census", "--in", path, "--out", os.path.join(work, "out.csv")]) == 0
+loaded("census")
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        solnorm.cli.main(["-h"])
+    except SystemExit as exit_:
+        assert exit_.code == 0
+loaded("help")
+"""
+
+
+def test_well_formed_commands_load_no_argparse():
+    # a well-formed command line is read without argparse, and only
+    # census loads csv; help is argparse's
+    assert run_child(BUDGET_CHILD, "-S").split() == [
+        "start", "import", "commands", "census,csv", "help,argparse,csv,gettext",
+    ]
 
 
 ORACLE_NAMES = ("ActionType", "TranslationData", "distance_bfs", "translation_length_orbit")

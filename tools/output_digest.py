@@ -32,7 +32,11 @@ same bytes and exit code in both.  The families:
   arguments, an unknown command, each subcommand's -h, missing required
   options, unrecognized trailing arguments, abbreviated and doubled
   options, `--`, `--certificate-cap=-1` and `bundle --matrix -1,0;2,-1`.
-  Children run with COLUMNS=80, so help is wrapped the same everywhere.
+  Children run with COLUMNS=80, so help is wrapped the same everywhere;
+- argv: well-formed commands of every subcommand, which solnorm reads
+  without argparse, in every spelling it reads them: each option as
+  --opt value and as --opt=value, the options and positionals in every
+  order, so flags come first and last, and a few that then exit 1 or 2.
 
 The inputs come from this checkout's perfbench/inputs.py, read without
 writing bytecode, so both trees run the same commands.  Each family runs
@@ -46,6 +50,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -53,7 +58,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FAMILIES = ("reports", "census", "census-O", "verify", "verify-O", "limits", "large", "usage")
+FAMILIES = ("reports", "census", "census-O", "verify", "verify-O", "limits", "large", "usage", "argv")
 REPORT_SEEDS = range(501, 511)
 CENSUS_SEEDS = range(600, 610)
 
@@ -170,6 +175,32 @@ def _usage_argvs() -> list[list[str]]:
     return argvs
 
 
+def _argv_argvs() -> list[list[str]]:
+    """The argv family: each command's arguments, an option in both of its
+    spellings (a value starting with "-" only after "="), in every order
+    and combination of spellings."""
+    def option(name: str, value: str) -> list[list[str]]:
+        return [[f"{name}={value}"]] if value.startswith("-") else [[name, value], [f"{name}={value}"]]
+
+    shapes = [
+        ["bw", [["8"]], [["3"]]], ["bw", [["4"]], [["2"]]], ["dist", [["0/1"]], [["8/3"]]],
+        ["dist", [["x"]], [["0/1"]]], ["geodesic", [["1/0"]], [["41/20"]]],
+        ["act", option("--matrix", "1,0;2,1"), [["1/0"]]], ["act", option("--matrix", "-1,0;2,-1"), [["3/2"]]],
+        ["census", option("--in", "in.txt"), option("--out", "out.csv")],
+        ["export-graph", option("--center", "0/1"), option("--radius", "2"), option("--bound", "5")],
+        ["verify"], ["verify", option("--level", "quick")],
+    ]
+    for kind in ("bundle", "semibundle"):
+        shapes += [[kind, option("--matrix", "5,2;2,1"), [["--json"]], option("--certificate-cap", "1")],
+                   [kind, option("--matrix", "-1,0;8,-1"), [["--json"]]], [kind, option("--matrix", "2,0;0,1")]]
+    argvs = []
+    for command, *groups in shapes:
+        for order in itertools.permutations(groups):
+            for spelling in itertools.product(*order):
+                argvs.append([command, *itertools.chain.from_iterable(spelling)])
+    return argvs
+
+
 def _family(name: str) -> tuple[int, str]:
     """Run one family in this process: its command count and digest."""
     from solnorm.cli import main
@@ -202,6 +233,15 @@ def _family(name: str) -> tuple[int, str]:
     elif name in ("verify", "verify-O"):
         for level in ("quick", "full"):
             feed(["verify", "--level", level])
+    elif name == "argv":
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)  # relative paths, so the transcript names no directory
+            try:
+                Path("in.txt").write_text("bundle 1,0;2,1\nsemibundle 0,1;1,0\n", encoding="utf-8")
+                for argv in _argv_argvs():
+                    feed(argv)
+            finally:
+                os.chdir(ROOT)
     else:
         argvs = {"limits": _limits_argvs, "large": _large_argvs, "usage": _usage_argvs}[name]
         for argv in argvs():
