@@ -15,10 +15,10 @@ norm_table(A, summary(A)) in the same module adds the realizing
 surfaces.  z2_norm_bundle and z2_norm_semi give the norm of one class.
 
 The orbit reference for translation lengths (ActionType, TranslationData,
-translation_length_orbit) and the bounded breadth-first distance
-distance_bfs live in solnorm.oracle.  They keep their names here: the
-module __getattr__ (PEP 562) imports the oracle on the first use of one of
-them, so importing solnorm does not.
+translation_length_orbit), distance_bfs and periodic_class live in
+solnorm.oracle, and neighbors_bounded and export_dot in solnorm.graph.
+They keep their names here: the module __getattr__ (PEP 562) imports their
+module on the first use of one of them, so importing solnorm imports neither.
 """
 
 from .arith import INF, ExtNat, bredon_wood, ext_gcd
@@ -29,7 +29,6 @@ from .bundle import (
     h2_structure,
     meg_bundle,
     order,
-    periodic_class,
     z2_norm_bundle,
 )
 from .curve_complex import (
@@ -38,12 +37,10 @@ from .curve_complex import (
     Slope,
     TreePath,
     distance,
-    export_dot,
     geodesic,
     geodesic_path,
     intersection_number,
     mat_act,
-    neighbors_bounded,
     parity_of,
     parse_matrix,
     parse_slope,
@@ -97,12 +94,15 @@ __all__ = [
     "z2_norm_semi",
 ]
 
-_ORACLE_NAMES = frozenset({"ActionType", "TranslationData", "distance_bfs", "translation_length_orbit"})
+# The public names that live off the import path, and the module of each.
+_LAZY_NAMES = dict.fromkeys(
+    ("ActionType", "TranslationData", "distance_bfs", "periodic_class", "translation_length_orbit"), "oracle"
+) | dict.fromkeys(("export_dot", "neighbors_bounded"), "graph")
 
 
 def __getattr__(name: str):
-    if name not in _ORACLE_NAMES:
+    if name not in _LAZY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import oracle
+    from importlib import import_module
 
-    return getattr(oracle, name)
+    return getattr(import_module(f".{_LAZY_NAMES[name]}", __name__), name)

@@ -277,32 +277,3 @@ def _by_det_trace(A: GL2Matrix, det: int, t: int) -> tuple[ExtNat, int, Geometry
     if A.b == 0 and A.c == 0:
         return 1 if t == 2 else 2, meg, GeometryClass.EUCLIDEAN_PERIODIC
     return INF, meg, GeometryClass.NIL
-
-
-PERIODIC_REPRESENTATIVES = {
-    "A1": GL2Matrix(1, 0, 0, 1),
-    "A2": GL2Matrix(-1, 0, 0, -1),
-    "A3": GL2Matrix(1, 0, 0, -1),
-    "A4": GL2Matrix(1, 0, 1, -1),
-    "A5": GL2Matrix(0, 1, -1, -1),
-    "A6": GL2Matrix(0, -1, 1, 0),
-    "A7": GL2Matrix(0, 1, -1, 1),
-}
-
-
-def periodic_class(A: GL2Matrix) -> str | None:
-    """Conjugacy class among the seven periodic matrices, or None.
-
-    (order, det) separates everything except A3 from A4, which share order
-    2, det -1 and trace 0; those differ by whether A is the identity mod 2.
-    """
-    k = order(A)
-    if not is_finite(k):
-        return None
-    if k == 1:
-        return "A1"
-    if k == 2:
-        if A.det() == 1:
-            return "A2"
-        return "A3" if A.mod2() == (1, 0, 0, 1) else "A4"
-    return {3: "A5", 4: "A6", 6: "A7"}[k]

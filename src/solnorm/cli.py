@@ -12,15 +12,15 @@ to_canonical_json, with the norm table, and census_row, without one.
 Every certificate in a norm table is checked; _elided says which to print.
 
 Every command runs in a fresh process, so the imports are kept to what
-reports need: `verify` imports the oracle on demand, `census` imports csv,
-and JSON strings are quoted by the C function that json.dumps uses, taken
-from _json without loading the json package.  For the same reason a
-well-formed command line is read without argparse: COMMANDS holds the
-grammar once, _read reads argv by it, and build_parser builds argparse
-from it.  argparse is the reference: it is imported and built only for
-argv the reader refuses (help, usage errors, refused values, and the
-spellings only argparse takes), and decides those as it always has (see
-main).
+reports need: `verify` imports the oracle on demand, `export-graph` the
+bounded graph, `census` imports csv, and JSON strings are quoted by the C
+function that json.dumps uses, taken from _json without loading the json
+package.  For the same reason a well-formed command line is read without
+argparse: COMMANDS holds the grammar once, _read reads argv by it, and
+build_parser builds argparse from it.  argparse is the reference: it is
+imported and built only for argv the reader refuses (help, usage errors,
+refused values, and the spellings only argparse takes), and decides those
+as it always has (see main).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .curve_complex import (
     PARITY_CLASSES,
     TreePath,
     distance,
-    export_dot,
     geodesic_path,
     mat_act,
     parse_int,
@@ -455,6 +454,8 @@ def _dispatch(args: SimpleNamespace | argparse.Namespace) -> int:
             return 4
         print(f"wrote {count} rows to {args.out_path}")
     elif args.command == "export-graph":
+        from .graph import export_dot
+
         sys.stdout.write(export_dot(parse_slope(args.center), args.radius, args.bound))
     elif args.command == "verify":
         from .oracle import run_checks

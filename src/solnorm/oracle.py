@@ -1,15 +1,16 @@
 """Independent brute-force oracles and the randomized verification suites.
 
 Everything here deliberately avoids the closed-form machinery it is checking:
-distances are re-derived as tree distances over explicitly enumerated
-neighbors (distance_bfs for one pair), geodesics are checked edge by edge
+distances are re-derived as tree distances over the neighbors solnorm.graph
+enumerates (distance_bfs for one pair), geodesics are checked edge by edge
 against what a tree path is, translation lengths are read off the orbit of
 one vertex (translation_length_orbit, with Serre's action type), orders by
-matrix powers, the mod-2 permutation by acting on slopes, conjugacy is
-decided by searching the unimodular matrices in a box, and random matrices
-come from a seeded generator so every run is reproducible.  The same checks
-back both the pytest suite and the ``solnorm verify`` subcommand.  None of
-it runs on a report path.
+matrix powers, the seven periodic classes (periodic_class) by order and det,
+the mod-2 permutation by acting on slopes, conjugacy is decided by searching
+the unimodular matrices in a box, and random matrices come from a seeded
+generator so every run is reproducible.  The same checks back both the pytest
+suite and the ``solnorm verify`` subcommand.  None of it runs on a report
+path.
 
 Each piece of oracle work is done once: the conjugator search solves the
 linear equation its first row must satisfy instead of testing every row,
@@ -28,14 +29,13 @@ import random
 from typing import NamedTuple
 
 from .arith import INF, ExtNat, bredon_wood, ext_gcd, is_finite
-from .bundle import (
-    GeometryClass, classify_geometry, h2_structure, order, periodic_class, summary, PERIODIC_REPRESENTATIVES,
-)
+from .bundle import GeometryClass, classify_geometry, h2_structure, order, summary
 from .curve_complex import (
-    GL2Matrix, IDENTITY, PARITY_CLASSES, ParityClass, Slope, Validated, _family_range, breadth_first,
-    distance, distances_from, geodesic, intersection_number, mat_act, neighbors_bounded, parity_of,
+    GL2Matrix, IDENTITY, PARITY_CLASSES, ParityClass, Slope, Validated,
+    distance, distances_from, geodesic, intersection_number, mat_act, parity_of,
 )
 from .errors import DomainError
+from .graph import _family_range, breadth_first, neighbors_bounded
 from .semibundle import summary as semi_summary
 from .tree_action import parity_permutation, translation_length_closed
 
@@ -463,6 +463,35 @@ def check_closed_vs_orbit(n_matrices: int, max_word: int, alt_vertices: int, see
         f"{comparisons} comparisons over {n_matrices} matrices, {len(failures)} mismatches",
         failures,
     )
+
+
+PERIODIC_REPRESENTATIVES = {
+    "A1": GL2Matrix(1, 0, 0, 1),
+    "A2": GL2Matrix(-1, 0, 0, -1),
+    "A3": GL2Matrix(1, 0, 0, -1),
+    "A4": GL2Matrix(1, 0, 1, -1),
+    "A5": GL2Matrix(0, 1, -1, -1),
+    "A6": GL2Matrix(0, -1, 1, 0),
+    "A7": GL2Matrix(0, 1, -1, 1),
+}
+
+
+def periodic_class(A: GL2Matrix) -> str | None:
+    """Conjugacy class among the seven periodic matrices, or None.
+
+    (order, det) separates everything except A3 from A4, which share order
+    2, det -1 and trace 0; those differ by whether A is the identity mod 2.
+    """
+    k = order(A)
+    if not is_finite(k):
+        return None
+    if k == 1:
+        return "A1"
+    if k == 2:
+        if A.det() == 1:
+            return "A2"
+        return "A3" if A.mod2() == (1, 0, 0, 1) else "A4"
+    return {3: "A5", 4: "A6", 6: "A7"}[k]
 
 
 def check_periodic_table() -> CheckResult:

@@ -21,7 +21,6 @@ from solnorm import (
     z2_norm_bundle,
 )
 from solnorm import bundle, curve_complex, reports, semibundle
-from solnorm.bundle import PERIODIC_REPRESENTATIVES
 from solnorm.cli import render, to_canonical_json
 from solnorm.curve_complex import (
     GL2Matrix,
@@ -35,6 +34,7 @@ from solnorm.curve_complex import (
 )
 from solnorm.errors import DomainError
 from solnorm.oracle import (
+    PERIODIC_REPRESENTATIVES,
     ActionType,
     iter_unimodular,
     order_by_powers,

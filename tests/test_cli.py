@@ -75,6 +75,12 @@ class TestSimpleCommands:
         code, out, _ = run(capsys, "export-graph", "--center", "0/1", "--radius", "0", "--bound", "5")
         assert code == 0 and out == 'graph {\n  "0/1";\n}\n'
 
+    def test_export_graph_at_radius_zero_lists_no_neighbors(self, capsys):
+        # 0/1 has about 10**12 neighbors within the bound; the ball of
+        # radius 0 is the center alone, and nothing lists them
+        code, out, _ = run(capsys, "export-graph", "--center", "0/1", "--radius", "0", "--bound", "1000000000000")
+        assert code == 0 and out == 'graph {\n  "0/1";\n}\n'
+
 
 class TestExitCodes:
     def test_domain_error_is_one(self, capsys):
@@ -579,7 +585,7 @@ class TestCanonicalJson:
     # Sol-Anosov of both determinants: each geometry, H_2 case and row
     # shape of the writer, on every run and not only when a draw hits it
     @pytest.mark.parametrize("matrix", [
-        *(A.to_text() for A in bundle.PERIODIC_REPRESENTATIVES.values()),
+        *(A.to_text() for A in oracle.PERIODIC_REPRESENTATIVES.values()),
         "1,0;2,1", "-1,0;2,-1", "2,1;1,1", "5,2;2,1", "1,1;1,0",
     ])
     @pytest.mark.parametrize("kind", ["bundle", "semibundle"])

@@ -30,9 +30,10 @@ from solnorm import (
     parse_slope,
     translation_length_closed,
 )
-from solnorm import curve_complex, oracle
-from solnorm.curve_complex import IDENTITY, PARITY_BY_BITS, PARITY_CLASSES, TreePath, breadth_first, geodesic_path
+from solnorm import curve_complex, graph, oracle
+from solnorm.curve_complex import IDENTITY, PARITY_BY_BITS, PARITY_CLASSES, TreePath, geodesic_path
 from solnorm.errors import DomainError, ParseError
+from solnorm.graph import breadth_first
 
 
 def _shear_word(exponents: list[int], flip: bool) -> GL2Matrix:
@@ -1093,7 +1094,7 @@ class TestDotExport:
 
     def test_matches_the_two_pass_definition(self):
         for center in ("0/1", "1/0", "1/1", "3/2", "-5/7"):
-            for radius in (*range(9), 50):
+            for radius in (-1, *range(9), 50):
                 for bound in range(16):
                     args = (parse_slope(center), radius, bound)
                     assert export_dot(*args) == self.two_pass_dot(*args), args
@@ -1101,6 +1102,24 @@ class TestDotExport:
     def test_radius_zero(self):
         text = export_dot(Slope(0, 1), 0, 5)
         assert text == 'graph {\n  "0/1";\n}\n'
+
+    def test_only_vertices_below_the_radius_list_their_neighbors(self, monkeypatch):
+        # the ball's last level is written without listing its neighbors
+        center, bound = Slope(0, 1), 9
+        listed = []
+
+        def counting(s, b):
+            listed.append(s)
+            return neighbors_bounded(s, b)
+
+        monkeypatch.setattr(graph, "neighbors_bounded", counting)
+        for radius in range(5):
+            listed.clear()
+            assert export_dot(center, radius, bound) == self.two_pass_dot(center, radius, bound)
+            ball = breadth_first(center, lambda u: neighbors_bounded(u, bound))
+            assert listed == [v for v, level, _ in ball if level < radius], radius
+            if radius < 2:
+                assert listed == [center][:radius]
 
     def test_star(self):
         text = export_dot(Slope(0, 1), 1, 3)

@@ -23,9 +23,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from solnorm.bundle import PERIODIC_REPRESENTATIVES
 from solnorm.cli import main
-from solnorm.oracle import random_matrix
+from solnorm.oracle import PERIODIC_REPRESENTATIVES, random_matrix
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CENSUS_INPUT = GOLDEN / "census_input.txt"

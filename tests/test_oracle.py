@@ -9,10 +9,11 @@ import re
 import pytest
 
 from solnorm import INF, ParityClass, Slope, bundle, geodesic, oracle, parity_of, parse_matrix, semibundle
-from solnorm.bundle import PERIODIC_REPRESENTATIVES
-from solnorm.curve_complex import IDENTITY, breadth_first, distances_from, neighbors_bounded
+from solnorm.curve_complex import IDENTITY, distances_from
 from solnorm.errors import DomainError
+from solnorm.graph import breadth_first, neighbors_bounded
 from solnorm.oracle import (
+    PERIODIC_REPRESENTATIVES,
     brute_conjugate_to_meg_form,
     check_four_point,
     iter_trace_minus_two,

@@ -1,8 +1,8 @@
 """The record types are NamedTuples: read-only fields, validated
 construction with the same errors, keyword construction, and an import
-path that loads neither dataclasses nor the oracle, whose public names
-solnorm resolves on first use, nor argparse and csv, which only help,
-usage errors and census load."""
+path that loads neither dataclasses nor the oracle and the bounded graph,
+whose public names solnorm resolves on first use, nor argparse and csv,
+which only help, usage errors and census load."""
 
 import os
 import subprocess
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import solnorm
-from solnorm import oracle
+from solnorm import graph, oracle
 from solnorm.bundle import BundleClass, H2Structure, h2_structure, norm_table, summary
 from solnorm.curve_complex import GL2Matrix, IDENTITY, PARITY_BY_BITS, Slope, parse_matrix
 from solnorm.errors import DomainError
@@ -214,15 +214,68 @@ def test_well_formed_commands_load_no_argparse():
     ]
 
 
-ORACLE_NAMES = ("ActionType", "TranslationData", "distance_bfs", "translation_length_orbit")
+# Which of the bounded graph and the oracle are loaded after the import,
+# after well-formed commands of every kind but export-graph and verify
+# (text and JSON reports of both kinds, and a census of both), after
+# export-graph, and after verify.
+GRAPH_CHILD = """
+import contextlib, io, os, sys, tempfile
+
+def loaded(stage):
+    print(stage, *(name for name in ("solnorm.graph", "solnorm.oracle") if name in sys.modules), sep=",")
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert solnorm.cli.main(argv) == 0, argv
+
+import solnorm, solnorm.cli
+loaded("import")
+for argv in [
+    ["bundle", "--matrix=1,0;2,1"], ["bundle", "--json", "--matrix", "5,2;2,1", "--certificate-cap=1"],
+    ["semibundle", "--matrix=-1,0;2,-1"], ["semibundle", "--json", "--matrix", "2,1;1,1"], ["bw", "8", "3"],
+    ["dist", "0/1", "8/3"], ["geodesic", "0/1", "4/3"], ["act", "--matrix", "1,0;2,1", "1/0"],
+]:
+    run(argv)
+with tempfile.TemporaryDirectory() as work:
+    path = os.path.join(work, "in.txt")
+    with open(path, "w") as source:
+        source.write("bundle 1,0;2,1\\nsemibundle 2,1;1,1\\n")
+    run(["census", "--in", path, "--out", os.path.join(work, "out.csv")])
+loaded("reports")
+run(["export-graph", "--center=0/1", "--radius", "1", "--bound=5"])
+loaded("export-graph")
+run(["verify", "--level", "quick"])
+loaded("verify")
+"""
+
+
+def test_only_export_graph_and_verify_load_the_graph_or_the_oracle():
+    assert run_child(GRAPH_CHILD).split() == [
+        "import", "reports", "export-graph,solnorm.graph", "verify,solnorm.graph,solnorm.oracle",
+    ]
+
+
+# Each public name that solnorm resolves on first use, and the module that
+# defines it.
+LAZY_NAMES = {
+    "ActionType": oracle,
+    "TranslationData": oracle,
+    "distance_bfs": oracle,
+    "periodic_class": oracle,
+    "translation_length_orbit": oracle,
+    "export_dot": graph,
+    "neighbors_bounded": graph,
+}
 
 
 def test_every_public_name_resolves_and_the_oracle_names_are_the_oracles():
     for name in solnorm.__all__:
         assert getattr(solnorm, name) is not None, name
-    for name in ORACLE_NAMES:
-        assert name in solnorm.__all__
-        assert getattr(solnorm, name) is getattr(oracle, name), name
+    assert len(solnorm.__all__) == 37
+    assert {name for name in solnorm.__all__ if name not in vars(solnorm)} == LAZY_NAMES.keys()
+    for name, module in LAZY_NAMES.items():
+        value = getattr(solnorm, name)
+        assert value is vars(module)[name] and value.__module__ == module.__name__, name
 
 
 # An unknown name must raise AttributeError before anything is imported, so
