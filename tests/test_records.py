@@ -4,6 +4,7 @@ path that loads neither dataclasses nor the oracle and the bounded graph,
 whose public names solnorm resolves on first use, nor argparse and csv,
 which only help, usage errors and census load."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -169,34 +170,42 @@ def test_import_path_loads_no_dataclasses_json_or_oracle():
     assert loaded.isdisjoint({"dataclasses", "inspect", "json", "solnorm.oracle"}), sorted(loaded)
 
 
-# Which of argparse, gettext and csv are loaded after each stage: start-up
-# (run with -S, so no site hook loads one), the import, well-formed
-# commands of every kind but census, a census, and -h.
+# Which of argparse, csv, gettext, the bounded graph and the oracle are
+# loaded after each stage: start-up (run with -S, so no site hook loads
+# one), the import, well-formed commands of every kind but census,
+# export-graph and verify (text and JSON reports of both kinds), a census
+# of both kinds, export-graph, verify and -h.
 BUDGET_CHILD = """
 import contextlib, io, os, sys, tempfile
 
 def loaded(stage):
-    print(stage, *(name for name in ("argparse", "csv", "gettext") if name in sys.modules), sep=",")
+    names = ("argparse", "csv", "gettext", "solnorm.graph", "solnorm.oracle")
+    print(stage, *(name for name in names if name in sys.modules), sep=",")
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert solnorm.cli.main(argv) == 0, argv
 
 loaded("start")
 import solnorm, solnorm.cli
 loaded("import")
-commands = [
+for argv in [
     ["bundle", "--matrix=1,0;2,1"], ["bundle", "--json", "--matrix", "5,2;2,1", "--certificate-cap=1"],
-    ["semibundle", "--matrix=-1,0;2,-1"], ["verify", "--level", "quick"], ["bw", "8", "3"],
+    ["semibundle", "--matrix=-1,0;2,-1"], ["semibundle", "--json", "--matrix", "2,1;1,1"], ["bw", "8", "3"],
     ["dist", "0/1", "8/3"], ["geodesic", "0/1", "4/3"], ["act", "--matrix", "1,0;2,1", "1/0"],
-    ["export-graph", "--center=0/1", "--radius", "1", "--bound=5"],
-]
-with contextlib.redirect_stdout(io.StringIO()):
-    for argv in commands:
-        assert solnorm.cli.main(argv) == 0, argv
+]:
+    run(argv)
 loaded("commands")
-with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
+with tempfile.TemporaryDirectory() as work:
     path = os.path.join(work, "in.txt")
     with open(path, "w") as source:
-        source.write("bundle 1,0;2,1\\n")
-    assert solnorm.cli.main(["census", "--in", path, "--out", os.path.join(work, "out.csv")]) == 0
+        source.write("bundle 1,0;2,1\\nsemibundle 2,1;1,1\\n")
+    run(["census", "--in", path, "--out", os.path.join(work, "out.csv")])
 loaded("census")
+run(["export-graph", "--center=0/1", "--radius", "1", "--bound=5"])
+loaded("export-graph")
+run(["verify", "--level", "quick"])
+loaded("verify")
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         solnorm.cli.main(["-h"])
@@ -206,53 +215,33 @@ loaded("help")
 """
 
 
+@functools.cache
+def loaded_after_each_stage() -> dict[str, set[str]]:
+    """The names BUDGET_CHILD watches that are loaded after each of its
+    stages, from one run of it."""
+    stages = (line.split(",") for line in run_child(BUDGET_CHILD, "-S").split())
+    return {stage: set(names) for stage, *names in stages}
+
+
+def loaded_of(watched: set[str]) -> dict[str, set[str]]:
+    return {stage: names & watched for stage, names in loaded_after_each_stage().items()}
+
+
 def test_well_formed_commands_load_no_argparse():
     # a well-formed command line is read without argparse, and only
     # census loads csv; help is argparse's
-    assert run_child(BUDGET_CHILD, "-S").split() == [
-        "start", "import", "commands", "census,csv", "help,argparse,csv,gettext",
-    ]
-
-
-# Which of the bounded graph and the oracle are loaded after the import,
-# after well-formed commands of every kind but export-graph and verify
-# (text and JSON reports of both kinds, and a census of both), after
-# export-graph, and after verify.
-GRAPH_CHILD = """
-import contextlib, io, os, sys, tempfile
-
-def loaded(stage):
-    print(stage, *(name for name in ("solnorm.graph", "solnorm.oracle") if name in sys.modules), sep=",")
-
-def run(argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert solnorm.cli.main(argv) == 0, argv
-
-import solnorm, solnorm.cli
-loaded("import")
-for argv in [
-    ["bundle", "--matrix=1,0;2,1"], ["bundle", "--json", "--matrix", "5,2;2,1", "--certificate-cap=1"],
-    ["semibundle", "--matrix=-1,0;2,-1"], ["semibundle", "--json", "--matrix", "2,1;1,1"], ["bw", "8", "3"],
-    ["dist", "0/1", "8/3"], ["geodesic", "0/1", "4/3"], ["act", "--matrix", "1,0;2,1", "1/0"],
-]:
-    run(argv)
-with tempfile.TemporaryDirectory() as work:
-    path = os.path.join(work, "in.txt")
-    with open(path, "w") as source:
-        source.write("bundle 1,0;2,1\\nsemibundle 2,1;1,1\\n")
-    run(["census", "--in", path, "--out", os.path.join(work, "out.csv")])
-loaded("reports")
-run(["export-graph", "--center=0/1", "--radius", "1", "--bound=5"])
-loaded("export-graph")
-run(["verify", "--level", "quick"])
-loaded("verify")
-"""
+    assert loaded_of({"argparse", "csv", "gettext"}) == {
+        "start": set(), "import": set(), "commands": set(), "census": {"csv"},
+        "export-graph": {"csv"}, "verify": {"csv"}, "help": {"argparse", "csv", "gettext"},
+    }
 
 
 def test_only_export_graph_and_verify_load_the_graph_or_the_oracle():
-    assert run_child(GRAPH_CHILD).split() == [
-        "import", "reports", "export-graph,solnorm.graph", "verify,solnorm.graph,solnorm.oracle",
-    ]
+    both = {"solnorm.graph", "solnorm.oracle"}
+    assert loaded_of(both) == {
+        "start": set(), "import": set(), "commands": set(), "census": set(),
+        "export-graph": {"solnorm.graph"}, "verify": both, "help": both,
+    }
 
 
 # Each public name that solnorm resolves on first use, and the module that
