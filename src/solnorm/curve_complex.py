@@ -18,7 +18,6 @@ which matches the wire format "a,c;b,d" used by the command line.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
 import itertools
@@ -66,19 +65,13 @@ class Slope(Validated, _SlopeFields):
 
     @classmethod
     def of(cls, p: int, q: int) -> "Slope":
-        """Canonicalize the sign of a coprime pair; rejects non-coprime input.
-
-        The coprimality check is the one in __new__; after the sign flip it
-        is the only check that can fail, and its error names the pair as
-        given."""
+        """The slope +-(p, q) of a coprime pair, its sign set by _canonical;
+        a pair that is not coprime raises DomainError naming it as given."""
         if p == 0 and q == 0:
             raise DomainError("0/0 is not a slope")
-        if q < 0 or (q == 0 and p < 0):
-            try:
-                return cls(-p, -q)
-            except DomainError:
-                raise _slope_error(p, q, "is not reduced") from None
-        return cls(p, q)
+        if math.gcd(p, q) != 1:
+            raise _slope_error(p, q, "is not reduced")
+        return _canonical(p, q)
 
     def __str__(self) -> str:
         try:
@@ -353,8 +346,14 @@ def _run_vertices(c: int, d: int, dc: int, dd: int, r: int) -> Iterator[Slope]:
 
 
 def _canonical(p: int, q: int) -> Slope:
-    """The slope +-(p, q) of a checked vertex, built without a gcd."""
+    """The slope +-(p, q) of a coprime pair, built without a gcd: the one
+    sign rule, q > 0 or (p, q) = (1, 0)."""
     return tuple.__new__(Slope, (-p, -q) if q < 0 or (q == 0 and p < 0) else (p, q))
+
+
+def _size(piece) -> int:
+    """The vertices a stored piece holds: a list's length, a run's r."""
+    return len(piece) if type(piece) is list else piece[4]
 
 
 @functools.total_ordering
@@ -362,25 +361,25 @@ class TreePath(Sequence):
     """A checked tree path, held as the walk that proved it: its vertices
     are built only when they are read.
 
-    pieces holds, in path order, lists of the vertices given one by one
-    (the first vertex and each run of one) and runs (c, d, dc, dd, r) of
-    r >= 1 slopes (c + j*dc, d + j*dd), every one already in canonical
-    form; starts holds the path index of each piece's first vertex.  So
-    the record grows with the number of runs, not with their lengths.
-    len, edges (len - 1, which also holds past sys.maxsize vertices),
-    indexing and text cost no vertex they do not return: text writes
-    each piece as one block of "p/q" texts, formatted in C from the piece
-    as stored.  Iterating builds the slopes of a run in C; it, text,
-    reversed, index and a slice refuse to list more than MAX_PATH_EDGES
-    edges.  The record is read-only, and it is a value: it equals, orders
-    and hashes as the tuple of its vertices, which it builds only when it
-    is compared or hashed, and it copies and pickles."""
+    pieces holds, in path order, lists of the vertices given one by one (the
+    first vertex and each run of one) and runs (c, d, dc, dd, r) of r >= 1
+    slopes (c + j*dc, d + j*dd), every one already in canonical form.  The
+    pieces are the whole record: the vertex count is their sizes added up
+    once, when the path is built.  So the record grows with the number of
+    runs, not with their lengths.  len, edges (len - 1, which also holds
+    past sys.maxsize vertices), indexing and text cost no vertex they do not
+    return: text writes each piece as one block of "p/q" texts, formatted in
+    C from the piece as stored.  Iterating builds the slopes of a run in C;
+    it, text, reversed, index and a slice refuse to list more than
+    MAX_PATH_EDGES edges.  The record is read-only, and it is a value: it
+    equals, orders and hashes as the tuple of its vertices, which it builds
+    only when it is compared or hashed, and it copies and pickles."""
 
-    # (pieces, starts, vertex count), set once
+    # (pieces, vertex count), set once
     __slots__ = ("_path",)
 
-    def __init__(self, pieces: list, starts: list[int], count: int) -> None:
-        object.__setattr__(self, "_path", (pieces, starts, count))
+    def __init__(self, pieces: list) -> None:
+        object.__setattr__(self, "_path", (pieces, sum(map(_size, pieces))))
 
     def _read_only(self, *args) -> None:
         raise AttributeError(f"{type(self).__name__} is read-only")
@@ -388,7 +387,7 @@ class TreePath(Sequence):
     __setattr__ = __delattr__ = _read_only
 
     def __reduce__(self):
-        return TreePath, self._path
+        return TreePath, (self._path[0],)
 
     def __repr__(self) -> str:
         return f"<TreePath of {self.edges + 1} vertices from {self[0]} to {self[-1]}>"
@@ -398,7 +397,7 @@ class TreePath(Sequence):
             return self is other or (other.edges == self.edges and tuple(self) == tuple(other))
         if not isinstance(other, tuple):
             return NotImplemented
-        return len(other) == self._path[2] and tuple(self) == other
+        return len(other) == self._path[1] and tuple(self) == other
 
     def __lt__(self, other):
         if isinstance(other, TreePath):
@@ -411,12 +410,12 @@ class TreePath(Sequence):
         return hash(tuple(self))
 
     def __len__(self) -> int:
-        return self._path[2]
+        return self._path[1]
 
-    edges = property(lambda self: self._path[2] - 1)
+    edges = property(lambda self: self._path[1] - 1)
 
     def __getitem__(self, index):
-        pieces, starts, count = self._path
+        pieces, count = self._path
         if isinstance(index, slice):
             indices = range(*index.indices(count))
             if indices[MAX_PATH_EDGES + 1:]:  # a range's truth holds past sys.maxsize, unlike len
@@ -425,12 +424,14 @@ class TreePath(Sequence):
         i = index + count if index < 0 else index
         if not 0 <= i < count:
             raise IndexError("path index out of range")
-        k = bisect.bisect_right(starts, i) - 1
-        piece, j = pieces[k], i - starts[k]
+        for piece in pieces:  # O(#runs), as the walk that built the path
+            if i < _size(piece):
+                break
+            i -= _size(piece)
         if type(piece) is list:
-            return piece[j]
+            return piece[i]
         c, d, dc, dd, _ = piece
-        return tuple.__new__(Slope, (c + j * dc, d + j * dd))
+        return tuple.__new__(Slope, (c + i * dc, d + i * dd))
 
     def _too_long(self) -> DomainError:
         """The error for listing more than MAX_PATH_EDGES edges of this path."""
@@ -439,7 +440,7 @@ class TreePath(Sequence):
 
     def _spelled(self) -> list:
         """The pieces to spell every vertex from; DomainError past MAX_PATH_EDGES."""
-        pieces, _, count = self._path
+        pieces, count = self._path
         if count > MAX_PATH_EDGES + 1:
             raise self._too_long()
         return pieces
@@ -460,12 +461,11 @@ class TreePath(Sequence):
     def text(self, separator: str) -> str:
         """The vertices as "p/q" texts joined by separator, formatted in C:
         each stored piece with one % over a repeated template.  A list is
-        written as ("%d/%d" + separator) * n over its flattened pairs, a
-        run straight from its progressions, and a run whose step has a
-        zero entry puts that constant entry into the template once, so
-        only the other entry is formatted per vertex.  A path of one
-        piece, always a list, is written with no trailing separator to
-        strip.  An entry over
+        written as ("%d/%d" + separator) * n over its flattened pairs, a run
+        straight from its progressions, and a run whose step has a zero
+        entry puts that constant entry into the template once, so only the
+        other entry is formatted per vertex.  A path of one piece, always a
+        list, is written with no trailing separator to strip.  An entry over
         Python's int-digit limit raises DomainError, as str(slope) does."""
         pieces = self._spelled()
         sep = separator.replace("%", "%%")
@@ -553,11 +553,12 @@ def geodesic_path(s1: Slope, s2: Slope, middle: int | None = None) -> TreePath:
     Where runs meet, and on runs of one, every edge keeps the per-edge
     check.  A stretch that passes every check never turns back, and a
     path in a tree that never turns back is the geodesic between its
-    ends.  At the end the stretch must have m + 1 vertices, and the whole
-    path (k = 0) must end at s2, which checks N(T) too.  So what is
-    returned is a tree geodesic of m edges in the class of s1; that it is
-    the middle of the path to s2 rests on N(T), and a caller that relies
-    on it checks the ends itself."""
+    ends.  At the end the TreePath's own count, the sizes of the pieces
+    it holds, must be m + 1, and the whole path (k = 0) must end at s2,
+    which checks N(T) too.  So what is returned is a tree geodesic of m
+    edges in the class of s1; that it is the middle of the path to s2
+    rests on N(T), and a caller that relies on it checks the ends
+    itself."""
     _, x, y = ext_gcd(s1.p, s1.q)  # gcd 1 for a reduced slope
     tp, tq = s1.q * s2.p - s1.p * s2.q, x * s2.p + y * s2.q
     dist = bredon_wood(tp, tq)  # distance(s1, s2): N ignores the sign of tp
@@ -585,17 +586,17 @@ def geodesic_path(s1: Slope, s2: Slope, middle: int | None = None) -> TreePath:
             runs = itertools.chain(((c + left * dc, d + left * dd, dc, dd, r - left),), runs)
     # the vertices one by one since the last run, and the last two vertices
     vertices, last, back = [first], first, None
-    pieces, starts, count = [vertices], [0], 1
-    new = tuple.__new__
+    pieces, count = [vertices], 1
     for c, d, dc, dd, r in runs:
         if not 0 < r <= edges + 1 - count:
             raise _left_the_path(s1, s2)
         pp, pq = last
-        cp, cq = (-c, -d) if d < 0 or (d == 0 and c < 0) else (c, d)
-        if abs(pp * cq - cp * pq) != 2 or (cp & 1, cq & 1) != parity or (cp, cq) == back:
+        vertex = _canonical(c, d)
+        cp, cq = vertex
+        if abs(pp * cq - cp * pq) != 2 or (cp & 1, cq & 1) != parity or vertex == back:
             raise _left_the_path(s1, s2)
         if r == 1:
-            back, last = last, new(Slope, (cp, cq))
+            back, last = last, vertex
             vertices.append(last)
             count += 1
             continue
@@ -610,21 +611,18 @@ def geodesic_path(s1: Slope, s2: Slope, middle: int | None = None) -> TreePath:
         z = min(-(d // dd), r) if d < 0 else 0
         if z:
             pieces.append((-c, -d, -dc, -dd, z))
-            starts.append(count)
         if z < r and d + z * dd == 0:
             pieces.append([Slope(1, 0)])
-            starts.append(count + z)
             z += 1
         if z < r:
             pieces.append((c + z * dc, d + z * dd, dc, dd, r - z))
-            starts.append(count + z)
         count += r
         vertices = []
         pieces.append(vertices)
-        starts.append(count)
-    if count != edges + 1 or (not skip and last != s2):
+    path = TreePath(pieces)
+    if path.edges != edges or (not skip and last != s2):
         raise _left_the_path(s1, s2)
-    return TreePath(pieces, starts, count)
+    return path
 
 
 def geodesic(s1: Slope, s2: Slope, middle: int | None = None) -> list[Slope]:

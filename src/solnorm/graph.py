@@ -1,7 +1,8 @@
 """The curve complex bounded to a box, |p|, |q| <= bound: each slope's
 neighbors in it, the breadth-first walk and the DOT ball.  Only export-graph
 and the oracle's tree checks use it; reports read distances and geodesics
-in closed form from solnorm.curve_complex.
+in closed form from solnorm.curve_complex.  export_dot lists at most
+curve_complex.MAX_PATH_EDGES edges, the limit a certificate is listed to.
 """
 
 from __future__ import annotations
@@ -9,8 +10,10 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 
+from . import curve_complex
 from .arith import ext_gcd
 from .curve_complex import Slope
+from .errors import DomainError
 
 
 def _family_range(terms, bound: int) -> range:
@@ -31,6 +34,14 @@ def _family_range(terms, bound: int) -> range:
     return range(max(lows), min(highs) + 1)
 
 
+def _family(s: Slope, bound: int) -> tuple[int, int, range]:
+    """The solutions (p0 + t*s.p, q0 + t*s.q) of s.p*q' - p'*s.q = 2 in
+    the box: (p0, q0) and the range of t."""
+    _, x, y = ext_gcd(s.p, s.q)
+    p0, q0 = -2 * y, 2 * x
+    return p0, q0, _family_range(((p0, s.p), (q0, s.q)), bound)
+
+
 def neighbors_bounded(s: Slope, bound: int) -> list[Slope]:
     """All slopes u with intersection_number(s, u) = 2 and |u.p|, |u.q| <= bound.
 
@@ -41,10 +52,9 @@ def neighbors_bounded(s: Slope, bound: int) -> list[Slope]:
     """
     if bound < 1:
         return []
-    g, x, y = ext_gcd(s.p, s.q)
-    p0, q0 = -2 * y, 2 * x  # s.p * q0 - p0 * s.q == 2
+    p0, q0, family = _family(s, bound)
     found = []
-    for t in _family_range(((p0, s.p), (q0, s.q)), bound):
+    for t in family:
         cp, cq = p0 + t * s.p, q0 + t * s.q
         if math.gcd(cp, cq) == 1:
             found.append(Slope.of(cp, cq))
@@ -83,14 +93,38 @@ def export_dot(center: Slope, radius: int, bound: int) -> str:
     coefficients <= bound.  Undirected edges are written once with "--".
 
     The bounded subgraph is a subforest of a tree, so the ball's edges are
-    exactly the edges along which breadth-first search discovers it."""
+    exactly the edges along which breadth-first search discovers it.
+
+    A ball of more than MAX_PATH_EDGES edges raises DomainError, and a
+    family of candidate neighbors that would pass the limit is refused
+    before it is enumerated: a slope has an odd entry, whose parity
+    alternates along the family, so C candidates hold at least C // 2
+    slopes, and in a tree all of them but the parent are new.  So a
+    family is refused when C // 2 - 1 passes the room left, that is when
+    C > 2 * room + 3."""
+    limit = curve_complex.MAX_PATH_EDGES
     nodes, edges = [], []
-    for v, level, parent in breadth_first(center, lambda u: neighbors_bounded(u, bound), radius):
+
+    def neighbors(u: Slope) -> list[Slope]:
+        # a range's truth holds past sys.maxsize, unlike len
+        if _family(u, bound)[2][2 * (limit - len(edges)) + 3:]:
+            raise _ball_too_large(center, radius, bound)
+        return neighbors_bounded(u, bound)
+
+    for v, level, parent in breadth_first(center, neighbors, radius):
         nodes.append(v)
         if parent is not None:
             edges.append((min(v, parent), max(v, parent)))
+            if len(edges) > limit:
+                raise _ball_too_large(center, radius, bound)
     lines = ["graph {"]
     lines += [f'  "{v}";' for v in sorted(nodes)]
     lines += [f'  "{v}" -- "{u}";' for v, u in sorted(edges)]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _ball_too_large(center: Slope, radius: int, bound: int) -> DomainError:
+    """The error for a ball with more than MAX_PATH_EDGES edges."""
+    return DomainError(f"ball of radius {radius} around {center} within |p|, |q| <= {bound} has more than "
+                       f"{curve_complex.MAX_PATH_EDGES} edges, too many to list")

@@ -1,26 +1,14 @@
 """Test-only helpers that read the report records and certificate paths."""
 
-import itertools
 import math
 
 import pytest
 
 from solnorm import bundle, curve_complex, semibundle
 from solnorm.arith import INF, ExtNat
-from solnorm.curve_complex import PARITY_CLASSES, GL2Matrix, TreePath
+from solnorm.curve_complex import PARITY_CLASSES, GL2Matrix
 from solnorm.errors import DomainError
 from solnorm.reports import KIND_PI, KIND_SUM, NormReport, SurfaceDescription
-
-
-def check_pieces(path: TreePath) -> None:
-    """Raise AssertionError unless the stored pieces of path add up to its
-    vertex count and each starts where the ones before it end.  It reads
-    only the record, so a path that claims more vertices than it has
-    fails here before any vertex is built."""
-    pieces, starts, count = path._path
-    sizes = [len(piece) if type(piece) is list else piece[-1] for piece in pieces]
-    if sum(sizes) != count or starts != list(itertools.accumulate(sizes[:-1], initial=0)):
-        raise AssertionError(f"pieces of sizes {sizes} at {starts} do not make a path of {count} vertices")
 
 
 def spell_at_most(monkeypatch, pairs):
@@ -38,6 +26,15 @@ def spell_at_most(monkeypatch, pairs):
 
     monkeypatch.setattr(curve_complex, "_progression", counting)
     return spelled
+
+
+def continued_fraction_pair(quotients: list[int]) -> tuple[int, int]:
+    """The coprime pair (p, q) with p/q = [a0; a1, ..., an] for the given
+    quotients."""
+    p, q = 1, 0
+    for a in reversed(quotients):
+        p, q = a * p + q, p
+    return p, q
 
 
 def bredon_wood_flag_loop(p: int, q: int) -> ExtNat:

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import bredon_wood_flag_loop
+from helpers import bredon_wood_flag_loop, continued_fraction_pair
 from solnorm import INF, arith, bredon_wood, ext_gcd
 from solnorm.arith import fmt_extnat
 from solnorm.errors import DomainError
@@ -49,14 +49,6 @@ def _even_coprime(p: int, q: int) -> tuple[int, int]:
     if q % 2 == 0:
         return q, p
     return p + q, q
-
-
-def _from_partial_quotients(terms: list[int]) -> tuple[int, int]:
-    """The coprime pair (p, q) with p/q = [terms[0]; terms[1], ...]."""
-    p, q = 1, 0
-    for a in reversed(terms):
-        p, q = a * p + q, p
-    return p, q
 
 
 class TestBredonWood:
@@ -147,12 +139,15 @@ class TestBredonWood:
         ),
         st.integers(0, 1),
         st.booleans(),
+        st.booleans(),
     )
-    def test_matches_the_flag_loop_on_huge_partial_quotients(self, terms, head, negate):
+    def test_matches_the_flag_loop_on_huge_partial_quotients(self, terms, head, negate_p, negate_q):
         # the leading term may be 0 (|p| < |q|); every later one is >= 1
-        p, q = _even_coprime(*_from_partial_quotients([head * terms[0]] + terms[1:]))
-        if negate:
+        p, q = _even_coprime(*continued_fraction_pair([head * terms[0]] + terms[1:]))
+        if negate_p:
             p = -p
+        if negate_q:
+            q = -q
         assert bredon_wood(p, q) == bredon_wood_flag_loop(p, q) != INF
 
     # 10**4300 - 1, about 14,280 bits, is the largest int an error message
@@ -172,6 +167,17 @@ class TestBredonWood:
         assert math.gcd(p, q) == 1
         value = bredon_wood(p, q)
         assert value % 2 == (p // 2) % 2
+
+
+def test_bredon_wood_big_inputs_parity_and_lens():
+    half = 7**80
+    p = 2 * half
+    for q in (half + 2, 3**150 + 4, 1):
+        assert math.gcd(p, q) == 1
+        n = bredon_wood(p, q)
+        assert n % 2 == (p // 2) % 2
+        assert bredon_wood(p, q + p) == n
+        assert bredon_wood(p, -q) == n
 
 
 def test_extnat_rendering():

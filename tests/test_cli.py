@@ -198,6 +198,16 @@ class TestExitCodes:
         assert err == (f"solnorm: geodesic from 1/0 to 1/2000000000000 is longer than "
                        f"{curve_complex.MAX_PATH_EDGES} edges, too long to list\n")
 
+    @pytest.mark.parametrize("bound", ["1000000000000", "1" + "0" * 30])
+    def test_export_graph_too_large_to_list_is_one(self, capsys, bound):
+        # as many neighbors of 0/1 within the bound: refused before they
+        # are enumerated, with the certificates' listing limit; the family
+        # of 2 * 10**30 + 1 candidates is longer than len can measure
+        code, out, err = run(capsys, "export-graph", "--center", "0/1", "--radius", "1", "--bound", bound)
+        assert (code, out) == (1, "")
+        assert err == (f"solnorm: ball of radius 1 around 0/1 within |p|, |q| <= {bound} has more than "
+                       f"{curve_complex.MAX_PATH_EDGES} edges, too many to list\n")
+
     @pytest.mark.parametrize("as_json", [[], ["--json"]])
     @pytest.mark.parametrize("kind", ["bundle", "semibundle"])
     def test_a_certificate_too_long_to_list_is_elided_or_one(self, capsys, monkeypatch, kind, as_json):

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import check_pieces, spell_at_most
+from helpers import continued_fraction_pair, spell_at_most
 from solnorm import (
     INF,
     GL2Matrix,
@@ -876,14 +876,13 @@ SEPARATORS = (" -> ", '",\n      "', "", "%d%%")
 
 
 def assert_record_is(path, vertices):
-    """The TreePath path holds exactly vertices: its length and its stored
-    pieces first, so a record that claims more vertices than it should
-    fails before any is built; then its list, every index, negative ones
-    too, and its text with each separator."""
+    """The TreePath path holds exactly vertices: its length first, the sum
+    of its stored pieces, so a record that holds more vertices than it
+    should fails before any is built; then its list, every index,
+    negative ones too, and its text with each separator."""
     assert type(path) is TreePath
     n = len(vertices)
     assert len(path) == n
-    check_pieces(path)
     assert list(path) == vertices
     assert_canonical(list(path))
     for i in range(-n, n):
@@ -1010,12 +1009,12 @@ class TestTreePath:
         monkeypatch.setattr(curve_complex, "_walk", lambda *args: [(2 * X + 1, 2, 2 * X, 2, 3)])
         path = geodesic_path(Slope(1, 0), Slope(6 * X + 1, 6))
         assert len(path) == 4 and path[-2] == Slope(4 * X + 1, 4)
-        records = [path] + [TreePath([[Slope(1, 0)], run], [0, 1], 4) for run in (
+        records = [path] + [TreePath([[Slope(1, 0)], run]) for run in (
             (1, 2 * X, 0, 2, 3),  # 1/2X, 1/(2X+2), 1/(2X+4): a zero step in p
             (2 * X + 1, 1, 2, 0, 3),  # (2X+1)/1, (2X+3)/1, (2X+5)/1: a zero step in q
             (2 * X + 1, 2, 0, 2, 3),  # (2X+1)/2, (2X+1)/4, (2X+1)/6: p constant and over the limit
         )]
-        records.append(TreePath([[Slope(1, 0), Slope(2 * X + 1, 2)]], [0], 2))
+        records.append(TreePath([[Slope(1, 0), Slope(2 * X + 1, 2)]]))
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
@@ -1030,14 +1029,6 @@ class TestTreePath:
             for separator in SEPARATORS:
                 assert record.text(separator) == separator.join("%d/%d" % v for v in vertices)
         assert path.text(" -> ") == f"1/0 -> {2 * X + 1}/2 -> {4 * X + 1}/4 -> {6 * X + 1}/6"
-
-
-def continued_fraction_pair(quotients: list[int]) -> tuple[int, int]:
-    """(p, q) with p/q = [a0; a1, ..., an] for the given quotients."""
-    p, q = 1, 0
-    for a in reversed(quotients):
-        p, q = a * p + q, p
-    return p, q
 
 
 # continued fractions of up to 400 terms, with quotients near 10**12
@@ -1120,6 +1111,43 @@ class TestDotExport:
             assert listed == [v for v, level, _ in ball if level < radius], radius
             if radius < 2:
                 assert listed == [center][:radius]
+
+    def test_a_ball_of_the_listing_limit_prints_and_one_edge_more_is_refused(self, monkeypatch):
+        # the limit is the certificates' MAX_PATH_EDGES: lowered to a
+        # ball's own edge count the ball still prints, one below it refuses
+        refused, limit = 0, curve_complex.MAX_PATH_EDGES
+        for center in ("0/1", "1/0", "1/1", "3/2", "-5/7"):
+            for radius in range(5):
+                for bound in (2, 5, 6, 9, 15):
+                    args = (parse_slope(center), radius, bound)
+                    monkeypatch.setattr(curve_complex, "MAX_PATH_EDGES", limit)
+                    text = export_dot(*args)
+                    edges = text.count(" -- ")
+                    monkeypatch.setattr(curve_complex, "MAX_PATH_EDGES", edges)
+                    assert export_dot(*args) == text, args
+                    if edges:
+                        monkeypatch.setattr(curve_complex, "MAX_PATH_EDGES", edges - 1)
+                        message = (f"^ball of radius {radius} around {center} within \\|p\\|, \\|q\\| <= {bound} "
+                                   f"has more than {edges - 1} edges, too many to list$")
+                        with pytest.raises(DomainError, match=message):
+                            export_dot(*args)
+                        refused += 1
+        assert refused > 50
+
+    def test_a_family_past_the_limit_is_refused_before_it_is_listed(self, monkeypatch):
+        # 0/1 has the 2 * 10**12 + 1 candidates (-2, q), |q| <= 10**12, and
+        # 10**12 neighbors among them: the family's size alone refuses it
+        def unlisted(s, b):
+            pytest.fail(f"the neighbors of {s} within {b} were listed")
+
+        monkeypatch.setattr(graph, "neighbors_bounded", unlisted)
+        with pytest.raises(DomainError, match="^ball of radius 1 around 0/1 .* too many to list$"):
+            export_dot(Slope(0, 1), 1, 10**12)
+        # within |p|, |q| <= 8 the family of 0/1 has 17 candidates, so at
+        # least 17 // 2 new slopes: past a limit of 6 before one is listed
+        monkeypatch.setattr(curve_complex, "MAX_PATH_EDGES", 6)
+        with pytest.raises(DomainError, match="^ball of radius 1 around 0/1 .* more than 6 edges"):
+            export_dot(Slope(0, 1), 1, 8)
 
     def test_star(self):
         text = export_dot(Slope(0, 1), 1, 3)

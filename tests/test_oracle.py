@@ -1,6 +1,7 @@
-"""The brute-force oracles themselves: generators, conjugator search,
-four-point condition, the checks' failure branches, and the work the
-checks do."""
+"""The brute-force oracles themselves: generators, conjugator search (the
+solved scan to the meg form against a walk over every unimodular matrix in
+the box), four-point condition, the checks' failure branches, and the work
+the checks do."""
 
 import math
 import random
@@ -9,7 +10,7 @@ import re
 import pytest
 
 from solnorm import INF, ParityClass, Slope, bundle, geodesic, oracle, parity_of, parse_matrix, semibundle
-from solnorm.curve_complex import IDENTITY, distances_from
+from solnorm.curve_complex import IDENTITY, GL2Matrix, distances_from
 from solnorm.errors import DomainError
 from solnorm.graph import breadth_first, neighbors_bounded
 from solnorm.oracle import (
@@ -186,6 +187,90 @@ class TestBruteConjugate:
 
     def test_meg_form_never_for_other_trace(self):
         assert brute_conjugate_to_meg_form(parse_matrix("2,1;1,1"), 6) is None
+
+
+SMALL = [GL2Matrix(*m) for m in oracle.iter_unimodular(4)]  # the 360 with entries <= 4
+
+
+def first_hit(A, accept, bound):
+    """The first P = (w, x; y, z) of iter_unimodular(bound) with accept(M),
+    where M = P A P^-1 as the tuple (a, c, b, d), on plain integers."""
+    a, c, b, d = A.a, A.c, A.b, A.d
+    for w, x, y, z in oracle.iter_unimodular(bound):
+        e = w * z - x * y  # +-1, so P^-1 = e * (z, -x; -y, w)
+        M = (
+            e * (z * (w * a + x * b) - y * (w * c + x * d)),
+            e * (w * (w * c + x * d) - x * (w * a + x * b)),
+            e * (z * (y * a + z * b) - y * (y * c + z * d)),
+            e * (w * (y * c + z * d) - x * (y * a + z * b)),
+        )
+        if accept(M):
+            return GL2Matrix(w, x, y, z)
+    return None
+
+
+def test_unimodular_enumeration_is_complete():
+    bound = 3
+    enumerated = set(oracle.iter_unimodular(bound))
+    brute = {
+        (w, x, y, z)
+        for w in range(-bound, bound + 1)
+        for x in range(-bound, bound + 1)
+        for y in range(-bound, bound + 1)
+        for z in range(-bound, bound + 1)
+        if w * z - x * y in (1, -1)
+    }
+    assert enumerated == brute
+    assert len(enumerated) == len(list(oracle.iter_unimodular(bound)))
+
+
+def meg_form(M):
+    a, c, _, d = M
+    return a == -1 and c == 0 and d == -1
+
+
+def test_meg_scan_returns_the_first_hit():
+    assert len(SMALL) == 360
+    hits = 0
+    for bound, matrices in ((1, SMALL), (3, SMALL), (6, SMALL[::4])):
+        for A in matrices:
+            expected = first_hit(A, meg_form, bound)
+            assert oracle.brute_conjugate_to_meg_form(A, bound) == expected, (A, bound)
+            hits += expected is not None
+    assert hits > 0
+
+
+def test_meg_scan_with_b_zero():
+    """b = 0 leaves the first equation w(a + 1) = 0 without an x to solve
+    for: every x when a = -1 (with -I every row passes both equations),
+    none for w != 0 otherwise."""
+    cases = [GL2Matrix(-1, 0, 0, -1), GL2Matrix(1, 0, 0, 1), GL2Matrix(1, 0, 0, -1), GL2Matrix(-1, 0, 0, 1)]
+    for k in (-7, -2, -1, 1, 4):
+        cases += [GL2Matrix(-1, k, 0, -1), GL2Matrix(1, k, 0, 1)]
+    hits = 0
+    for bound in range(1, 9):
+        for A in cases:
+            expected = first_hit(A, meg_form, bound)
+            assert oracle.brute_conjugate_to_meg_form(A, bound) == expected, (A, bound)
+            hits += expected is not None
+    assert hits >= 8 * 6  # -I and the five (-1, k; 0, -1) at every bound
+
+
+def test_meg_scan_on_seeded_matrices():
+    rng = random.Random(1301)
+    others = []
+    while len(others) < 8:
+        A = oracle.random_matrix(rng, 10)
+        if max(abs(A.a), abs(A.b), abs(A.c), abs(A.d)) <= 12:
+            others.append(A)
+    trace_minus_two = rng.sample(list(oracle.iter_trace_minus_two(12)), 8)
+    hits = 0
+    for A in others + trace_minus_two:
+        expected = first_hit(A, meg_form, 10)
+        assert oracle.brute_conjugate_to_meg_form(A, 10) == expected, A
+        hits += expected is not None
+    assert hits >= 4
+
 
 
 def test_trace_minus_two_enumeration():
