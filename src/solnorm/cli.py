@@ -10,6 +10,8 @@ A report on one matrix is one record, the matrix text and the kind's
 Summary (_record).  Three writers of fixed shape write it out: render and
 to_canonical_json, with the norm table, and census_row, without one.
 Every certificate in a norm table is checked; _elided says which to print.
+`verify` runs its independent checks on every CPU in its affinity mask
+(oracle.run_checks), and prints the same bytes as on one CPU.
 
 Every command runs in a fresh process, so the imports are kept to what
 reports need: `verify` imports the oracle on demand, `export-graph` the
@@ -325,15 +327,36 @@ def build_parser() -> argparse.ArgumentParser:
     """argparse's parser of COMMANDS, the reference: _read gives its
     parse_args namespace on every argv it reads, and main hands it every
     argv _read refuses, for its help, its usage errors and its decision.
-    Building it costs about as much as a small report."""
-    import argparse
+    Building it costs about as much as a small report.
 
+    The top-level usage is given, built from COMMANDS and wrapped as
+    CPython 3.10-3.12 wrap it in the width argparse gives help (the
+    terminal's columns less 2), where 3.13 would keep the choices and
+    "..." together: one line where it fits; else "[-h]" beside the prog,
+    or under "usage: " where that takes more than 3/4 of the width, and
+    the choices on a line of their own, followed by "..." where it fits.
+    The subcommands' prog is then given too, since argparse would
+    otherwise derive it from that usage."""
+    import argparse
+    import shutil
+
+    width = shutil.get_terminal_size().columns - 2
+    choices = "{" + ",".join(COMMANDS) + "}"
+    if len(f"usage: solnorm [-h] {choices} ...") <= width:
+        usage = f"%(prog)s [-h] {choices} ..."
+    else:
+        wide = len("usage: solnorm") <= 0.75 * width
+        indent = "\n" + " " * (15 if wide else 7)
+        head = "%(prog)s" + (" " if wide else indent) + "[-h]"
+        tail = choices + (" " if len(f"{indent[1:]}{choices} ...") <= width else indent) + "..."
+        usage = head + indent + tail
     parser = argparse.ArgumentParser(
         prog="solnorm",
+        usage=usage,
         description="Z2-Thurston norms and non-orientable genus bounds for "
         "torus bundles and semi-bundles",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="solnorm")
     for command, (help_text, arguments) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for name, keywords in arguments:

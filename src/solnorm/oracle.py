@@ -25,7 +25,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import os
 import random
+import signal
+import sys
 from typing import NamedTuple
 
 from .arith import INF, ExtNat, bredon_wood, ext_gcd, is_finite
@@ -749,6 +752,80 @@ FULL_CHECKS = [
 ]
 
 
+def _processes(count: int) -> int:
+    """How many processes run count checks: one per CPU this process may
+    use, at most one per check, and one alone where it cannot fork or
+    another thread is alive (a forked copy of a threaded process holds only
+    the forking thread)."""
+    threading = sys.modules.get("threading")  # looked up, never imported
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or (
+        threading is not None and threading.active_count() > 1
+    ):
+        return 1
+    return min(len(os.sched_getaffinity(0)), count)
+
+
+def _pull(checks: list, tokens: int, results: dict[int, CheckResult]) -> None:
+    """Read one check index at a time from the token pipe and run that
+    check, until the pipe is empty.  A check that raises stops the loop
+    and leaves its index out of results."""
+    while token := os.read(tokens, 1):
+        try:
+            results[token[0]] = checks[token[0]]()
+        except Exception:
+            return
+
+
 def run_checks(level: str) -> list[CheckResult]:
+    """Run the level's checks and return their results in schedule order.
+
+    The checks are independent and seeded, so they run side by side: the
+    check indices go into one token pipe, _processes(n) - 1 forked
+    children and this process each run _pull on it, and each child pickles
+    the results it has to its own pipe and leaves through os._exit, with
+    status 0 only once they are all sent.  This process reads every result
+    pipe before it reaps, and kills and reaps the children when anything
+    raises.  It then runs, in order, every check whose result did not come
+    back (none came back from a child that failed, and none from a check
+    that raised), so a check that raises or ends its process raises here,
+    as it would serially, and the results and output are the same bytes
+    with one CPU or many.
+    """
+    import pickle
+
     checks = {"quick": QUICK_CHECKS, "full": FULL_CHECKS}[level]
-    return [check() for check in checks]
+    results: dict[int, CheckResult] = {}
+    tokens, feed = os.pipe()
+    os.write(feed, bytes(range(len(checks))))
+    os.close(feed)
+    streams = {}  # each child's pid -> the read end of its result pipe
+    try:
+        for _ in range(_processes(len(checks)) - 1):
+            source, sink = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # a child, whose results are still empty
+                status = 1
+                try:
+                    _pull(checks, tokens, results)
+                    with open(sink, "wb") as stream:
+                        pickle.dump(results, stream)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(sink)
+            streams[pid] = open(source, "rb")
+        _pull(checks, tokens, results)
+        for pid, stream in list(streams.items()):
+            sent = stream.read()
+            stream.close()
+            status = os.waitpid(pid, 0)[1]
+            del streams[pid]
+            if status == 0:
+                results.update(pickle.loads(sent))
+    finally:
+        os.close(tokens)
+        for pid, stream in streams.items():
+            stream.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [results[i] if i in results else check() for i, check in enumerate(checks)]

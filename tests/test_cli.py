@@ -256,6 +256,26 @@ class TestExitCodes:
         assert err.startswith("usage: solnorm [-h]") and "invalid choice: 'frobnicate'" in err
 
 
+def test_top_level_usage_is_wrapped_as_argparse_3_10_to_3_12_wrap_it(monkeypatch, capsys):
+    # the given usage against the one argparse derives with none given:
+    # the same bytes at every width before 3.13, the same words on 3.13
+    choices = "{" + ",".join(cli.COMMANDS) + "}"
+    for columns in [*range(5, 100), 200]:
+        monkeypatch.setenv("COLUMNS", str(columns))
+        parser = build_parser()
+        given = parser.format_usage()
+        parser.usage = None
+        derived = parser.format_usage()
+        if sys.version_info < (3, 13):
+            assert given == derived, columns
+        assert given.split() == derived.split() == ["usage:", "solnorm", "[-h]", choices, "..."], columns
+        if columns == 80:
+            assert given == f"usage: solnorm [-h]\n{' ' * 15}{choices}\n{' ' * 15}...\n"
+    with pytest.raises(SystemExit):  # a subcommand's usage names it after the prog alone
+        build_parser().parse_args(["bw"])
+    assert capsys.readouterr().err.startswith("usage: solnorm bw [-h] p q\n")
+
+
 # argv for every subcommand, drawn from a valid one.  Half are well
 # formed: each argument given once or left out, in any order, an option
 # written whole as --opt value or --opt=value, with a value the command

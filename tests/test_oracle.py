@@ -1,11 +1,13 @@
 """The brute-force oracles themselves: generators, conjugator search (the
 solved scan to the meg form against a walk over every unimodular matrix in
-the box), four-point condition, the checks' failure branches, and the work
-the checks do."""
+the box), four-point condition, the checks' failure branches, the work
+the checks do, and the runner that spreads them over processes."""
 
 import math
+import os
 import random
 import re
+import time
 
 import pytest
 
@@ -390,3 +392,121 @@ def test_geodesic_check_refuses_a_path_that_leaves_the_class(monkeypatch):
     failures = forged_geodesics(monkeypatch, lambda path: path[:1] + [Slope(1, 0)] + path[1:])
     left = [f for f in failures if ": a vertex left the class" in f]
     assert left and all(f.split(": ")[0] + ": non-edge step" in failures for f in left)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPUs run_checks sees in its affinity mask and counts its
+    forks; after the test, no child of this process may be left."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        forks.clear()
+        return forks
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    yield use
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_runner_gives_the_same_results_on_one_cpu_and_on_two(cpus):
+    forks = cpus(1)
+    one = oracle.run_checks("quick")
+    assert not forks
+    forks = cpus(2)
+    two = oracle.run_checks("quick")
+    assert len(forks) == 1
+    assert one == two
+    assert len(one) == len(oracle.QUICK_CHECKS) and all(result.passed for result in one)
+
+
+def stub_checks(monkeypatch, tmp_path, misbehave, child_checks=1):
+    """Four stub checks in QUICK_CHECKS, and the log each appends its index
+    and its process id to.  In this process a stub first waits until
+    children have logged child_checks lines, so they run that many; then
+    it calls misbehave(index, in_child) and returns its own CheckResult."""
+    parent, log = os.getpid(), tmp_path / "log"
+    log.touch()
+
+    def ran():
+        return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+    def stub(index):
+        def check():
+            with open(log, "a") as stream:
+                stream.write(f"{index} {os.getpid()}\n")
+            deadline = time.monotonic() + 10
+            while os.getpid() == parent and sum(pid != parent for _, pid in ran()) < child_checks:
+                assert time.monotonic() < deadline, "no child ran a check"
+                time.sleep(0.002)
+            misbehave(index, os.getpid() != parent)
+            return oracle.CheckResult(f"stub {index}", "detail", [f"failure {index}"] * (index % 2))
+        return check
+
+    monkeypatch.setattr(oracle, "QUICK_CHECKS", [stub(index) for index in range(4)])
+    expected = [oracle.CheckResult(f"stub {i}", "detail", [f"failure {i}"] * (i % 2)) for i in range(4)]
+    return expected, ran, parent
+
+
+def test_a_check_that_raises_in_a_child_is_run_again_here(cpus, monkeypatch, tmp_path):
+    run_in_child = []  # the child's own copy
+
+    def misbehave(index, in_child):
+        run_in_child.extend([index] * in_child)
+        if len(run_in_child) == 2:
+            raise ValueError(f"stub {index} in a child")
+
+    expected, ran, parent = stub_checks(monkeypatch, tmp_path, misbehave, child_checks=2)
+    cpus(2)
+    assert oracle.run_checks("quick") == expected
+    # the child sends the result it has and stops; its second check runs here
+    sent, raised = [index for index, pid in ran() if pid != parent]
+    assert (sent, parent) not in ran() and (raised, parent) in ran()
+
+
+def test_a_check_that_raises_everywhere_raises(cpus, monkeypatch, tmp_path):
+    def misbehave(index, in_child):
+        if index % 2:
+            raise ValueError(f"stub {index} everywhere")
+
+    stub_checks(monkeypatch, tmp_path, misbehave)
+    cpus(2)
+    with pytest.raises(ValueError, match="stub 1 everywhere"):  # the first in schedule order
+        oracle.run_checks("quick")
+
+
+def test_a_check_that_ends_its_child_is_run_again_here(cpus, monkeypatch, tmp_path):
+    def misbehave(index, in_child):
+        if in_child:
+            os._exit(9)
+
+    expected, ran, parent = stub_checks(monkeypatch, tmp_path, misbehave)
+    cpus(2)
+    assert oracle.run_checks("quick") == expected
+    in_child = {index for index, pid in ran() if pid != parent}
+    assert in_child and all((index, parent) in ran() for index in in_child)
+
+
+class Interrupt(BaseException):
+    """Raised past every check's own handling, as KeyboardInterrupt is."""
+
+
+def test_a_raise_here_kills_and_reaps_a_busy_child(cpus, monkeypatch, tmp_path):
+    def misbehave(index, in_child):
+        if in_child:
+            time.sleep(60)  # busy until killed
+        raise Interrupt
+
+    stub_checks(monkeypatch, tmp_path, misbehave)
+    cpus(2)
+    start = time.monotonic()
+    with pytest.raises(Interrupt):
+        oracle.run_checks("quick")
+    assert time.monotonic() - start < 30
