@@ -25,7 +25,6 @@ from .arith import INF, ExtNat, is_finite
 from .curve_complex import (
     GL2Matrix,
     PARITY_BY_BITS,
-    PARITY_CLASSES,
     ParityClass,
     Validated,
     mat_act,
@@ -41,7 +40,7 @@ from .reports import (
     pi_surface,
     sum_of,
 )
-from .tree_action import MOD2_PERMUTATIONS, translation_lengths
+from .tree_action import _FIXED_BY_MOD2, translation_lengths
 
 DERIVED_IDENTIFICATION = "derived identification"
 
@@ -85,12 +84,9 @@ class H2Structure(NamedTuple):
         return 2 * len(self.valid_jk)
 
 
-def _h2_case(
-    bits: tuple[int, int, int, int], perm: dict[ParityClass, ParityClass]
-) -> H2Structure:
-    """The H2 case of every matrix congruent to bits mod 2, which permutes
-    the parity classes by perm."""
-    fixed = [cls for cls in PARITY_CLASSES if perm[cls] is cls]
+def _h2_case(bits: tuple[int, int, int, int], fixed: tuple[ParityClass, ...]) -> H2Structure:
+    """The H2 case of every matrix congruent to bits mod 2, which fixes
+    the parity classes fixed, in PARITY_CLASSES order."""
     identification = None
     if len(fixed) == 3:
         case_label, generators = "identity", ("tau", "F[0/1]", "F[1/0]")
@@ -106,10 +102,10 @@ def _h2_case(
     return H2Structure(case_label, valid_jk, generators, classes, identification)
 
 
-# The case of each of the six invertible matrices mod 2, read off its
-# permutation of the parity classes.  H2Structure is a tuple, so every
-# caller can share these.
-_H2_BY_MOD2 = {bits: _h2_case(bits, perm) for bits, perm in MOD2_PERMUTATIONS.items()}
+# The case of each of the six invertible matrices mod 2, read off the
+# classes it fixes.  H2Structure is a tuple, so every caller can share
+# these.
+_H2_BY_MOD2 = {bits: _h2_case(bits, fixed) for bits, fixed in _FIXED_BY_MOD2.items()}
 
 
 def h2_structure(A: GL2Matrix) -> H2Structure:
@@ -144,9 +140,9 @@ def _realizer(A: GL2Matrix, parity: ParityClass, length: int) -> SurfaceDescript
     whole runs, without building a vertex, and checks the l edges after
     them run by run.  It raises when l is negative, above d = d(v, A(v))
     or of the parity of d + 1.  The checks index the path's first two and
-    last two vertices, which the record keeps, so no vertex list is
-    built.  The certificate proves itself minimal, so neither l nor the
-    way w was found is trusted:
+    last two vertices, so no vertex list is built.  The certificate
+    proves itself minimal, so neither l nor the way w was found is
+    trusted:
 
     - pi_surface's check of a geodesic of l + 1 vertices from w to A(w)
       proves d(w, A(w)) = l, an upper bound on the translation length.

@@ -336,9 +336,19 @@ def build_parser() -> argparse.ArgumentParser:
     or under "usage: " where that takes more than 3/4 of the width, and
     the choices on a line of their own, followed by "..." where it fits.
     The subcommands' prog is then given too, since argparse would
-    otherwise derive it from that usage."""
+    otherwise derive it from that usage.  A positional or option value
+    whose text is "--" stays "--", as on CPython 3.13.1, not the [] of
+    3.10-3.13.0."""
     import argparse
     import shutil
+
+    class Parser(argparse.ArgumentParser):
+        def _get_values(self, action, arg_strings):
+            if arg_strings == ["--"] and action.nargs is None:
+                value = self._get_value(action, "--")
+                self._check_value(action, value)
+                return value
+            return super()._get_values(action, arg_strings)
 
     width = shutil.get_terminal_size().columns - 2
     choices = "{" + ",".join(COMMANDS) + "}"
@@ -350,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         head = "%(prog)s" + (" " if wide else indent) + "[-h]"
         tail = choices + (" " if len(f"{indent[1:]}{choices} ...") <= width else indent) + "..."
         usage = head + indent + tail
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="solnorm",
         usage=usage,
         description="Z2-Thurston norms and non-orientable genus bounds for "

@@ -464,16 +464,12 @@ class TreePath(Sequence):
         written as ("%d/%d" + separator) * n over its flattened pairs, a run
         straight from its progressions, and a run whose step has a zero
         entry puts that constant entry into the template once, so only the
-        other entry is formatted per vertex.  A path of one piece, always a
-        list, is written with no trailing separator to strip.  An entry over
-        Python's int-digit limit raises DomainError, as str(slope) does."""
+        other entry is formatted per vertex.  An entry over Python's
+        int-digit limit raises DomainError, as str(slope) does."""
         pieces = self._spelled()
         sep = separator.replace("%", "%%")
         pair, chunks = "%d/%d" + sep, []
         try:
-            if len(pieces) == 1:  # one list, as most short paths are: no chunks, no join
-                piece = pieces[0]
-                return (pair * (len(piece) - 1) + "%d/%d") % tuple(itertools.chain.from_iterable(piece))
             for piece in pieces:
                 if type(piece) is list:
                     chunks.append((pair * len(piece)) % tuple(itertools.chain.from_iterable(piece)))

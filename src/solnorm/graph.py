@@ -7,12 +7,11 @@ curve_complex.MAX_PATH_EDGES edges, the limit a certificate is listed to.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterator
 
 from . import curve_complex
 from .arith import ext_gcd
-from .curve_complex import Slope
+from .curve_complex import Slope, _canonical
 from .errors import DomainError
 
 
@@ -36,30 +35,26 @@ def _family_range(terms, bound: int) -> range:
 
 def _family(s: Slope, bound: int) -> tuple[int, int, range]:
     """The solutions (p0 + t*s.p, q0 + t*s.q) of s.p*q' - p'*s.q = 2 in
-    the box: (p0, q0) and the range of t."""
+    the box that are slopes: (p0, q0) and the range of their t, the odd
+    ones.  p0 = -2y and q0 = 2x are even, so an even t gives two even
+    entries; an odd t gives the odd entry of s, and the determinant 2 with
+    s then makes the pair reduced."""
     _, x, y = ext_gcd(s.p, s.q)
     p0, q0 = -2 * y, 2 * x
-    return p0, q0, _family_range(((p0, s.p), (q0, s.q)), bound)
+    ts = _family_range(((p0, s.p), (q0, s.q)), bound)
+    return p0, q0, range(ts.start | 1, ts.stop, 2)
 
 
 def neighbors_bounded(s: Slope, bound: int) -> list[Slope]:
     """All slopes u with intersection_number(s, u) = 2 and |u.p|, |u.q| <= bound.
 
-    The solutions of p*q' - p'*q = 2 form the family (p0 + t*p, q0 + t*q);
-    members with both entries even are not slopes and are skipped.  The
+    The solutions of p*q' - p'*q = 2 form the family (p0 + t*p, q0 + t*q),
+    and _family keeps the members that are slopes, with no gcd.  The
     opposite family (intersection form value -2) consists of the negated
     pairs, which canonicalize to the same slopes.
     """
-    if bound < 1:
-        return []
-    p0, q0, family = _family(s, bound)
-    found = []
-    for t in family:
-        cp, cq = p0 + t * s.p, q0 + t * s.q
-        if math.gcd(cp, cq) == 1:
-            found.append(Slope.of(cp, cq))
-    found.sort()
-    return found
+    p0, q0, ts = _family(s, bound)
+    return sorted([_canonical(p0 + t * s.p, q0 + t * s.q) for t in ts])
 
 
 def breadth_first(
@@ -95,19 +90,18 @@ def export_dot(center: Slope, radius: int, bound: int) -> str:
     The bounded subgraph is a subforest of a tree, so the ball's edges are
     exactly the edges along which breadth-first search discovers it.
 
-    A ball of more than MAX_PATH_EDGES edges raises DomainError, and a
-    family of candidate neighbors that would pass the limit is refused
-    before it is enumerated: a slope has an odd entry, whose parity
-    alternates along the family, so C candidates hold at least C // 2
-    slopes, and in a tree all of them but the parent are new.  So a
-    family is refused when C // 2 - 1 passes the room left, that is when
-    C > 2 * room + 3."""
+    A ball of more than MAX_PATH_EDGES edges raises DomainError.  A
+    vertex whose S neighbors would pass the limit is refused before they
+    are listed, by the length of _family's range of their t: in a tree
+    all of them but the parent are new, so S - 1 must not pass the room
+    left.  The center, and the children of a center outside the box, have
+    no parent among them, so each edge found is counted too."""
     limit = curve_complex.MAX_PATH_EDGES
     nodes, edges = [], []
 
     def neighbors(u: Slope) -> list[Slope]:
         # a range's truth holds past sys.maxsize, unlike len
-        if _family(u, bound)[2][2 * (limit - len(edges)) + 3:]:
+        if _family(u, bound)[2][limit - len(edges) + 1:]:
             raise _ball_too_large(center, radius, bound)
         return neighbors_bounded(u, bound)
 

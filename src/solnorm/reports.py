@@ -80,12 +80,12 @@ class NormReport(NamedTuple):
 def pi_surface(A: GL2Matrix, v: Slope, length: int) -> SurfaceDescription:
     """The non-orientable surface of genus length + 2 built along the
     certificate of A from v, for both kinds: the middle length edges of
-    the walk from v to A(v).  The certificate must have length edges
-    and run from its first vertex w to A(w), which proves
-    d(w, A(w)) = length; that w is on the axis (a bundle) or is v itself
-    (a semi-bundle) is the caller's to check."""
+    the walk from v to A(v).  The walk checks that the certificate has
+    length edges; it must also run from its first vertex w to A(w), which
+    proves d(w, A(w)) = length.  That w is on the axis (a bundle) or is v
+    itself (a semi-bundle) is the caller's to check."""
     certificate = geodesic_path(v, mat_act(A, v), middle=length)
-    if certificate.edges != length or certificate[-1] != mat_act(A, certificate[0]):
+    if certificate[-1] != mat_act(A, certificate[0]):
         raise AssertionError(f"certificate of {A} from {v} does not run from a vertex to its image")
     return SurfaceDescription(KIND_PI, genus=length + 2, certificate=certificate)
 

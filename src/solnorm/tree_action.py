@@ -71,7 +71,8 @@ def translation_length_closed(A: GL2Matrix, cls: ParityClass) -> ExtNat:
     return bredon_wood(u2, p2 * x + q2 * y) - bredon_wood(u1, p1 * x + q1 * y)
 
 
-# The classes each invertible matrix mod 2 fixes, keyed as MOD2_PERMUTATIONS.
+# The classes each invertible matrix mod 2 fixes, keyed as MOD2_PERMUTATIONS:
+# the classes translation_lengths evaluates and bundle's H2 cases name.
 _FIXED_BY_MOD2 = {
     bits: tuple(cls for cls in PARITY_CLASSES if perm[cls] is cls)
     for bits, perm in MOD2_PERMUTATIONS.items()

@@ -96,10 +96,10 @@ class TestH2Structure:
             assert h2_structure(parse_matrix(text)).valid_jk == expected
 
     def test_a_permutation_fixing_two_classes_is_refused(self):
-        # no permutation of three classes fixes exactly two; a forged one raises
-        P10, P01, P11 = ParityClass
+        # no permutation of three classes fixes exactly two; forged fixed classes raise
+        P10, P01, _ = ParityClass
         with pytest.raises(AssertionError, match="^1,0;0,1 mod 2 fixes 2 parity classes$"):
-            bundle._h2_case((1, 0, 0, 1), {P10: P10, P01: P01, P11: P01})
+            bundle._h2_case((1, 0, 0, 1), (P10, P01))
 
     def test_summary_refuses_an_infinite_length_on_a_fixed_class(self, monkeypatch):
         monkeypatch.setattr(bundle, "translation_lengths", lambda A: dict.fromkeys(ParityClass, INF))

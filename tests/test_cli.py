@@ -118,6 +118,10 @@ class TestExitCodes:
             ("bundle", "--matrix=1,0;2,1", "--certificate-cap=-5"),
             ("export-graph", "--center", "0/1", "--radius", "-3", "--bound", "5"),
             ("export-graph", "--center", "0/1", "--radius", "1", "--bound", "-1"),
+            # an argument whose whole text is "--"
+            ("bw", "--", "1", "--"),
+            ("bundle", "--matrix=1,0;2,1", "--certificate-cap=--"),
+            ("export-graph", "--center", "0/1", "--radius=--", "--bound", "5"),
         ):
             with pytest.raises(SystemExit) as info:
                 main(list(argv))
@@ -153,6 +157,8 @@ class TestExitCodes:
         (("geodesic", "0/1", "4/3/2"), 2),
         (("geodesic", "0/1", "1/0"), 1),
         (("geodesic", "6/4", "0/1"), 1),
+        (("dist", "--", "0/1", "--"), 2),
+        (("geodesic", "--", "0/1", "--"), 2),
         (("act", "--matrix=1,0;x,1", "1/0"), 2),
         (("act", "--matrix=1,0;2,1", "1/x"), 2),
         (("act", "--matrix=2,0;0,1", "1/0"), 1),
@@ -368,6 +374,11 @@ def _parsed(parse, argv):
 @example(["verify", "--level", "slow"])
 @example(["act", "--=1,0;2,1", "1/0"])
 @example(["semibundle", "--json", "--matrix", "0,1;1,0"])
+# a positional whose text is "--", after the "--" that ends the options,
+# which argparse before 3.13.1 would leave as []
+@example(["bw", "--", "1", "--"])
+@example(["dist", "--", "0/1", "--"])
+@example(["geodesic", "--", "0/1", "--"])
 def test_every_argv_parses_as_the_top_level_parser_does(tmp_path_factory, argv):
     # main reads a well-formed argv itself and hands every other to the
     # top-level parser; whatever it is given, it must reach _dispatch with

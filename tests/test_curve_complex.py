@@ -824,51 +824,6 @@ class TestRunChecksAgainstVertexChecks:
                 assert path == geodesic_by_vertices(s1, s2, middle=middle)
                 assert_canonical(path)
 
-    @given(unimodular, even_slopes)
-    @example(IDENTITY, Slope(40, 1))  # one run of 20 moves
-    @example(GL2Matrix(1, 0, 0, -1), Slope(2, 41))
-    def test_every_middle_of_short_paths(self, A, t):
-        # every cut at vertex k, inside a run or between two
-        s1, s2 = mat_act(A, Slope(0, 1)), mat_act(A, t)
-        d = distance(s1, s2)
-        for middle in range(d % 2, d + 1, 2):
-            path = geodesic(s1, s2, middle=middle)
-            assert path == geodesic_by_vertices(s1, s2, middle=middle)
-            assert_canonical(path)
-
-    @given(walks_around_a_slope())
-    @example((Slope(-1, 6), Slope(1, 4), [(1, -4, 0, 2, 5)], [Slope(-1, 6), Slope(-1, 4), Slope(-1, 2),
-                                                              Slope(1, 0), Slope(1, 2), Slope(1, 4)]))
-    @example((Slope(-1, 6), Slope(1, 4), [(-1, 4, 0, -2, 5)], [Slope(-1, 6), Slope(-1, 4), Slope(-1, 2),
-                                                               Slope(1, 0), Slope(1, 2), Slope(1, 4)]))
-    # q crosses 0 between two vertices: 4/3, 2/1, 0/1, 2/3 as one run
-    @example((Slope(4, 3), Slope(2, 3), [(-2, -1, 2, 2, 3)], [Slope(4, 3), Slope(2, 1), Slope(0, 1), Slope(2, 3)]))
-    # the run starts at (-1, 0): 1/0, -1/2, -1/4 after 1/2
-    @example((Slope(1, 2), Slope(-1, 4), [(-1, 0, 0, 2, 3)], [Slope(1, 2), Slope(1, 0), Slope(-1, 2), Slope(-1, 4)]))
-    # the run ends at (-1, 0): 1/4, 1/2, 1/0 after 1/6
-    @example((Slope(1, 6), Slope(1, 0), [(-1, -4, 0, 2, 3)], [Slope(1, 6), Slope(1, 4), Slope(1, 2), Slope(1, 0)]))
-    # q < 0 throughout, and it would reach 0 one vertex past the run's end:
-    # -1/8, -1/6, -1/4 after -1/10
-    @example((Slope(-1, 10), Slope(-1, 4), [(1, -8, 0, 2, 3)],
-              [Slope(-1, 10), Slope(-1, 8), Slope(-1, 6), Slope(-1, 4)]))
-    # q < 0 throughout with a zero step in q: -3/1, -5/1, -7/1 after -1/1
-    @example((Slope(-1, 1), Slope(-7, 1), [(3, -1, 2, 0, 3)], [Slope(-1, 1), Slope(-3, 1), Slope(-5, 1), Slope(-7, 1)]))
-    def test_forged_runs_whose_q_crosses_zero(self, walk):
-        # the forged runs spell the true path, with signs and cuts _walk
-        # would not choose; both checks accept them, whole and in every
-        # middle, and the true walk gives the same path
-        s1, s2, runs, path = walk
-        assert distance(s1, s2) == len(path) - 1
-        assert geodesic(s1, s2) == path
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(curve_complex, "_walk", lambda *args: clipped(runs, args[-1]))
-            for middle in range(len(path) % 2 ^ 1, len(path), 2):
-                stretch = geodesic(s1, s2, middle=middle)
-                assert stretch == geodesic_by_vertices(s1, s2, middle=middle)
-                k = (len(path) - 1 - middle) // 2
-                assert stretch == path[k:k + middle + 1]
-                assert_canonical(stretch)
-
 
 # separators for TreePath.text: the text report's, the JSON writer's, none,
 # and one that is itself a % template
@@ -879,7 +834,8 @@ def assert_record_is(path, vertices):
     """The TreePath path holds exactly vertices: its length first, the sum
     of its stored pieces, so a record that holds more vertices than it
     should fails before any is built; then its list, every index,
-    negative ones too, and its text with each separator."""
+    negative ones too, where index finds its ends and middle vertex (a
+    path's vertices are distinct), and its text with each separator."""
     assert type(path) is TreePath
     n = len(vertices)
     assert len(path) == n
@@ -890,6 +846,10 @@ def assert_record_is(path, vertices):
     for i in (n, -n - 1):
         with pytest.raises(IndexError):
             path[i]
+    for i in {0, n // 2, n - 1}:
+        assert path.index(vertices[i]) == path.index(vertices[i], i, i + 1) == i
+    with pytest.raises(ValueError):
+        path.index(vertices[-1], 0, n - 1)
     for separator in SEPARATORS:
         assert path.text(separator) == separator.join("%d/%d" % v for v in vertices)
     assert path == tuple(vertices) and hash(path) == hash(tuple(vertices))
@@ -913,6 +873,9 @@ class TestTreePath:
     # q crosses 0 inside the run: -1/6, -1/4, -1/2, 1/0, 1/2, 1/4 as one run
     @example((Slope(-1, 6), Slope(1, 4), [(1, -4, 0, 2, 5)], [Slope(-1, 6), Slope(-1, 4), Slope(-1, 2),
                                                               Slope(1, 0), Slope(1, 2), Slope(1, 4)]))
+    # the same run negated
+    @example((Slope(-1, 6), Slope(1, 4), [(-1, 4, 0, -2, 5)], [Slope(-1, 6), Slope(-1, 4), Slope(-1, 2),
+                                                               Slope(1, 0), Slope(1, 2), Slope(1, 4)]))
     # q crosses 0 between two vertices: 4/3, 2/1, 0/1, 2/3 as one run
     @example((Slope(4, 3), Slope(2, 3), [(-2, -1, 2, 2, 3)], [Slope(4, 3), Slope(2, 1), Slope(0, 1), Slope(2, 3)]))
     # the run starts at (-1, 0): 1/0, -1/2, -1/4 after 1/2
@@ -928,8 +891,11 @@ class TestTreePath:
     def test_runs_whose_q_changes_sign(self, walk):
         # the forged runs spell the true path with signs and cuts _walk
         # would not choose, 1/0 inside a run among them; every middle,
-        # cut inside a run or between two, reads back as the reference
+        # cut inside a run or between two, reads back as the reference,
+        # and the true walk gives the same path
         s1, s2, runs, path = walk
+        assert distance(s1, s2) == len(path) - 1
+        assert geodesic(s1, s2) == path
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(curve_complex, "_walk", lambda *args: clipped(runs, args[-1]))
             for middle in range(len(path) % 2 ^ 1, len(path), 2):
@@ -1135,16 +1101,16 @@ class TestDotExport:
         assert refused > 50
 
     def test_a_family_past_the_limit_is_refused_before_it_is_listed(self, monkeypatch):
-        # 0/1 has the 2 * 10**12 + 1 candidates (-2, q), |q| <= 10**12, and
-        # 10**12 neighbors among them: the family's size alone refuses it
+        # 0/1 has the 10**12 neighbors (-2, q), q odd, |q| <= 10**12: the
+        # range of their q alone refuses them
         def unlisted(s, b):
             pytest.fail(f"the neighbors of {s} within {b} were listed")
 
         monkeypatch.setattr(graph, "neighbors_bounded", unlisted)
         with pytest.raises(DomainError, match="^ball of radius 1 around 0/1 .* too many to list$"):
             export_dot(Slope(0, 1), 1, 10**12)
-        # within |p|, |q| <= 8 the family of 0/1 has 17 candidates, so at
-        # least 17 // 2 new slopes: past a limit of 6 before one is listed
+        # within |p|, |q| <= 8 0/1 has the 8 neighbors (-2, q), q odd, all
+        # new: past a limit of 6 before one is listed
         monkeypatch.setattr(curve_complex, "MAX_PATH_EDGES", 6)
         with pytest.raises(DomainError, match="^ball of radius 1 around 0/1 .* more than 6 edges"):
             export_dot(Slope(0, 1), 1, 8)

@@ -394,6 +394,106 @@ def test_geodesic_check_refuses_a_path_that_leaves_the_class(monkeypatch):
     assert left and all(f.split(": ")[0] + ": non-edge step" in failures for f in left)
 
 
+def plus(by):
+    """A forge of a function: what the real one returns, plus by."""
+    return lambda real: lambda *args: real(*args) + by
+
+
+def replaced(**fields):
+    """A forge of a summary function: the real Summary with each named
+    field replaced by its function of the matrix."""
+    return lambda real: lambda A: real(A)._replace(**{name: value(A) for name, value in fields.items()})
+
+
+def to(value):
+    """A forge of a function that always returns value."""
+    return lambda real: lambda *args: value
+
+
+def off_the_base_vertex(real):
+    """A forge of translation_length_orbit: two too long from every vertex
+    but the base vertex."""
+    def orbit(A, cls, v=None):
+        data = real(A, cls, v)
+        return data if v is None else data._replace(length=data.length + 2, action=oracle.ActionType.TRANSLATION)
+    return orbit
+
+
+def first_entry(real):
+    """A forge of a function of two slopes: the first one's p."""
+    return lambda u, v: u.p
+
+
+# Each check with forges of the oracle's bindings of what it compares, each
+# mapping the real function to its stand-in, and the failure messages they
+# must produce: with the grid and geodesic tests above they reach every
+# failure statement of the checks.
+BROKEN_CHECKS = {
+    "Bredon-Wood parity": (lambda: oracle.check_bw_parity(20, 2, seed=101), {"bredon_wood": plus(1)},
+                           [r"N\(-?\d+,\d+\) = \d+"]),
+    # off by two only when q > p, so only the lens-equivalent q + p differs
+    "lens invariance": (lambda: oracle.check_lens_invariance(12),
+                        {"bredon_wood": lambda real: lambda p, q: real(p, q) + 2 * (q > p)},
+                        [r"N\(\d+,\d+\) = \d+ but a lens-equivalent q gave \d+"]),
+    "closed form": (lambda: oracle.check_closed_vs_orbit(20, 12, 2, seed=102),
+                    {"translation_length_closed": plus(2)}, [r".* on ./.: closed \d+ != orbit \d+"]),
+    "orbit off the base vertex": (lambda: oracle.check_closed_vs_orbit(20, 12, 2, seed=102),
+                                  {"translation_length_orbit": off_the_base_vertex},
+                                  [r".* on ./. at -?\d+/\d+: orbit \d+ != \d+"]),
+    "periodic order": (oracle.check_periodic_table, {"order": to(INF)},
+                       [r"A1 classified as None", r"order\(A1\) = inf, powers give 1"]),
+    "periodic summary": (oracle.check_periodic_table,
+                         {"summary": replaced(meg=lambda A: 3, mog=lambda A: 5), "classify_geometry": to(None)},
+                         [r"meg\(A1\) = 3, expected 4", r"mog\(A1\) = 5, expected inf", r"A1 not classified periodic"]),
+    "Nil family": (lambda: oracle.check_nil_family(8), {"summary": replaced(meg=lambda A: 3, mog=lambda A: 5)},
+                   [r"meg\(1,0;1,1\) = 3", r"mog\(1,0;1,1\) = 5, expected inf"]),
+    "semi-bundle summary": (
+        lambda: oracle.check_semibundle(120, seed=103),
+        {"semi_summary": replaced(meg=lambda A: 4, norms=lambda A: (0, 1), mog=lambda A: 1)},
+        [r"meg\(.*\) != 2", r".*: b = -?\d+ but norms \[0, 1\]", r".*: b odd but 2 classes",
+         r".*: norms \[0, 1\]", r"mog\(.*\) = 1 != \d+", r"mog\(.*\) = 1 != inf"]),
+    "semi-bundle N": (lambda: oracle.check_semibundle(120, seed=103), {"bredon_wood": plus(1)},
+                      [r".*: N\(.*\) = \d+ not odd", r".*: N\(.*\) = \d+ not even"]),
+    "conjugator missing": (lambda: oracle.check_conjugacy_criterion(2, 3, 5, seed=104),
+                           {"brute_conjugate_to_meg_form": to(None)}, [r"no conjugator \(bound 3\) for .*"]),
+    "conjugator wrong": (lambda: oracle.check_conjugacy_criterion(2, 3, 5, seed=104),
+                         {"brute_conjugate_to_meg_form": to(IDENTITY)},
+                         [r"conjugator for .* gave .*", r"trace -?\d+ matrix .* reached the form via 1,0;0,1"]),
+    "geodesic endpoints": (lambda: oracle.check_geodesics(20, 10, seed=1805),
+                           {"geodesic": lambda real: lambda s1, s2: real(s1, s2)[::-1]},
+                           [r".*->.*: endpoints .*, .*"]),
+    "invariance of summaries": (
+        lambda: oracle.check_invariance(20, 0, seed=106),
+        {"summary": replaced(norms=lambda A: (A.a,), mog=lambda A: A.a), "order": lambda real: lambda M: M.a,
+         "semi_summary": replaced(mog=lambda A: A.a)},
+        [r"conjugate norm multiset differs for .*", r"inverse mog/meg differs for .*",
+         r"conjugate geometry/order differs for .*", r"order\(.*\) = -?\d+, powers give .*",
+         r"inverse semi data differs for .*"]),
+    "invariance of parity permutations": (
+        lambda: oracle.check_invariance(20, 0, seed=106),
+        {"parity_permutation": lambda real: lambda M: {cls: cls for cls in ParityClass}},
+        [r"mod-2 permutation of .* differs from its action", r"conjugation does not permute lengths for .* on ./."]),
+    "invariance on slopes": (
+        lambda: oracle.check_invariance(0, 20, seed=106),
+        {"check_four_point": to(False), "distance": first_entry, "intersection_number": first_entry},
+        [r"four-point fails on .*", r".* is not an isometry on \(.*\)", r".* changes intersection number on \(.*\)"]),
+    "H2 kernel": (lambda: oracle.check_h2_kernel(20, seed=107), {"h2_structure": lambda real: lambda A: real(IDENTITY)},
+                  [r".*: table \[.*\] != kernel \[.*\]"]),
+}
+
+
+@pytest.mark.parametrize("check, forges, messages", BROKEN_CHECKS.values(), ids=list(BROKEN_CHECKS))
+def test_every_check_fails_on_what_it_compares(monkeypatch, check, forges, messages):
+    for name, forge in forges.items():
+        monkeypatch.setattr(oracle, name, forge(getattr(oracle, name)))
+    result = check()
+    assert result.line().startswith(f"FAIL  {result.name}: ")
+    count = re.fullmatch(r".*\b(\d+) [a-z ]+", result.detail)  # the detail ends with the error count
+    assert count and int(count[1]) == len(result.failures)
+    for message in messages:
+        assert any(re.fullmatch(message, failure) for failure in result.failures), message
+
+
 @pytest.fixture
 def cpus(monkeypatch):
     """Sets the CPUs run_checks sees in its affinity mask and counts its
@@ -425,6 +525,13 @@ def test_runner_gives_the_same_results_on_one_cpu_and_on_two(cpus):
     assert len(forks) == 1
     assert one == two
     assert len(one) == len(oracle.QUICK_CHECKS) and all(result.passed for result in one)
+
+
+def test_without_fork_every_check_runs_here(cpus, monkeypatch):
+    forks = cpus(2)
+    monkeypatch.delattr(os, "fork")
+    assert oracle.run_checks("quick") == [check() for check in oracle.QUICK_CHECKS]
+    assert not forks
 
 
 def stub_checks(monkeypatch, tmp_path, misbehave, child_checks=1):

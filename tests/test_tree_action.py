@@ -122,7 +122,7 @@ def test_invariants_hold_under_python_optimize():
         "TranslationData(P10, 2, ActionType.ROTATION)",
         "TranslationData(P01, 3, ActionType.INVERSION)",
         "TranslationData(P11, INF, ActionType.TRANSLATION)",
-        "bundle._h2_case((1, 0, 0, 1), {P10: P10, P01: P01, P11: P01})",
+        "bundle._h2_case((1, 0, 0, 1), (P10, P01))",
         "bundle.translation_lengths = lambda A: dict.fromkeys(PARITY_CLASSES, INF)\n"
         "bundle.summary(IDENTITY)",
         "semibundle.bredon_wood = lambda p, q: INF\n"

@@ -119,30 +119,16 @@ def _limits_argvs() -> list[list[str]]:
     return argvs
 
 
-def _product(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    """The product of two matrices held as their row-major (a, c, b, d)."""
-    a, c, b, d = x
-    e, g, f, h = y
-    return a * e + c * f, a * g + c * h, b * e + d * f, b * g + d * h
-
-
-def _power(x: tuple[int, ...], n: int) -> tuple[int, ...]:
-    result = (1, 0, 0, 1)
-    while n:
-        if n & 1:
-            result = _product(result, x)
-        x, n = _product(x, x), n >> 1
-    return result
-
-
 def _large_argvs() -> list[list[str]]:
-    """The large family, its matrices built here with plain integers."""
+    """The large family, its matrices built with plain integers by
+    perfbench/inputs.py."""
+    inputs = _inputs()
     W = (1, 2, 2, 5)
-    a, c, b, d = _power((3, 2, 1, 1), 833)  # det 1, so its inverse is d, -c; -b, a
-    B = "%d,%d;%d,%d" % _product(_product((a, c, b, d), _power(W, 2500)), (d, -c, -b, a))
+    P = inputs.power((3, 2, 1, 1), 833)
+    B = inputs.text(inputs.mul(inputs.mul(P, inputs.power(W, 2500)), inputs.inverse(P)))
     return [["bundle", f"--matrix={B}"], ["bundle", f"--matrix={B}", "--json"],
             ["semibundle", f"--matrix={B}", "--json"], ["bundle", f"--matrix={B}", "--certificate-cap=0"],
-            ["bundle", "--matrix=%d,%d;%d,%d" % _power(W, 4000), "--json"]]
+            ["bundle", f"--matrix={inputs.text(inputs.power(W, 4000))}", "--json"]]
 
 
 def _usage_argvs() -> list[list[str]]:
