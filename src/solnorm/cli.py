@@ -4,7 +4,8 @@ Subcommands: bw, dist, geodesic, act, bundle, semibundle, census,
 export-graph, verify.  Infinity renders as the literal string "inf" in both
 text and JSON.  Exit codes: 0 success, 1 domain error (non-coprime slope,
 determinant not +-1, ...), 2 parse error, 3 verification failure, 4 census
-input or output file error (missing, unwritable, not UTF-8).
+input or output file error (missing, unwritable, not UTF-8).  Run as a
+command (entry), solnorm is ended by SIGPIPE when its stdout is closed.
 
 A report on one matrix is one record, the matrix text and the kind's
 Summary (_record).  Three writers of fixed shape write it out: render and
@@ -506,6 +507,12 @@ def _dispatch(args: SimpleNamespace | argparse.Namespace) -> int:
 
 
 def entry() -> None:
+    """The console script.  A closed stdout ends the process by SIGPIPE, as
+    it ends other filters, where the platform has the signal."""
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

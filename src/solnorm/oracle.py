@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .arith import INF, ExtNat, bredon_wood, ext_gcd, is_finite
 from .bundle import GeometryClass, classify_geometry, h2_structure, order, summary
 from .curve_complex import (
-    GL2Matrix, IDENTITY, PARITY_CLASSES, ParityClass, Slope, Validated,
+    GL2Matrix, IDENTITY, PARITY_CLASSES, ParityClass, Slope, Validated, _canonical,
     distance, distances_from, geodesic, intersection_number, mat_act, parity_of,
 )
 from .errors import DomainError
@@ -74,12 +74,12 @@ def random_matrix(rng: random.Random, max_word: int) -> GL2Matrix:
 SLOPE_DRAWS = 1000
 
 
-def random_slope(rng: random.Random, bound: int, parity: ParityClass | None = None) -> Slope:
+def random_slope(rng: random.Random, bound: int, parity: ParityClass) -> Slope:
     """A uniform coprime pair with entries in [-bound, bound], of the given
-    parity if any, as a slope.  Each entry is randint's draw: getrandbits
-    over the bits of the width 2*bound + 1 until below it, minus bound.
-    Raises AssertionError when SLOPE_DRAWS pairs hold no such slope, as for
-    bound 0, rather than drawing forever."""
+    parity, as a slope.  Each entry is randint's draw: getrandbits over the
+    bits of the width 2*bound + 1 until below it, minus bound.  Raises
+    AssertionError when SLOPE_DRAWS pairs hold no such slope, as for bound
+    0, rather than drawing forever."""
     width = 2 * bound + 1
     bits, getrandbits = width.bit_length(), rng.getrandbits
     for _ in range(SLOPE_DRAWS):
@@ -89,12 +89,9 @@ def random_slope(rng: random.Random, bound: int, parity: ParityClass | None = No
         while q >= width:
             q = getrandbits(bits)
         p, q = p - bound, q - bound
-        if parity is not None and (p % 2, q % 2) != (parity.j, parity.k):
-            continue
-        if math.gcd(p, q) == 1:  # gcd(0, 0) = 0 rejects 0/0 too
-            return Slope.of(p, q)
-    wanted = "slope" if parity is None else f"slope of class {parity.label}"
-    raise AssertionError(f"{SLOPE_DRAWS} pairs in [-{bound}, {bound}] held no {wanted}")
+        if (p % 2, q % 2) == (parity.j, parity.k) and math.gcd(p, q) == 1:
+            return _canonical(p, q)
+    raise AssertionError(f"{SLOPE_DRAWS} pairs in [-{bound}, {bound}] held no slope of class {parity.label}")
 
 
 def _second_rows(w: int, x: int, bound: int):
@@ -723,33 +720,22 @@ def check_h2_kernel(samples: int, seed: int) -> CheckResult:
     return CheckResult("H2 kernel cross-check", f"{samples} matrices, {len(failures)} errors", failures)
 
 
-QUICK_CHECKS = [
-    lambda: check_grid_agreement(10),
-    lambda: check_bw_parity(200, 4, seed=101),
-    lambda: check_lens_invariance(60),
-    lambda: check_closed_vs_orbit(150, 12, 2, seed=102),
-    check_periodic_table,
-    lambda: check_nil_family(16),
-    lambda: check_semibundle(120, seed=103),
-    lambda: check_conjugacy_criterion(8, 14, 60, seed=104),
-    lambda: check_geodesics(100, 25, seed=105),
-    lambda: check_invariance(100, 200, seed=106),
-    lambda: check_h2_kernel(200, seed=107),
-]
-
-FULL_CHECKS = [
-    lambda: check_grid_agreement(25),
-    lambda: check_bw_parity(1000, 10, seed=101),
-    lambda: check_lens_invariance(200),
-    lambda: check_closed_vs_orbit(1000, 12, 5, seed=102),
-    check_periodic_table,
-    lambda: check_nil_family(48),
-    lambda: check_semibundle(500, seed=103),
-    lambda: check_conjugacy_criterion(20, 30, 500, seed=104),
-    lambda: check_geodesics(500, 40, seed=105),
-    lambda: check_invariance(500, 1000, seed=106),
-    lambda: check_h2_kernel(500, seed=107),
-]
+# verify's schedule: one row per check, in the order verify prints them,
+# with the check's arguments at the quick level and at the full level.  The
+# seed, where a check takes one, is its last argument and the same at both.
+SCHEDULE = (
+    (check_grid_agreement, (10,), (25,)),
+    (check_bw_parity, (200, 4, 101), (1000, 10, 101)),
+    (check_lens_invariance, (60,), (200,)),
+    (check_closed_vs_orbit, (150, 12, 2, 102), (1000, 12, 5, 102)),
+    (check_periodic_table, (), ()),
+    (check_nil_family, (16,), (48,)),
+    (check_semibundle, (120, 103), (500, 103)),
+    (check_conjugacy_criterion, (8, 14, 60, 104), (20, 30, 500, 104)),
+    (check_geodesics, (100, 25, 105), (500, 40, 105)),
+    (check_invariance, (100, 200, 106), (500, 1000, 106)),
+    (check_h2_kernel, (200, 107), (500, 107)),
+)
 
 
 def _processes(count: int) -> int:
@@ -793,7 +779,8 @@ def run_checks(level: str) -> list[CheckResult]:
     """
     import pickle
 
-    checks = {"quick": QUICK_CHECKS, "full": FULL_CHECKS}[level]
+    column = {"quick": 1, "full": 2}[level]
+    checks = [functools.partial(row[0], *row[column]) for row in SCHEDULE]
     results: dict[int, CheckResult] = {}
     tokens, feed = os.pipe()
     os.write(feed, bytes(range(len(checks))))

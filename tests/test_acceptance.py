@@ -1,10 +1,11 @@
 """Acceptance suite: one test per criterion, each at its stated scale.
 
-Criterion n runs the nth check of `solnorm verify --level full` from
-verify's own schedule, oracle.FULL_CHECKS.  Every criterion is exact (zero
-tolerance); each test prints a single PASS/FAIL line, and the check's line
-must be the one verify prints, so a change to what a check covers or to
-the arguments verify gives it fails here as well as in verify's output.
+Criterion n runs the nth row of verify's own schedule, oracle.SCHEDULE,
+with the arguments of its full column, as `solnorm verify --level full`
+does.  Every criterion is exact (zero tolerance); each test prints a
+single PASS/FAIL line, and the check's line must be the one verify prints,
+so a change to what a check covers or to the arguments verify gives it
+fails here as well as in verify's output.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 complete, or `solnorm verify --level full` for the same checks outside
 pytest.
@@ -16,7 +17,7 @@ import time
 import pytest
 
 from solnorm import distance, distance_bfs
-from solnorm.oracle import FULL_CHECKS, CheckResult, slopes_within
+from solnorm.oracle import SCHEDULE, CheckResult, slopes_within
 
 
 # The lines of `solnorm verify --level full`, one per criterion, in order.
@@ -36,6 +37,12 @@ FULL_LINES = [
 ]
 
 
+def full_check(number: int) -> CheckResult:
+    """The result of criterion number's check at the full level."""
+    check, _, full = SCHEDULE[number - 1]
+    return check(*full)
+
+
 def report(number: int, result: CheckResult, extra: str = "") -> None:
     status = "PASS" if result.passed else "FAIL"
     print(f"ACCEPTANCE {number}: {status} - {result.name}: {result.detail}{extra}")
@@ -45,7 +52,7 @@ def report(number: int, result: CheckResult, extra: str = "") -> None:
 
 def test_criterion_01_oracle_equivalence():
     start = time.perf_counter()
-    result = FULL_CHECKS[0]()
+    result = full_check(1)
     # also exercise the per-pair oracle entry point on a seeded sample
     rng = random.Random(1)
     slopes = slopes_within(25)
@@ -59,7 +66,7 @@ def test_criterion_01_oracle_equivalence():
     assert elapsed < 300
 
 
-# criteria 2 to 11 are verify's own schedule, FULL_CHECKS[1:], as it runs them
-@pytest.mark.parametrize("number", range(2, len(FULL_CHECKS) + 1), ids="{:02d}".format)
+# criteria 2 to 11 are verify's own schedule, SCHEDULE[1:], as it runs them
+@pytest.mark.parametrize("number", range(2, len(SCHEDULE) + 1), ids="{:02d}".format)
 def test_criterion(number):
-    report(number, FULL_CHECKS[number - 1]())
+    report(number, full_check(number))

@@ -4,7 +4,11 @@ import contextlib
 import csv
 import io
 import json
+import os
+import signal
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
@@ -35,29 +39,19 @@ def run(capsys, *argv):
 
 
 class TestSimpleCommands:
-    def test_bw(self, capsys):
-        code, out, _ = run(capsys, "bw", "8", "3")
-        assert code == 0 and out == "2\n"
+    # (argv, stdout) of one command each, with exit 0 and nothing on stderr
+    OUTPUTS = [
+        (("bw", "8", "3"), "2\n"),
+        (("bw", "3", "5"), "inf\n"),
+        (("dist", "0/1", "8/3"), "2\n"),
+        (("dist", "0/1", "1/0"), "inf\n"),
+        (("geodesic", "0/1", "4/3"), "0/1 -> 2/1 -> 4/3\n"),
+        (("act", "--matrix", "1,0;2,1", "1/0"), "1/2\n"),
+    ]
 
-    def test_bw_infinite(self, capsys):
-        code, out, _ = run(capsys, "bw", "3", "5")
-        assert code == 0 and out == "inf\n"
-
-    def test_dist(self, capsys):
-        code, out, _ = run(capsys, "dist", "0/1", "8/3")
-        assert code == 0 and out == "2\n"
-
-    def test_dist_infinite(self, capsys):
-        code, out, _ = run(capsys, "dist", "0/1", "1/0")
-        assert code == 0 and out == "inf\n"
-
-    def test_geodesic(self, capsys):
-        code, out, _ = run(capsys, "geodesic", "0/1", "4/3")
-        assert code == 0 and out == "0/1 -> 2/1 -> 4/3\n"
-
-    def test_act(self, capsys):
-        code, out, _ = run(capsys, "act", "--matrix", "1,0;2,1", "1/0")
-        assert code == 0 and out == "1/2\n"
+    @pytest.mark.parametrize("argv, stdout", OUTPUTS, ids=[f"{a[0]}-{i}" for i, (a, _) in enumerate(OUTPUTS)])
+    def test_output_contract(self, capsys, argv, stdout):
+        assert run(capsys, *argv) == (0, stdout, "")
 
     def test_leading_minus_arguments(self, capsys):
         # argparse reads "-1,0;..." and "-1/2" as options; the documented
@@ -80,21 +74,7 @@ class TestSimpleCommands:
 
 
 class TestExitCodes:
-    def test_domain_error_is_one(self, capsys):
-        code, _, err = run(capsys, "bw", "4", "2")
-        assert code == 1 and "coprime" in err
-
-    def test_non_coprime_slope_is_one(self, capsys):
-        code, _, err = run(capsys, "dist", "4/2", "0/1")
-        assert code == 1
-
-    def test_bad_determinant_is_one(self, capsys):
-        code, _, err = run(capsys, "bundle", "--matrix", "2,0;0,1")
-        assert code == 1 and "determinant 2" in err
-
     def test_parse_error_is_two(self, capsys):
-        code, _, err = run(capsys, "dist", "nonsense", "0/1")
-        assert code == 2 and "nonsense" in err
         for argv in (
             ("dist", "\u0661/\u0662", "0/1"),
             ("dist", "1_0/3", "0/1"),
@@ -147,38 +127,40 @@ class TestExitCodes:
         refused("act", f"--matrix={C}", f"{C.a}/{C.b}")
         refused("bundle", f"--matrix={10**4000},0;0,{10**4000}")  # the determinant's digits
 
-    # (argv, exit code): each subcommand with each failure class that reaches
-    # it.  Integer arguments (bw's, caps, radii, bounds) are argparse's to
-    # refuse, with its usage text; test_parse_error_is_two covers those.
+    # (argv, exit code, a fragment of the error line): each subcommand with
+    # each failure class that reaches it.  Integer arguments (bw's, caps,
+    # radii, bounds) are argparse's to refuse, with its usage text;
+    # test_parse_error_is_two covers those.
     FAILURES = [
-        (("bw", "4", "2"), 1),
-        (("dist", "nonsense", "0/1"), 2),
-        (("dist", "4/2", "0/1"), 1),
-        (("geodesic", "0/1", "4/3/2"), 2),
-        (("geodesic", "0/1", "1/0"), 1),
-        (("geodesic", "6/4", "0/1"), 1),
-        (("dist", "--", "0/1", "--"), 2),
-        (("geodesic", "--", "0/1", "--"), 2),
-        (("act", "--matrix=1,0;x,1", "1/0"), 2),
-        (("act", "--matrix=1,0;2,1", "1/x"), 2),
-        (("act", "--matrix=2,0;0,1", "1/0"), 1),
-        (("bundle", "--matrix=1,0;2"), 2),
-        (("bundle", "--matrix=2,0;0,1", "--json"), 1),
-        (("semibundle", "--matrix=1,0,2,1", "--json"), 2),
-        (("semibundle", "--matrix=3,0;0,3"), 1),
-        (("census", "--in", "{tmp}/parse.txt", "--out", "{tmp}/out.csv"), 2),
-        (("census", "--in", "{tmp}/domain.txt", "--out", "{tmp}/out.csv"), 1),
-        (("census", "--in", "{tmp}/missing.txt", "--out", "{tmp}/out.csv"), 4),
-        (("census", "--in", "{tmp}/parse.txt", "--out", "{tmp}/no-such-dir/out.csv"), 4),
-        (("census", "--in", "{tmp}/latin1.txt", "--out", "{tmp}/out.csv"), 4),
-        (("export-graph", "--center", "0/", "--radius", "1", "--bound", "5"), 2),
-        (("export-graph", "--center", "4/2", "--radius", "1", "--bound", "5"), 1),
+        (("bw", "4", "2"), 1, "coprime"),
+        (("dist", "nonsense", "0/1"), 2, "got 'nonsense'"),
+        (("dist", "4/2", "0/1"), 1, "4/2 is not reduced"),
+        (("geodesic", "0/1", "4/3/2"), 2, "got '4/3/2'"),
+        (("geodesic", "0/1", "1/0"), 1, "infinite distance"),
+        (("geodesic", "6/4", "0/1"), 1, "6/4 is not reduced"),
+        (("dist", "--", "0/1", "--"), 2, "got '--'"),
+        (("geodesic", "--", "0/1", "--"), 2, "got '--'"),
+        (("act", "--matrix=1,0;x,1", "1/0"), 2, "got 'x'"),
+        (("act", "--matrix=1,0;2,1", "1/x"), 2, "got '1/x'"),
+        (("act", "--matrix=2,0;0,1", "1/0"), 1, "determinant 2"),
+        (("bundle", "--matrix=1,0;2"), 2, "two entries per row"),
+        (("bundle", "--matrix", "2,0;0,1"), 1, "determinant 2"),
+        (("bundle", "--matrix=2,0;0,1", "--json"), 1, "determinant 2"),
+        (("semibundle", "--matrix=1,0,2,1", "--json"), 2, "got '1,0,2,1'"),
+        (("semibundle", "--matrix=3,0;0,3"), 1, "determinant 9"),
+        (("census", "--in", "{tmp}/parse.txt", "--out", "{tmp}/out.csv"), 2, "line 1: expected"),
+        (("census", "--in", "{tmp}/domain.txt", "--out", "{tmp}/out.csv"), 1, "determinant 2"),
+        (("census", "--in", "{tmp}/missing.txt", "--out", "{tmp}/out.csv"), 4, "missing.txt"),
+        (("census", "--in", "{tmp}/parse.txt", "--out", "{tmp}/no-such-dir/out.csv"), 4, "no-such-dir"),
+        (("census", "--in", "{tmp}/latin1.txt", "--out", "{tmp}/out.csv"), 4, "is not UTF-8 text"),
+        (("export-graph", "--center", "0/", "--radius", "1", "--bound", "5"), 2, "got '0/'"),
+        (("export-graph", "--center", "4/2", "--radius", "1", "--bound", "5"), 1, "4/2 is not reduced"),
     ]
 
     @pytest.mark.parametrize(
-        "argv, expected", FAILURES, ids=[f"{a[0]}-{code}-{i}" for i, (a, code) in enumerate(FAILURES)]
+        "argv, expected, fragment", FAILURES, ids=[f"{a[0]}-{c}-{i}" for i, (a, c, _) in enumerate(FAILURES)]
     )
-    def test_failure_contract(self, capsys, tmp_path, argv, expected):
+    def test_failure_contract(self, capsys, tmp_path, argv, expected, fragment):
         inputs = {
             "parse.txt": b"wibble 1,0;2,1\n",
             "domain.txt": b"bundle 1,0;2,1\nbundle 2,0;0,1\n",
@@ -189,11 +171,8 @@ class TestExitCodes:
         code, out, err = run(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
         assert code == expected and out == ""
         assert err.startswith("solnorm: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert fragment in err
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)  # nothing written
-
-    def test_geodesic_parity_mismatch_is_one(self, capsys):
-        code, _, err = run(capsys, "geodesic", "0/1", "1/0")
-        assert code == 1 and "infinite distance" in err
 
     def test_geodesic_too_long_to_list_is_one(self, capsys, monkeypatch):
         # 10**12 edges: walked and checked as one run, then refused before
@@ -260,6 +239,21 @@ class TestExitCodes:
         # the top-level parser's usage error, not a subcommand's
         err = capsys.readouterr().err
         assert err.startswith("usage: solnorm [-h]") and "invalid choice: 'frobnicate'" in err
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_a_closed_stdout_ends_the_command_by_sigpipe():
+    # the geodesic's 100,001 vertices are far more than a pipe holds, so
+    # solnorm is still writing when the reader closes its end
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "solnorm.cli", "geodesic", "1/0", "1/200000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        head = proc.stdout.read(7)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=60)
+    assert (head, status, err) == (b"1/0 -> ", -signal.SIGPIPE, b"")
 
 
 def test_top_level_usage_is_wrapped_as_argparse_3_10_to_3_12_wrap_it(monkeypatch, capsys):
@@ -731,7 +725,7 @@ def test_verify_quick_passes(capsys):
 def test_verify_prints_ten_failures_per_check(capsys, monkeypatch):
     failures = [f"case {i} failed" for i in range(12)]
     stub = oracle.CheckResult("stub", "12 errors", failures)
-    monkeypatch.setattr(oracle, "QUICK_CHECKS", [lambda: stub])
+    monkeypatch.setattr(oracle, "SCHEDULE", ((lambda: stub, (), ()),))
     code, out, _ = run(capsys, "verify", "--level", "quick")
     assert code == 3
     lines = ["FAIL  stub: 12 errors", *(f"      case {i} failed" for i in range(10))]

@@ -55,14 +55,14 @@ def test_random_glz_keeps_the_product_stream():
             assert random_glz(seed, length) == random_glz_by_products(seed, length), (seed, length)
 
 
-def random_slope_by_randint(rng, bound, parity=None):
+def random_slope_by_randint(rng, bound, parity):
     """random_slope as it was written with rng.randint: the stream reference."""
     while True:
         p = rng.randint(-bound, bound)
         q = rng.randint(-bound, bound)
         if (p, q) == (0, 0) or math.gcd(p, q) != 1:
             continue
-        if parity is not None and (p % 2, q % 2) != (parity.j, parity.k):
+        if (p % 2, q % 2) != (parity.j, parity.k):
             continue
         return Slope.of(p, q)
 
@@ -87,13 +87,12 @@ class BoundedRandom(random.Random):
 def test_random_slope_keeps_the_randint_stream():
     for seed in (0, 7, 106, 2026):
         for bound in (1, 3, 25, 40):
-            for parity in (None, *ParityClass):
+            for parity in ParityClass:
                 new, old = BoundedRandom(seed), random.Random(seed)
                 drawn = [random_slope(new, bound, parity) for _ in range(40)]
                 assert drawn == [random_slope_by_randint(old, bound, parity) for _ in range(40)]
                 assert new.getstate() == old.getstate(), (seed, bound, parity)
-                if parity is not None:
-                    assert all(parity_of(s) is parity for s in drawn)
+                assert all(parity_of(s) is parity for s in drawn)
 
 
 class ConstantRandom(random.Random):
@@ -112,9 +111,9 @@ class ConstantRandom(random.Random):
 def test_random_slope_gives_up_after_its_draw_budget():
     # (-1, -1) has class 1/1, so a 0/1 draw never succeeds; bound 0 leaves
     # only 0/0, which is no slope of any class
-    for bound, parity, wanted in ((1, ParityClass.ZERO_ONE, "slope of class 0/1"), (0, None, "slope")):
+    for bound, parity in ((1, ParityClass.ZERO_ONE), (0, ParityClass.ONE_ONE)):
         rng = ConstantRandom()
-        message = f"{oracle.SLOPE_DRAWS} pairs in [-{bound}, {bound}] held no {wanted}"
+        message = f"{oracle.SLOPE_DRAWS} pairs in [-{bound}, {bound}] held no slope of class {parity.label}"
         with pytest.raises(AssertionError, match=re.escape(message)):
             random_slope(rng, bound, parity)
         assert rng.calls == 2 * oracle.SLOPE_DRAWS
@@ -524,18 +523,18 @@ def test_runner_gives_the_same_results_on_one_cpu_and_on_two(cpus):
     two = oracle.run_checks("quick")
     assert len(forks) == 1
     assert one == two
-    assert len(one) == len(oracle.QUICK_CHECKS) and all(result.passed for result in one)
+    assert len(one) == len(oracle.SCHEDULE) and all(result.passed for result in one)
 
 
 def test_without_fork_every_check_runs_here(cpus, monkeypatch):
     forks = cpus(2)
     monkeypatch.delattr(os, "fork")
-    assert oracle.run_checks("quick") == [check() for check in oracle.QUICK_CHECKS]
+    assert oracle.run_checks("quick") == [check(*quick) for check, quick, _ in oracle.SCHEDULE]
     assert not forks
 
 
 def stub_checks(monkeypatch, tmp_path, misbehave, child_checks=1):
-    """Four stub checks in QUICK_CHECKS, and the log each appends its index
+    """Four stub checks in SCHEDULE, and the log each appends its index
     and its process id to.  In this process a stub first waits until
     children have logged child_checks lines, so they run that many; then
     it calls misbehave(index, in_child) and returns its own CheckResult."""
@@ -557,7 +556,7 @@ def stub_checks(monkeypatch, tmp_path, misbehave, child_checks=1):
             return oracle.CheckResult(f"stub {index}", "detail", [f"failure {index}"] * (index % 2))
         return check
 
-    monkeypatch.setattr(oracle, "QUICK_CHECKS", [stub(index) for index in range(4)])
+    monkeypatch.setattr(oracle, "SCHEDULE", tuple((stub(index), (), ()) for index in range(4)))
     expected = [oracle.CheckResult(f"stub {i}", "detail", [f"failure {i}"] * (i % 2)) for i in range(4)]
     return expected, ran, parent
 
