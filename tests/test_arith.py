@@ -78,6 +78,24 @@ class TestBredonWood:
         with pytest.raises(DomainError):
             bredon_wood(6, 0)  # gcd(6, 0) = 6
 
+    def test_parity_law_sample(self):
+        # N(p, q) = p/2 mod 2 for even p
+        for p in range(2, 120, 2):
+            for q in (1, 3, 7, p - 1, p + 1):
+                if math.gcd(p, q) != 1:
+                    continue
+                assert bredon_wood(p, q) % 2 == (p // 2) % 2
+
+    def test_lens_invariance_sample(self):
+        for p in range(2, 60, 2):
+            for q in range(1, p):
+                if math.gcd(p, q) != 1:
+                    continue
+                n = bredon_wood(p, q)
+                assert bredon_wood(p, q + p) == n
+                assert bredon_wood(p, -q) == n
+                assert bredon_wood(p, pow(q, -1, p)) == n
+
     def test_an_odd_b_sequence_sum_is_refused(self, monkeypatch):
         # with every quotient one too large, the b-sequence of (2, 1) is
         # (3): its sum is odd, which the closed form refuses

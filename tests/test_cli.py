@@ -143,6 +143,7 @@ class TestExitCodes:
         (("act", "--matrix=1,0;x,1", "1/0"), 2, "got 'x'"),
         (("act", "--matrix=1,0;2,1", "1/x"), 2, "got '1/x'"),
         (("act", "--matrix=2,0;0,1", "1/0"), 1, "determinant 2"),
+        (("act", "--matrix=1,0;2,1", "4/2"), 1, "4/2 is not reduced"),
         (("bundle", "--matrix=1,0;2"), 2, "two entries per row"),
         (("bundle", "--matrix", "2,0;0,1"), 1, "determinant 2"),
         (("bundle", "--matrix=2,0;0,1", "--json"), 1, "determinant 2"),
@@ -155,6 +156,7 @@ class TestExitCodes:
         (("census", "--in", "{tmp}/latin1.txt", "--out", "{tmp}/out.csv"), 4, "is not UTF-8 text"),
         (("export-graph", "--center", "0/", "--radius", "1", "--bound", "5"), 2, "got '0/'"),
         (("export-graph", "--center", "4/2", "--radius", "1", "--bound", "5"), 1, "4/2 is not reduced"),
+        (("export-graph", "--center", "0/1", "--radius", "3", "--bound", str(10**20)), 1, "too many to list"),
     ]
 
     @pytest.mark.parametrize(

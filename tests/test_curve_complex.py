@@ -526,6 +526,17 @@ class TestBfsAndGeodesic:
         assert_canonical(path)
 
     @given(unimodular, even_slopes)
+    @example(W.power(1200), mat_act(W.power(-2400), Slope(0, 1)))  # about 3,000-bit vertices
+    def test_walk_vertices_are_reduced_slopes(self, A, t):
+        # the walk builds its vertices without the checks of Slope.__new__;
+        # each must be the slope the checked constructor would have made
+        s1, s2 = mat_act(A, Slope(0, 1)), mat_act(A, t)
+        for v in geodesic(s1, s2):
+            assert type(v) is Slope
+            assert Slope.of(v.p, v.q) == v and math.gcd(v.p, v.q) == 1
+            assert hash(v) == hash(Slope(v.p, v.q))
+
+    @given(unimodular, even_slopes)
     @example(IDENTITY, Slope(0, 1))  # no step to take
     @example(W.power(300), mat_act(W.power(-600), Slope(0, 1)))
     def test_walk_returns_the_path_and_stops_at_the_target(self, A, t):
@@ -635,11 +646,19 @@ class TestBfsAndGeodesic:
 
     @pytest.mark.parametrize("vertices", FORGED_WALKS)
     def test_forged_walks_are_refused(self, monkeypatch, vertices):
-        # geodesic checks every vertex _walk proposes, reading the runs
-        # through iter(), so runs given as an iterator stand for a list too;
-        # d(0/1, 4/3) = 2, and no walk is spelled out past m + 2 = 4 vertices
+        # geodesic checks every vertex _walk proposes, also when the runs
+        # come as an iterator; d(0/1, 4/3) = 2, and no walk is spelled out
+        # past m + 2 = 4 vertices
         spell_at_most(monkeypatch, 4)
         monkeypatch.setattr(curve_complex, "_walk", lambda *args: iter(vertices))
+        with pytest.raises(AssertionError, match="left the tree path"):
+            geodesic(Slope(0, 1), Slope(4, 3))
+
+    @pytest.mark.parametrize("vertices", FORGED_WALKS)
+    def test_forged_walk_lists_are_refused(self, monkeypatch, vertices):
+        # the same runs returned as a list, as _walk returns them
+        spell_at_most(monkeypatch, 4)
+        monkeypatch.setattr(curve_complex, "_walk", lambda *args: list(vertices))
         with pytest.raises(AssertionError, match="left the tree path"):
             geodesic(Slope(0, 1), Slope(4, 3))
 

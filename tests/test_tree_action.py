@@ -197,6 +197,13 @@ class TestClosedForm:
 
 
 class TestAgreement:
+    def test_closed_equals_orbit_random(self):
+        for i in range(250):
+            A = random_glz(900 + i, i % 13)
+            for cls in ParityClass:
+                closed = translation_length_closed(A, cls)
+                assert closed == translation_length_orbit(A, cls).length
+
     def test_base_point_independence(self):
         rng = random.Random(7)
         A = parse_matrix("3,2;4,3")
@@ -233,6 +240,17 @@ class TestAgreement:
                 if length == INF:
                     continue
                 assert length % 2 == (abs(u) // 2 - abs(v) // 2) % 2
+
+    def test_conjugation_covariance(self):
+        for i in range(60):
+            A = random_glz(500 + i, i % 11)
+            P = random_glz(800 + i, i % 7)
+            conj = P @ A @ P.inverse()
+            perm = parity_permutation(P)
+            for cls in ParityClass:
+                assert translation_length_closed(A, cls) == translation_length_closed(
+                    conj, perm[cls]
+                )
 
 
 class TestPowerLaw:
