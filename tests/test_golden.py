@@ -5,7 +5,9 @@ set, the DOT text of a few balls in the curve complex, and the output of
 The fixtures under tests/golden/ hold the exact output of a recorded
 version of the program.  Any change to a census row, a text report, a
 JSON report, an exported graph or a verify line shows up here as a byte
-difference.
+difference.  The bytes are those of python -O as well: every module of
+src/solnorm compiles to the same code objects at both optimization levels,
+and none reads sys.flags.
 
 To record them again (only when an output change is intended):
 
@@ -17,11 +19,12 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
-import os
 import random
-import subprocess
 import sys
+import types
 from pathlib import Path
+
+import pytest
 
 from solnorm.cli import main
 from solnorm.oracle import PERIODIC_REPRESENTATIVES, random_matrix
@@ -168,29 +171,44 @@ def test_verify_quick_bytes():
     assert verify_transcript().encode("utf-8") == VERIFY_QUICK.read_bytes()
 
 
-def test_census_under_python_optimize(tmp_path):
-    # the invariants are explicit raises, so python -O runs the same checks
-    # and must produce the same bytes
-    out = tmp_path / "census.csv"
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "solnorm.cli", "census", "--in", str(CENSUS_INPUT),
-         "--out", str(out)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+def _code_objects(code: types.CodeType):
+    """A code object and every code object nested in it, depth first."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_objects(const)
+
+
+def _own_parts(code: types.CodeType):
+    """What a code object runs, without the code objects nested in it."""
+    return code.co_code, [const for const in code.co_consts if not isinstance(const, types.CodeType)]
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "solnorm").glob("*.py")), ids=lambda path: path.name)
+def test_src_is_the_same_program_under_python_optimize(path):
+    # python -O compiles with optimize=1, which drops assert statements and
+    # code under __debug__; a module that compiles to the same code objects
+    # either way runs the same checks and prints the same bytes under -O
+    source = path.read_text(encoding="utf-8")
+    plain, optimized = (
+        compile(source, str(path), "exec", dont_inherit=True, optimize=level) for level in (0, 1)
     )
-    assert proc.returncode == 0, proc.stderr
-    assert out.read_bytes() == CENSUS_CSV.read_bytes()
-
-
-def test_no_assert_statements_in_src():
-    # python -O drops assert statements, so an invariant written as one
-    # would go unchecked; the program raises explicitly instead
-    found = []
-    for path in sorted((SRC / "solnorm").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [
-            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
-        ]
-    assert not found
+    changed = [
+        f"{path.name}:{a.co_firstlineno} {a.co_name}"
+        for a, b in zip(_code_objects(plain), _code_objects(optimized))
+        if _own_parts(a) != _own_parts(b)
+    ]
+    assert plain == optimized, changed
+    # the one way left to branch on -O: reading sys.flags at run time
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(source, filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "flags"
+        and isinstance(node.value, ast.Name) and node.value.id == "sys"
+        or isinstance(node, ast.ImportFrom) and node.module == "sys"
+        and any(alias.name == "flags" for alias in node.names)
+    ]
+    assert not reads
 
 
 def test_no_parity_enum_machinery_in_function_bodies():
@@ -227,24 +245,6 @@ def test_no_parity_enum_machinery_in_function_bodies():
                 for stmt in body for node in ast.walk(stmt) if uses_enum(node)
             ]
     assert not found
-
-
-def test_reports_under_python_optimize():
-    # two bundle cases (one with an off-axis certificate) and one semibundle
-    # case, each as text and JSON, must match its recorded block with the
-    # asserts that python -O drops gone
-    transcript = REPORTS.read_text(encoding="utf-8")
-    cases = [case for case in REPORT_CASES if case[1] in ("5,2;2,1", "4,1;-1,0", "3,1;2,1")]
-    assert len(cases) == 3
-    for kind, matrix, cap in cases:
-        for as_json in (False, True):
-            argv = report_argv(kind, matrix, cap, as_json)
-            proc = subprocess.run(
-                [sys.executable, "-O", "-m", "solnorm.cli", *argv], capture_output=True, text=True,
-                env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
-            )
-            block = f"$ solnorm {' '.join(argv)}\n{proc.stdout}[exit {proc.returncode}]\n"
-            assert block in transcript, (argv, proc.stderr)
 
 
 def record() -> None:

@@ -14,6 +14,7 @@ import pytest
 
 import solnorm
 from solnorm import graph, oracle
+from solnorm.arith import INF
 from solnorm.bundle import BundleClass, H2Structure, h2_structure, norm_table, summary
 from solnorm.curve_complex import GL2Matrix, IDENTITY, PARITY_BY_BITS, Slope, parse_matrix
 from solnorm.errors import DomainError
@@ -23,6 +24,7 @@ from solnorm.semibundle import SemiBundleClass, SemiBundleH2
 from solnorm.semibundle import summary as semi_summary
 
 P10 = PARITY_BY_BITS[1, 0]
+P11 = PARITY_BY_BITS[1, 1]
 A = parse_matrix("1,0;6,1")
 
 # Each record type and how to build one.  The builders run inside the
@@ -122,6 +124,8 @@ def test_translation_data_refuses_a_length_its_action_cannot_have():
         TranslationData(P10, 3, ActionType.INVERSION)
     with pytest.raises(AssertionError, match="1/0: length 3 with action not-fixed"):
         TranslationData(P10, 3, ActionType.NOT_FIXED)
+    with pytest.raises(AssertionError, match="1/1: length inf with action translation"):
+        TranslationData(P11, INF, ActionType.TRANSLATION)
 
 
 def test_keyword_construction():

@@ -1,10 +1,6 @@
 """Tree actions: the parity permutation, orbit vs closed-form lengths."""
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,45 +109,6 @@ class TestOrbitMethod:
     def test_wrong_base_vertex_rejected(self):
         with pytest.raises(DomainError):
             translation_length_orbit(IDENTITY, P10, Slope(0, 1))
-
-
-def test_invariants_hold_under_python_optimize():
-    # python -O drops plain asserts; each of these must still raise.  The
-    # report-path rows forge an input or monkeypatch a dependency.
-    broken = [
-        "TranslationData(P10, 2, ActionType.ROTATION)",
-        "TranslationData(P01, 3, ActionType.INVERSION)",
-        "TranslationData(P11, INF, ActionType.TRANSLATION)",
-        "bundle._h2_case((1, 0, 0, 1), (P10, P01))",
-        "bundle.translation_lengths = lambda A: dict.fromkeys(PARITY_CLASSES, INF)\n"
-        "bundle.summary(IDENTITY)",
-        "semibundle.bredon_wood = lambda p, q: INF\n"
-        "semibundle.summary(GL2Matrix(1, 0, 2, 1))",
-        "arith.divmod = lambda a, b: (a // b + 1, a % b)\n"
-        "arith.bredon_wood(2, 1)",
-    ]
-    script = "\n".join([
-        "from solnorm import arith, bundle, semibundle",
-        "from solnorm.arith import INF",
-        "from solnorm.curve_complex import GL2Matrix, IDENTITY, PARITY_CLASSES",
-        "from solnorm.oracle import ActionType, TranslationData",
-        "P10, P01, P11 = PARITY_CLASSES",
-        "for statement in %r:" % broken,
-        "    try:",
-        "        exec(statement)",
-        "    except AssertionError as err:",
-        "        print(err)",
-        "    else:",
-        "        print('accepted:', statement)",
-    ])
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == len(broken) and not any(line.startswith("accepted") for line in lines), lines
 
 
 class TestClosedForm:

@@ -1,6 +1,7 @@
 """Output digest: one sha256 per family of commands over what a tree prints.
 
     python tools/output_digest.py --src DIR
+    PYTHONPATH=DIR/src python tools/output_digest.py --family NAME
 
 Runs the solnorm under DIR/src on fixed families of commands and prints,
 for each family, its name, its number of commands and the sha256 of the
@@ -10,12 +11,9 @@ same bytes and exit code in both.  The families:
 
 - reports: the text and JSON report of every `reports` input of
   perfbench/inputs.py for seeds 501-510;
-- census and census-O: `census` over the files of seeds 600-609, with the
-  CSV bytes it writes, in a temporary directory, the second under python
-  -O, where the invariant raises of `bundle.summary` and of the Euclid loop
-  in `arith.bredon_wood` must still hold;
-- verify and verify-O: `verify --level quick` and `--level full`, the
-  second under python -O;
+- census: `census` over the files of seeds 600-609, with the CSV bytes it
+  writes, in a temporary directory;
+- verify: `verify --level quick` and `--level full`;
 - limits: commands at the int-digit limit (exits 1 and 2), reports whose
   base vertex is far from the axis, `geodesic` paths of every shape, and
   both kinds' text and JSON reports on the shear 1,0;4000000000002,1,
@@ -41,7 +39,10 @@ same bytes and exit code in both.  The families:
 The inputs come from this checkout's perfbench/inputs.py, read without
 writing bytecode, so both trees run the same commands.  Each family runs
 in a child interpreter that imports solnorm from DIR/src only, calling
-solnorm.cli.main in-process once per command.
+solnorm.cli.main in-process once per command.  --family NAME runs the one
+family in this interpreter, with solnorm from PYTHONPATH, and prints its
+line; a caller that wants the bytes of --src sets PYTHONDONTWRITEBYTECODE=1
+and COLUMNS=80 as --src does.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FAMILIES = ("reports", "census", "census-O", "verify", "verify-O", "limits", "large", "usage", "argv")
+FAMILIES = ("reports", "census", "verify", "limits", "large", "usage", "argv")
 REPORT_SEEDS = range(501, 511)
 CENSUS_SEEDS = range(600, 610)
 
@@ -204,7 +205,7 @@ def _family(name: str) -> tuple[int, str]:
             for item in inputs.report_inputs(seed):
                 for as_json in (False, True):
                     feed(inputs.report_argv(item, as_json))
-    elif name in ("census", "census-O"):
+    elif name == "census":
         inputs = _inputs()
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)  # relative paths, so the transcript names no directory
@@ -216,7 +217,7 @@ def _family(name: str) -> tuple[int, str]:
                         digest.update(Path("out.csv").read_bytes())
             finally:
                 os.chdir(ROOT)
-    elif name in ("verify", "verify-O"):
+    elif name == "verify":
         for level in ("quick", "full"):
             feed(["verify", "--level", level])
     elif name == "argv":
@@ -238,7 +239,7 @@ def _family(name: str) -> tuple[int, str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, help="the checkout whose src/ is run")
-    parser.add_argument("--family", choices=FAMILIES, help=argparse.SUPPRESS)  # a child's one family
+    parser.add_argument("--family", choices=FAMILIES, help="run one family here, solnorm from PYTHONPATH")
     args = parser.parse_args(argv)
     if args.family:
         count, digest = _family(args.family)
@@ -251,8 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{src} holds no solnorm package")
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "80"}
     for family in FAMILIES:
-        flags = ["-O"] if family.endswith("-O") else []
-        child = [sys.executable, *flags, str(Path(__file__).resolve()), "--family", family]
+        child = [sys.executable, str(Path(__file__).resolve()), "--family", family]
         proc = subprocess.run(child, env=env, cwd=ROOT, capture_output=True, text=True)
         if proc.returncode:
             sys.stderr.write(proc.stderr)

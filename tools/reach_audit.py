@@ -7,8 +7,8 @@ a verify check records a failure), runs the tier-1 suite in this process
 under a sys.settrace line tracer that records only the lines of those
 files, and prints every listed statement that no test executed.  A
 statement counts as reached when any line it spans ran.  Lines run only in
-a child interpreter (the suite's python -O checks) or a forked child
-(verify's workers) are not seen.
+a child interpreter (the suite's SIGPIPE and import-budget tests) or a
+forked child (verify's workers) are not seen.
 
     python tools/reach_audit.py [extra pytest arguments]
 
