@@ -11,8 +11,9 @@ A report on one matrix is one record, the matrix text and the kind's
 Summary (_record).  Three writers of fixed shape write it out: render and
 to_canonical_json, with the norm table, and census_row, without one.
 Every certificate in a norm table is checked; _elided says which to print.
-`verify` runs its independent checks on every CPU in its affinity mask
-(oracle.run_checks), and prints the same bytes as on one CPU.
+`verify` runs its independent checks on every CPU in its affinity mask,
+handing out the longest first (oracle.run_checks), and prints the same
+bytes as on one CPU.
 
 Every command runs in a fresh process, so the imports are kept to what
 reports need: `verify` imports the oracle on demand, `export-graph` the

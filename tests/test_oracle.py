@@ -533,6 +533,20 @@ def test_without_fork_every_check_runs_here(cpus, monkeypatch):
     assert not forks
 
 
+def test_an_unknown_level_is_refused_before_any_pipe_or_fork(cpus, monkeypatch):
+    forks = cpus(2)
+    monkeypatch.delattr(os, "pipe")
+    with pytest.raises(DomainError, match="quick or full"):
+        oracle.run_checks("bogus")
+    assert not forks
+
+
+def test_the_ranking_names_each_scheduled_check_once():
+    ranked = oracle.LONGEST_FIRST
+    assert len(set(ranked)) == len(ranked) == len(oracle.SCHEDULE)
+    assert set(ranked) == {check for check, _, _ in oracle.SCHEDULE}
+
+
 def stub_checks(monkeypatch, tmp_path, misbehave, child_checks=1):
     """Four stub checks in SCHEDULE, and the log each appends its index
     and its process id to.  In this process a stub first waits until
@@ -559,6 +573,15 @@ def stub_checks(monkeypatch, tmp_path, misbehave, child_checks=1):
     monkeypatch.setattr(oracle, "SCHEDULE", tuple((stub(index), (), ()) for index in range(4)))
     expected = [oracle.CheckResult(f"stub {i}", "detail", [f"failure {i}"] * (i % 2)) for i in range(4)]
     return expected, ran, parent
+
+
+def test_one_cpu_runs_the_ranked_checks_first_and_returns_schedule_order(cpus, monkeypatch, tmp_path):
+    expected, ran, parent = stub_checks(monkeypatch, tmp_path, lambda index, in_child: None, child_checks=0)
+    stubs = [check for check, _, _ in oracle.SCHEDULE]
+    monkeypatch.setattr(oracle, "LONGEST_FIRST", (stubs[2], stubs[0], stubs[3]))  # stub 1 is not ranked
+    cpus(1)
+    assert oracle.run_checks("quick") == expected
+    assert ran() == [(2, parent), (0, parent), (3, parent), (1, parent)]
 
 
 def test_a_check_that_raises_in_a_child_is_run_again_here(cpus, monkeypatch, tmp_path):
