@@ -9,16 +9,20 @@ command (entry), solnorm is ended by SIGPIPE when its stdout is closed.
 
 A report on one matrix is one record, the matrix text and the kind's
 Summary (_record).  Three writers of fixed shape write it out: render and
-to_canonical_json, with the norm table, and census_row, without one.
-Every certificate in a norm table is checked; _elided says which to print.
+to_canonical_json, with the norm table, and census_row, without one, as
+one f-string per CSV row.  Every certificate in a norm table is checked;
+_elided says which to print.  `census` reads each input line with one
+compiled pattern (_CENSUS_LINE) and hands the lines it refuses (blanks,
+comments and errors) to parse_census_line; a census row's parse or domain
+error names its line.
 `verify` runs its independent checks on every CPU in its affinity mask,
 handing out the longest first (oracle.run_checks), and prints the same
 bytes as on one CPU.
 
 Every command runs in a fresh process, so the imports are kept to what
-reports need: `verify` imports the oracle on demand, `export-graph` the
-bounded graph, `census` imports csv, and JSON strings are quoted by the C
-function that json.dumps uses, taken from _json without loading the json
+reports need: `verify` imports the oracle on demand and `export-graph` the
+bounded graph; no command imports csv, and JSON strings are quoted by the
+C function that json.dumps uses, taken from _json without loading the json
 package.  For the same reason a well-formed command line is read without
 argparse: COMMANDS holds the grammar once, _read reads argv by it, and
 build_parser builds argparse from it.  argparse is the reference: it is
@@ -30,6 +34,7 @@ as it always has (see main).
 from __future__ import annotations
 
 import os
+import re
 import sys
 from _json import encode_basestring_ascii as _quote
 from types import SimpleNamespace
@@ -41,9 +46,11 @@ from .curve_complex import (
     GL2Matrix,
     PARITY_CLASSES,
     TreePath,
+    _INTEGER,
     distance,
     geodesic_path,
     mat_act,
+    matrix_of_entries,
     parse_int,
     parse_matrix,
     parse_slope,
@@ -220,50 +227,73 @@ def _certificate_block(path: TreePath, newline: str, written: dict[int, dict[str
     return block
 
 
-CENSUS_COLUMNS = ["matrix", "kind", "det", "trace", "geometry", "h2_order", "norms", "mog", "meg"]
+# A census line in one pattern: a kind word and a matrix token, which
+# holds no whitespace (a matrix cell padded with it makes a third token,
+# so _MATRIX's cells do not fit here).  \s matches exactly the characters
+# str.split splits on and str.strip removes.  run_census compiles it (re
+# caches the result): compiling it at import would add about 0.4 ms to
+# the start-up of every command.
+_ENTRY = f"({_INTEGER.pattern})"
+_CENSUS_LINE = rf"\s*(bundle|semibundle)\s+{_ENTRY},{_ENTRY};{_ENTRY},{_ENTRY}\s*"
+
+CENSUS_HEADER = "matrix,kind,det,trace,geometry,h2_order,norms,mog,meg\n"
 
 
-def census_row(kind: str, A: GL2Matrix) -> list:
-    """The CSV row, in CENSUS_COLUMNS order, written from the record alone:
-    it builds no norm table and no realizer."""
+def census_row(kind: str, A: GL2Matrix) -> str:
+    """The CSV row's text, in CENSUS_HEADER's column order and ending in
+    its newline, written from the record alone: it builds no norm table
+    and no realizer.  The matrix field holds commas and never a quote, so
+    it is quoted; every other field is an int, inf, a fixed word or empty,
+    so none is.  These are the bytes csv.writer writes for the fields."""
     matrix, s = _record(kind, A)
     norms = "|".join(map(str, s.norms))
-    return [matrix, s.kind, s.det, s.trace, s.geometry or "", s.h2.order, norms, fmt_extnat(s.mog), s.meg]
+    return (f'"{matrix}",{s.kind},{s.det},{s.trace},{s.geometry or ""},{s.h2.order},{norms},'
+            f"{fmt_extnat(s.mog)},{s.meg}\n")
 
 
-def parse_census_line(line: str, lineno: int) -> tuple[str, GL2Matrix] | None:
+def parse_census_line(line: str) -> tuple[str, GL2Matrix] | None:
     """A census input line is "bundle a,c;b,d" or "semibundle a,c;b,d";
-    blank lines and # comments are skipped."""
+    blank lines and # comments are skipped.  run_census reads each line
+    by _CENSUS_LINE and hands this function only the lines that pattern
+    refuses: the two accept the same lines, and this one names what is
+    wrong with the others."""
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
     parts = stripped.split()
     if len(parts) != 2 or parts[0] not in KINDS:
-        raise ParseError(
-            f"line {lineno}: expected 'bundle a,c;b,d' or 'semibundle a,c;b,d', got {stripped!r}"
-        )
+        raise ParseError(f"expected 'bundle a,c;b,d' or 'semibundle a,c;b,d', got {stripped!r}")
     return parts[0], parse_matrix(parts[1])
 
 
 def run_census(in_path: str, out_path: str) -> int:
     """Write one row per input line as it is computed, to a temporary file
     beside out_path that replaces it only once every line has parsed; on
-    any failure the temporary file is removed and out_path is untouched."""
-    import csv
-
+    any failure the temporary file is removed and out_path is untouched.
+    A parse or domain error of a row is prefixed with "line N: "."""
+    fullmatch = re.compile(_CENSUS_LINE).fullmatch
     count = 0
     temp_path = f"{out_path}.{os.getpid()}.tmp"
     with open(in_path, encoding="utf-8") as source:
         sink = open(temp_path, "x", encoding="utf-8", newline="")
         try:
             with sink:
-                writer = csv.writer(sink, lineterminator="\n")
-                writer.writerow(CENSUS_COLUMNS)
-                for lineno, line in enumerate(source, start=1):
-                    parsed = parse_census_line(line, lineno)
-                    if parsed is not None:
-                        writer.writerow(census_row(*parsed))
+                sink.write(CENSUS_HEADER)
+                try:
+                    for lineno, line in enumerate(source, start=1):
+                        match = fullmatch(line)
+                        if match is None:
+                            parsed = parse_census_line(line)
+                            if parsed is None:
+                                continue
+                            kind, A = parsed
+                        else:
+                            kind, A = match[1], matrix_of_entries(*match.group(2, 3, 4, 5))
+                        sink.write(census_row(kind, A))
                         count += 1
+                except (ParseError, DomainError) as err:
+                    err.args = (f"line {lineno}: {err}",)
+                    raise
             os.replace(temp_path, out_path)
         except BaseException:
             os.remove(temp_path)

@@ -230,18 +230,26 @@ def parse_matrix(text: str) -> GL2Matrix:
     """Parse the row-major "a,c;b,d" format.
 
     Well-formed text fullmatches one compiled pattern and its four groups
-    go to int().  Text the pattern refuses is parsed again cell by cell,
-    row split on ";" and cell split on ",", and that parse raises the
-    ParseError naming the first thing wrong; the two accept the same text."""
+    go to matrix_of_entries.  Text the pattern refuses is parsed again cell
+    by cell, row split on ";" and cell split on ",", and that parse raises
+    the ParseError naming the first thing wrong; the two accept the same
+    text."""
     match = _MATRIX.fullmatch(text)
     if match is None:
         return _parse_matrix_cells(text)
+    return matrix_of_entries(*match.groups())
+
+
+def matrix_of_entries(a: str, c: str, b: str, d: str) -> GL2Matrix:
+    """The matrix of four entry texts that a pattern has matched as
+    _INTEGER: an entry over Python's int-digit limit raises ParseError, and
+    a determinant other than +-1 DomainError."""
     try:
-        a, c, b, d = map(int, match.groups())
+        entries = int(a), int(c), int(b), int(d)
     except ValueError as err:  # only the int-digit limit is left to fail
         raise _entry_over_digit_limit(err) from None
     # outside the try: the determinant's DomainError is a ValueError too
-    return GL2Matrix(a, c, b, d)
+    return GL2Matrix(*entries)
 
 
 def _parse_matrix_cells(text: str) -> GL2Matrix:

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from solnorm.curve_complex import (
     parse_matrix,
     parse_slope,
 )
-from solnorm.errors import DomainError
+from solnorm.errors import DomainError, ParseError
 
 # det 1 with 4,300-digit entries, the most the parser takes; the trace 2n
 # has 4,301 digits
@@ -130,7 +131,8 @@ class TestExitCodes:
     # (argv, exit code, a fragment of the error line): each subcommand with
     # each failure class that reaches it.  Integer arguments (bw's, caps,
     # radii, bounds) are argparse's to refuse, with its usage text;
-    # test_parse_error_is_two covers those.
+    # test_parse_error_is_two covers those.  A census row's parse and domain
+    # errors name its line, once.
     FAILURES = [
         (("bw", "4", "2"), 1, "coprime"),
         (("dist", "nonsense", "0/1"), 2, "got 'nonsense'"),
@@ -149,14 +151,23 @@ class TestExitCodes:
         (("bundle", "--matrix=2,0;0,1", "--json"), 1, "determinant 2"),
         (("semibundle", "--matrix=1,0,2,1", "--json"), 2, "got '1,0,2,1'"),
         (("semibundle", "--matrix=3,0;0,3"), 1, "determinant 9"),
-        (("census", "--in", "{tmp}/parse.txt", "--out", "{tmp}/out.csv"), 2, "line 1: expected"),
-        (("census", "--in", "{tmp}/domain.txt", "--out", "{tmp}/out.csv"), 1, "determinant 2"),
+        (("census", "--in", "{tmp}/parse.txt", "--out", "{tmp}/out.csv"), 2, "parse error: line 1: expected 'bundle"),
+        (("census", "--in", "{tmp}/domain.txt", "--out", "{tmp}/out.csv"), 1,
+         "solnorm: line 2: matrix 2,0;0,1 has determinant 2"),
         (("census", "--in", "{tmp}/missing.txt", "--out", "{tmp}/out.csv"), 4, "missing.txt"),
         (("census", "--in", "{tmp}/parse.txt", "--out", "{tmp}/no-such-dir/out.csv"), 4, "no-such-dir"),
         (("census", "--in", "{tmp}/latin1.txt", "--out", "{tmp}/out.csv"), 4, "is not UTF-8 text"),
         (("export-graph", "--center", "0/", "--radius", "1", "--bound", "5"), 2, "got '0/'"),
         (("export-graph", "--center", "4/2", "--radius", "1", "--bound", "5"), 1, "4/2 is not reduced"),
         (("export-graph", "--center", "0/1", "--radius", "3", "--bound", str(10**20)), 1, "too many to list"),
+        (("census", "--in", "{tmp}/entry.txt", "--out", "{tmp}/out.csv"), 2,
+         "parse error: line 2: expected integer entry, got 'x'"),
+        (("census", "--in", "{tmp}/digit.txt", "--out", "{tmp}/out.csv"), 2,
+         "parse error: line 2: expected integer entry, got '\u0662'"),
+        (("census", "--in", "{tmp}/long.txt", "--out", "{tmp}/out.csv"), 2,
+         "parse error: line 2: integer entry over Python's int-digit limit"),
+        (("census", "--in", "{tmp}/trace.txt", "--out", "{tmp}/out.csv"), 1,
+         "solnorm: line 2: trace over Python's int-digit limit"),
     ]
 
     @pytest.mark.parametrize(
@@ -165,7 +176,11 @@ class TestExitCodes:
     def test_failure_contract(self, capsys, tmp_path, argv, expected, fragment):
         inputs = {
             "parse.txt": b"wibble 1,0;2,1\n",
+            "entry.txt": b"bundle 1,0;2,1\nbundle 1,0;x,1\n",
+            "digit.txt": "bundle 1,0;2,1\nbundle 1,0;\u0662,1\n".encode(),
+            "long.txt": f"bundle 1,0;2,1\nsemibundle 1,0;{'2' * 4301},1\n".encode(),
             "domain.txt": b"bundle 1,0;2,1\nbundle 2,0;0,1\n",
+            "trace.txt": f"# a comment\nsemibundle {OVER_LIMIT_TRACE}\n".encode(),
             "latin1.txt": "# caf\u00e9\nbundle 1,0;2,1\n".encode("latin-1"),
         }
         for name, data in inputs.items():
@@ -647,6 +662,39 @@ class TestRecord:
         assert len(calls) == 1
 
 
+# A census line as its parts, each with its right spellings and its near
+# misses (no gap, a padded or doubled mark, a sign alone, a non-ASCII
+# digit, trailing text), with whitespace from several scripts.  The
+# entries are those of a matrix of determinant 1 or -1, or of 2.
+_CENSUS_SPACE = ["", " ", "\t", "\x1c", "\xa0", "\u3000", "\n"]
+_CENSUS_MATRICES = [("1", "0", "2", "1"), ("0", "1", "1", "0"), ("2", "1", "+1", "1"), ("-1", "0", "2", "-1"),
+                    ("01", "0", "0", "-1"), ("0", "-1", "1", "0"), ("-2", "-1", "-1", "-1"), ("2", "0", "0", "1")]
+_CENSUS_ENTRY_MISSES = ["", "+", "+-1", "\u0661", "1\u0661", "1 ", "\t1"]
+_CENSUS_PARTS = [  # (right spellings or None for an entry, near misses)
+    (_CENSUS_SPACE, ["#", "x"]),
+    (["bundle", "semibundle"], ["bundles", "Bundle", "#", "# bundle", ""]),
+    ([" ", "\t", " \x1c", "\xa0", "\u3000"], ["", ","]),
+    (None, _CENSUS_ENTRY_MISSES), ([","], [" ,", ", ", ",,", ";", ""]),
+    (None, _CENSUS_ENTRY_MISSES), ([";"], ["; ", "\t;", ",", ";;"]),
+    (None, _CENSUS_ENTRY_MISSES), ([","], [",\xa0", ";", ""]),
+    (None, _CENSUS_ENTRY_MISSES), (["\n", "", "\r\n", " \x1c\n", "\t"], [" x\n", " #\n", ",\n"]),
+]
+
+
+@st.composite
+def _census_lines(draw):
+    """A census line with at most two parts missed, or the grammar's
+    pieces in any order."""
+    if draw(st.booleans()):
+        pieces = ["bundle", "semibundle", "#", ",", ";", "+", "-", "0", "1", "\u0661", *_CENSUS_SPACE]
+        return "".join(draw(st.lists(st.sampled_from(pieces), max_size=12)))
+    entries = iter(draw(st.sampled_from(_CENSUS_MATRICES)))
+    parts = [next(entries) if right is None else draw(st.sampled_from(right)) for right, _ in _CENSUS_PARTS]
+    for i in draw(st.lists(st.integers(0, len(parts) - 1), max_size=2)):
+        parts[i] = draw(st.sampled_from(_CENSUS_PARTS[i][1]))
+    return "".join(parts)
+
+
 class TestCensus:
     def test_census_roundtrip(self, tmp_path, capsys):
         infile = tmp_path / "matrices.txt"
@@ -679,8 +727,75 @@ class TestCensus:
 
         monkeypatch.setattr(bundle, "_realizer", refuse)
         monkeypatch.setattr(semibundle, "_f_realizer", refuse)
-        assert census_row("bundle", parse_matrix("5,2;2,1"))[6] == "0|0|1|1|1|1|2|2"
-        assert census_row("semibundle", parse_matrix("3,1;2,1"))[6] == "0|0|0|0|1|1|1|1"
+        for kind, matrix, norms in (("bundle", "5,2;2,1", "0|0|1|1|1|1|2|2"),
+                                    ("semibundle", "3,1;2,1", "0|0|0|0|1|1|1|1")):
+            (row,) = csv.reader([census_row(kind, parse_matrix(matrix))])
+            assert row[6] == norms
+
+    # the fields of a census row as the csv writer took them, and the
+    # columns of its header
+    COLUMNS = ["matrix", "kind", "det", "trace", "geometry", "h2_order", "norms", "mog", "meg"]
+
+    @staticmethod
+    def csv_text(fields):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerow(fields)
+        return out.getvalue()
+
+    @pytest.mark.parametrize("matrix", [
+        GL2Matrix(1, 0, 2, 1), GL2Matrix(-1, 0, 2, -1), GL2Matrix(0, 1, 1, 0), GL2Matrix(1, 0, 0, -1),
+        GL2Matrix(2, 1, 1, 1), GL2Matrix(-3, -2, -1, -1), GL2Matrix(1, 1, 0, 1), GL2Matrix(0, 1, -1, -1),
+        # 4,300-digit entries, the most the parser takes, with trace 2 and -2
+        GL2Matrix(1, 0, 10**4300 - 1, 1), GL2Matrix(-1, 1 - 10**4300, 0, -1),
+        GL2Matrix(10**2000, 10**2000 + 1, 10**2000 - 1, 10**2000),
+    ])
+    @pytest.mark.parametrize("kind", ["bundle", "semibundle"])
+    def test_census_row_is_what_csv_writes(self, kind, matrix):
+        # the template against the csv module, the reference: both kinds,
+        # det +-1, negative and 4,300-digit entries, the semi-bundle's
+        # empty geometry and infinite mogs
+        text, s = cli._record(kind, matrix)
+        fields = [text, s.kind, s.det, s.trace, s.geometry or "", s.h2.order, "|".join(map(str, s.norms)),
+                  cli.fmt_extnat(s.mog), s.meg]
+        assert census_row(kind, matrix) == self.csv_text(fields)
+        assert cli.CENSUS_HEADER == self.csv_text(self.COLUMNS)
+
+    def test_census_whitespace_is_str_whitespace(self):
+        # _CENSUS_LINE's \s stands for str.strip and str.split, so each
+        # must take exactly the code points str.isspace takes
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        space = [c for c in every if c.isspace()]
+        assert re.findall(r"\s", every) == space
+        assert [c for c in every if not c.strip()] == space
+        joined = "x".join(every)  # neither end is a space
+        assert joined.split() == re.split(f"[{re.escape(''.join(space))}]", joined)
+
+    @settings(max_examples=300)
+    @given(_census_lines())
+    @example("bundle 1 ,0;2,1\n")  # a padded cell is a third token
+    @example("bundle +01,0;2,1\n")
+    @example("\tsemibundle\t0,1;1,0\t\r\n")
+    @example("# bundle 1,0;2,1\n")
+    @example("bundle 2,0;0,1\n")  # matched, then refused for its determinant
+    def test_census_readers_agree(self, line):
+        # the pattern run_census reads each line by, against
+        # parse_census_line: it matches only lines that parse_census_line
+        # reads as a kind and a matrix text, and gives the same pair or the
+        # same error; every line it refuses, parse_census_line skips or
+        # refuses as malformed
+        def outcome(read):
+            try:
+                return read()
+            except (ParseError, DomainError) as err:
+                return type(err), str(err)
+
+        reference = outcome(lambda: cli.parse_census_line(line))
+        match = re.fullmatch(cli._CENSUS_LINE, line)
+        if match is None:
+            assert reference is None or reference[0] is ParseError, line
+        else:
+            read = outcome(lambda: (match[1], curve_complex.matrix_of_entries(*match.group(2, 3, 4, 5))))
+            assert read == reference, line
 
     def test_census_bad_line(self, tmp_path, capsys):
         infile = tmp_path / "bad.txt"

@@ -1,8 +1,8 @@
 """The record types are NamedTuples: read-only fields, validated
 construction with the same errors, keyword construction, and an import
 path that loads neither dataclasses nor the oracle and the bounded graph,
-whose public names solnorm resolves on first use, nor argparse and csv,
-which only help, usage errors and census load."""
+whose public names solnorm resolves on first use, nor argparse, which only
+help and usage errors load, nor csv, which no command loads."""
 
 import functools
 import os
@@ -232,11 +232,11 @@ def loaded_of(watched: set[str]) -> dict[str, set[str]]:
 
 
 def test_well_formed_commands_load_no_argparse():
-    # a well-formed command line is read without argparse, and only
-    # census loads csv; help is argparse's
+    # a well-formed command line is read without argparse, and no command
+    # loads csv, census included; help is argparse's
     assert loaded_of({"argparse", "csv", "gettext"}) == {
-        "start": set(), "import": set(), "commands": set(), "census": {"csv"},
-        "export-graph": {"csv"}, "verify": {"csv"}, "help": {"argparse", "csv", "gettext"},
+        "start": set(), "import": set(), "commands": set(), "census": set(),
+        "export-graph": set(), "verify": set(), "help": {"argparse", "gettext"},
     }
 
 

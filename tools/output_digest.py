@@ -11,8 +11,12 @@ same bytes and exit code in both.  The families:
 
 - reports: the text and JSON report of every `reports` input of
   perfbench/inputs.py for seeds 501-510;
-- census: `census` over the files of seeds 600-609, with the CSV bytes it
-  writes, in a temporary directory;
+- census: `census` over the files of seeds 600-609 and over CENSUS_SPELLINGS,
+  with the CSV bytes it writes, in a temporary directory.  CENSUS_SPELLINGS
+  is written by hand in the spellings that census reads by its line
+  pattern or hands to its line parser (signs, leading zeros, tabs and
+  Unicode whitespace, CRLF, comments, blank lines, no last newline), so
+  that both readers are compared with the base on every CPython;
 - verify: `verify --level quick` and `--level full`;
 - limits: commands at the int-digit limit (exits 1 and 2), reports whose
   base vertex is far from the axis, `geodesic` paths of every shape, and
@@ -62,6 +66,24 @@ ROOT = Path(__file__).resolve().parent.parent
 FAMILIES = ("reports", "census", "verify", "limits", "large", "usage", "argv")
 REPORT_SEEDS = range(501, 511)
 CENSUS_SEEDS = range(600, 610)
+
+# Lines that census reads or skips, in spellings that both of its readers
+# take; see the census family above.
+CENSUS_SPELLINGS = (
+    "# census spellings\r\n"
+    "bundle +1,0;2,1\r\n"
+    "semibundle 001,-0;+002,1\r\n"
+    "\tbundle\t\t-1,0;+2,-1\t\r\n"
+    "\u00a0semibundle\u3000+0,1;1,+0\x1c\r\n"
+    "\r\n"
+    " \x0b\x0c\u2003\r\n"
+    "   # an indented comment: bundle 2,0;0,1\r\n"
+    "#bundle 1 ,0;2,1\n"
+    "\x85bundle\x1f0,-1;1,0\u2028\n"
+    "bundle 0002,+1;0001,001 \n"
+    "semibundle\u2009-2,-1;-1,-1\r\n"
+    "semibundle 2,1;1,1"
+)
 
 _N = 10**4300 - 2  # entries within the digit limit, trace 2 * _N one digit over
 OVER_LIMIT_TRACE = f"{_N},{_N + 1};{_N - 1},{_N}"
@@ -210,11 +232,11 @@ def _family(name: str) -> tuple[int, str]:
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)  # relative paths, so the transcript names no directory
             try:
-                for seed in CENSUS_SEEDS:
-                    for census_file in inputs.census_files(seed):
-                        Path("in.txt").write_text(census_file.text(), encoding="utf-8")
-                        feed(["census", "--in", "in.txt", "--out", "out.csv"])
-                        digest.update(Path("out.csv").read_bytes())
+                texts = [f.text() for seed in CENSUS_SEEDS for f in inputs.census_files(seed)]
+                for text in (*texts, CENSUS_SPELLINGS):
+                    Path("in.txt").write_bytes(text.encode("utf-8"))
+                    feed(["census", "--in", "in.txt", "--out", "out.csv"])
+                    digest.update(Path("out.csv").read_bytes())
             finally:
                 os.chdir(ROOT)
     elif name == "verify":
