@@ -29,7 +29,7 @@ from .curve_complex import (
     Validated,
     mat_act,
 )
-from .errors import DomainError, int_text
+from .errors import DomainError, class_bits
 from .reports import (
     KLEIN_BOTTLE,
     TORUS,
@@ -59,10 +59,7 @@ class BundleClass(Validated, _BundleClassFields):
     __slots__ = ()
 
     def __new__(cls, t: int, j: int, k: int) -> "BundleClass":
-        if not all(bit in (0, 1) for bit in (t, j, k)):
-            texts = ", ".join(int_text(x, "class coordinate") for x in (t, j, k))
-            raise DomainError(f"class coordinates must be bits: ({texts})")
-        return tuple.__new__(cls, (t, j, k))
+        return tuple.__new__(cls, class_bits(t, j, k))
 
     def parity(self) -> ParityClass | None:
         """The parity class (j, k) names; None for (0, 0), which names none."""

@@ -229,7 +229,7 @@ def _certificate_block(path: TreePath, newline: str, written: dict[int, dict[str
 
 # A census line in one pattern: a kind word and a matrix token, which
 # holds no whitespace (a matrix cell padded with it makes a third token,
-# so _MATRIX's cells do not fit here).  \s matches exactly the characters
+# which parse_census_line refuses).  \s matches exactly the characters
 # str.split splits on and str.strip removes.  run_census compiles it (re
 # caches the result): compiling it at import would add about 0.4 ms to
 # the start-up of every command.

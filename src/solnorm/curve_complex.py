@@ -219,42 +219,10 @@ class GL2Matrix(Validated, _GL2Fields):
 IDENTITY = GL2Matrix(1, 0, 0, 1)
 
 
-# The grammar of parse_matrix's cell-by-cell parse in one pattern: four
-# parse_int cells separated by ",", ";" and ",".  \s matches exactly the
-# characters str.strip removes.
-_CELL = rf"\s*({_INTEGER.pattern})\s*"
-_MATRIX = re.compile(f"{_CELL},{_CELL};{_CELL},{_CELL}")
-
-
 def parse_matrix(text: str) -> GL2Matrix:
-    """Parse the row-major "a,c;b,d" format.
-
-    Well-formed text fullmatches one compiled pattern and its four groups
-    go to matrix_of_entries.  Text the pattern refuses is parsed again cell
-    by cell, row split on ";" and cell split on ",", and that parse raises
-    the ParseError naming the first thing wrong; the two accept the same
-    text."""
-    match = _MATRIX.fullmatch(text)
-    if match is None:
-        return _parse_matrix_cells(text)
-    return matrix_of_entries(*match.groups())
-
-
-def matrix_of_entries(a: str, c: str, b: str, d: str) -> GL2Matrix:
-    """The matrix of four entry texts that a pattern has matched as
-    _INTEGER: an entry over Python's int-digit limit raises ParseError, and
-    a determinant other than +-1 DomainError."""
-    try:
-        entries = int(a), int(c), int(b), int(d)
-    except ValueError as err:  # only the int-digit limit is left to fail
-        raise _entry_over_digit_limit(err) from None
-    # outside the try: the determinant's DomainError is a ValueError too
-    return GL2Matrix(*entries)
-
-
-def _parse_matrix_cells(text: str) -> GL2Matrix:
-    """parse_matrix one cell at a time, with an error message for each way
-    the text can be malformed."""
+    """Parse the row-major "a,c;b,d" format, row split on ";" and cell
+    split on ",".  Malformed text raises the ParseError naming the first
+    thing wrong with it; a determinant other than +-1 raises DomainError."""
     rows = text.strip().split(";")
     if len(rows) != 2:
         raise ParseError(f"expected 'a,c;b,d', got {text!r}")
@@ -265,7 +233,19 @@ def _parse_matrix_cells(text: str) -> GL2Matrix:
             raise ParseError(f"expected two entries per row, got {row!r}")
         for cell in cells:
             entries.append(parse_int(cell, f"expected integer entry, got {cell!r}"))
-    return GL2Matrix(*entries)  # GL2Matrix rejects a determinant other than +-1
+    return GL2Matrix(*entries)
+
+
+def matrix_of_entries(a: str, c: str, b: str, d: str) -> GL2Matrix:
+    """The matrix of four entry texts that cli's census line pattern has
+    matched as _INTEGER: an entry over Python's int-digit limit raises
+    ParseError, and a determinant other than +-1 DomainError."""
+    try:
+        entries = int(a), int(c), int(b), int(d)
+    except ValueError as err:  # only the int-digit limit is left to fail
+        raise _entry_over_digit_limit(err) from None
+    # outside the try: the determinant's DomainError is a ValueError too
+    return GL2Matrix(*entries)
 
 
 def intersection_number(s1: Slope, s2: Slope) -> int:

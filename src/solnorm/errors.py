@@ -27,3 +27,12 @@ def int_text(n: int, what: str) -> str:
         return str(n)
     except ValueError as err:  # int-to-str refuses numbers over the digit limit
         raise _over_digit_limit(what, err) from None
+
+
+def class_bits(*coordinates: int) -> tuple[int, ...]:
+    """The coordinates of a Z2-homology class, each 0 or 1; any other
+    raises DomainError naming them all."""
+    if not all(bit in (0, 1) for bit in coordinates):
+        texts = ", ".join(int_text(x, "class coordinate") for x in coordinates)
+        raise DomainError(f"class coordinates must be bits: ({texts})")
+    return coordinates

@@ -11,7 +11,7 @@ the unimodular matrices in a box, and random matrices come from a seeded
 generator so every run is reproducible.  The same checks back both the pytest
 suite and the ``solnorm verify`` subcommand, which runs SCHEDULE's checks
 through run_checks on every CPU it may use, handing out the longest first
-(LONGEST_FIRST).  None of it runs on a report path.
+by the time each SCHEDULE row records.  None of it runs on a report path.
 
 Each piece of oracle work is done once: the conjugator search solves the
 linear equation its first row must satisfy instead of testing every row,
@@ -722,39 +722,22 @@ def check_h2_kernel(samples: int, seed: int) -> CheckResult:
 
 
 # verify's schedule: one row per check, in the order verify prints them,
-# with the check's arguments at the quick level and at the full level.  The
+# with the check's arguments at the quick level and at the full level, and
+# its serial time at the full level in ms: the median of five fresh
+# processes on one CPU of a 2-vCPU x86-64 machine, CPython 3.11.7.  The
 # seed, where a check takes one, is its last argument and the same at both.
 SCHEDULE = (
-    (check_grid_agreement, (10,), (25,)),
-    (check_bw_parity, (200, 4, 101), (1000, 10, 101)),
-    (check_lens_invariance, (60,), (200,)),
-    (check_closed_vs_orbit, (150, 12, 2, 102), (1000, 12, 5, 102)),
-    (check_periodic_table, (), ()),
-    (check_nil_family, (16,), (48,)),
-    (check_semibundle, (120, 103), (500, 103)),
-    (check_conjugacy_criterion, (8, 14, 60, 104), (20, 30, 500, 104)),
-    (check_geodesics, (100, 25, 105), (500, 40, 105)),
-    (check_invariance, (100, 200, 106), (500, 1000, 106)),
-    (check_h2_kernel, (200, 107), (500, 107)),
-)
-
-# SCHEDULE's checks, longest first by their serial time at the full level:
-# the median of five fresh processes on one CPU of a 2-vCPU x86-64 machine,
-# CPython 3.11.7, in ms: 132, 72, 71, 21, 17, 13, 11, 6, 6, 0.5, 0.1.
-# run_checks hands them out in this order, so the long checks start first
-# and the short ones fill in behind them (LPT, Graham 1969).
-LONGEST_FIRST = (
-    check_grid_agreement,
-    check_invariance,
-    check_closed_vs_orbit,
-    check_conjugacy_criterion,
-    check_geodesics,
-    check_bw_parity,
-    check_lens_invariance,
-    check_semibundle,
-    check_h2_kernel,
-    check_nil_family,
-    check_periodic_table,
+    (check_grid_agreement, (10,), (25,), 131.7),
+    (check_bw_parity, (200, 4, 101), (1000, 10, 101), 13.2),
+    (check_lens_invariance, (60,), (200,), 10.5),
+    (check_closed_vs_orbit, (150, 12, 2, 102), (1000, 12, 5, 102), 70.6),
+    (check_periodic_table, (), (), 0.1),
+    (check_nil_family, (16,), (48,), 0.5),
+    (check_semibundle, (120, 103), (500, 103), 5.9),
+    (check_conjugacy_criterion, (8, 14, 60, 104), (20, 30, 500, 104), 21.0),
+    (check_geodesics, (100, 25, 105), (500, 40, 105), 16.6),
+    (check_invariance, (100, 200, 106), (500, 1000, 106), 71.7),
+    (check_h2_kernel, (200, 107), (500, 107), 5.6),
 )
 
 
@@ -787,9 +770,10 @@ def run_checks(level: str) -> list[CheckResult]:
     schedule order; any other level is a DomainError.
 
     The checks are independent and seeded, so they run side by side: the
-    check indices go into one token pipe longest first (LONGEST_FIRST's
-    order, then any check it does not name, in schedule order), so the
-    processes finish close together.  _processes(n) - 1 forked children
+    check indices go into one token pipe longest first by SCHEDULE's
+    times, checks of equal time in schedule order, so the long checks
+    start first, the short ones fill in behind them (LPT, Graham 1969) and
+    the processes finish close together.  _processes(n) - 1 forked children
     and this process each run _pull on it, and each child pickles the
     results it has to its own pipe and leaves through os._exit, with
     status 0 only once they are all sent.  This process reads every result
@@ -806,8 +790,7 @@ def run_checks(level: str) -> list[CheckResult]:
     if column is None:
         raise DomainError(f"verify level must be quick or full, not {level!r}")
     checks = [functools.partial(row[0], *row[column]) for row in SCHEDULE]
-    rank = {check: place for place, check in enumerate(LONGEST_FIRST)}
-    order = sorted(range(len(checks)), key=lambda i: rank.get(SCHEDULE[i][0], len(rank)))
+    order = sorted(range(len(checks)), key=lambda i: SCHEDULE[i][3], reverse=True)
     results: dict[int, CheckResult] = {}
     tokens, feed = os.pipe()
     os.write(feed, bytes(order))

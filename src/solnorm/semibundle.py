@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .arith import INF, bredon_wood
 from .curve_complex import GL2Matrix, Slope, Validated
-from .errors import DomainError, int_text
+from .errors import DomainError, class_bits
 from .reports import (
     KLEIN_BOTTLE,
     NormReport,
@@ -44,10 +44,7 @@ class SemiBundleClass(Validated, _SemiBundleClassFields):
     __slots__ = ()
 
     def __new__(cls, e1: int, e2: int, phi: int) -> "SemiBundleClass":
-        if not all(bit in (0, 1) for bit in (e1, e2, phi)):
-            texts = ", ".join(int_text(x, "class coordinate") for x in (e1, e2, phi))
-            raise DomainError(f"class coordinates must be bits: ({texts})")
-        return tuple.__new__(cls, (e1, e2, phi))
+        return tuple.__new__(cls, class_bits(e1, e2, phi))
 
 
 class SemiBundleH2(NamedTuple):

@@ -39,7 +39,7 @@ FULL_LINES = [
 
 def full_check(number: int) -> CheckResult:
     """The result of criterion number's check at the full level."""
-    check, _, full = SCHEDULE[number - 1]
+    check, _, full, *_ = SCHEDULE[number - 1]
     return check(*full)
 
 

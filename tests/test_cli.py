@@ -74,6 +74,12 @@ class TestSimpleCommands:
             assert code == 0 and out == 'graph {\n  "0/1";\n}\n', bound
 
 
+def failure(argv, expected, fragment, on):
+    """A test_failure_contract case, named by its command, its exit code
+    and on, the input it fails on."""
+    return pytest.param(argv, expected, fragment, id=f"{argv[0]}-{expected}-{on}")
+
+
 class TestExitCodes:
     def test_parse_error_is_two(self, capsys):
         for argv in (
@@ -128,51 +134,58 @@ class TestExitCodes:
         refused("act", f"--matrix={C}", f"{C.a}/{C.b}")
         refused("bundle", f"--matrix={10**4000},0;0,{10**4000}")  # the determinant's digits
 
-    # (argv, exit code, a fragment of the error line): each subcommand with
-    # each failure class that reaches it.  Integer arguments (bw's, caps,
-    # radii, bounds) are argparse's to refuse, with its usage text;
-    # test_parse_error_is_two covers those.  A census row's parse and domain
-    # errors name its line, once.
+    # (argv, exit code, a fragment of the error line, the input it fails
+    # on): each subcommand with each failure class that reaches it.
+    # Integer arguments (bw's, caps, radii, bounds) are argparse's to
+    # refuse, with its usage text; test_parse_error_is_two covers those.  A
+    # census row's parse and domain errors name its line, once.
     FAILURES = [
-        (("bw", "4", "2"), 1, "coprime"),
-        (("dist", "nonsense", "0/1"), 2, "got 'nonsense'"),
-        (("dist", "4/2", "0/1"), 1, "4/2 is not reduced"),
-        (("geodesic", "0/1", "4/3/2"), 2, "got '4/3/2'"),
-        (("geodesic", "0/1", "1/0"), 1, "infinite distance"),
-        (("geodesic", "6/4", "0/1"), 1, "6/4 is not reduced"),
-        (("dist", "--", "0/1", "--"), 2, "got '--'"),
-        (("geodesic", "--", "0/1", "--"), 2, "got '--'"),
-        (("act", "--matrix=1,0;x,1", "1/0"), 2, "got 'x'"),
-        (("act", "--matrix=1,0;2,1", "1/x"), 2, "got '1/x'"),
-        (("act", "--matrix=2,0;0,1", "1/0"), 1, "determinant 2"),
-        (("act", "--matrix=1,0;2,1", "4/2"), 1, "4/2 is not reduced"),
-        (("bundle", "--matrix=1,0;2"), 2, "two entries per row"),
-        (("bundle", "--matrix", "2,0;0,1"), 1, "determinant 2"),
-        (("bundle", "--matrix=2,0;0,1", "--json"), 1, "determinant 2"),
-        (("semibundle", "--matrix=1,0,2,1", "--json"), 2, "got '1,0,2,1'"),
-        (("semibundle", "--matrix=3,0;0,3"), 1, "determinant 9"),
-        (("census", "--in", "{tmp}/parse.txt", "--out", "{tmp}/out.csv"), 2, "parse error: line 1: expected 'bundle"),
-        (("census", "--in", "{tmp}/domain.txt", "--out", "{tmp}/out.csv"), 1,
-         "solnorm: line 2: matrix 2,0;0,1 has determinant 2"),
-        (("census", "--in", "{tmp}/missing.txt", "--out", "{tmp}/out.csv"), 4, "missing.txt"),
-        (("census", "--in", "{tmp}/parse.txt", "--out", "{tmp}/no-such-dir/out.csv"), 4, "no-such-dir"),
-        (("census", "--in", "{tmp}/latin1.txt", "--out", "{tmp}/out.csv"), 4, "is not UTF-8 text"),
-        (("export-graph", "--center", "0/", "--radius", "1", "--bound", "5"), 2, "got '0/'"),
-        (("export-graph", "--center", "4/2", "--radius", "1", "--bound", "5"), 1, "4/2 is not reduced"),
-        (("export-graph", "--center", "0/1", "--radius", "3", "--bound", str(10**20)), 1, "too many to list"),
-        (("census", "--in", "{tmp}/entry.txt", "--out", "{tmp}/out.csv"), 2,
-         "parse error: line 2: expected integer entry, got 'x'"),
-        (("census", "--in", "{tmp}/digit.txt", "--out", "{tmp}/out.csv"), 2,
-         "parse error: line 2: expected integer entry, got '\u0662'"),
-        (("census", "--in", "{tmp}/long.txt", "--out", "{tmp}/out.csv"), 2,
-         "parse error: line 2: integer entry over Python's int-digit limit"),
-        (("census", "--in", "{tmp}/trace.txt", "--out", "{tmp}/out.csv"), 1,
-         "solnorm: line 2: trace over Python's int-digit limit"),
+        failure(("bw", "4", "2"), 1, "coprime", "4,2"),
+        failure(("dist", "nonsense", "0/1"), 2, "got 'nonsense'", "nonsense"),
+        failure(("dist", "4/2", "0/1"), 1, "4/2 is not reduced", "4/2"),
+        failure(("geodesic", "0/1", "4/3/2"), 2, "got '4/3/2'", "4/3/2"),
+        failure(("geodesic", "0/1", "1/0"), 1, "infinite distance", "0/1,1/0"),
+        failure(("geodesic", "6/4", "0/1"), 1, "6/4 is not reduced", "6/4"),
+        failure(("dist", "--", "0/1", "--"), 2, "got '--'", "slope--"),
+        failure(("geodesic", "--", "0/1", "--"), 2, "got '--'", "slope--"),
+        failure(("act", "--matrix=1,0;x,1", "1/0"), 2, "got 'x'", "1,0;x,1"),
+        failure(("act", "--matrix=1,0;2,1", "1/x"), 2, "got '1/x'", "1/x"),
+        failure(("act", "--matrix=2,0;0,1", "1/0"), 1, "determinant 2", "2,0;0,1"),
+        failure(("act", "--matrix=1,0;2,1", "4/2"), 1, "4/2 is not reduced", "4/2"),
+        failure(("bundle", "--matrix=1,0;2"), 2, "two entries per row", "1,0;2"),
+        failure(("bundle", "--matrix", "2,0;0,1"), 1, "determinant 2", "2,0;0,1"),
+        failure(("bundle", "--matrix=2,0;0,1", "--json"), 1, "determinant 2", "2,0;0,1-json"),
+        failure(("semibundle", "--matrix=1,0,2,1", "--json"), 2, "got '1,0,2,1'", "1,0,2,1-json"),
+        failure(("semibundle", "--matrix=3,0;0,3"), 1, "determinant 9", "3,0;0,3"),
+        failure(("census", "--in", "{tmp}/parse.txt", "--out", "{tmp}/out.csv"), 2,
+                "parse error: line 1: expected 'bundle", "parse.txt"),
+        failure(("census", "--in", "{tmp}/entry.txt", "--out", "{tmp}/out.csv"), 2,
+                "parse error: line 2: expected integer entry, got 'x'", "entry.txt"),
+        failure(("census", "--in", "{tmp}/digit.txt", "--out", "{tmp}/out.csv"), 2,
+                "parse error: line 2: expected integer entry, got '\u0662'", "digit.txt"),
+        failure(("census", "--in", "{tmp}/long.txt", "--out", "{tmp}/out.csv"), 2,
+                "parse error: line 2: integer entry over Python's int-digit limit", "long.txt"),
+        failure(("census", "--in", "{tmp}/domain.txt", "--out", "{tmp}/out.csv"), 1,
+                "solnorm: line 2: matrix 2,0;0,1 has determinant 2", "domain.txt"),
+        failure(("census", "--in", "{tmp}/trace.txt", "--out", "{tmp}/out.csv"), 1,
+                "solnorm: line 2: trace over Python's int-digit limit", "trace.txt"),
+        failure(("census", "--in", "{tmp}/missing.txt", "--out", "{tmp}/out.csv"), 4, "missing.txt", "missing.txt"),
+        failure(("census", "--in", "{tmp}/parse.txt", "--out", "{tmp}/no-such-dir/out.csv"), 4, "no-such-dir",
+                "no-such-dir"),
+        failure(("census", "--in", "{tmp}/latin1.txt", "--out", "{tmp}/out.csv"), 4, "is not UTF-8 text",
+                "latin1.txt"),
+        failure(("export-graph", "--center", "0/", "--radius", "1", "--bound", "5"), 2, "got '0/'", "0/"),
+        failure(("export-graph", "--center", "4/2", "--radius", "1", "--bound", "5"), 1, "4/2 is not reduced",
+                "4/2"),
+        failure(("export-graph", "--center", "0/1", "--radius", "3", "--bound", str(10**20)), 1,
+                "too many to list", "bound-10**20"),
     ]
 
-    @pytest.mark.parametrize(
-        "argv, expected, fragment", FAILURES, ids=[f"{a[0]}-{c}-{i}" for i, (a, c, _) in enumerate(FAILURES)]
-    )
+    def test_failure_contract_names_are_unique(self):
+        names = [case.id for case in self.FAILURES]
+        assert len(set(names)) == len(names)
+
+    @pytest.mark.parametrize("argv, expected, fragment", FAILURES)
     def test_failure_contract(self, capsys, tmp_path, argv, expected, fragment):
         inputs = {
             "parse.txt": b"wibble 1,0;2,1\n",
@@ -842,7 +855,7 @@ def test_verify_quick_passes(capsys):
 def test_verify_prints_ten_failures_per_check(capsys, monkeypatch):
     failures = [f"case {i} failed" for i in range(12)]
     stub = oracle.CheckResult("stub", "12 errors", failures)
-    monkeypatch.setattr(oracle, "SCHEDULE", ((lambda: stub, (), ()),))
+    monkeypatch.setattr(oracle, "SCHEDULE", ((lambda: stub, (), (), 1.0),))
     code, out, _ = run(capsys, "verify", "--level", "quick")
     assert code == 3
     lines = ["FAIL  stub: 12 errors", *(f"      case {i} failed" for i in range(10))]

@@ -64,8 +64,9 @@ _ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def split_loop_parse(text: str) -> GL2Matrix:
-    """parse_matrix as it was before its one-pattern fast path: split on
-    ";" and ",", then strip and check each cell."""
+    """The reference parse_matrix is held to, written out without
+    parse_int: split on ";" and ",", then strip and check each cell, so the
+    first thing wrong raises its own message."""
     rows = text.strip().split(";")
     if len(rows) != 2:
         raise ParseError(f"expected 'a,c;b,d', got {text!r}")

@@ -529,7 +529,7 @@ def test_runner_gives_the_same_results_on_one_cpu_and_on_two(cpus):
 def test_without_fork_every_check_runs_here(cpus, monkeypatch):
     forks = cpus(2)
     monkeypatch.delattr(os, "fork")
-    assert oracle.run_checks("quick") == [check(*quick) for check, quick, _ in oracle.SCHEDULE]
+    assert oracle.run_checks("quick") == [check(*quick) for check, quick, *_ in oracle.SCHEDULE]
     assert not forks
 
 
@@ -541,17 +541,23 @@ def test_an_unknown_level_is_refused_before_any_pipe_or_fork(cpus, monkeypatch):
     assert not forks
 
 
-def test_the_ranking_names_each_scheduled_check_once():
-    ranked = oracle.LONGEST_FIRST
-    assert len(set(ranked)) == len(ranked) == len(oracle.SCHEDULE)
-    assert set(ranked) == {check for check, _, _ in oracle.SCHEDULE}
+def test_one_cpu_hands_out_the_real_schedule_longest_first(cpus, monkeypatch):
+    tokens = []
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: tokens.append(data) or write(fd, data))
+    cpus(1)
+    oracle.run_checks("quick")
+    names = [oracle.SCHEDULE[index][0].__name__.removeprefix("check_") for index in tokens[0]]
+    assert names == ["grid_agreement", "invariance", "closed_vs_orbit", "conjugacy_criterion", "geodesics",
+                     "bw_parity", "lens_invariance", "semibundle", "h2_kernel", "nil_family", "periodic_table"]
 
 
-def stub_checks(monkeypatch, tmp_path, misbehave, child_checks=1):
-    """Four stub checks in SCHEDULE, and the log each appends its index
-    and its process id to.  In this process a stub first waits until
-    children have logged child_checks lines, so they run that many; then
-    it calls misbehave(index, in_child) and returns its own CheckResult."""
+def stub_checks(monkeypatch, tmp_path, misbehave, child_checks=1, costs=(0, 0, 0, 0)):
+    """Four stub checks in SCHEDULE, of the given costs, and the log each
+    appends its index and its process id to.  In this process a stub first
+    waits until children have logged child_checks lines, so they run that
+    many; then it calls misbehave(index, in_child) and returns its own
+    CheckResult."""
     parent, log = os.getpid(), tmp_path / "log"
     log.touch()
 
@@ -570,18 +576,20 @@ def stub_checks(monkeypatch, tmp_path, misbehave, child_checks=1):
             return oracle.CheckResult(f"stub {index}", "detail", [f"failure {index}"] * (index % 2))
         return check
 
-    monkeypatch.setattr(oracle, "SCHEDULE", tuple((stub(index), (), ()) for index in range(4)))
+    monkeypatch.setattr(oracle, "SCHEDULE", tuple((stub(index), (), (), costs[index]) for index in range(4)))
     expected = [oracle.CheckResult(f"stub {i}", "detail", [f"failure {i}"] * (i % 2)) for i in range(4)]
     return expected, ran, parent
 
 
-def test_one_cpu_runs_the_ranked_checks_first_and_returns_schedule_order(cpus, monkeypatch, tmp_path):
-    expected, ran, parent = stub_checks(monkeypatch, tmp_path, lambda index, in_child: None, child_checks=0)
-    stubs = [check for check, _, _ in oracle.SCHEDULE]
-    monkeypatch.setattr(oracle, "LONGEST_FIRST", (stubs[2], stubs[0], stubs[3]))  # stub 1 is not ranked
+# on one CPU the stubs run longest first, those of equal cost in schedule order
+@pytest.mark.parametrize("costs, runs", [((5.0, 0.5, 9.0, 1.0), [2, 0, 3, 1]), ((1.0, 3.0, 1.0, 3.0), [1, 3, 0, 2])],
+                         ids=["longest-first", "equal-cost"])
+def test_one_cpu_runs_the_longest_checks_first_and_returns_schedule_order(cpus, monkeypatch, tmp_path, costs, runs):
+    expected, ran, parent = stub_checks(monkeypatch, tmp_path, lambda index, in_child: None, child_checks=0,
+                                        costs=costs)
     cpus(1)
     assert oracle.run_checks("quick") == expected
-    assert ran() == [(2, parent), (0, parent), (3, parent), (1, parent)]
+    assert ran() == [(index, parent) for index in runs]
 
 
 def test_a_check_that_raises_in_a_child_is_run_again_here(cpus, monkeypatch, tmp_path):

@@ -38,7 +38,13 @@ same bytes and exit code in both.  The families:
 - argv: well-formed commands of every subcommand, which solnorm reads
   without argparse, in every spelling it reads them: each option as
   --opt value and as --opt=value, the options and positionals in every
-  order, so flags come first and last, and a few that then exit 1 or 2.
+  order, so flags come first and last, and a few that then exit 1 or 2;
+  and `bundle` on each of MATRIX_SPELLINGS, written by hand: matrices with
+  ASCII and Unicode whitespace around their cells, tabs, signs and leading
+  zeros, and one of each malformed shape (wrong row count, wrong cell
+  count, an empty cell, a non-ASCII digit, 1_0, 2.0, a cell over the
+  int-digit limit before a malformed one), so that parse_matrix is
+  compared with the base on every CPython.
 
 The inputs come from this checkout's perfbench/inputs.py, read without
 writing bytecode, so both trees run the same commands.  Each family runs
@@ -83,6 +89,17 @@ CENSUS_SPELLINGS = (
     "bundle 0002,+1;0001,001 \n"
     "semibundle\u2009-2,-1;-1,-1\r\n"
     "semibundle 2,1;1,1"
+)
+
+# --matrix values in the spellings parse_matrix reads, and in each shape it
+# refuses, each run as one `bundle` command of the argv family.
+_OVER = "9" * 4301  # one digit over the default int-digit limit
+MATRIX_SPELLINGS = (
+    "1,0;2,1", " 1 , 0 ; 2 , 1 ", "\t+1,\t-0;\t+2\t,1\t", "\u00a01,0;2,1\u3000",
+    "\u20031 ,\u2009-0;\x1c2,1\x85", "001,-0;+002,0001", "-1,0;+2,-1", "0,-1;1,0", "2,0;0,1",
+    "", ";", "1,0,2,1", "1,0;2,1;0,0", "1;2,1", "1,0;2", "1,0,0;2,1", "1,;2,1", ",0;2,1", "1,0; ,1",
+    "1,0;\u0662,1", "1,0;1_0,1", "1,0;2.0,1", "+-1,0;2,1", "1 0,0;2,1",
+    f"1,0;{_OVER},1", f"{_OVER},0;x,1", f"{_OVER},0;2,1;0",
 )
 
 _N = 10**4300 - 2  # entries within the digit limit, trace 2 * _N one digit over
@@ -187,7 +204,7 @@ def _usage_argvs() -> list[list[str]]:
 def _argv_argvs() -> list[list[str]]:
     """The argv family: each command's arguments, an option in both of its
     spellings (a value starting with "-" only after "="), in every order
-    and combination of spellings."""
+    and combination of spellings; then bundle on each of MATRIX_SPELLINGS."""
     def option(name: str, value: str) -> list[list[str]]:
         return [[f"{name}={value}"]] if value.startswith("-") else [[name, value], [f"{name}={value}"]]
 
@@ -207,7 +224,7 @@ def _argv_argvs() -> list[list[str]]:
         for order in itertools.permutations(groups):
             for spelling in itertools.product(*order):
                 argvs.append([command, *itertools.chain.from_iterable(spelling)])
-    return argvs
+    return argvs + [["bundle", f"--matrix={text}"] for text in MATRIX_SPELLINGS]
 
 
 def _family(name: str) -> tuple[int, str]:
