@@ -41,21 +41,19 @@ def fmt_extnat(value: ExtNat) -> str:
 def ext_gcd(p: int, q: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(|p|, |q|) > 0 and p*x + q*y = g.
 
+    x is the inverse of p/g modulo |q/g| that CPython's pow computes (0
+    modulo 1), and y follows from it exactly.  Callers depend on no
+    particular pair: another differs by a multiple of (q/g, -p/g).
     Raises DomainError on (0, 0), where the gcd is undefined.
     """
     if p == 0 and q == 0:
         raise DomainError("undefined gcd: both inputs are zero")
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = p, q
-    while next_g:
-        quot = g // next_g
-        x, next_x = next_x, x - quot * next_x
-        y, next_y = next_y, y - quot * next_y
-        g, next_g = next_g, g - quot * next_g
-    if g < 0:
-        g, x, y = -g, -x, -y
-    return g, x, y
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    if q == 0:
+        return g, p, 0
+    x = pow(p, -1, abs(q))
+    return g, x, (1 - p * x) // q
 
 
 def _not_coprime(p: int, q: int) -> DomainError:

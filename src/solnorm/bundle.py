@@ -197,24 +197,19 @@ def summary(A: GL2Matrix) -> Summary:
 
 
 def norm_table(A: GL2Matrix, s: Summary) -> list[NormReport]:
-    """The norm table of summary s of A, with realizers."""
-    norms = {(0, 0): 0}
-    class_realizer = {(0, 0): []}  # the zero class needs no surface
+    """The norm table of summary s of A, with realizers: the zero class and
+    then the fixed classes in (j, k) order, at t = 0 and then at t = 1."""
+    rows = [(0, 0, 0, [])]  # the zero class needs no surface
     for parity in s.h2.classes:
-        jk = (parity.j, parity.k)
-        norms[jk] = s.lengths[parity]  # finite: summary checked it
-        class_realizer[jk] = [_realizer(A, parity, norms[jk])]
+        length = s.lengths[parity]  # finite: summary checked it
+        rows.append((parity.j, parity.k, length, [_realizer(A, parity, length)]))
     table = []
     derived = s.h2.identification is not None
     for t in (0, 1):
-        for j, k in sorted(s.h2.valid_jk):
-            surface = sum_of(*class_realizer[(j, k)] + [TORUS_FIBER] * t)
+        for j, k, norm, realizers in rows:
+            surface = sum_of(*realizers + [TORUS_FIBER] * t)
             note = DERIVED_IDENTIFICATION if derived and (j, k) == (1, 1) else None
-            table.append(
-                NormReport(
-                    coords={"t": t, "j": j, "k": k}, norm=norms[(j, k)], realizer=surface, note=note
-                )
-            )
+            table.append(NormReport(coords={"t": t, "j": j, "k": k}, norm=norm, realizer=surface, note=note))
     return table
 
 

@@ -22,6 +22,7 @@ import enum
 import functools
 import itertools
 import math
+import operator
 import re
 from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
@@ -99,12 +100,7 @@ def parse_int(cell: str, message: str) -> int:
     try:
         return int(cell)
     except ValueError as err:  # only the int-digit limit is left to fail
-        raise _entry_over_digit_limit(err) from None
-
-
-def _entry_over_digit_limit(err: ValueError) -> ParseError:
-    """The error for an input entry that int() refused: err is its ValueError."""
-    return ParseError(f"integer entry over Python's int-digit limit: {err}")
+        raise _over_digit_limit("integer entry", err, ParseError) from None
 
 
 def parse_slope(text: str) -> Slope:
@@ -243,7 +239,7 @@ def matrix_of_entries(a: str, c: str, b: str, d: str) -> GL2Matrix:
     try:
         entries = int(a), int(c), int(b), int(d)
     except ValueError as err:  # only the int-digit limit is left to fail
-        raise _entry_over_digit_limit(err) from None
+        raise _over_digit_limit("integer entry", err, ParseError) from None
     # outside the try: the determinant's DomainError is a ValueError too
     return GL2Matrix(*entries)
 
@@ -409,7 +405,8 @@ class TreePath(Sequence):
             if indices[MAX_PATH_EDGES + 1:]:  # a range's truth holds past sys.maxsize, unlike len
                 raise self._too_long()
             return tuple(self[i] for i in indices)
-        i = index + count if index < 0 else index
+        i = operator.index(index)  # TypeError for a float, which would make up a vertex
+        i = i + count if i < 0 else i
         if not 0 <= i < count:
             raise IndexError("path index out of range")
         for piece in pieces:  # O(#runs), as the walk that built the path

@@ -14,10 +14,11 @@ class DomainError(ValueError):
     """Input is syntactically fine but mathematically invalid."""
 
 
-def _over_digit_limit(what: str, err: ValueError) -> DomainError:
-    """The error for output that int-to-str refused: err is its ValueError
-    and what names the number."""
-    return DomainError(f"{what} over Python's int-digit limit: {err}")
+def _over_digit_limit(what: str, err: ValueError, kind: type[ValueError] = DomainError) -> ValueError:
+    """The error of class kind for a number over Python's int-digit limit:
+    err is the ValueError that int-to-str or int() raised and what names
+    the number."""
+    return kind(f"{what} over Python's int-digit limit: {err}")
 
 
 def int_text(n: int, what: str) -> str:

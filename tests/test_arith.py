@@ -3,12 +3,17 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import bredon_wood_flag_loop, continued_fraction_pair
 from solnorm import INF, arith, bredon_wood, ext_gcd
 from solnorm.arith import fmt_extnat
 from solnorm.errors import DomainError
+
+
+# operands up to 10**12, or up to about 14,300 bits, the size of the
+# largest reports' N arguments
+_OPERANDS = st.integers(-10**12, 10**12) | st.integers(-(2**14300), 2**14300)
 
 
 class TestExtGcd:
@@ -24,7 +29,19 @@ class TestExtGcd:
         with pytest.raises(DomainError, match="undefined gcd"):
             ext_gcd(0, 0)
 
-    @given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12))
+    @given(_OPERANDS, _OPERANDS)
+    # a zero entry (the modulus 1 case of the inverse), units of each sign,
+    # a pair with gcd 2 and a negative first entry
+    @example(0, 5)
+    @example(0, -5)
+    @example(4, 0)
+    @example(-4, 0)
+    @example(1, 1)
+    @example(1, -1)
+    @example(-1, 1)
+    @example(-1, -1)
+    @example(6, 4)
+    @example(-8, 3)
     def test_bezout(self, p, q):
         if p == 0 and q == 0:
             return

@@ -377,6 +377,42 @@ class TestNeighbors:
             assert sorted(got) == sorted(brute)
 
 
+def shifted_ext_gcd(k: int):
+    """ext_gcd returning another Bezout pair: its cofactors plus k*(q/g, -p/g)."""
+    def shifted(p, q):
+        g, x, y = ext_gcd(p, q)
+        return g, x + k * (q // g), y - k * (p // g)
+    return shifted
+
+
+class TestAnyBezoutPair:
+    @settings(max_examples=40)
+    @given(unimodular, even_slopes)
+    @example(IDENTITY, Slope(0, 1))
+    @example(GL2Matrix(0, -1, 1, 0), Slope(8, 3))
+    def test_no_output_reads_which_pair(self, A, t):
+        # a frame's cofactors are fixed only up to k*(q, -p): distances are
+        # N up to lens invariance, a neighbour family shifts its t by 2k,
+        # and a tree path is unique, so no output may change with k
+        s1, s2 = mat_act(A, Slope(0, 1)), mat_act(A, t)
+        d = distance(s1, s2)
+        targets = [s2, *(cls.base_vertex for cls in PARITY_CLASSES)]
+
+        def outputs():
+            return (
+                curve_complex.distances_from(s1, targets),
+                [neighbors_bounded(s, bound) for s in (s1, s2) for bound in (30, 5 * max(abs(s.p), s.q))],
+                [geodesic_path(s1, s2, middle).text(" -> ") for middle in (None, *range(d % 2, d + 1, 2))],
+            )
+
+        expected = outputs()
+        for k in (-3, 5):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(curve_complex, "ext_gcd", shifted_ext_gcd(k))
+                mp.setattr(graph, "ext_gcd", shifted_ext_gcd(k))
+                assert outputs() == expected
+
+
 def moves(*pairs):
     """A walk of single moves, as _walk yields them: runs of one, increments 0."""
     return [(c, d, 0, 0, 1) for c, d in pairs]
@@ -933,6 +969,14 @@ class TestTreePath:
         for i in (0, 1, 2, m // 2, -2, -1):
             assert path[i] == Slope(1, 2 * (k + i % (m + 1)))
         assert path[1:3] == (Slope(1, 2 * k + 2), Slope(1, 2 * k + 4))
+
+    @pytest.mark.parametrize("index", [1.0, 1.5, -1.0, "1", (1,)])
+    def test_a_non_integer_index_is_refused(self, index):
+        # a float would pass the range check and spell a slope of the run
+        # that is not on the path: 1.5 would read 1.0/3.0 here
+        path = geodesic_path(Slope(1, 0), Slope(1, 8))
+        with pytest.raises(TypeError):
+            path[index]
 
     def test_is_read_only(self):
         path = geodesic_path(Slope(0, 1), Slope(4, 3))

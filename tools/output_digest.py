@@ -24,7 +24,8 @@ same bytes and exit code in both.  The families:
   whose certificates of 2*10^12 + 1 edges are elided at the default cap
   and at --certificate-cap=2000000 and too long to list (exit 1) at
   --certificate-cap=2000000000001, and on 1,0;(2*10^20 + 2),1, whose
-  certificates have more vertices than sys.maxsize;
+  certificates have more vertices than sys.maxsize; and `export-graph` on
+  each ball of GRAPH_BALLS;
 - large: reports on entries of thousands of digits with long
   certificates: B = P W^2500 P^-1 (W = 1,2;2,5, P = (3,2;1,1)^833, entries
   of about 2,870 digits) as bundle text and JSON, as semi-bundle JSON
@@ -102,6 +103,14 @@ MATRIX_SPELLINGS = (
     f"1,0;{_OVER},1", f"{_OVER},0;x,1", f"{_OVER},0;2,1;0",
 )
 
+# export-graph balls (center, radius, bound) of the limits family: the
+# GRAPH_CASES of tests/test_golden.py, then balls around slopes far from
+# the axes, whose neighbour families start from ext_gcd's cofactors.
+GRAPH_BALLS = (
+    ("0/1", 0, 5), ("0/1", 2, 5), ("1/0", 3, 8), ("1/1", 2, 6), ("3/5", 2, 9), ("-7/2", 2, 4), ("0/1", 50, 2),
+    ("89/55", 3, 400), ("355/113", 2, 1000), ("1/0", 4, 30),
+)
+
 _N = 10**4300 - 2  # entries within the digit limit, trace 2 * _N one digit over
 OVER_LIMIT_TRACE = f"{_N},{_N + 1};{_N - 1},{_N}"
 
@@ -128,8 +137,9 @@ def _run(main, argv: list[str]) -> str:
 def _limits_argvs() -> list[list[str]]:
     """The limits family: inputs and outputs at the int-digit limit,
     reports far from the axis under each certificate cap, long shear and
-    large-partial-quotient reports, geodesics of every run shape, and
-    certificates too long to list, elided or asked for."""
+    large-partial-quotient reports, geodesics of every run shape,
+    certificates too long to list, elided or asked for, and the
+    export-graph balls."""
     k = 10**1400  # P W P^-1 for P = 1,0;2k,1 and W = 1,2;2,5: 2,800-digit entries
     far = f"{1 - 4 * k},2;{2 * k * (1 - 4 * k) + 2 - 10 * k},{4 * k + 5}"
     big = "2" * 5000
@@ -156,6 +166,8 @@ def _limits_argvs() -> list[list[str]]:
                       [kind, "--matrix=1,0;4000000000002,1", "--json", *cap]]
         huge = f"--matrix=1,0;{2 * 10**20 + 2},1"
         argvs += [[kind, huge], [kind, huge, "--json"]]
+    for center, radius, bound in GRAPH_BALLS:
+        argvs.append(["export-graph", f"--center={center}", f"--radius={radius}", f"--bound={bound}"])
     return argvs
 
 
