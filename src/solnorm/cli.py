@@ -2,10 +2,11 @@
 
 Subcommands: bw, dist, geodesic, act, bundle, semibundle, census,
 export-graph, verify.  Infinity renders as the literal string "inf" in both
-text and JSON.  Exit codes: 0 success, 1 domain error (non-coprime slope,
-determinant not +-1, ...), 2 parse error, 3 verification failure, 4 census
-input or output file error (missing, unwritable, not UTF-8).  Run as a
-command (entry), solnorm is ended by SIGPIPE when its stdout is closed.
+text and JSON.  Exit codes: 0 success (help included), 1 domain error
+(non-coprime slope, determinant not +-1, ...), 2 parse or usage error, 3
+verification failure, 4 census input or output file error (missing,
+unwritable, not UTF-8).  Run as a command (entry), solnorm is ended by
+SIGPIPE when its stdout is closed.
 
 A report on one matrix is one record, the matrix text and the kind's
 Summary (_record).  Three writers of fixed shape write it out: render and
@@ -21,14 +22,11 @@ bytes as on one CPU.
 
 Every command runs in a fresh process, so the imports are kept to what
 reports need: `verify` imports the oracle on demand and `export-graph` the
-bounded graph; no command imports csv, and JSON strings are quoted by the
-C function that json.dumps uses, taken from _json without loading the json
-package.  For the same reason a well-formed command line is read without
-argparse: COMMANDS holds the grammar once, _read reads argv by it, and
-build_parser builds argparse from it.  argparse is the reference: it is
-imported and built only for argv the reader refuses (help, usage errors,
-refused values, and the spellings only argparse takes), and decides those
-as it always has (see main).
+bounded graph; no command imports csv or argparse, and JSON strings are
+quoted by the C function that json.dumps uses, taken from _json without
+loading the json package.  COMMANDS holds the command-line grammar once:
+_read reads argv by it, and _usage and _help write the usage line and the
+help from it, in a layout that does not depend on the terminal.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ import re
 import sys
 from _json import encode_basestring_ascii as _quote
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from . import bundle, semibundle
 from .arith import INF, ExtNat, bredon_wood, fmt_extnat
@@ -57,9 +54,6 @@ from .curve_complex import (
 )
 from .errors import DomainError, ParseError, int_text
 from .reports import KIND_EMPTY, KIND_PI, KIND_SUM, NormReport, Summary, SurfaceDescription
-
-if TYPE_CHECKING:
-    import argparse
 
 # The module of each kind, with its summary and norm_table.
 KINDS = {"bundle": bundle, "semibundle": semibundle}
@@ -301,33 +295,32 @@ def run_census(in_path: str, out_path: str) -> int:
     return count
 
 
+class UsageError(Exception):
+    """A command line that COMMANDS does not read: args are the message and
+    the command whose usage line goes above it, None for solnorm's own."""
+
+
 def _integer(text: str) -> int:
-    """argparse type for integer arguments: the ASCII rule of slopes and matrices."""
+    """The type of integer arguments: the ASCII rule of slopes and matrices."""
     try:
         return parse_int(text, f"expected an integer, got {text!r}")
     except ParseError as err:
-        raise _type_error(str(err)) from None
+        raise UsageError(str(err)) from None
 
 
 def _count(text: str) -> int:
-    """argparse type for caps, radii and bounds: a non-negative integer."""
+    """The type of caps, radii and bounds: a non-negative integer."""
     value = _integer(text)
     if value < 0:
-        raise _type_error(f"expected an integer >= 0, got {text!r}")
+        raise UsageError(f"expected an integer >= 0, got {text!r}")
     return value
 
 
-def _type_error(message: str) -> Exception:
-    """The argparse.ArgumentTypeError whose message argparse prints."""
-    import argparse
-
-    return argparse.ArgumentTypeError(message)
-
-
 # The command-line grammar, written once: each command's help and its
-# arguments in order, each as the name and keywords that argparse's
-# add_argument takes.  build_parser builds argparse from it, and _read
-# reads well-formed argv by it.
+# arguments in order, each as its name (an option's starts with "--") and
+# keywords: required, flag, type (of the text; it raises UsageError),
+# choices, default, dest (else the name without dashes, "-" read as "_")
+# and help.  _read reads argv by it, and _usage and _help write from it.
 _MATRIX = ("--matrix", {"required": True, "help": 'row-major "a,c;b,d"'})
 COMMANDS = {
     "bw": ("Bredon-Wood invariant N(p, q)", [("p", {"type": _integer}), ("q", {"type": _integer})]),
@@ -337,9 +330,9 @@ COMMANDS = {
     **{
         kind: (f"full norm report for a torus {kind}", [
             _MATRIX,
-            ("--json", {"action": "store_true"}),
+            ("--json", {"flag": True}),
             ("--certificate-cap", {"type": _count, "default": DEFAULT_CERTIFICATE_CAP,
-                                   "help": "elide geodesic certificates longer than this (default %(default)s)"}),
+                                   "help": f"elide certificates longer than this (default {DEFAULT_CERTIFICATE_CAP})"}),
         ])
         for kind in KINDS
     },
@@ -353,138 +346,143 @@ COMMANDS = {
     "verify": ("run the brute-force verification suites",
                [("--level", {"choices": ("quick", "full"), "default": "quick"})]),
 }
+_HELP = ("-h", "--help")
+_DESCRIPTION = "Z2-Thurston norms and non-orientable genus bounds for torus bundles and\nsemi-bundles"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """argparse's parser of COMMANDS, the reference: _read gives its
-    parse_args namespace on every argv it reads, and main hands it every
-    argv _read refuses, for its help, its usage errors and its decision.
-    Building it costs about as much as a small report.
-
-    The top-level usage is given, built from COMMANDS and wrapped as
-    CPython 3.10-3.12 wrap it in the width argparse gives help (the
-    terminal's columns less 2), where 3.13 would keep the choices and
-    "..." together: one line where it fits; else "[-h]" beside the prog,
-    or under "usage: " where that takes more than 3/4 of the width, and
-    the choices on a line of their own, followed by "..." where it fits.
-    The subcommands' prog is then given too, since argparse would
-    otherwise derive it from that usage.  A positional or option value
-    whose text is "--" stays "--", as on CPython 3.13.1, not the [] of
-    3.10-3.13.0."""
-    import argparse
-    import shutil
-
-    class Parser(argparse.ArgumentParser):
-        def _get_values(self, action, arg_strings):
-            if arg_strings == ["--"] and action.nargs is None:
-                value = self._get_value(action, "--")
-                self._check_value(action, value)
-                return value
-            return super()._get_values(action, arg_strings)
-
-    width = shutil.get_terminal_size().columns - 2
-    choices = "{" + ",".join(COMMANDS) + "}"
-    if len(f"usage: solnorm [-h] {choices} ...") <= width:
-        usage = f"%(prog)s [-h] {choices} ..."
-    else:
-        wide = len("usage: solnorm") <= 0.75 * width
-        indent = "\n" + " " * (15 if wide else 7)
-        head = "%(prog)s" + (" " if wide else indent) + "[-h]"
-        tail = choices + (" " if len(f"{indent[1:]}{choices} ...") <= width else indent) + "..."
-        usage = head + indent + tail
-    parser = Parser(
-        prog="solnorm",
-        usage=usage,
-        description="Z2-Thurston norms and non-orientable genus bounds for "
-        "torus bundles and semi-bundles",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, prog="solnorm")
-    for command, (help_text, arguments) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        for name, keywords in arguments:
-            p.add_argument(name, **keywords)
-    return parser
+def _dest(name: str, keywords: dict) -> str:
+    """The namespace attribute an argument is read into."""
+    return keywords.get("dest") or name.lstrip("-").replace("-", "_")
 
 
-def _read(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace of build_parser().parse_args(argv), read from COMMANDS
-    without argparse, or None for argv this reader refuses.
+def _invocation(name: str, keywords: dict) -> str:
+    """An argument as the usage line and the help write it: a positional or
+    a flag by its name, an option by its name and its value's name."""
+    if not name.startswith("-") or keywords.get("flag"):
+        return name
+    choices = keywords.get("choices")
+    return f"{name} {{{','.join(choices)}}}" if choices else f"{name} {_dest(name, keywords).upper()}"
 
-    It reads argv whose argv[0] is a command and whose every later token
-    is an exact long option of that command or a positional.  An option
-    is given at most once, as --name, --name=value or --name value; a
-    flag never has "="; no value or positional is empty, and a separate
-    value or a positional does not start with "-".  Each value converts
-    by its type and choices, every required option is given, and the
-    positionals are exactly the command's.  argparse reads each such argv
-    alike; abbreviations, doubled options, "--", negative numbers, -h and
-    every error are left to it."""
-    command = COMMANDS.get(argv[0]) if argv else None
+
+def _usage(command: str | None) -> str:
+    """The usage line of command, or of solnorm for None."""
     if command is None:
-        return None
-    arguments = command[1]
+        return f"usage: solnorm [-h] {{{','.join(COMMANDS)}}} ..."
+    items = (_invocation(name, kw) if kw.get("required") or not name.startswith("-") else f"[{_invocation(name, kw)}]"
+             for name, kw in COMMANDS[command][1])
+    return " ".join(["usage: solnorm", command, "[-h]", *items])
+
+
+def _help(command: str | None) -> str:
+    """The -h text of command, or of solnorm for None: the usage line, the
+    description and sections of rows, each an invocation with its help at
+    column 24 (a line lower past 20 characters), whatever the terminal."""
+    if command is None:
+        description, sections = _DESCRIPTION, {"commands": [(name, text) for name, (text, _) in COMMANDS.items()]}
+    else:
+        description, arguments = COMMANDS[command]
+        sections = {"positional arguments": [], "options": []}
+        for name, keywords in arguments:
+            sections["options" if name.startswith("-") else "positional arguments"].append(
+                (_invocation(name, keywords), keywords.get("help", "")))
+    sections.setdefault("options", []).insert(0, ("-h, --help", "show this help message and exit"))
+    lines = [_usage(command), "", description]
+    for title, rows in sections.items():
+        if rows:
+            lines += ["", f"{title}:", *(f"  {name:<22}{text}" if len(name) <= 20 else f"  {name}\n{'':24}{text}"
+                                         for name, text in rows)]
+    return "\n".join(line.rstrip() for line in lines) + "\n"
+
+
+def _refuse_choice(what: str, text: str, choices, command: str | None) -> None:
+    """UsageError unless text is one of choices."""
+    if text not in choices:
+        raise UsageError(f"argument {what}: invalid choice: {text!r} "
+                         f"(choose from {', '.join(map(repr, choices))})", command)
+
+
+def _read(argv: list[str]) -> SimpleNamespace | str:
+    """The namespace argv asks for, read by COMMANDS, or the help text -h
+    asks for; UsageError for any other argv.  argv[0] is a command or -h.
+    After it, up to a "--" that ends the options, -h/--help asks for the
+    command's help, a token starting with "--" is an option written whole
+    (--name, --name=value or --name value, the value being the next token
+    whatever it starts with; a flag takes none), and any other token is a
+    positional.  Each option comes at most once, every required argument
+    and no other is given, and each value converts by its type and is one
+    of its choices; an empty value is the command's to refuse."""
+    if not argv:
+        raise UsageError("the following arguments are required: command", None)
+    command = argv[0]
+    if command in _HELP:
+        return _help(None)
+    _refuse_choice("command", command, COMMANDS, None)
+    arguments = COMMANDS[command][1]
     options = {name: keywords for name, keywords in arguments if name.startswith("-")}
     texts, given = {}, []
     tokens = iter(argv[1:])
     for token in tokens:
-        if not token.startswith("-"):
+        if token in _HELP:
+            return _help(command)
+        if token == "--":
+            given += tokens  # every later token, which ends the loop
+        elif not token.startswith("--"):
             given.append(token)
-            continue
-        name, equals, text = token.partition("=")
-        if name not in options or name in texts:
-            return None
-        if options[name].get("action") == "store_true":
-            if equals:
-                return None
-        elif not equals:
-            text = next(tokens, "-")
-            if text.startswith("-"):
-                return None
-        texts[name] = text
-    positionals = [name for name, _ in arguments if name not in options]
-    if len(given) != len(positionals):
-        return None
-    texts.update(zip(positionals, given))
-    values = {"command": argv[0]}
-    for name, keywords in arguments:
-        dest = keywords.get("dest") or (name[2:].replace("-", "_") if name in options else name)
-        flag = keywords.get("action") == "store_true"
-        text = texts.get(name)
-        if text is None:
-            if keywords.get("required"):
-                return None
-            values[dest] = keywords.get("default", False if flag else None)
-        elif flag:
-            values[dest] = True
-        elif not text:
-            return None
         else:
-            convert = keywords.get("type")
+            name, equals, text = token.partition("=")
+            if name not in options:
+                raise UsageError(f"unrecognized arguments: {token}", command)
+            if name in texts:
+                raise UsageError(f"argument {name}: given twice", command)
+            if options[name].get("flag"):
+                if equals:
+                    raise UsageError(f"argument {name}: ignored explicit argument {text!r}", command)
+            elif not equals:
+                text = next(tokens, None)
+                if text is None:
+                    raise UsageError(f"argument {name}: expected one argument", command)
+            texts[name] = text
+    positionals = [name for name, _ in arguments if name not in options]
+    if given[len(positionals):]:
+        raise UsageError(f"unrecognized arguments: {' '.join(given[len(positionals):])}", command)
+    texts.update(zip(positionals, given))
+    missing = [name for name, kw in arguments if name not in texts and (kw.get("required") or name in positionals)]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}", command)
+    values = {"command": command}
+    for name, keywords in arguments:
+        text = texts.get(name)
+        if keywords.get("flag"):
+            value = text is not None
+        elif text is None:
+            value = keywords.get("default")
+        else:
             try:
-                value = text if convert is None else convert(text)
-            except Exception:  # argparse's to report: it converts the text again
-                return None
-            if value not in keywords.get("choices", (value,)):
-                return None
-            values[dest] = value
+                value = keywords.get("type", str)(text)
+            except UsageError as err:
+                raise UsageError(f"argument {name}: {err.args[0]}", command) from None
+            if "choices" in keywords:
+                _refuse_choice(name, text, keywords["choices"], command)
+        values[_dest(name, keywords)] = value
     return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code; argv defaults to
-    sys.argv[1:].
-
-    A well-formed argv is read by _read, without importing or building
-    argparse.  Every argv it refuses (none, -h, --, an unknown command,
-    an abbreviation, a doubled option, a missing, extra or refused
-    argument) goes to build_parser().parse_args, which prints the help or
-    the usage error and exits, or reads it.  So the namespace, the help
-    and every usage error are those of build_parser().parse_args(argv),
-    byte for byte."""
+    sys.argv[1:].  _read is the one reader of argv: help goes to stdout
+    with exit 0, and a usage error writes the usage line, then "solnorm[
+    CMD]: error: MESSAGE", to stderr with exit 2."""
     argv = sys.argv[1:] if argv is None else argv
-    args = _read(argv)
-    if args is None:
-        args = build_parser().parse_args(argv)
+    try:
+        args = _read(argv)
+    except UsageError as err:
+        message, command = err.args
+        prog = "solnorm" if command is None else f"solnorm {command}"
+        print(_usage(command), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+        return 2
+    if isinstance(args, str):
+        sys.stdout.write(args)
+        return 0
     try:
         return _dispatch(args)
     except ParseError as err:
@@ -495,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _dispatch(args: SimpleNamespace | argparse.Namespace) -> int:
+def _dispatch(args: SimpleNamespace) -> int:
     if args.command == "bw":
         print(fmt_extnat(bredon_wood(args.p, args.q)))
     elif args.command == "dist":

@@ -350,7 +350,8 @@ class TreePath(Sequence):
     slopes (c + j*dc, d + j*dd), every one already in canonical form.  The
     pieces are the whole record: the vertex count is their sizes added up
     once, when the path is built.  So the record grows with the number of
-    runs, not with their lengths.  len, edges (len - 1, which also holds
+    runs, not with their lengths.  Pieces that hold no vertex, or a run of
+    r < 1, raise DomainError.  len, edges (len - 1, which also holds
     past sys.maxsize vertices), indexing and text cost no vertex they do not
     return: text writes each piece as one block of "p/q" texts, formatted in
     C from the piece as stored.  Iterating builds the slopes of a run in C;
@@ -363,7 +364,15 @@ class TreePath(Sequence):
     __slots__ = ("_path",)
 
     def __init__(self, pieces: list) -> None:
-        object.__setattr__(self, "_path", (pieces, sum(map(_size, pieces))))
+        count = 0
+        for piece in pieces:
+            size = _size(piece)
+            if size < 1 and type(piece) is not list:
+                raise DomainError("a run of a path holds one slope or more")
+            count += size
+        if not count:
+            raise DomainError("a path holds one vertex or more")
+        object.__setattr__(self, "_path", (pieces, count))
 
     def _read_only(self, *args) -> None:
         raise AttributeError(f"{type(self).__name__} is read-only")

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import re
@@ -16,7 +17,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from helpers import reference_document, spell_at_most
 from solnorm import bredon_wood, bundle, cli, curve_complex, oracle, semibundle
-from solnorm.cli import DEFAULT_CERTIFICATE_CAP, build_parser, census_row, main, render, to_canonical_json
+from solnorm.cli import DEFAULT_CERTIFICATE_CAP, census_row, main, render, to_canonical_json
 from solnorm.curve_complex import (
     GL2Matrix,
     Slope,
@@ -55,16 +56,14 @@ class TestSimpleCommands:
         assert run(capsys, *argv) == (0, stdout, "")
 
     def test_leading_minus_arguments(self, capsys):
-        # argparse reads "-1,0;..." and "-1/2" as options; the documented
-        # forms are --matrix=... and a "--" before the slopes
-        code, out, _ = run(capsys, "bundle", "--matrix=-1,0;2,-1")
-        assert code == 0 and out.startswith("matrix: -1,0;2,-1\n")
-        code, out, _ = run(capsys, "dist", "--", "-1/2", "3/2")
-        assert code == 0 and out == "2\n"
-        for argv in (("bundle", "--matrix", "-1,0;2,-1"), ("dist", "-1/2", "3/2")):
-            with pytest.raises(SystemExit) as info:
-                main(list(argv))
-            assert info.value.code == 2
+        # a token that does not start with "--" is a positional, and a
+        # separate option value is the next token: "-1,0;..." and "-1/2"
+        # read in every spelling, the documented "--" form included
+        for argv in (("bundle", "--matrix=-1,0;2,-1"), ("bundle", "--matrix", "-1,0;2,-1")):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out.startswith("matrix: -1,0;2,-1\n"), argv
+        for argv in (("dist", "--", "-1/2", "3/2"), ("dist", "-1/2", "3/2"), ("dist", "-1/2", "--", "3/2")):
+            assert run(capsys, *argv) == (0, "2\n", ""), argv
 
     def test_export_graph(self, capsys):
         # 0/1 has about 10**12 neighbors within the larger bound; the ball
@@ -94,7 +93,7 @@ class TestExitCodes:
         for argv in (("bundle", "--matrix", "1,0;" + "2" * 5000 + ",1"), ("dist", "1/" + "3" * 5000, "0/1")):
             code, _, err = run(capsys, *argv)
             assert code == 2 and "int-digit limit" in err
-        # integer arguments follow the same ASCII rule, through argparse
+        # integer arguments follow the same ASCII rule, as usage errors
         for argv in (
             ("bw", "\u0668", "1_1"),
             ("bw", "8", "\u0663"),
@@ -110,10 +109,8 @@ class TestExitCodes:
             ("bundle", "--matrix=1,0;2,1", "--certificate-cap=--"),
             ("export-graph", "--center", "0/1", "--radius=--", "--bound", "5"),
         ):
-            with pytest.raises(SystemExit) as info:
-                main(list(argv))
-            assert info.value.code == 2, argv
-            assert "expected an integer" in capsys.readouterr().err
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "") and "expected an integer" in err, argv
 
     def test_output_over_digit_limit_is_one(self, capsys, tmp_path):
         # the input parses, but a number the command would print does not fit
@@ -136,7 +133,7 @@ class TestExitCodes:
 
     # (argv, exit code, a fragment of the error line, the input it fails
     # on): each subcommand with each failure class that reaches it.
-    # Integer arguments (bw's, caps, radii, bounds) are argparse's to
+    # Integer arguments (bw's, caps, radii, bounds) are the reader's to
     # refuse, with its usage text; test_parse_error_is_two covers those.  A
     # census row's parse and domain errors name its line, once.
     FAILURES = [
@@ -263,11 +260,9 @@ class TestExitCodes:
         assert err.startswith("solnorm: slope entry over Python's int-digit limit: ") and err.count("\n") == 1
 
     def test_unknown_command_is_two(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["frobnicate"])
-        assert info.value.code == 2
-        # the top-level parser's usage error, not a subcommand's
-        err = capsys.readouterr().err
+        code, out, err = run(capsys, "frobnicate")
+        assert (code, out) == (2, "")
+        # solnorm's own usage error, not a subcommand's
         assert err.startswith("usage: solnorm [-h]") and "invalid choice: 'frobnicate'" in err
 
 
@@ -286,132 +281,241 @@ def test_a_closed_stdout_ends_the_command_by_sigpipe():
     assert (head, status, err) == (b"1/0 -> ", -signal.SIGPIPE, b"")
 
 
-def test_top_level_usage_is_wrapped_as_argparse_3_10_to_3_12_wrap_it(monkeypatch, capsys):
-    # the given usage against the one argparse derives with none given:
-    # the same bytes at every width before 3.13, the same words on 3.13
-    choices = "{" + ",".join(cli.COMMANDS) + "}"
-    for columns in [*range(5, 100), 200]:
-        monkeypatch.setenv("COLUMNS", str(columns))
-        parser = build_parser()
-        given = parser.format_usage()
-        parser.usage = None
-        derived = parser.format_usage()
-        if sys.version_info < (3, 13):
-            assert given == derived, columns
-        assert given.split() == derived.split() == ["usage:", "solnorm", "[-h]", choices, "..."], columns
-        if columns == 80:
-            assert given == f"usage: solnorm [-h]\n{' ' * 15}{choices}\n{' ' * 15}...\n"
-    with pytest.raises(SystemExit):  # a subcommand's usage names it after the prog alone
-        build_parser().parse_args(["bw"])
-    assert capsys.readouterr().err.startswith("usage: solnorm bw [-h] p q\n")
+# The reader's decisions, one row each: (argv, exit code, stdout, stderr).
+_TOP_USAGE = "usage: solnorm [-h] {bw,dist,geodesic,act,bundle,semibundle,census,export-graph,verify} ...\n"
+_BW_USAGE = "usage: solnorm bw [-h] p q\n"
+_BUNDLE_USAGE = "usage: solnorm bundle [-h] --matrix MATRIX [--json] [--certificate-cap CERTIFICATE_CAP]\n"
+_GRAPH_USAGE = "usage: solnorm export-graph [-h] --center CENTER --radius RADIUS --bound BOUND\n"
+_VERIFY_USAGE = "usage: solnorm verify [-h] [--level {quick,full}]\n"
+_TOP_HELP = _TOP_USAGE + """
+Z2-Thurston norms and non-orientable genus bounds for torus bundles and
+semi-bundles
+
+commands:
+  bw                    Bredon-Wood invariant N(p, q)
+  dist                  distance between two slopes in the curve complex
+  geodesic              the unique tree path between two same-parity slopes
+  act                   image of a slope under a matrix
+  bundle                full norm report for a torus bundle
+  semibundle            full norm report for a torus semibundle
+  census                CSV summary for a file of matrices
+  export-graph          DOT text for a ball in the curve complex
+  verify                run the brute-force verification suites
+
+options:
+  -h, --help            show this help message and exit
+"""
+_BW_HELP = _BW_USAGE + """
+Bredon-Wood invariant N(p, q)
+
+positional arguments:
+  p
+  q
+
+options:
+  -h, --help            show this help message and exit
+"""
+_BUNDLE_HELP = _BUNDLE_USAGE + """
+full norm report for a torus bundle
+
+options:
+  -h, --help            show this help message and exit
+  --matrix MATRIX       row-major "a,c;b,d"
+  --json
+  --certificate-cap CERTIFICATE_CAP
+                        elide certificates longer than this (default 10000)
+"""
+_VERIFY_HELP = _VERIFY_USAGE + """
+run the brute-force verification suites
+
+options:
+  -h, --help            show this help message and exit
+  --level {quick,full}
+"""
+_CHOICES = "'bw', 'dist', 'geodesic', 'act', 'bundle', 'semibundle', 'census', 'export-graph', 'verify'"
 
 
-# argv for every subcommand, drawn from a valid one.  Half are well
-# formed: each argument given once or left out, in any order, an option
-# written whole as --opt value or --opt=value, with a value the command
-# takes.  In the others each option or positional is given, left out or
-# doubled, an option is written whole, abbreviated (--mat) or as
-# --opt=value, a value is one the command takes or one it refuses, and
-# stray tokens ("--", -h, unknown options, refused values, free text) go
-# anywhere, before the command too.  A real argv holds no NUL.  census
-# only ever gets relative file names, so it reads and writes inside the
-# test's directory alone.
+def decision(argv, code, stdout, stderr, name):
+    return pytest.param(argv, code, stdout, stderr, id=name)
+
+
+DECISIONS = [
+    # -h/--help: first, solnorm's help; after a command and before "--", the command's
+    decision(["-h"], 0, _TOP_HELP, "", "help-first"),
+    decision(["--help", "bundle"], 0, _TOP_HELP, "", "long-help-first"),
+    decision(["bw", "-h"], 0, _BW_HELP, "", "help-after-command"),
+    decision(["bundle", "--matrix=1,0;2,1", "--help"], 0, _BUNDLE_HELP, "", "help-after-arguments"),
+    decision(["verify", "-h", "--level=slow"], 0, _VERIFY_HELP, "", "help-before-an-error"),
+    decision(["bw", "--", "-h", "2"], 2, "", _BW_USAGE + "solnorm bw: error: argument p: expected an integer, "
+             "got '-h'\n", "help-after-double-dash"),
+    # "--" ends the options
+    decision(["geodesic", "--", "0/1", "4/3"], 0, "0/1 -> 2/1 -> 4/3\n", "", "double-dash"),
+    decision(["dist", "--", "-1/2", "3/2"], 0, "2\n", "", "double-dash-minus-slope"),
+    decision(["bundle", "--", "--matrix=1,0;2,1"], 2, "", _BUNDLE_USAGE + "solnorm bundle: error: unrecognized "
+             "arguments: --matrix=1,0;2,1\n", "option-after-double-dash"),
+    # a token that does not start with "--" is a positional
+    decision(["bw", "-8", "3"], 0, "2\n", "", "negative-positional"),
+    decision(["dist", "-1/2", "3/2"], 0, "2\n", "", "minus-slope-positional"),
+    # a separate option value is the next token, whatever it starts with
+    decision(["act", "--matrix", "-1,0;2,-1", "1/0"], 0, "-1/2\n", "", "minus-option-value"),
+    decision(["bundle", "--matrix", "-h"], 2, "", "solnorm: parse error: expected 'a,c;b,d', got '-h'\n",
+             "help-as-option-value"),
+    # an empty value goes to the command's own parser
+    decision(["bundle", "--matrix="], 2, "", "solnorm: parse error: expected 'a,c;b,d', got ''\n", "empty-value"),
+    # usage errors: the usage line, then the error
+    decision([], 2, "", _TOP_USAGE + "solnorm: error: the following arguments are required: command\n",
+             "no-command"),
+    decision(["frobnicate"], 2, "", _TOP_USAGE + "solnorm: error: argument command: invalid choice: 'frobnicate' "
+             f"(choose from {_CHOICES})\n", "unknown-command"),
+    decision(["--he"], 2, "", _TOP_USAGE + "solnorm: error: argument command: invalid choice: '--he' "
+             f"(choose from {_CHOICES})\n", "abbreviated-help"),
+    decision(["bundle", "--mat=1,0;2,1"], 2, "", _BUNDLE_USAGE + "solnorm bundle: error: unrecognized arguments: "
+             "--mat=1,0;2,1\n", "abbreviation"),
+    decision(["bundle", "--matrix=1,0;2,1", "--matrix", "0,1;1,0"], 2, "", _BUNDLE_USAGE + "solnorm bundle: error: "
+             "argument --matrix: given twice\n", "doubled-option"),
+    decision(["bundle", "--json", "--matrix=1,0;2,1", "--json"], 2, "", _BUNDLE_USAGE + "solnorm bundle: error: "
+             "argument --json: given twice\n", "doubled-flag"),
+    decision(["bundle", "--matrix=1,0;2,1", "--json=1"], 2, "", _BUNDLE_USAGE + "solnorm bundle: error: "
+             "argument --json: ignored explicit argument '1'\n", "equals-on-a-flag"),
+    decision(["bundle", "--matrix=1,0;2,1", "--frob"], 2, "", _BUNDLE_USAGE + "solnorm bundle: error: "
+             "unrecognized arguments: --frob\n", "unknown-option"),
+    decision(["bundle", "--matrix"], 2, "", _BUNDLE_USAGE + "solnorm bundle: error: argument --matrix: expected "
+             "one argument\n", "missing-value"),
+    decision(["bundle", "--json"], 2, "", _BUNDLE_USAGE + "solnorm bundle: error: the following arguments are "
+             "required: --matrix\n", "missing-option"),
+    decision(["act", "--matrix=1,0;2,1"], 2, "", "usage: solnorm act [-h] --matrix MATRIX slope\nsolnorm act: "
+             "error: the following arguments are required: slope\n", "missing-positional"),
+    decision(["export-graph", "--center", "0/1"], 2, "", _GRAPH_USAGE + "solnorm export-graph: error: the "
+             "following arguments are required: --radius, --bound\n", "missing-options"),
+    decision(["bw", "1", "2", "3", "4"], 2, "", _BW_USAGE + "solnorm bw: error: unrecognized arguments: 3 4\n",
+             "extra-positionals"),
+    decision(["export-graph", "--bound=5", "3/4"], 2, "", _GRAPH_USAGE + "solnorm export-graph: error: "
+             "unrecognized arguments: 3/4\n", "extra-before-missing"),
+    decision(["bw", "x", "2"], 2, "", _BW_USAGE + "solnorm bw: error: argument p: expected an integer, got 'x'\n",
+             "unconvertible"),
+    decision(["bundle", "--matrix=1,0;2,1", "--certificate-cap", "-1"], 2, "", _BUNDLE_USAGE + "solnorm bundle: "
+             "error: argument --certificate-cap: expected an integer >= 0, got '-1'\n", "negative-count"),
+    decision(["verify", "--level", "slow"], 2, "", _VERIFY_USAGE + "solnorm verify: error: argument --level: "
+             "invalid choice: 'slow' (choose from 'quick', 'full')\n", "outside-the-choices"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", DECISIONS)
+def test_the_reader_decides(capsys, argv, code, stdout, stderr):
+    assert run(capsys, *argv) == (code, stdout, stderr)
+
+
+def test_help_and_usage_errors_ignore_the_terminal_width(capsys, monkeypatch):
+    printed = []
+    for columns in ("20", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        printed.append([run(capsys, *argv) for argv in (["-h"], ["bundle", "-h"], [], ["bundle", "--mat=1,0;2,1"])])
+    assert printed[0] == printed[1]
+
+
+# argv for every subcommand, drawn from a well-formed one: each option
+# given once, or left out where it may be, in any order, as --opt value or
+# --opt=value, with a value the command takes, and the positionals in
+# their order among the options or after a "--".  Or one defect turns it
+# into a request for help or a usage error.  census only ever gets
+# relative file names, so it reads and writes inside the test's directory.
 _INTS, _COUNTS = ["0", "1", "3", "-3", "12"], ["0", "1", "3"]
 _SLOPES = ["0/1", "1/0", "4/3", "2/1", "-1/2", "6/4"]
 _MATRICES = ["1,0;2,1", "-1,0;2,-1", "0,1;1,0", "3,1;8,3", "2,0;0,1"]
 _REPORT = [("--matrix", _MATRICES), ("--json", None), ("--certificate-cap", _COUNTS)]
-# each subcommand's arguments: (option, or None for a positional; its
-# values, or None for a flag)
+# each subcommand's arguments: (name, its values, or None for a flag)
 _SPECS = {
-    "bw": [(None, _INTS), (None, _INTS)],
-    "dist": [(None, _SLOPES), (None, _SLOPES)],
-    "geodesic": [(None, _SLOPES), (None, _SLOPES)],
-    "act": [("--matrix", _MATRICES), (None, _SLOPES)],
+    "bw": [("p", _INTS), ("q", _INTS)],
+    "dist": [("slope1", _SLOPES), ("slope2", _SLOPES)],
+    "geodesic": [("slope1", _SLOPES), ("slope2", _SLOPES)],
+    "act": [("--matrix", _MATRICES), ("slope", _SLOPES)],
     "bundle": _REPORT,
     "semibundle": _REPORT,
     "census": [("--in", ["in.txt", "latin1.txt", "missing.txt"]), ("--out", ["out.csv", "no-dir/out.csv"])],
     "export-graph": [("--center", _SLOPES), ("--radius", _COUNTS), ("--bound", _COUNTS)],
     "verify": [("--level", ["quick", "full"])],
 }
-# values no argument takes: a negative count, "_" separators, non-ASCII
-# digits, integers over the int-digit limit, malformed slopes and matrices
-_REFUSED = ["-1", "1_0", "\u0661", "2" * 5000, "\u0663/1", "1/" + "3" * 5000, "x", "1,0;2",
-            "1,0;" + "2" * 5000 + ",1", "slow"]
-_STRAY = ["--", "-h", "--help", "--frob", "-x", "--=1", "--mat", "--json", "frobnicate", "bund"]
-_ANY_TEXT = st.text(st.characters(blacklist_characters="\x00"), max_size=6).filter(lambda t: t != "census")
+# the attribute of each argument not read into its name, the default of
+# each that may be left out, the arguments read as ints, and the values
+# each typed argument refuses
+_DESTS = {"--in": "in_path", "--out": "out_path", "--certificate-cap": "certificate_cap"}
+_DEFAULTS = {"--json": False, "--certificate-cap": DEFAULT_CERTIFICATE_CAP, "--level": "quick"}
+_INTEGERS = {"p", "q", "--certificate-cap", "--radius", "--bound"}
+_NOT_INTS = ["x", "", "1_0", "\u0661", "1.0", "2" * 5000]
+_REFUSED = {**{name: _NOT_INTS for name in ("p", "q")},
+            **{name: [*_NOT_INTS, "-1"] for name in ("--certificate-cap", "--radius", "--bound")},
+            "--level": ["slow", "Quick", ""]}
 
 
 @st.composite
 def _argvs(draw):
-    command = draw(st.sampled_from([*_SPECS, None]))
-    refused = st.sampled_from(_REFUSED)
-    if command != "census":
-        refused = st.one_of(refused, _ANY_TEXT)
-    argv = [] if command is None else [command]
-    well_formed = draw(st.booleans())
-    specs = _SPECS.get(command, [])
-    for option, values in draw(st.permutations(specs)) if well_formed else specs:
-        # given, left out or (not well formed) doubled
-        for _ in range(draw(st.sampled_from([1, 1, 1, 0] if well_formed else [1, 1, 1, 0, 2]))):
-            name = option and (option if well_formed else draw(st.sampled_from([option, option[:5]])))
-            if values is None:
-                argv.append(name)
-                continue
-            value = draw(st.sampled_from(values) if well_formed or draw(st.integers(0, 3)) else refused)
-            if option is None:
-                argv.append(value)
-            else:
-                argv += draw(st.sampled_from([[name, value], [f"{name}={value}"]]))
-    for _ in range(0 if well_formed else draw(st.sampled_from([0, 0, 0, 1, 2]))):
-        argv.insert(draw(st.integers(0, len(argv))), draw(st.one_of(st.sampled_from(_STRAY), refused)))
-    return argv
+    """(argv, the attributes _dispatch must be called with), or for an argv
+    with a defect (argv, (its exit code, the command whose usage line it
+    prints first, None for solnorm's own))."""
+    command = draw(st.sampled_from(list(_SPECS)))
+    specs = _SPECS[command]
+    options = [name for name, _ in specs if name.startswith("--")]
+    targets = {"help": [None], "unknown": [None], "extra": [None], "command": [None],
+               "doubled": options, "abbreviated": options,
+               "missing": [name for name, _ in specs if name not in _DEFAULTS],
+               "refused": [name for name, _ in specs if name in _REFUSED]}
+    defect = draw(st.one_of(st.none(), st.sampled_from([defect for defect, names in targets.items() if names])))
+    target = defect and draw(st.sampled_from(targets[defect]))
+    attributes, groups, positionals = {"command": command}, [], []
+    for name, values in specs:
+        dest = _DESTS.get(name, name.lstrip("-"))
+        if (name, defect) == (target, "missing") or (name != target and name in _DEFAULTS and draw(st.booleans())):
+            attributes[dest] = _DEFAULTS.get(name)
+            continue
+        value = None
+        if (name, defect) == (target, "refused"):
+            value = draw(st.sampled_from(_REFUSED[name]))
+        elif values is None:
+            attributes[dest] = True
+        else:
+            value = draw(st.sampled_from(values))
+            attributes[dest] = int(value) if name in _INTEGERS else value
+        if not name.startswith("--"):
+            positionals.append(value)
+            continue
+        written = name[:-1] if (name, defect) == (target, "abbreviated") else name
+        group = [written] if values is None else draw(st.sampled_from([[written, value], [f"{written}={value}"]]))
+        groups += [group, group] if (name, defect) == (target, "doubled") else [group]
+    if defect in ("help", "unknown"):  # "=" on a flag is an unknown spelling
+        unknown = ["--frob", "--frob=1", *(["--json=1"] if command in cli.KINDS else [])]
+        groups.append([draw(st.sampled_from(["-h", "--help"] if defect == "help" else unknown))])
+    if defect == "extra":
+        positionals.append("extra")
+    if positionals and draw(st.booleans()):  # the options, then "--" and the positionals
+        groups = [*draw(st.permutations(groups)), ["--", *positionals]]
+    else:  # the positionals in their order among the options
+        rest = iter(positionals)
+        groups = [group or [next(rest)] for group in draw(st.permutations([*groups, *[None] * len(positionals)]))]
+    argv = [command, *itertools.chain.from_iterable(groups)]
+    if defect == "command":
+        argv[:1] = draw(st.sampled_from([[], ["frobnicate"], ["bund"], ["--he"], ["-x"], ["--"]]))
+    if defect is None:
+        return argv, attributes
+    return argv, (0 if defect == "help" else 2, None if defect == "command" else command)
 
 
-def _parsed(parse, argv):
-    """(what parse returned or the SystemExit code, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            result = parse(argv)
-        except SystemExit as exit_:
-            result = SystemExit(exit_.code)
-    return result, out.getvalue(), err.getvalue()
-
-
-@settings(max_examples=300)
+@settings(max_examples=200)
 @given(_argvs())
-# argv at the edge of what main reads without argparse, each one that a
-# reader with a wrong rule would read otherwise: "=" on a flag, a doubled
-# flag or option (argparse refuses a first value it cannot convert), an
-# empty value, a "-" value or positional, an "=" in a value, a "--", a
-# value outside the choices, "--" as the prefix of the one option (and
-# of --help) and a default
-@example(["bundle", "--matrix=1,0;2,1", "--json=1"])
-@example(["bundle", "--json", "--matrix=1,0;2,1", "--json"])
-@example(["bundle", "--matrix", "1,0;2,1", "--matrix=0,1;1,0"])
-@example(["bundle", "--matrix=1,0;2,1", "--certificate-cap=x", "--certificate-cap=3"])
-@example(["semibundle", "--matrix="])
-@example(["bundle", "--matrix=1,0;2,1", "--certificate-cap", "-0"])
-@example(["bw", "-3", "4"])
-@example(["census", "--in=a=b", "--out", "o.csv"])
-@example(["act", "--matrix", "1,0;0,1", "--", "-1/2"])
-@example(["verify", "--level", "slow"])
-@example(["act", "--=1,0;2,1", "1/0"])
-@example(["semibundle", "--json", "--matrix", "0,1;1,0"])
-# a positional whose text is "--", after the "--" that ends the options,
-# which argparse before 3.13.1 would leave as []
-@example(["bw", "--", "1", "--"])
-@example(["dist", "--", "0/1", "--"])
-@example(["geodesic", "--", "0/1", "--"])
-def test_every_argv_parses_as_the_top_level_parser_does(tmp_path_factory, argv):
-    # main reads a well-formed argv itself and hands every other to the
-    # top-level parser; whatever it is given, it must reach _dispatch with
-    # the attributes of the Namespace that the top-level parser's
-    # parse_args gives (the reader's is a SimpleNamespace, so vars() are
-    # compared, as Namespace.__eq__ does), or exit as that does with the
-    # same stdout and stderr.  A parsed command runs to an exit code of 0
-    # to 4 with no exception; verify's checks are stubbed, so only its
-    # arguments are read
+# an empty value is the command's to refuse; a "--" positional after the
+# "--" that ends the options; a "-" value; "=" in a value
+@example((["semibundle", "--matrix="], {"command": "semibundle", "matrix": "", "json": False,
+                                        "certificate_cap": DEFAULT_CERTIFICATE_CAP}))
+@example((["dist", "--", "0/1", "--"], {"command": "dist", "slope1": "0/1", "slope2": "--"}))
+@example((["bw", "--", "1", "--"], (2, "bw")))
+@example((["bundle", "--matrix", "-", "--certificate-cap", "-0"], {"command": "bundle", "matrix": "-",
+                                                                   "json": False, "certificate_cap": 0}))
+@example((["census", "--in=a=b", "--out", "o.csv"], {"command": "census", "in_path": "a=b", "out_path": "o.csv"}))
+def test_the_reader_reads_well_formed_argv_and_refuses_the_rest(tmp_path_factory, case):
+    # a well-formed argv reaches _dispatch once, with the drawn values, and
+    # the command runs to an exit code of 0 to 4; any other prints the
+    # usage line first and never reaches _dispatch.  verify's checks are
+    # stubbed, so only its arguments are read
+    argv, expected = case
     work = tmp_path_factory.getbasetemp() / "argv"
     if not work.exists():
         work.mkdir()
@@ -419,18 +523,24 @@ def test_every_argv_parses_as_the_top_level_parser_does(tmp_path_factory, argv):
         (work / "latin1.txt").write_bytes("# caf\u00e9\nbundle 1,0;2,1\n".encode("latin-1"))
     dispatched = []
     plain = cli._dispatch
-    with pytest.MonkeyPatch.context() as patch:
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         patch.chdir(work)
         patch.setattr(oracle, "run_checks", lambda level: [])
         patch.setattr(cli, "_dispatch", lambda args: dispatched.append(vars(args)) or plain(args))
-        expected, expected_out, expected_err = _parsed(build_parser().parse_args, argv)
-        result, out, err = _parsed(main, argv)
-    if isinstance(expected, SystemExit):
-        assert isinstance(result, SystemExit) and result.code == expected.code in (0, 2)
-        assert (out, err, dispatched) == (expected_out, expected_err, [])
-    else:
-        assert dispatched == [vars(expected)] and result in range(5)
-        assert "Traceback" not in err
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    if isinstance(expected, dict):
+        assert dispatched == [expected] and code in range(5)
+        return
+    expected_code, command = expected
+    printed, silent = (out, err) if expected_code == 0 else (err, out)
+    assert (code, dispatched, silent.getvalue()) == (expected_code, [], "")
+    prog = "solnorm" if command is None else f"solnorm {command}"
+    assert printed.getvalue().startswith(f"usage: {prog} [-h] ")
+    if expected_code:  # the usage line and the error, one line each
+        _, error, end = printed.getvalue().split("\n")
+        assert error.startswith(f"{prog}: error: ") and end == ""
 
 
 class TestReports:

@@ -978,6 +978,20 @@ class TestTreePath:
         with pytest.raises(TypeError):
             path[index]
 
+    # no piece, and only empty lists of vertices (a walk leaves one after
+    # each run): no vertex, so no repr; runs of 0 and -3 slopes after a
+    # vertex, where -3 would give edges == -4
+    @pytest.mark.parametrize("pieces, message", [
+        ([], "a path holds one vertex or more"),
+        ([[], []], "a path holds one vertex or more"),
+        ([[Slope(1, 0)], (1, 2, 0, 2, 0)], "a run of a path holds one slope or more"),
+        ([(1, 0, 0, 2, -3)], "a run of a path holds one slope or more"),
+    ], ids=["no-piece", "empty-lists", "run-of-0", "run-of-minus-3"])
+    def test_pieces_without_a_vertex_are_refused(self, pieces, message):
+        with pytest.raises(DomainError, match=message):
+            TreePath(pieces)
+        assert TreePath([[Slope(1, 0)], (1, 2, 0, 2, 1), []]).edges == 1  # a walk's empty list is read
+
     def test_is_read_only(self):
         path = geodesic_path(Slope(0, 1), Slope(4, 3))
         for name in ("_path", "anything"):

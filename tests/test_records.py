@@ -1,8 +1,8 @@
 """The record types are NamedTuples: read-only fields, validated
 construction with the same errors, keyword construction, and an import
 path that loads neither dataclasses nor the oracle and the bounded graph,
-whose public names solnorm resolves on first use, nor argparse, which only
-help and usage errors load, nor csv, which no command loads."""
+whose public names solnorm resolves on first use, nor argparse or csv,
+which no command loads."""
 
 import functools
 import os
@@ -178,7 +178,7 @@ def test_import_path_loads_no_dataclasses_json_or_oracle():
 # loaded after each stage: start-up (run with -S, so no site hook loads
 # one), the import, well-formed commands of every kind but census,
 # export-graph and verify (text and JSON reports of both kinds), a census
-# of both kinds, export-graph, verify and -h.
+# of both kinds, export-graph, verify, -h and a usage error.
 BUDGET_CHILD = """
 import contextlib, io, os, sys, tempfile
 
@@ -210,12 +210,11 @@ run(["export-graph", "--center=0/1", "--radius", "1", "--bound=5"])
 loaded("export-graph")
 run(["verify", "--level", "quick"])
 loaded("verify")
-with contextlib.redirect_stdout(io.StringIO()):
-    try:
-        solnorm.cli.main(["-h"])
-    except SystemExit as exit_:
-        assert exit_.code == 0
+run(["-h"])
 loaded("help")
+with contextlib.redirect_stderr(io.StringIO()):
+    assert solnorm.cli.main(["bundle", "--mat=1,0;2,1"]) == 2
+loaded("usage-error")
 """
 
 
@@ -232,11 +231,11 @@ def loaded_of(watched: set[str]) -> dict[str, set[str]]:
 
 
 def test_well_formed_commands_load_no_argparse():
-    # a well-formed command line is read without argparse, and no command
-    # loads csv, census included; help is argparse's
+    # solnorm reads its command line, and writes its help and usage
+    # errors, without argparse; no command loads csv, census included
     assert loaded_of({"argparse", "csv", "gettext"}) == {
         "start": set(), "import": set(), "commands": set(), "census": set(),
-        "export-graph": set(), "verify": set(), "help": {"argparse", "gettext"},
+        "export-graph": set(), "verify": set(), "help": set(), "usage-error": set(),
     }
 
 
@@ -244,7 +243,7 @@ def test_only_export_graph_and_verify_load_the_graph_or_the_oracle():
     both = {"solnorm.graph", "solnorm.oracle"}
     assert loaded_of(both) == {
         "start": set(), "import": set(), "commands": set(), "census": set(),
-        "export-graph": {"solnorm.graph"}, "verify": both, "help": both,
+        "export-graph": {"solnorm.graph"}, "verify": both, "help": both, "usage-error": both,
     }
 
 

@@ -31,15 +31,18 @@ same bytes and exit code in both.  The families:
   of about 2,870 digits) as bundle text and JSON, as semi-bundle JSON
   (one certificate in four rows at two indents) and as bundle text with
   --certificate-cap=0, and the bundle JSON of W^4000 (3,063 digits);
-- usage: what argparse prints and the exit it takes for help, no
-  arguments, an unknown command, each subcommand's -h, missing required
-  options, unrecognized trailing arguments, abbreviated and doubled
-  options, `--`, `--certificate-cap=-1` and `bundle --matrix -1,0;2,-1`.
-  Children run with COLUMNS=80, so help is wrapped the same everywhere;
-- argv: well-formed commands of every subcommand, which solnorm reads
-  without argparse, in every spelling it reads them: each option as
-  --opt value and as --opt=value, the options and positionals in every
-  order, so flags come first and last, and a few that then exit 1 or 2;
+- usage: what the command-line reader prints and the exit it takes for
+  help (first, after a command, after arguments), no arguments, an unknown
+  command, missing required options, unrecognized trailing arguments and
+  options, abbreviated and doubled options and flags, "=" on a flag, `--`,
+  values outside a type or the choices, and the tokens starting with "-"
+  that are read as positionals or option values (`bw -3 5`,
+  `dist -1/2 3/2`, `bundle --matrix -1,0;2,-1`).  Its help has one layout
+  whatever the terminal's width;
+- argv: well-formed commands of every subcommand in every spelling
+  solnorm reads them: each option as --opt value and as --opt=value, the
+  options and positionals in every order, so flags come first and last,
+  and a few that then exit 1 or 2;
   and `bundle` on each of MATRIX_SPELLINGS, written by hand: matrices with
   ASCII and Unicode whitespace around their cells, tabs, signs and leading
   zeros, and one of each malformed shape (wrong row count, wrong cell
@@ -53,7 +56,7 @@ in a child interpreter that imports solnorm from DIR/src only, calling
 solnorm.cli.main in-process once per command.  --family NAME runs the one
 family in this interpreter, with solnorm from PYTHONPATH, and prints its
 line; a caller that wants the bytes of --src sets PYTHONDONTWRITEBYTECODE=1
-and COLUMNS=80 as --src does.
+as --src does.
 """
 
 from __future__ import annotations
@@ -129,7 +132,7 @@ def _run(main, argv: list[str]) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exit_:  # argparse refusing an argument
+        except SystemExit as exit_:  # a tree whose command line argparse reads
             code = exit_.code
     return f"$ solnorm {' '.join(argv)}\n{out.getvalue()}[stderr]\n{err.getvalue()}[exit {code}]\n"
 
@@ -184,9 +187,9 @@ def _large_argvs() -> list[list[str]]:
 
 
 def _usage_argvs() -> list[list[str]]:
-    """The usage family: argv that argparse answers with help or a usage
-    error, and argv it accepts only through its own rules (abbreviations,
-    doubled options, negative numbers, --)."""
+    """The usage family: argv answered with help or a usage error, and
+    argv at the edges of the reader's rules (--, tokens starting with "-",
+    empty and refused values)."""
     argvs = [[], ["-h"], ["--help"], ["--he"], ["-x"], ["--"], ["--", "bundle", "--matrix=1,0;2,1"],
              ["frobnicate"], ["frobnicate", "--matrix=1,0;2,1"], ["bund", "--matrix=1,0;2,1"]]
     commands = ("bw", "dist", "geodesic", "act", "bundle", "semibundle", "census", "export-graph", "verify")
@@ -200,7 +203,7 @@ def _usage_argvs() -> list[list[str]]:
         ["bw", "1", "2", "3"], ["dist", "0/1", "1/0", "--json"], ["geodesic", "--", "0/1", "2/1", "4/3"],
         ["bundle", "--matrix=1,0;2,1", "extra"], ["verify", "--level", "quick", "--fast"],
     ]
-    argvs += [  # abbreviations, doubled options, values argparse refuses
+    argvs += [  # abbreviations, doubled options, refused values
         ["bundle", "--mat=1,0;2,1"], ["bundle", "--mat", "1,0;2,1", "--js"],
         ["semibundle", "--m=0,1;1,0", "--cert=0"], ["export-graph", "--c=0/1", "--r=1", "--b=3"],
         ["bundle", "--=1,0;2,1"], ["verify", "--lev=slow"],
@@ -209,6 +212,10 @@ def _usage_argvs() -> list[list[str]]:
         ["semibundle", "--matrix=1,0;2,1", "--certificate-cap", "-1"],
         ["bundle", "--matrix", "-1,0;2,-1"], ["bundle", "--", "--matrix=1,0;2,1"],
         ["bw", "-3", "5"], ["bw", "--", "-3", "5"], ["bw", "\u0661", "2"],
+    ]
+    argvs += [  # positionals and values starting with "-", help after arguments, "=" on a flag, choices
+        ["dist", "-1/2", "3/2"], ["bundle", "--matrix=1,0;2,1", "-h"], ["bundle", "--matrix", "-h"],
+        ["bw", "--", "-h", "2"], ["bundle", "--matrix=1,0;2,1", "--json=1"], ["verify", "--level=slow"],
     ]
     return argvs
 
@@ -301,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     src = (args.src / "src").resolve()
     if not (src / "solnorm" / "cli.py").is_file():
         parser.error(f"{src} holds no solnorm package")
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "80"}
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     for family in FAMILIES:
         child = [sys.executable, str(Path(__file__).resolve()), "--family", family]
         proc = subprocess.run(child, env=env, cwd=ROOT, capture_output=True, text=True)
